@@ -14,7 +14,7 @@ This is the record behind ``BENCH_PR7.json``::
     PYTHONPATH=src python -m repro.bench.kernels_ab --output BENCH_PR7.json
 
 Timings are best-of-``repeats`` after a warm-up pass (which also pays
-one-time costs: the C build/dlopen, Numba JIT, workspace pool growth),
+one-time costs: the C build/dlopen, workspace pool growth),
 so the A/B compares steady-state force passes.
 """
 

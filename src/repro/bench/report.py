@@ -1,6 +1,6 @@
 """One-shot report generator: every experiment, one markdown file.
 
-``python -m repro report`` runs the whole registry and writes a
+``python -m repro bench report`` runs the whole registry and writes a
 self-contained markdown document (tables in fenced blocks, with the
 paper-claim notes attached) — the artifact to attach to a reproduction
 writeup or CI run.

@@ -40,17 +40,9 @@ Examples::
     repro-nbody top --ledger-dir ledger --once
     repro-nbody report --ledger-dir ledger --out runlog.md
 
-The pre-subcommand flat form (``repro-nbody table2 --quick``) keeps
-working: an unrecognised leading token is routed through a hidden
-compatibility path that prefixes ``bench``.  The flat ``report`` form
-(``repro-nbody report --output rep.md``) still reaches the bench report
-— bench-style flags (``--output``/``--quick``/``--workload``/``--steps``)
-disambiguate it from the ledger ``report`` subcommand.  The pre-PR-8
-serve spellings also keep working: ``repro-nbody serve --jobs ...``
-rewrites to ``serve batch`` and flat ``repro-nbody submit ...`` rewrites
-to ``serve submit`` — unless batch-only flags (``--jobs`` /
-``--summary-out``) are mixed into a flat ``submit``, which is ambiguous
-and rejected with exit code 2.
+Every command is spelled as a subcommand: the paper's experiments run
+under ``bench`` (``repro-nbody bench table2``), and ``report`` is the
+ledger report (the bench report is ``repro-nbody bench report``).
 """
 
 from __future__ import annotations
@@ -88,30 +80,6 @@ _WORKLOAD_EXPERIMENTS = _SWEEP_EXPERIMENTS | {
 
 #: Default trace path for ``--trace`` without an explicit ``--trace-out``.
 DEFAULT_TRACE_PATH = "trace.json"
-
-#: The CLI's subcommands (used by the flat-form compatibility shim).
-SUBCOMMANDS = (
-    "run", "profile", "bench", "resume", "serve", "submit", "check",
-    "top", "report",
-)
-
-#: ``serve``'s own subcommands (used by the serve compat rewrites).
-SERVE_SUBCOMMANDS = (
-    "batch", "submit", "coordinator", "worker", "gateway", "merge-shards",
-    "shutdown",
-)
-
-#: Flags that belong only to ``serve batch``; mixing them into the flat
-#: ``submit`` form is ambiguous and rejected (same policy as the flat
-#: ``report`` disambiguation).
-_BATCH_ONLY_FLAGS = frozenset({"--jobs", "--summary-out"})
-
-#: Flags that mark a flat ``report`` invocation as the *bench* report.
-_BENCH_REPORT_FLAGS = frozenset({"--output", "--quick", "--workload", "--steps"})
-
-#: Flags specific to the ledger ``report`` subcommand; mixing them with
-#: bench-report flags in the flat form is ambiguous and rejected.
-_LEDGER_REPORT_FLAGS = frozenset({"--out", "--format"})
 
 
 def _run_plans() -> tuple[str, ...]:
@@ -185,7 +153,7 @@ def _common_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="NAME",
         help="force-kernel backend for the functional force paths "
-        "(numpy, numba, cext, ...; default: the REPRO_KERNEL_BACKEND "
+        "(numpy or cext; default: the REPRO_KERNEL_BACKEND "
         "environment variable, else numpy); an unavailable backend "
         "warns once and falls back to numpy",
     )
@@ -669,72 +637,6 @@ def _parse_tenants_arg(
     if not isinstance(tenants, dict):
         parser.error("--tenants must be a JSON object of tenant -> policy")
     return tenants
-
-
-def _compat_argv(
-    argv: Sequence[str], parser: argparse.ArgumentParser | None = None
-) -> list[str]:
-    """Route the pre-subcommand flat form through ``bench``.
-
-    ``repro-nbody table2 --quick`` becomes ``repro-nbody bench table2
-    --quick``; the old flat ``profile <target>`` shape coincides with the
-    ``profile`` subcommand and passes through untouched, as do help and
-    version flags.
-
-    The pre-PR-8 serve spellings rewrite the same way:
-    ``repro-nbody serve --jobs ...`` (flags straight after ``serve``)
-    becomes ``serve batch ...``, and flat ``repro-nbody submit ...``
-    becomes ``serve submit ...``.
-
-    A flat ``report`` carrying *both* bench-report flags and ledger-report
-    flags belongs to neither command; it is rejected outright (exit 2)
-    rather than routed somewhere that would die on an unrecognised flag —
-    or worse, silently accept a subset.  A flat ``submit`` mixing in
-    batch-only flags (``--jobs`` / ``--summary-out``) is rejected the
-    same way.
-    """
-    argv = list(argv)
-    if argv and not argv[0].startswith("-") and argv[0] not in SUBCOMMANDS:
-        return ["bench", *argv]
-    if argv and argv[0] == "serve":
-        rest = argv[1:]
-        if rest and rest[0] not in SERVE_SUBCOMMANDS and rest[0].startswith("-"):
-            # Old flat serve: flags straight after `serve` mean `batch`.
-            return ["serve", "batch", *rest]
-    if argv and argv[0] == "submit":
-        batch_hits = _BATCH_ONLY_FLAGS.intersection(argv[1:])
-        if batch_hits:
-            message = (
-                "ambiguous flat 'submit': "
-                f"{'/'.join(sorted(batch_hits))} belongs to 'serve batch', "
-                "not 'serve submit'; spell out 'repro-nbody serve batch' "
-                "or drop the batch flags"
-            )
-            if parser is not None:
-                parser.error(message)  # exits 2
-            print(f"error: {message}", file=sys.stderr)
-            raise SystemExit(2)
-        return ["serve", "submit", *argv[1:]]
-    if argv and argv[0] == "report":
-        bench_hits = _BENCH_REPORT_FLAGS.intersection(argv[1:])
-        ledger_hits = _LEDGER_REPORT_FLAGS.intersection(argv[1:])
-        if bench_hits and ledger_hits:
-            message = (
-                "ambiguous flat 'report': "
-                f"{'/'.join(sorted(bench_hits))} belongs to 'bench report' "
-                f"but {'/'.join(sorted(ledger_hits))} belongs to the ledger "
-                "report; spell out 'repro-nbody bench report' or drop the "
-                "conflicting flags"
-            )
-            if parser is not None:
-                parser.error(message)  # exits 2
-            print(f"error: {message}", file=sys.stderr)
-            raise SystemExit(2)
-        if bench_hits:
-            # Flat bench-report form: its flags don't exist on the ledger
-            # report subcommand, so they identify the old shape.
-            return ["bench", *argv]
-    return argv
 
 
 def _validate_bench_args(
@@ -1378,8 +1280,8 @@ _HANDLERS = {
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
-    full_argv = _compat_argv(argv if argv is not None else sys.argv[1:], parser)
-    args = parser.parse_args(full_argv)
+    argv = list(argv if argv is not None else sys.argv[1:])
+    args = parser.parse_args(argv)
     if args.workers is not None and args.workers < 1:
         parser.error(f"--workers must be >= 1, got {args.workers}")
     if args.max_retries is not None and args.max_retries < 0:
@@ -1410,7 +1312,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
         ledger = default_ledger()
         if ledger is not None:
-            ledger.record_event("command", "repro-nbody " + " ".join(full_argv))
+            ledger.record_event("command", "repro-nbody " + " ".join(argv))
     tracing = (
         args.trace
         or args.trace_out is not None

@@ -14,9 +14,6 @@ explicit ``engine=`` dispatch through); ``trace`` switches
 :mod:`repro.obs` on or off.  Keywords left as ``None`` leave that
 subsystem untouched, so ``repro.configure(trace=True)`` does not clobber
 a previously configured engine.
-
-This subsumes the older per-module entry points (``repro.exec.configure``
-is now a deprecation shim delegating here).
 """
 
 from __future__ import annotations
@@ -78,8 +75,8 @@ def configure(
         ``serve_addr`` is the coordinator address
         :func:`repro.serve.connect` dials when called with no argument
         (``"host:port"``; unset = in-process).  Precedence (first hit
-        wins): explicit ``connect()`` / ``JobService`` / ``Client``
-        keywords, then these values, then the
+        wins): explicit ``connect()`` / ``JobService`` keywords, then
+        these values, then the
         ``REPRO_SERVE_MAX_CONCURRENT_JOBS`` /
         ``REPRO_SERVE_QUEUE_CAPACITY`` / ``REPRO_SERVE_CACHE_DIR`` /
         ``REPRO_SERVE_ADDR`` environment variables, then the built-in
@@ -126,8 +123,7 @@ def configure(
         one-time warning.  ``None`` leaves the current setting untouched.
 
     Returns the default :class:`~repro.exec.ExecutionEngine` after any
-    reconfiguration, so the call is a drop-in replacement for the old
-    ``repro.exec.configure``.
+    reconfiguration.
     """
     exec_kwargs = (
         workers,

@@ -16,7 +16,6 @@ histograms.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -122,8 +121,7 @@ class Simulation:
     (``"i"``, ``"j"``, ``"w"``, ``"jw"``, or anything added through
     :func:`repro.plans.register`); a name is resolved with
     ``plan_config`` (default :class:`PlanConfig`).  Everything after
-    ``plan`` is keyword-only; a positional ``dt`` is accepted for one
-    release with a :class:`DeprecationWarning`.
+    ``plan`` is keyword-only.
 
     The integrator is a kick-drift-kick leapfrog; each step performs two
     half-kicks but only one *new* force evaluation (the trailing
@@ -135,23 +133,10 @@ class Simulation:
         self,
         particles: ParticleSet,
         plan: Plan | str,
-        *args,
+        *,
         dt: float = 1e-3,
         plan_config: PlanConfig | None = None,
     ) -> None:
-        if args:
-            if len(args) > 1:
-                raise TypeError(
-                    f"Simulation() takes at most 3 positional arguments "
-                    f"({2 + len(args)} given); pass dt= as a keyword"
-                )
-            warnings.warn(
-                "passing dt positionally is deprecated; use "
-                "Simulation(particles, plan, dt=...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            dt = args[0]
         if dt <= 0.0:
             raise ConfigurationError(f"dt must be positive, got {dt}")
         self.particles = particles

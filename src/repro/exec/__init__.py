@@ -36,7 +36,6 @@ from repro.exec.engine import (
     EnginePool,
     ExecConfig,
     ExecutionEngine,
-    configure,
     get_default_engine,
     set_default_engine,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "InjectedBackendDeath",
     "InjectedFault",
     "RetryPolicy",
-    "configure",
     "get_default_engine",
     "set_default_engine",
     "Workspace",

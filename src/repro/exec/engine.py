@@ -680,22 +680,3 @@ def set_default_engine(engine: ExecutionEngine | None) -> ExecutionEngine:
     global _default_engine
     _default_engine = engine if engine is not None else ExecutionEngine()
     return _default_engine
-
-
-def configure(
-    *, workers: int = 1, backend: str | None = None, chunk_size: int | None = None
-) -> ExecutionEngine:
-    """Deprecated: use :func:`repro.configure` instead.
-
-    Thin shim kept for backwards compatibility; delegates to the unified
-    top-level entry point with identical behaviour.
-    """
-    warnings.warn(
-        "repro.exec.configure() is deprecated; use "
-        "repro.configure(workers=..., exec_backend=...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.config import configure as _configure
-
-    return _configure(workers=workers, exec_backend=backend, chunk_size=chunk_size)

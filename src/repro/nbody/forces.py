@@ -28,7 +28,7 @@ The arithmetic itself runs on a pluggable kernel backend
 (:mod:`repro.nbody.kernels`): ``backend=None`` follows the configured
 selection (``repro.configure(kernel_backend=)`` / ``REPRO_KERNEL_BACKEND``,
 default ``numpy``).  The ``numpy`` reference path is bit-identical to the
-pre-seam implementation; compiled backends (``numba``, ``cext``) compute
+pre-seam implementation; the compiled ``cext`` backend computes
 the same sum with reassociated accumulation and are validated under the
 ``compiled-*`` oracle tolerances.
 
@@ -150,7 +150,7 @@ def accelerations_from_sources(
 
     kb = resolve_backend(backend)
     if kb.kind != "reference":
-        # Compiled/array-module path: contiguous inputs, G scaled at the
+        # Compiled path: contiguous inputs, G scaled at the
         # end over the whole accumulator (same semantics as the numpy
         # path, which matters when accumulate=True composes passes).
         _dispatch_sources(kb, targets, src_pos, src_mass, eps2=eps2, out=out)

@@ -9,9 +9,7 @@ kernels; this package lets those primitives run on interchangeable
 name       kind           notes
 =========  =============  =====================================================
 numpy      reference      always available; defines the bit-exact semantics
-numba      compiled       ``@njit(fastmath)`` loops; present only with Numba
 cext       compiled       C via the host compiler + ctypes; no build-time deps
-cupy/jax   array-module   the CuPy/JAX hook (:class:`ArrayModuleBackend`)
 =========  =============  =====================================================
 
 Selection precedence (first hit wins): explicit ``backend=`` argument /
@@ -19,16 +17,16 @@ Selection precedence (first hit wins): explicit ``backend=`` argument /
 (the ``--kernel-backend`` CLI flag calls it), then the
 ``REPRO_KERNEL_BACKEND`` environment variable, then ``"numpy"``.
 
-Compiled and array-module backends are **not** bit-identical to the
-reference (reassociated summation, fused rsqrt); they are validated by
+The compiled backend is **not** bit-identical to the reference
+(reassociated summation, fused rsqrt); it is validated by
 :class:`repro.check.DifferentialOracle` under the documented
 ``compiled-f64`` / ``compiled-f32`` tolerances — run
 ``repro-nbody check --kernel-backends auto`` for the full matrix.
 
 Resolution degrades gracefully: asking for an unavailable backend logs a
 warning once, bumps the ``kernels.fallbacks_total`` counter and returns
-the NumPy reference, so a run configured for Numba still completes on a
-host without it.
+the NumPy reference, so a run configured for ``cext`` still completes on
+a host without a C compiler.
 """
 
 from __future__ import annotations
@@ -37,19 +35,15 @@ import threading
 import warnings
 
 from repro.nbody.kernels import settings
-from repro.nbody.kernels.array_module import ArrayModuleBackend
 from repro.nbody.kernels.base import CoincidentPairError, KernelBackend
 from repro.nbody.kernels.cext import CExtensionBackend
-from repro.nbody.kernels.numba_backend import NumbaBackend
 from repro.nbody.kernels.numpy_backend import NumpyBackend
 
 __all__ = [
     "KernelBackend",
     "CoincidentPairError",
     "NumpyBackend",
-    "NumbaBackend",
     "CExtensionBackend",
-    "ArrayModuleBackend",
     "get_backend",
     "resolve_backend",
     "register_backend",
@@ -70,7 +64,7 @@ _WARNED: set[str] = set()
 
 
 def register_backend(backend: KernelBackend, *, replace: bool = False) -> KernelBackend:
-    """Add a backend to the registry (the third-party/CuPy/JAX hook)."""
+    """Add a backend to the registry (the third-party hook)."""
     from repro.errors import ConfigurationError
 
     with _LOCK:
@@ -84,10 +78,7 @@ def register_backend(backend: KernelBackend, *, replace: bool = False) -> Kernel
 
 def _builtin_backends() -> None:
     register_backend(NumpyBackend())
-    register_backend(NumbaBackend())
     register_backend(CExtensionBackend())
-    register_backend(ArrayModuleBackend("cupy", "cupy"))
-    register_backend(ArrayModuleBackend("jax", "jax.numpy"))
 
 
 _builtin_backends()

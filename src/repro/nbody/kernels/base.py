@@ -4,9 +4,9 @@ A *kernel backend* owns the innermost arithmetic of the force paths —
 the dense ``targets x sources`` rectangle every higher-level schedule
 (direct PP, blocked self-interaction, Barnes-Hut leaf/walk evaluation)
 reduces to.  The NumPy reference backend defines the semantics; compiled
-backends (Numba, the C extension) and array-module backends (CuPy/JAX)
-may reassociate the summation and use fused reciprocal square roots, so
-they are *not* bit-identical to the reference — they are validated
+backends (the C extension) may reassociate the summation and use fused
+reciprocal square roots, so they are *not* bit-identical to the
+reference — they are validated
 against it by the :class:`~repro.check.DifferentialOracle` under the
 documented compiled-axis tolerances instead.
 
@@ -57,9 +57,9 @@ class CoincidentPairError(ValueError):
 class KernelBackend(ABC):
     """One implementation of the innermost force arithmetic."""
 
-    #: registry name ("numpy", "numba", "cext", "cupy", ...)
+    #: registry name ("numpy", "cext", ...)
     name: str = "?"
-    #: "reference", "compiled", or "array-module"
+    #: "reference" or "compiled"
     kind: str = "?"
 
     @property

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.core.hostmodel import PENTIUM_E5300, HostCpuModel
 from repro.core.plans.base import PlanConfig
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, ConfigurationError
 from repro.gpu.device import RADEON_HD_5850, DeviceSpec
 from repro.nbody.io import load_snapshot, save_snapshot, snapshot_extras
 from repro.nbody.particles import ParticleSet
@@ -57,6 +57,9 @@ MANIFEST_VERSION = 1
 #: specs require passing ``plan=`` explicitly to ``RunSession.resume``.
 _DEVICES: dict[str, DeviceSpec] = {RADEON_HD_5850.name: RADEON_HD_5850}
 _HOSTS: dict[str, HostCpuModel] = {PENTIUM_E5300.name: PENTIUM_E5300}
+
+#: Plan-config keys every serialized config must carry.
+_REQUIRED_PLAN_KEYS = ("wg_size", "softening", "G", "theta", "leaf_size")
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +89,19 @@ def plan_config_to_dict(config: PlanConfig) -> dict[str, Any]:
 
 
 def plan_config_from_dict(data: dict[str, Any]) -> PlanConfig:
-    """Rebuild a :class:`PlanConfig` from :func:`plan_config_to_dict` output."""
+    """Rebuild a :class:`PlanConfig` from :func:`plan_config_to_dict` output.
+
+    The numeric fields are required: a partial dict raises
+    :class:`~repro.errors.ConfigurationError` naming the missing keys
+    rather than being merged over defaults, so a spec hash always names
+    the exact configuration it was submitted with.
+    """
+    missing = [key for key in _REQUIRED_PLAN_KEYS if key not in data]
+    if missing:
+        raise ConfigurationError(
+            f"plan_config is missing required keys {missing}; pass a full "
+            "dict (see plan_config_to_dict) or a PlanConfig"
+        )
     device_name = data.get("device", RADEON_HD_5850.name)
     host_name = data.get("host", PENTIUM_E5300.name)
     try:

@@ -52,7 +52,6 @@ are bit-identical.
 from __future__ import annotations
 
 import time
-import warnings
 from pathlib import Path
 from typing import Callable
 
@@ -131,25 +130,12 @@ class RunSession:
         self,
         simulation: Simulation,
         directory: str | Path,
-        *args,
+        *,
         checkpoint_every: int = 0,
         guard: "RunGuard | bool | None" = None,
         ledger: "RunLedger | bool | None" = None,
         _manifest: RunManifest | None = None,
     ) -> None:
-        if args:
-            if len(args) > 1:
-                raise TypeError(
-                    f"RunSession() takes at most 3 positional arguments "
-                    f"({2 + len(args)} given); pass checkpoint_every= as a keyword"
-                )
-            warnings.warn(
-                "passing checkpoint_every positionally is deprecated; use "
-                "RunSession(simulation, directory, checkpoint_every=...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            checkpoint_every = args[0]
         if checkpoint_every < 0:
             raise ConfigurationError(
                 f"checkpoint_every must be >= 0, got {checkpoint_every}"

@@ -34,8 +34,7 @@ Layers (each importable on its own):
 * :mod:`~repro.serve.scheduler` — :class:`Scheduler`: round-robin step
   slicing of live sessions.
 * :mod:`~repro.serve.service` — :class:`JobService`, :class:`JobHandle`,
-  :class:`Client` (direct construction deprecated in favour of
-  :func:`connect`).
+  :class:`Client` (obtained through :func:`connect`).
 * :mod:`~repro.serve.settings` — knob resolution (configure/env/defaults).
 
 Distributed tier:

@@ -1,20 +1,14 @@
 """Unified submission options for every serve surface.
 
-Before this module, submission tuning was kwarg sprawl: ``priority=``,
-``retry=``, ``fault_injector=``, ``verify=`` threaded separately through
-:meth:`JobService.submit`, :meth:`Client.submit`, ``serve submit`` and the
-remote client — and each new knob (tenant, quotas) would have widened four
-signatures at once.  :class:`SubmitOptions` collapses them into one frozen
-dataclass accepted uniformly by the in-process service, the socket client,
-the HTTP gateway, and the CLI::
+:class:`SubmitOptions` is one frozen dataclass holding every per-submission
+knob (priority, tenant, retry, fault injection, verification), accepted
+uniformly by the in-process service, the socket client, the HTTP gateway,
+and the CLI::
 
     from repro.serve import SubmitOptions, connect
 
     client = connect()
     handle = client.submit(spec, options=SubmitOptions(priority=5, tenant="ops"))
-
-The legacy keyword forms keep working for one release behind exactly one
-:class:`DeprecationWarning` per call (see :func:`resolve_options`).
 
 Wire shape
 ----------
@@ -28,16 +22,12 @@ contract the remote client enforced before this class existed.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
 from repro.errors import ServeError
 
-__all__ = ["SubmitOptions", "resolve_options"]
-
-#: Legacy per-call keywords folded into SubmitOptions (shim set).
-DEPRECATED_SUBMIT_KWARGS = ("priority", "retry", "fault_injector", "verify")
+__all__ = ["SubmitOptions"]
 
 #: Fields that may cross a process boundary (socket / HTTP / batch JSON).
 WIRE_FIELDS = ("priority", "tenant")
@@ -125,42 +115,3 @@ class SubmitOptions:
         if self.tenant is None and tenant is not None:
             return replace(self, tenant=tenant)
         return self
-
-
-def resolve_options(
-    options: SubmitOptions | None,
-    deprecated: Mapping[str, Any],
-    *,
-    where: str,
-    stacklevel: int = 3,
-) -> SubmitOptions:
-    """Merge the new ``options=`` form with legacy per-call keywords.
-
-    ``deprecated`` maps legacy kwarg names (a subset of
-    :data:`DEPRECATED_SUBMIT_KWARGS`) to the values the caller passed;
-    entries that equal the :class:`SubmitOptions` default are treated as
-    "not passed".  When any legacy value is present, exactly one
-    :class:`DeprecationWarning` is emitted naming ``where`` — and mixing
-    both forms in one call is an error, because silently preferring one
-    would make the migration ambiguous.
-    """
-    defaults = {f.name: f.default for f in fields(SubmitOptions)}
-    passed = {
-        name: value
-        for name, value in deprecated.items()
-        if value != defaults.get(name, None)
-    }
-    if not passed:
-        return options if options is not None else SubmitOptions()
-    if options is not None:
-        raise ServeError(
-            f"{where}: pass either options=SubmitOptions(...) or the legacy "
-            f"keywords ({sorted(passed)}), not both"
-        )
-    warnings.warn(
-        f"{where}: the {sorted(passed)} keyword(s) are deprecated; pass "
-        "options=SubmitOptions(...) instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    return SubmitOptions(**passed)

@@ -33,13 +33,8 @@ from typing import Any
 
 from repro.errors import ServeError
 from repro.serve.cache import JobResult, load_result
-from repro.serve.options import SubmitOptions, resolve_options
-from repro.serve.service import (
-    Client,
-    JobHandle,
-    JobService,
-    _internal_construction,
-)
+from repro.serve.options import SubmitOptions
+from repro.serve.service import Client, JobHandle, JobService
 from repro.serve.settings import current_settings
 from repro.serve.spec import JobSpec
 from repro.serve.wire import decode_error, parse_addr, recv_msg, send_msg
@@ -206,30 +201,19 @@ class RemoteService:
         spec: JobSpec,
         *,
         options: SubmitOptions | None = None,
-        priority: int = 0,
-        **unsupported: Any,
     ) -> RemoteHandle:
         """Submit to the coordinator; returns a :class:`RemoteHandle`.
 
         Engine-level per-job options (``retry``, ``fault_injector``,
         ``verify``) are worker-side policy in the distributed tier and
-        cannot be shipped with a submission — setting one (via ``options``
-        or the deprecated kwargs) raises :class:`ServeError` rather than
-        silently dropping it.
+        cannot be shipped with a submission — setting one raises
+        :class:`ServeError` rather than silently dropping it.
         """
         if not isinstance(spec, JobSpec):
             raise ServeError(
                 f"submit() takes a JobSpec, got {type(spec).__name__}"
             )
-        given = {k: v for k, v in unsupported.items() if v is not None}
-        if given:
-            raise ServeError(
-                f"{sorted(given)} not supported over a coordinator "
-                "connection; configure them on the worker shards"
-            )
-        opts = resolve_options(
-            options, {"priority": priority}, where="RemoteService.submit"
-        )
+        opts = options or SubmitOptions()
         if not opts.wire_safe():
             local_only = sorted(
                 name for name in ("fault_injector", "retry", "verify")
@@ -249,14 +233,10 @@ class RemoteService:
         spec: JobSpec,
         *,
         options: SubmitOptions | None = None,
-        priority: int = 0,
         timeout: float | None = None,
     ) -> JobResult:
         """Submit and block for the result."""
-        opts = resolve_options(
-            options, {"priority": priority}, where="RemoteService.run"
-        )
-        return self.submit(spec, options=opts).result(timeout=timeout)
+        return self.submit(spec, options=options).result(timeout=timeout)
 
     def cancel(self, spec_hash: str) -> bool:
         """Cancel a queued job at the coordinator.
@@ -330,7 +310,5 @@ def connect(
             )
         if token is None:
             token = current_settings().token
-        return Client._wrap(RemoteService(addr, token=token), own=True)
-    with _internal_construction():
-        service = JobService(**service_kwargs)
-    return Client._wrap(service, own=True)
+        return Client(RemoteService(addr, token=token), own=True)
+    return Client(JobService(**service_kwargs), own=True)

@@ -43,11 +43,6 @@ in-process or against a coordinator, same verbs either way::
                    for p in ("i", "j", "w", "jw")]
         results = [h.result() for h in handles]
 
-Constructing :class:`JobService` or :class:`Client` directly still works
-but emits a :class:`DeprecationWarning` — ``connect()`` is the supported
-surface and the direct constructors are a one-release compatibility
-shim.
-
 Sharding: a service created with ``shard=`` stamps that shard name onto
 every ledger row it writes (the provenance column ``merge-shards``
 relies on), and ``resume_orphans=True`` lets it adopt incomplete cache
@@ -63,33 +58,27 @@ sweep cannot starve another's interactive probe.  Per-tenant
 ``max_queued`` / ``max_inflight`` quotas shed excess load with
 :class:`~repro.errors.QuotaError` before it can crowd the queue, and
 ledger rows carry the tenant for per-tenant accounting.  Submission
-tuning itself is unified in :class:`~repro.serve.SubmitOptions`; the old
-``priority=`` / ``retry=`` / ``fault_injector=`` / ``verify=`` keywords
-keep working for one release behind a single :class:`DeprecationWarning`
-per call.
+tuning itself is unified in :class:`~repro.serve.SubmitOptions`.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-import warnings
-from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro import obs
 from repro.check.guards import RunGuard
 from repro.check.invariants import TolerancePolicy
 from repro.errors import JobCancelledError, QuotaError, ServeError
 from repro.exec.engine import EnginePool, ExecutionEngine
-from repro.exec.faults import FaultInjector, RetryPolicy
 from repro.obs.ledger import RunLedger
 from repro.obs.settings import default_ledger
 from repro.runtime.session import RunSession
 from repro.serve.cache import JobResult, ResultCache
-from repro.serve.options import SubmitOptions, resolve_options
+from repro.serve.options import SubmitOptions
 from repro.serve.scheduler import Scheduler
 from repro.serve.schema import DESCRIBE_VERSION
 from repro.serve.settings import ServeSettings, current_settings
@@ -97,42 +86,6 @@ from repro.serve.spec import JobSpec
 from repro.serve.tenancy import DEFAULT_TENANT, FairJobQueue, TenantPolicy
 
 __all__ = ["Client", "JobHandle", "JobService"]
-
-# ---------------------------------------------------------------------------
-# deprecation shim for direct construction
-# ---------------------------------------------------------------------------
-
-_construction = threading.local()
-
-
-@contextmanager
-def _internal_construction() -> Iterator[None]:
-    """Suppress the direct-construction deprecation warning.
-
-    ``connect()`` (and ``Client`` building its own service) construct
-    these classes on the user's behalf — those paths are the supported
-    surface and must not warn.  Thread-local so one thread's connect()
-    never silences a genuine direct construction on another.
-    """
-    previous = getattr(_construction, "internal", False)
-    _construction.internal = True
-    try:
-        yield
-    finally:
-        _construction.internal = previous
-
-
-def _warn_deprecated_constructor(name: str) -> None:
-    if getattr(_construction, "internal", False):
-        return
-    warnings.warn(
-        f"constructing {name} directly is deprecated and will be removed "
-        "in the next release; use repro.serve.connect() — no argument (or "
-        "addr=None) for an in-process service, 'host:port' for a "
-        "coordinator — which returns a Client with the same API",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 class JobHandle:
@@ -404,9 +357,9 @@ class JobService:
     ``"default"``).  ``aging_every`` / ``age_max_boost`` tune the
     deterministic priority aging (see :mod:`repro.serve.tenancy`).
 
-    .. deprecated::
-        Direct construction is deprecated; use
-        :func:`repro.serve.connect`.
+    Applications get a client over a new service from
+    :func:`repro.serve.connect`; the constructor is what ``connect``,
+    :class:`~repro.serve.Worker` and :class:`~repro.serve.Gateway` call.
     """
 
     def __init__(
@@ -429,7 +382,6 @@ class JobService:
         aging_every: int = 8,
         age_max_boost: int = 8,
     ) -> None:
-        _warn_deprecated_constructor("JobService")
         #: fault-domain name stamped onto this service's ledger rows
         self.shard = shard
         #: adopt killed siblings' incomplete cache entries via resume
@@ -496,17 +448,12 @@ class JobService:
         spec: JobSpec,
         *,
         options: SubmitOptions | None = None,
-        priority: int = 0,
-        retry: RetryPolicy | None = None,
-        fault_injector: FaultInjector | None = None,
-        verify: "bool | TolerancePolicy | RunGuard | None" = None,
     ) -> JobHandle:
         """Admit one job; returns immediately with its handle.
 
         ``options`` is the one submission-tuning surface
         (:class:`~repro.serve.SubmitOptions`: priority, tenant, retry,
-        fault_injector, verify); the bare keywords are a deprecated
-        compatibility shim emitting one :class:`DeprecationWarning`.
+        fault_injector, verify).
 
         Order of resolution: an identical in-flight spec coalesces onto
         the existing handle; a completed cache entry resolves instantly;
@@ -521,16 +468,9 @@ class JobService:
         handle with :class:`~repro.errors.VerificationError` on
         violation (default: the service-wide ``verify`` setting).
         """
-        opts = resolve_options(
-            options,
-            {
-                "priority": priority,
-                "retry": retry,
-                "fault_injector": fault_injector,
-                "verify": verify,
-            },
-            where="JobService.submit",
-        ).with_defaults(tenant=self.default_tenant)
+        opts = (options or SubmitOptions()).with_defaults(
+            tenant=self.default_tenant
+        )
         if not isinstance(spec, JobSpec):
             raise ServeError(
                 f"submit() takes a JobSpec, got {type(spec).__name__}"
@@ -643,27 +583,19 @@ class JobService:
         specs: Iterable[JobSpec],
         *,
         options: SubmitOptions | None = None,
-        priority: int = 0,
     ) -> list[JobHandle]:
         """Submit a batch; handles come back in submission order."""
-        opts = resolve_options(
-            options, {"priority": priority}, where="JobService.submit_many"
-        )
-        return [self.submit(s, options=opts) for s in specs]
+        return [self.submit(s, options=options) for s in specs]
 
     def run(
         self,
         spec: JobSpec,
         *,
         options: SubmitOptions | None = None,
-        priority: int = 0,
         timeout: float | None = None,
     ) -> JobResult:
         """Submit and block for the result."""
-        opts = resolve_options(
-            options, {"priority": priority}, where="JobService.run"
-        )
-        return self.submit(spec, options=opts).result(timeout=timeout)
+        return self.submit(spec, options=options).result(timeout=timeout)
 
     # ------------------------------------------------------------------
     # cancellation
@@ -910,85 +842,65 @@ class JobService:
 
 
 class Client:
-    """Convenience front end over a :class:`JobService`.
+    """Convenience front end over a service.
 
-    Constructing a client without ``service=`` creates and owns a
-    service configured from the remaining keyword arguments (same
-    precedence chain as :class:`JobService`); ``close`` then tears it
-    down.  A shared service passed in stays open.
-
-    The same class fronts a remote coordinator: :func:`repro.serve.connect`
-    wraps either an in-process :class:`JobService` or a
-    :class:`~repro.serve.remote.RemoteService` — identical verbs, same
-    errors, so call sites never branch on transport.
-
-    .. deprecated::
-        Direct construction is deprecated; use
-        :func:`repro.serve.connect`.
+    ``service`` is an in-process :class:`JobService` or a
+    :class:`~repro.serve.remote.RemoteService` — anything speaking the
+    service protocol (``submit``/``cancel``/``describe``/``close``) —
+    so call sites never branch on transport.  With ``own=True`` the
+    client's ``close`` also closes the service; a shared service stays
+    open.  :func:`repro.serve.connect` is the way to get a client that
+    owns a new service.
     """
 
-    def __init__(self, service: JobService | None = None, **service_kwargs: Any) -> None:
-        _warn_deprecated_constructor("Client")
-        if service is not None and service_kwargs:
-            raise ServeError(
-                "pass either an existing service or service kwargs, not both"
-            )
-        self._own_service = service is None
-        with _internal_construction():
-            self.service = service or JobService(**service_kwargs)
-
-    @classmethod
-    def _wrap(cls, service: Any, *, own: bool) -> "Client":
-        """Build a client around an existing (or remote) service.
-
-        The ``connect()`` path: bypasses ``__init__`` so wrapping emits
-        no deprecation warning and accepts any object speaking the
-        service protocol (``submit``/``run``/``describe``/``close``).
-        """
-        client = cls.__new__(cls)
-        client._own_service = own
-        client.service = service
-        return client
+    def __init__(self, service: Any, *, own: bool = False) -> None:
+        self._own_service = own
+        self.service = service
 
     # ------------------------------------------------------------------
-    def submit(self, spec: JobSpec | None = None, /, **spec_kwargs: Any) -> JobHandle:
+    def submit(
+        self,
+        spec: JobSpec | None = None,
+        /,
+        *,
+        options: SubmitOptions | None = None,
+        **spec_kwargs: Any,
+    ) -> JobHandle:
         """Submit a spec, or build one from keyword arguments.
 
-        ``options=SubmitOptions(...)`` is the submission-tuning surface;
-        the legacy ``priority`` / ``retry`` / ``fault_injector`` /
-        ``verify`` keywords still route through (the service's shim
-        emits one :class:`DeprecationWarning`).  The remaining keywords
-        construct the :class:`JobSpec` when no spec object is given.
+        ``options=SubmitOptions(...)`` is the submission-tuning surface.
+        The remaining keywords construct the :class:`JobSpec` when no
+        spec object is given.
         """
-        submit_kwargs = {
-            k: spec_kwargs.pop(k)
-            for k in ("options", "priority", "retry", "fault_injector", "verify")
-            if k in spec_kwargs
-        }
         if spec is None:
             spec = JobSpec(**spec_kwargs)
         elif spec_kwargs:
             raise ServeError(
                 "pass either a JobSpec or spec keyword arguments, not both"
             )
-        return self.service.submit(spec, **submit_kwargs)
+        return self.service.submit(spec, options=options)
 
-    def run(self, spec: JobSpec | None = None, /, **spec_kwargs: Any) -> JobResult:
+    def run(
+        self,
+        spec: JobSpec | None = None,
+        /,
+        *,
+        options: SubmitOptions | None = None,
+        timeout: float | None = None,
+        **spec_kwargs: Any,
+    ) -> JobResult:
         """Submit and block for the result."""
-        timeout = spec_kwargs.pop("timeout", None)
-        return self.submit(spec, **spec_kwargs).result(timeout=timeout)
+        return self.submit(spec, options=options, **spec_kwargs).result(
+            timeout=timeout
+        )
 
     def map(
         self, specs: Sequence[JobSpec], *,
         options: SubmitOptions | None = None,
-        priority: int = 0,
         timeout: float | None = None,
     ) -> list[JobResult]:
         """Submit a batch and wait for every result, in order."""
-        opts = resolve_options(
-            options, {"priority": priority}, where="Client.map"
-        )
-        handles = [self.service.submit(s, options=opts) for s in specs]
+        handles = [self.service.submit(s, options=options) for s in specs]
         return [h.result(timeout=timeout) for h in handles]
 
     def cancel(self, spec_hash: str) -> bool:

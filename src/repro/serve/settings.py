@@ -4,8 +4,7 @@ Seven knobs govern the job service, resolved with one documented
 precedence chain (first hit wins):
 
 1. explicit keyword arguments to :func:`repro.serve.connect` (or the
-   deprecated direct :class:`~repro.serve.JobService` /
-   :class:`~repro.serve.Client` constructors);
+   :class:`~repro.serve.JobService` constructor);
 2. values set through :func:`repro.configure` (``max_concurrent_jobs=``,
    ``queue_capacity=``, ``cache_dir=``, ``serve_addr=``,
    ``serve_token=``, ``tenant=``, ``gateway_addr=``);

@@ -34,7 +34,7 @@ from typing import Any
 from repro import obs
 from repro.errors import ServeError
 from repro.serve.options import SubmitOptions
-from repro.serve.service import JobHandle, JobService, _internal_construction
+from repro.serve.service import JobHandle, JobService
 from repro.serve.settings import current_settings
 from repro.serve.spec import JobSpec
 from repro.serve.wire import encode_error, parse_addr, recv_msg, send_msg
@@ -89,13 +89,12 @@ class Worker:
         self.shard = shard
         self.max_idle_s = max_idle_s
         self._token = current_settings(token=token).token
-        with _internal_construction():
-            self.service = JobService(
-                shard=shard,
-                resume_orphans=True,
-                cache_dir=cache_dir,
-                **service_kwargs,
-            )
+        self.service = JobService(
+            shard=shard,
+            resume_orphans=True,
+            cache_dir=cache_dir,
+            **service_kwargs,
+        )
         self._prefetch = max(1, self.service.settings.max_concurrent_jobs)
         self._sock: socket.socket | None = None
         self._stop = threading.Event()

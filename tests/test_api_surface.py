@@ -170,21 +170,6 @@ class TestUnifiedConfigure:
         repro.configure(trace=False)
         assert get_default_engine() is before
 
-    def test_old_exec_configure_warns_and_delegates(self):
-        import repro.exec as rexec
-        from repro.exec import get_default_engine, set_default_engine
-
-        prior = get_default_engine()
-        try:
-            with pytest.warns(DeprecationWarning, match="repro.configure"):
-                engine = rexec.configure(workers=2, backend="thread")
-            # same behaviour as the unified entry point
-            assert get_default_engine() is engine
-            assert engine.workers == 2
-            assert engine.backend == "thread"
-        finally:
-            set_default_engine(prior)
-
 
 class TestErrorHierarchy:
     def test_all_errors_derive_from_base(self):

@@ -55,7 +55,7 @@ from repro.errors import (
 from repro.exec import ExecutionEngine
 from repro.nbody.ic import plummer
 from repro.runtime import RunSession
-from repro.serve import connect
+from repro.serve import SubmitOptions, connect
 from tests.conftest import EPS, make_sim, small_spec
 
 
@@ -530,7 +530,7 @@ class TestServeVerification:
         )
         svc = connect(None, cache_dir=tmp_path, verify=True, steps_per_slice=2)
         try:
-            handle = svc.submit(spec, verify=False)
+            handle = svc.submit(spec, options=SubmitOptions(verify=False))
             result = handle.result(timeout=120)
         finally:
             svc.close()
@@ -548,7 +548,7 @@ class TestServeVerification:
             bad.wait(timeout=120)
             assert bad.status == "failed"
             # resubmitted without guarding: must re-run, not hit a cache
-            good = svc.submit(spec, verify=False)
+            good = svc.submit(spec, options=SubmitOptions(verify=False))
             result = good.result(timeout=120)
         finally:
             svc.close()

@@ -1,11 +1,11 @@
-"""Tests for the command-line interface (subcommands + flat compat path)."""
+"""Tests for the command-line interface (subcommands)."""
 
 import json
 
 import pytest
 
 from repro import obs
-from repro.cli import _compat_argv, build_parser, main
+from repro.cli import build_parser, main
 
 
 class TestParser:
@@ -59,22 +59,24 @@ class TestParser:
 
 
 class TestCompatPath:
-    """The pre-subcommand flat form is rewritten to 'bench ...'."""
+    """The pre-subcommand flat form is rejected, not rewritten."""
 
     def test_experiment_id_prefixed(self):
-        assert _compat_argv(["fig4", "--quick"]) == ["bench", "fig4", "--quick"]
-
-    def test_subcommands_pass_through(self):
-        for argv in (["bench", "fig4"], ["profile", "table2"], ["run"], ["resume", "d"]):
-            assert _compat_argv(argv) == argv
-
-    def test_flags_pass_through(self):
-        assert _compat_argv(["--version"]) == ["--version"]
-        assert _compat_argv([]) == []
+        args = build_parser().parse_args(["bench", "fig4", "--quick"])
+        assert (args.command, args.experiment) == ("bench", "fig4")
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["fig4", "--quick"])
+        assert exc.value.code == 2
 
     def test_flat_invocation_runs(self, capsys):
-        assert main(["fig4", "--quick"]) == 0
-        assert "Fig. 4" in capsys.readouterr().out
+        # The flat spelling exits 2 before any experiment runs, and the
+        # usage error lists 'bench' among the commands.
+        with pytest.raises(SystemExit) as exc:
+            main(["fig4", "--quick"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert "Fig. 4" not in out
+        assert "invalid choice: 'fig4'" in err and "'bench'" in err
 
 
 class TestMain:
@@ -85,13 +87,13 @@ class TestMain:
         assert "GFLOPS" in out
 
     def test_table2_quick_custom_steps(self, capsys):
-        assert main(["table2", "--quick", "--steps", "10"]) == 0
+        assert main(["bench", "table2", "--quick", "--steps", "10"]) == 0
         out = capsys.readouterr().out
         assert "10 steps" in out
         assert "jw-parallel" in out
 
     def test_abl_queue(self, capsys):
-        assert main(["abl-queue"]) == 0
+        assert main(["bench", "abl-queue"]) == 0
         out = capsys.readouterr().out
         assert "dynamic" in out
 
@@ -104,28 +106,28 @@ class TestFlagValidation:
 
     def test_steps_rejected_for_sweep_experiment(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["fig4", "--steps", "10"])
+            main(["bench", "fig4", "--steps", "10"])
         assert exc.value.code == 2
         assert "--steps" in capsys.readouterr().err
 
     def test_output_rejected_outside_report(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["fig4", "--output", "x.md"])
+            main(["bench", "fig4", "--output", "x.md"])
         assert exc.value.code == 2
         assert "--output" in capsys.readouterr().err
 
     def test_stray_target_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["fig4", "table2"])
+            main(["bench", "fig4", "table2"])
         assert exc.value.code == 2
 
     def test_quick_warns_on_non_sweep(self, capsys):
-        assert main(["abl-queue", "--quick"]) == 0
+        assert main(["bench", "abl-queue", "--quick"]) == 0
         assert "warning: --quick" in capsys.readouterr().err
 
     def test_negative_max_retries_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["fig4", "--quick", "--max-retries", "-1"])
+            main(["bench", "fig4", "--quick", "--max-retries", "-1"])
         assert exc.value.code == 2
 
 
@@ -172,7 +174,7 @@ class TestProfile:
 
     def test_trace_flag_writes_default_path(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        assert main(["fig4", "--quick", "--trace"]) == 0
+        assert main(["bench", "fig4", "--quick", "--trace"]) == 0
         doc = json.loads((tmp_path / "trace.json").read_text())
         assert doc["otherData"]["n_spans"] > 0
         assert not obs.enabled
@@ -298,9 +300,6 @@ class TestCheckCommand:
         assert exc.value.code == 2
         assert "--golden" in capsys.readouterr().err
 
-    def test_check_passes_through_compat(self):
-        assert _compat_argv(["check", "--n", "48"]) == ["check", "--n", "48"]
-
     def test_check_rejects_unknown_kernel_backend_csv(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["check", "--kernel-backends", "numpy,fortran77"])
@@ -350,7 +349,10 @@ class TestServeCommand:
         )
         assert (
             main(
-                ["serve", "--jobs", jobs, "--cache-dir", str(tmp_path / "c")]
+                [
+                    "serve", "batch", "--jobs", jobs,
+                    "--cache-dir", str(tmp_path / "c"),
+                ]
             )
             == 0
         )
@@ -360,14 +362,14 @@ class TestServeCommand:
         path = tmp_path / "jobs.json"
         path.write_text("{ not json [")
         with pytest.raises(SystemExit) as exc:
-            main(["serve", "--jobs", str(path)])
+            main(["serve", "batch", "--jobs", str(path)])
         assert exc.value.code == 2
         assert "cannot read job file" in capsys.readouterr().err
 
     def test_invalid_spec_field_exits_2(self, tmp_path, capsys):
         jobs = self._jobs_file(tmp_path, [self._job(plan="nope")])
         with pytest.raises(SystemExit) as exc:
-            main(["serve", "--jobs", str(jobs)])
+            main(["serve", "batch", "--jobs", str(jobs)])
         assert exc.value.code == 2
         assert "job 0" in capsys.readouterr().err
 
@@ -381,7 +383,7 @@ class TestServeCommand:
         with pytest.raises(SystemExit) as exc:
             main(
                 [
-                    "serve",
+                    "serve", "batch",
                     "--jobs", jobs,
                     "--cache-dir", str(tmp_path / "c"),
                     "--queue-capacity", "1",
@@ -393,32 +395,48 @@ class TestServeCommand:
 
 
 class TestServeSubcommands:
-    """The PR-8 serve surface: subcommands, compat rewrites, distrib."""
+    """The serve subcommands, local and distributed."""
 
-    def test_compat_flat_serve_rewrites_to_batch(self):
+    def test_compat_flat_serve_rewrites_to_batch(self, capsys):
+        # 'serve' needs an explicit subcommand; the flat form is rejected.
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--jobs", "j.json"])
+        assert exc.value.code == 2
         parser = build_parser()
-        assert _compat_argv(["serve", "--jobs", "j.json"], parser) == [
-            "serve", "batch", "--jobs", "j.json",
-        ]
-        # Explicit subcommands pass through untouched.
-        assert _compat_argv(["serve", "batch", "--jobs", "j.json"], parser) == [
-            "serve", "batch", "--jobs", "j.json",
-        ]
-        assert _compat_argv(
-            ["serve", "worker", "--addr", "h:1"], parser
-        ) == ["serve", "worker", "--addr", "h:1"]
+        args = parser.parse_args(["serve", "batch", "--jobs", "j.json"])
+        assert (args.serve_command, args.jobs) == ("batch", "j.json")
+        args = parser.parse_args(["serve", "worker", "--addr", "h:1"])
+        assert args.serve_command == "worker"
 
-    def test_compat_flat_submit_rewrites(self):
-        parser = build_parser()
-        assert _compat_argv(["submit", "--n", "64"], parser) == [
-            "serve", "submit", "--n", "64",
-        ]
+    def test_compat_flat_submit_rewrites(self, capsys):
+        args = build_parser().parse_args(["serve", "submit", "--n", "64"])
+        assert (args.command, args.serve_command, args.n) == (
+            "serve", "submit", 64,
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(["submit", "--n", "64"])
+        assert exc.value.code == 2
 
     def test_flat_submit_with_batch_flags_is_ambiguous(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["submit", "--n", "64", "--jobs", "j.json"])
-        assert exc.value.code == 2
-        assert "ambiguous flat 'submit'" in capsys.readouterr().err
+        # Batch flags are rejected on 'serve submit' and on the flat form.
+        for argv in (
+            ["serve", "submit", "--n", "64", "--jobs", "j.json"],
+            ["submit", "--n", "64", "--jobs", "j.json"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+
+    def test_flat_submit_still_runs(self, tmp_path, capsys):
+        # The former flat invocation, spelled as a subcommand, with the
+        # default plan.
+        assert main(
+            [
+                "serve", "submit", "--n", "64", "--steps", "3",
+                "--cache-dir", str(tmp_path / "c"),
+            ]
+        ) == 0
+        assert "complete" in capsys.readouterr().out
 
     def test_serve_submit_runs_one_spec(self, tmp_path, capsys):
         assert main(
@@ -430,15 +448,6 @@ class TestServeSubcommands:
         ) == 0
         out = capsys.readouterr().out
         assert "complete" in out
-
-    def test_flat_submit_still_runs(self, tmp_path, capsys):
-        assert main(
-            [
-                "submit", "--n", "64", "--steps", "3",
-                "--cache-dir", str(tmp_path / "c"),
-            ]
-        ) == 0
-        assert "complete" in capsys.readouterr().out
 
     def test_serve_batch_local_keyword_forces_in_process(
         self, tmp_path, capsys, monkeypatch
@@ -460,18 +469,16 @@ class TestServeSubcommands:
 
     def test_merge_shards_combines_ledgers(self, tmp_path, capsys):
         from repro.obs.ledger import RunLedger
-        from repro.serve import Client
+        from repro.serve import connect
 
         shards = []
         for shard, seed in (("shard-a", 1), ("shard-b", 2)):
             path = tmp_path / f"{shard}.sqlite"
             with RunLedger(path) as ledger:
-                with pytest.warns(DeprecationWarning):
-                    client = Client(
-                        cache_dir=tmp_path / "cache",
-                        ledger=ledger, shard=shard,
-                    )
-                with client:
+                with connect(
+                    None, cache_dir=tmp_path / "cache",
+                    ledger=ledger, shard=shard,
+                ) as client:
                     client.run(
                         workload="plummer", n=64, seed=seed,
                         plan="j", dt=1e-3, steps=3,
@@ -610,27 +617,25 @@ class TestTopAndReport:
         assert "# Run ledger report" in capsys.readouterr().out
 
     def test_flat_report_still_reaches_bench(self):
-        assert _compat_argv(["report", "--quick", "--output", "x.md"]) == [
-            "bench", "report", "--quick", "--output", "x.md"
-        ]
-        assert _compat_argv(["report", "--out", "x.md"]) == [
-            "report", "--out", "x.md"
-        ]
-        assert _compat_argv(["top", "--once"]) == ["top", "--once"]
+        # 'report' is the ledger report; the bench report is 'bench report'.
+        parser = build_parser()
+        args = parser.parse_args(["bench", "report", "--quick", "--output", "x.md"])
+        assert (args.command, args.experiment, args.output) == (
+            "bench", "report", "x.md",
+        )
+        args = parser.parse_args(["report", "--out", "x.md"])
+        assert (args.command, args.out) == ("report", "x.md")
 
     def test_flat_report_with_mixed_flags_is_ambiguous(self, capsys):
-        # Bench flags (--quick/--output) and ledger flags (--out/--format)
-        # in one flat 'report' can't be routed to either subcommand; the
-        # CLI must refuse loudly (exit 2) instead of guessing.
-        with pytest.raises(SystemExit) as exc:
-            _compat_argv(["report", "--quick", "--out", "x.md"])
-        assert exc.value.code == 2
-
-        capsys.readouterr()
-        with pytest.raises(SystemExit) as exc:
-            main(["report", "--quick", "--out", "x.md"])
-        assert exc.value.code == 2
-        assert "ambiguous" in capsys.readouterr().err
+        # Bench-report flags (--quick/--output) on the ledger 'report' are
+        # refused (exit 2), alone or mixed with ledger flags.
+        for argv in (
+            ["report", "--quick", "--output", "x.md"],
+            ["report", "--quick", "--out", "x.md"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
     def test_prometheus_out_flag(self, tmp_path, capsys):
         prom = tmp_path / "metrics.prom"

@@ -92,6 +92,6 @@ class TestReportGenerator:
 
         # restrict via --quick; write to tmp to avoid polluting the repo
         out_path = tmp_path / "cli_report.md"
-        assert main(["report", "--quick", "--output", str(out_path)]) == 0
+        assert main(["bench", "report", "--quick", "--output", str(out_path)]) == 0
         assert out_path.exists()
         assert "report written" in capsys.readouterr().out

@@ -14,8 +14,7 @@ The contracts under test:
    database with remapped (collision-free) run ids and conserved
    run/slice/event counts;
 5. :func:`repro.serve.connect` yields the same ``Client`` surface for
-   both transports, resolves the address through settings/env, and the
-   deprecated direct constructors warn exactly once.
+   both transports and resolves the address through settings/env.
 """
 
 import socket
@@ -49,12 +48,7 @@ from repro.serve.wire import (
 )
 from tests.conftest import small_spec, solo_state
 
-pytestmark = [
-    pytest.mark.serve,
-    # Direct JobService/Client construction inside helpers is deliberate
-    # here; the deprecation contract itself is tested explicitly below.
-    pytest.mark.filterwarnings("ignore::DeprecationWarning"),
-]
+pytestmark = pytest.mark.serve
 
 _WAIT = 60.0
 
@@ -201,7 +195,10 @@ class TestDistributedBatch:
         with Coordinator(cache_dir=tmp_path, ledger=False) as coord:
             with connect(coord.addr) as client:
                 with pytest.raises(ServeError, match="retry"):
-                    client.submit(small_spec(), retry=RetryPolicy(max_retries=1))
+                    client.submit(
+                        small_spec(),
+                        options=SubmitOptions(retry=RetryPolicy(max_retries=1)),
+                    )
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +262,8 @@ class TestMergeShards:
         for shard, path in ledgers.items():
             seeds = (1, 2) if shard == "shard-a" else (3, 4)
             with RunLedger(path) as ledger:
-                with Client(
-                    cache_dir=cache, ledger=ledger, shard=shard
+                with connect(
+                    None, cache_dir=cache, ledger=ledger, shard=shard
                 ) as client:
                     client.map([small_spec(seed=s) for s in seeds])
         return ledgers
@@ -504,30 +501,7 @@ class TestTenantOverWire:
                     )
 
 
-class TestDeprecationShims:
-    def test_direct_job_service_warns_exactly_once(self, tmp_path):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            svc = JobService(cache_dir=tmp_path)
-            svc.close()
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "connect()" in str(deprecations[0].message)
-
-    def test_direct_client_warns_exactly_once(self, tmp_path):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with Client(cache_dir=tmp_path):
-                pass
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        # Client builds its JobService internally — still one warning.
-        assert len(deprecations) == 1
-        assert "Client" in str(deprecations[0].message)
-
+class TestConstruction:
     def test_connect_and_worker_do_not_warn(self, tmp_path):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -541,12 +515,12 @@ class TestDeprecationShims:
             w for w in caught if issubclass(w.category, DeprecationWarning)
         ]
 
-    def test_deprecated_paths_still_functional(self, tmp_path):
+    def test_client_over_shared_service_leaves_it_open(self, tmp_path):
         spec = small_spec(seed=6)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with Client(cache_dir=tmp_path) as client:
+        with JobService(cache_dir=tmp_path) as svc:
+            with Client(svc) as client:
                 via_client = client.run(spec)
+            assert not svc.describe()["closed"]
         with connect(None, cache_dir=tmp_path / "fresh") as client:
             via_connect = client.run(spec)
         assert_bit_identical(via_client.positions, via_connect.positions)

@@ -48,23 +48,15 @@ from repro.runtime.checkpoint import plan_config_from_dict, plan_config_to_dict
 EPS = 1e-2
 
 _cext = get_backend("cext")
-_numba = get_backend("numba")
 
 needs_cext = pytest.mark.skipif(
     not _cext.available,
     reason=f"cext backend unavailable: {_cext.unavailable_reason}",
 )
-needs_numba = pytest.mark.skipif(
-    not _numba.available,
-    reason=f"numba backend unavailable: {_numba.unavailable_reason}",
-)
 
 #: Compiled backends that can actually run here (cext needs only a host
-#: C compiler; numba rides along when the package is installed).
-LIVE_COMPILED = [
-    pytest.param("cext", marks=needs_cext),
-    pytest.param("numba", marks=needs_numba),
-]
+#: C compiler).
+LIVE_COMPILED = [pytest.param("cext", marks=needs_cext)]
 
 
 @pytest.fixture(autouse=True)
@@ -83,7 +75,7 @@ def _clean_backend_selection(monkeypatch):
 class TestRegistry:
     def test_builtins_registered(self):
         names = known_backends()
-        for expected in ("numpy", "numba", "cext", "cupy", "jax"):
+        for expected in ("numpy", "cext"):
             assert expected in names
 
     def test_numpy_always_available(self):
@@ -160,18 +152,36 @@ class TestResolution:
         backend = get_backend("numpy")
         assert resolve_backend(backend) is backend
 
-    def test_unavailable_falls_back_with_one_warning(self):
+    def test_unavailable_falls_back_with_one_warning(self, plummer_small):
+        """An unavailable backend resolves to numpy: one warning, one
+        ``kernels.fallbacks_total`` bump per resolution, and forces
+        bitwise equal to the reference."""
+        from repro import obs
+
+        pos, mass = plummer_small.positions, plummer_small.masses
         stub = register_backend(_UnavailableStub("stub-warn-once"))
+        obs.enable(reset=True)
         try:
             with pytest.warns(RuntimeWarning, match="stub-warn-once"):
                 assert resolve_backend("stub-warn-once").name == "numpy"
-            # Second resolution stays silent (warn-once per backend name).
+            counter = obs.metrics().get(
+                "kernels.fallbacks_total", labels={"backend": "stub-warn-once"}
+            )
+            assert counter.value == 1
+            # Later resolutions stay silent (warn-once per backend name)
+            # but still count.
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                assert resolve_backend("stub-warn-once").name == "numpy"
+                got = direct_forces(
+                    pos, mass, softening=EPS, backend="stub-warn-once"
+                )
+            assert counter.value == 2
+            ref = direct_forces(pos, mass, softening=EPS, backend="numpy")
+            assert np.array_equal(got, ref)
         finally:
             from repro.nbody.kernels import _BACKENDS, _LOCK
 
+            obs.disable()
             with _LOCK:
                 _BACKENDS.pop(stub.name, None)
 

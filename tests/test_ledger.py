@@ -23,10 +23,6 @@ from repro.serve import JobService
 
 from tests.conftest import Interrupt, interrupt_at, make_sim, small_spec, solo_state
 
-# Direct JobService construction below is deliberate (ledger plumbing is
-# service-level); the deprecation contract lives in tests/test_distrib.py.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
-
 
 @pytest.fixture(autouse=True)
 def _clean_ledger_settings(monkeypatch):
@@ -233,11 +229,9 @@ class TestShardAccounting:
 
     def test_serve_stamps_shard_on_rows(self, tmp_path):
         with RunLedger(tmp_path / "led") as ledger:
-            with pytest.warns(DeprecationWarning):
-                svc = JobService(
-                    cache_dir=tmp_path / "cache", ledger=ledger,
-                    shard="shard-x",
-                )
+            svc = JobService(
+                cache_dir=tmp_path / "cache", ledger=ledger, shard="shard-x",
+            )
             try:
                 svc.run(small_spec())
             finally:
@@ -407,13 +401,16 @@ class TestServeLedger:
 
     def test_failed_job_recorded(self, tmp_path):
         from repro.exec.faults import FaultInjector
+        from repro.serve import SubmitOptions
 
         led = RunLedger(tmp_path / "led")
         with JobService(cache_dir=tmp_path / "cache", ledger=led) as svc:
             handle = svc.submit(
                 small_spec(seed=8),
-                fault_injector=FaultInjector(
-                    seed=1, task_failure_rate=1.0, fail_attempts=99
+                options=SubmitOptions(
+                    fault_injector=FaultInjector(
+                        seed=1, task_failure_rate=1.0, fail_attempts=99
+                    ),
                 ),
             )
             handle.wait(timeout=120)

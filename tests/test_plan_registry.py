@@ -1,4 +1,4 @@
-"""Tests for the plan registry and the keyword-only constructor shims.
+"""Tests for the plan registry and the keyword-only constructors.
 
 The contracts under test:
 
@@ -8,8 +8,8 @@ The contracts under test:
 2. ``register`` guards duplicate names and non-Plan classes, and a
    registered custom plan is addressable everywhere names are accepted
    (Simulation, JobSpec, resume);
-3. ``Simulation`` / ``RunSession`` accept their formerly positional
-   tail arguments for one release with a ``DeprecationWarning``.
+3. ``Simulation`` / ``RunSession`` take everything after their first
+   two arguments by keyword only.
 """
 
 import warnings
@@ -141,15 +141,19 @@ class TestNameResolutionEverywhere:
 
 
 class TestDeprecatedPositionalShims:
+    """The positional-tail shims are gone: keywords work, positionals raise."""
+
     def test_simulation_positional_dt_warns_but_works(self, plummer_small):
-        with pytest.warns(DeprecationWarning, match="dt"):
-            sim = Simulation(plummer_small, JwParallelPlan(), 2e-3)
-        assert sim.dt == 2e-3
+        # A positional dt is a TypeError, and the keyword form sets it.
+        with pytest.raises(TypeError, match="positional"):
+            Simulation(plummer_small, JwParallelPlan(), 2e-3)
+        assert Simulation(plummer_small, JwParallelPlan(), dt=2e-3).dt == 2e-3
 
     def test_simulation_keyword_dt_is_clean(self, plummer_small):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            Simulation(plummer_small, JwParallelPlan(), dt=2e-3)
+            sim = Simulation(plummer_small, JwParallelPlan(), dt=2e-3)
+        assert sim.dt == 2e-3
 
     def test_simulation_rejects_extra_positionals(self, plummer_small):
         with pytest.raises(TypeError, match="positional"):
@@ -158,16 +162,19 @@ class TestDeprecatedPositionalShims:
     def test_run_session_positional_checkpoint_every_warns(
         self, tmp_path, plummer_small
     ):
+        # A positional checkpoint_every is a TypeError, and the keyword
+        # form sets it.
         sim = Simulation(plummer_small, "i", dt=1e-3)
-        with pytest.warns(DeprecationWarning, match="checkpoint_every"):
-            session = RunSession(sim, tmp_path, 5)
-        assert session.checkpoint_every == 5
+        with pytest.raises(TypeError, match="positional"):
+            RunSession(sim, tmp_path, 5)
+        assert RunSession(sim, tmp_path, checkpoint_every=5).checkpoint_every == 5
 
     def test_run_session_keyword_is_clean(self, tmp_path, plummer_small):
         sim = Simulation(plummer_small, "i", dt=1e-3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            RunSession(sim, tmp_path, checkpoint_every=5)
+            session = RunSession(sim, tmp_path, checkpoint_every=5)
+        assert session.checkpoint_every == 5
 
     def test_run_session_rejects_extra_positionals(
         self, tmp_path, plummer_small

@@ -29,26 +29,22 @@ from repro.errors import (
 )
 from repro.exec import EnginePool, FaultInjector, RetryPolicy
 from repro.serve import (
-    Client,
     JobQueue,
     JobService,
     JobSpec,
     ResultCache,
     Scheduler,
     ServeSettings,
+    SubmitOptions,
+    connect,
     current_settings,
 )
+from repro.runtime.checkpoint import plan_config_to_dict
 from repro.serve.settings import clear_overrides, set_overrides
 from repro.check import assert_bit_identical
 from tests.conftest import small_spec, solo_state
 
-pytestmark = [
-    pytest.mark.serve,
-    # This module exercises JobService/Client directly (their behaviour
-    # is unchanged behind connect()); the deprecation contract itself is
-    # covered in tests/test_distrib.py.
-    pytest.mark.filterwarnings("ignore::DeprecationWarning"),
-]
+pytestmark = pytest.mark.serve
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +100,19 @@ class TestJobSpec:
             small_spec(dt=0.0)
         with pytest.raises(ServeError, match="n must be"):
             small_spec(n=0)
+
+    def test_partial_plan_config_dict_names_missing_keys(self):
+        with pytest.raises(ConfigurationError) as exc_info:
+            JobSpec(
+                n=64, plan="i", steps=1, plan_config={"kernel_backend": "cext"}
+            )
+        message = str(exc_info.value)
+        for key in ("wg_size", "softening", "G", "theta", "leaf_size"):
+            assert key in message
+        # A full dict is accepted and hashes like the equivalent PlanConfig.
+        full = small_spec(plan_config=plan_config_to_dict(PlanConfig()))
+        typed = small_spec(plan_config=PlanConfig())
+        assert full.spec_hash() == typed.spec_hash()
 
     def test_round_trip_through_dict(self):
         spec = small_spec(checkpoint_every=2)
@@ -164,7 +173,7 @@ class TestResultCache:
         spec = small_spec()
         cache = ResultCache(tmp_path)
         assert cache.lookup(spec) is None
-        with Client(cache_dir=tmp_path) as client:
+        with connect(None, cache_dir=tmp_path) as client:
             fresh = client.run(spec)
         assert not fresh.from_cache
         hit = cache.lookup(spec)
@@ -183,7 +192,7 @@ class TestResultCache:
 
     def test_claim_refuses_complete_entry(self, tmp_path):
         spec = small_spec()
-        with Client(cache_dir=tmp_path) as client:
+        with connect(None, cache_dir=tmp_path) as client:
             client.run(spec)
         cache = ResultCache(tmp_path)
         with pytest.raises(ServeError, match="complete"):
@@ -262,8 +271,8 @@ class TestJobService:
             small_spec(seed=s, plan=p)
             for s, p in [(1, "jw"), (2, "i"), (3, "w"), (4, "j")]
         ]
-        with Client(
-            cache_dir=tmp_path, max_concurrent_jobs=4, steps_per_slice=2
+        with connect(
+            None, cache_dir=tmp_path, max_concurrent_jobs=4, steps_per_slice=2
         ) as client:
             results = client.map(specs)
         for spec, result in zip(specs, results):
@@ -295,7 +304,7 @@ class TestJobService:
 
     def test_cache_hit_bit_identical_to_fresh(self, tmp_path):
         spec = small_spec()
-        with Client(cache_dir=tmp_path) as client:
+        with connect(None, cache_dir=tmp_path) as client:
             fresh = client.run(spec)
             cached = client.run(small_spec())  # equal spec, new object
         assert not fresh.from_cache and cached.from_cache
@@ -306,9 +315,9 @@ class TestJobService:
 
     def test_cache_survives_service_restart(self, tmp_path):
         spec = small_spec()
-        with Client(cache_dir=tmp_path) as client:
+        with connect(None, cache_dir=tmp_path) as client:
             fresh = client.run(spec)
-        with Client(cache_dir=tmp_path) as client:
+        with connect(None, cache_dir=tmp_path) as client:
             again = client.run(spec)
         assert again.from_cache
         assert_bit_identical(fresh.positions, again.positions)
@@ -358,11 +367,13 @@ class TestJobService:
         good_spec = small_spec(seed=1)
         bad_spec = small_spec(seed=9, plan="i")
         pos, vel, _ = solo_state(good_spec)
-        with Client(cache_dir=tmp_path, max_concurrent_jobs=2) as client:
+        with connect(None, cache_dir=tmp_path, max_concurrent_jobs=2) as client:
             bad = client.service.submit(
                 bad_spec,
-                fault_injector=FaultInjector(
-                    seed=7, task_failure_rate=1.0, fail_attempts=99
+                options=SubmitOptions(
+                    fault_injector=FaultInjector(
+                        seed=7, task_failure_rate=1.0, fail_attempts=99
+                    ),
                 ),
             )
             good = client.service.submit(good_spec)
@@ -377,13 +388,15 @@ class TestJobService:
     def test_faulty_job_with_retries_still_bit_identical(self, tmp_path):
         spec = small_spec(seed=3, plan="j")
         pos, _, _ = solo_state(spec)
-        with Client(cache_dir=tmp_path) as client:
+        with connect(None, cache_dir=tmp_path) as client:
             handle = client.service.submit(
                 spec,
-                fault_injector=FaultInjector(
-                    seed=5, task_failure_rate=0.3, fail_attempts=1
+                options=SubmitOptions(
+                    fault_injector=FaultInjector(
+                        seed=5, task_failure_rate=0.3, fail_attempts=1
+                    ),
+                    retry=RetryPolicy(max_retries=5, backoff_s=0.0),
                 ),
-                retry=RetryPolicy(max_retries=5, backoff_s=0.0),
             )
             result = handle.result(timeout=120)
         assert not result.from_cache
@@ -391,11 +404,13 @@ class TestJobService:
 
     def test_failed_job_not_cached(self, tmp_path):
         spec = small_spec(seed=9)
-        with Client(cache_dir=tmp_path) as client:
+        with connect(None, cache_dir=tmp_path) as client:
             bad = client.service.submit(
                 spec,
-                fault_injector=FaultInjector(
-                    seed=1, task_failure_rate=1.0, fail_attempts=99
+                options=SubmitOptions(
+                    fault_injector=FaultInjector(
+                        seed=1, task_failure_rate=1.0, fail_attempts=99
+                    ),
                 ),
             )
             bad.wait(timeout=120)
@@ -409,8 +424,8 @@ class TestJobService:
     def test_process_pool_backend(self, tmp_path):
         spec = small_spec()
         pos, _, _ = solo_state(spec)
-        with Client(
-            cache_dir=tmp_path, pool_backend="process", pool_workers=2
+        with connect(
+            None, cache_dir=tmp_path, pool_backend="process", pool_workers=2
         ) as client:
             result = client.run(spec)
         assert_bit_identical(pos, result.positions)
@@ -441,7 +456,7 @@ class TestJobService:
 
     def test_serve_metrics_and_span_emitted(self, tmp_path):
         with obs.capture() as (tracer, metrics):
-            with Client(cache_dir=tmp_path) as client:
+            with connect(None, cache_dir=tmp_path) as client:
                 client.run(small_spec(seed=31))
                 client.run(small_spec(seed=31))  # cache hit
         assert metrics.get("serve.jobs_total").value == 2

@@ -2,9 +2,8 @@
 
 The contract under test: (a) the dataclass validates and round-trips
 its wire-safe subset as JSON; (b) every submit surface accepts
-``options=`` without warnings; (c) the legacy kwargs still work but emit
-*exactly one* DeprecationWarning; (d) mixing both forms is an error, not
-a guess.
+``options=`` without warnings; (c) per-call tuning keywords outside
+``options=`` are rejected, not silently applied or dropped.
 """
 
 import json
@@ -17,7 +16,6 @@ from tests.conftest import small_spec
 from repro.errors import ServeError
 from repro.exec.faults import FaultInjector, RetryPolicy
 from repro.serve import SubmitOptions, connect
-from repro.serve.options import DEPRECATED_SUBMIT_KWARGS, resolve_options
 
 
 def deprecations(record):
@@ -79,42 +77,8 @@ class TestWireRoundTrip:
         assert SubmitOptions(priority=5, tenant="t").wire_safe()
 
 
-class TestResolveOptions:
-    def test_passing_both_forms_is_an_error(self):
-        with pytest.raises(ServeError, match="not both"):
-            resolve_options(
-                SubmitOptions(priority=1), {"priority": 2}, where="here"
-            )
-
-    def test_legacy_kwargs_warn_once_naming_the_surface(self):
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            opts = resolve_options(
-                None,
-                {"priority": 3, "retry": RetryPolicy(max_retries=2)},
-                where="TestSurface.submit",
-            )
-        dep = deprecations(record)
-        assert len(dep) == 1
-        assert "TestSurface.submit" in str(dep[0].message)
-        assert opts.priority == 3
-        assert opts.retry.max_retries == 2
-
-    def test_default_valued_kwargs_are_not_passed(self):
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            opts = resolve_options(
-                None,
-                {name: SubmitOptions.__dataclass_fields__[name].default
-                 for name in DEPRECATED_SUBMIT_KWARGS},
-                where="x",
-            )
-        assert not deprecations(record)
-        assert opts == SubmitOptions()
-
-
 class TestSurfaces:
-    """Each submit surface: options silent, legacy exactly-one-warning."""
+    """Each submit surface takes tuning only through ``options=``."""
 
     def test_service_submit_options_is_warning_free(self, tmp_path):
         with connect(
@@ -128,29 +92,30 @@ class TestSurfaces:
             handle.result(timeout=60)
             assert not deprecations(record)
 
+    # The legacy per-call keywords are rejected before any job is queued.
+
     def test_service_submit_legacy_priority_warns_once(self, tmp_path):
         with connect(
             None, cache_dir=tmp_path / "cache", ledger=False
         ) as client:
-            with warnings.catch_warnings(record=True) as record:
-                warnings.simplefilter("always")
-                handle = client.submit(small_spec(seed=32), priority=2)
-            handle.result(timeout=60)
-            assert len(deprecations(record)) == 1
+            spec = small_spec(seed=32)
+            with pytest.raises(ServeError, match="not both"):
+                client.submit(spec, priority=2)
+            with pytest.raises(TypeError):
+                client.service.submit(spec, priority=2)
+            assert client.describe()["jobs_submitted"] == 0
 
     def test_service_submit_legacy_fault_kwargs_warn_once(self, tmp_path):
         with connect(
             None, cache_dir=tmp_path / "cache", ledger=False
         ) as client:
-            with warnings.catch_warnings(record=True) as record:
-                warnings.simplefilter("always")
-                handle = client.submit(
+            with pytest.raises(TypeError):
+                client.service.submit(
                     small_spec(seed=33),
                     retry=RetryPolicy(max_retries=1),
                     fault_injector=FaultInjector(seed=7),
                 )
-            handle.result(timeout=60)
-            assert len(deprecations(record)) == 1
+            assert client.describe()["jobs_submitted"] == 0
 
     def test_client_map_legacy_priority_warns_once_for_whole_batch(
         self, tmp_path
@@ -159,10 +124,9 @@ class TestSurfaces:
             None, cache_dir=tmp_path / "cache", ledger=False
         ) as client:
             specs = [small_spec(seed=34 + i) for i in range(3)]
-            with warnings.catch_warnings(record=True) as record:
-                warnings.simplefilter("always")
+            with pytest.raises(TypeError):
                 client.map(specs, priority=1, timeout=120)
-            assert len(deprecations(record)) == 1
+            assert client.describe()["jobs_submitted"] == 0
 
     def test_remote_rejects_in_process_only_options(self, tmp_path):
         from repro.serve import Coordinator
