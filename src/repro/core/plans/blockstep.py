@@ -33,8 +33,9 @@ import numpy as np
 from repro import obs
 from repro.core.plans.base import Plan, PlanConfig, StepBreakdown
 from repro.core.plans.i_parallel import IParallelPlan  # noqa: F401 (inner)
-from repro.core.plans.jw_parallel import JwParallelPlan, _jw_walk_task
+from repro.core.plans.jw_parallel import JwParallelPlan
 from repro.core.plans.registry import get_plan, register
+from repro.core.plans.tree_base import evaluate_walks, segments
 from repro.errors import ConfigurationError
 from repro.exec.workspace import local_workspace
 from repro.gpu.counters import CostCounters
@@ -279,43 +280,37 @@ class BlockTreePlan(BlockTimestepPlan):
         walks = inner.prepare(positions, masses)
         tree = walks.tree
         n = tree.n_bodies
-        # Map the active (original-order) indices into Morton order.
+        # Map the active (original-order) indices into Morton order and
+        # select the walks whose group holds at least one of them.
         inv = np.empty(n, dtype=np.int64)
         inv[tree.order] = np.arange(n, dtype=np.int64)
         sorted_active = np.zeros(n, dtype=bool)
         sorted_active[inv[active]] = True
+        hits = np.concatenate([[0], np.cumsum(sorted_active)])
+        selected = np.flatnonzero(hits[walks.groups[:, 1]] > hits[walks.groups[:, 0]])
         splits = inner.split_counts(walks)
-        selected = [
-            w.index for w in walks if bool(sorted_active[w.start : w.end].any())
-        ]
-        counters = CostCounters()
-        acc_sorted = np.zeros((n, 3), dtype=np.float32)
-        task = partial(
-            _jw_walk_task, walks=walks, config=cfg, backend=self._kernel_backend(),
-        )
-        items = [(i, splits[i]) for i in selected]
         with obs.span(
             "force_kernel", plan=self.name, n_walks=len(selected), n_active=active.size
         ):
-            results = self._engine().map(task, items, label="block-jw.walk")
-        for i, (block, c) in zip(selected, results):
-            w = walks[i]
-            acc_sorted[w.start : w.end] = block
-            counters.add(c)
+            acc_sorted, interactions = evaluate_walks(
+                walks, splits, config=cfg, engine=self._engine(),
+                backend=self._kernel_backend(), selected=selected,
+            )
         acc_full = tree.unsort(acc_sorted.astype(np.float64))
 
         # Timing: the same packed launches jw would build, restricted to
         # the selected walks (split counts from the full pass).
+        group_sizes = walks.group_sizes()
+        lengths = walks.list_lengths()
         wgs = []
         needs_reduce = False
-        for i in selected:
-            w = walks[i]
-            s = splits[i]
-            for k, (a, b) in enumerate(JwParallelPlan._segments(w.list_length, s)):
+        for i in selected.tolist():
+            s = int(splits[i])
+            for k, (a, b) in enumerate(segments(int(lengths[i]), s)):
                 wgs.append(
                     packed_tile_loop_work(
-                        f"walk{w.index}.seg{k}",
-                        n_targets=w.n_bodies,
+                        f"walk{i}.seg{k}",
+                        n_targets=int(group_sizes[i]),
                         n_sources=b - a,
                         wg_size=cfg.wg_size,
                         wavefront_size=cfg.device.wavefront_size,
@@ -324,20 +319,18 @@ class BlockTreePlan(BlockTimestepPlan):
             if s > 1:
                 needs_reduce = True
         force = KernelLaunch("block_jw_forces", cfg.wg_size, wgs)
-        assert counters.interactions == force.total_interactions, (
-            "functional/timing drift"
-        )
+        assert interactions == force.total_interactions, "functional/timing drift"
         timings = [time_kernel(cfg.device, force, schedule=inner.schedule)]
         if needs_reduce:
             rwgs = [
                 reduction_work(
-                    f"reduce.walk{walks[i].index}",
-                    n_outputs=walks[i].n_bodies,
-                    n_partials_per_output=splits[i],
+                    f"reduce.walk{i}",
+                    n_outputs=int(group_sizes[i]),
+                    n_partials_per_output=int(splits[i]),
                     wg_size=cfg.wg_size,
                     wavefront_size=cfg.device.wavefront_size,
                 )
-                for i in selected
+                for i in selected.tolist()
                 if splits[i] > 1
             ]
             timings.append(time_kernel(cfg.device, KernelLaunch(
@@ -348,10 +341,9 @@ class BlockTreePlan(BlockTimestepPlan):
         # hide behind a reduced kernel, so the conservative serial
         # composition is the honest model here.
         xfer = self._active_transfers(n, int(active.size))
-        list_bytes = sum(
-            int(walks[i].cell_list.size) * BYTES_PER_BODY
-            + int(walks[i].particle_list.size) * 4
-            for i in selected
+        list_bytes = (
+            int(walks.cell_counts()[selected].sum()) * BYTES_PER_BODY
+            + int(walks.part_counts()[selected].sum()) * 4
         )
         xfer.host_to_device(list_bytes)
         bd = StepBreakdown(

@@ -20,23 +20,18 @@ Combines the j- and w-parallel ideas under the PTPM analysis:
 
 from __future__ import annotations
 
-import math
-from functools import partial
-
 import numpy as np
 
 from repro import obs
-from repro.core.plans.base import PlanConfig, StepBreakdown
-from repro.core.plans.tree_base import TreePlanBase
+from repro.core.plans.base import StepBreakdown
+from repro.core.plans.tree_base import TreePlanBase, segments
 from repro.core.plans.registry import register
-from repro.exec.workspace import local_workspace
 from repro.core.pipeline import overlapped_pipeline3, split_batches
-from repro.gpu.counters import CostCounters
-from repro.gpu.kernel import packed_tile_loop_work, reduction_work, tile_loop_forces
+from repro.gpu.kernel import packed_tile_loop_work, reduction_work
 from repro.gpu.launch import KernelLaunch
 from repro.gpu.timing import time_kernel
 from repro.gpu.trace import trace_launch
-from repro.tree.bh_force import walk_sources
+from repro.tree.bh_force import walk_sources  # noqa: F401 - e2ebench/spans.py times this name
 from repro.tree.octree import Octree
 from repro.tree.walks import WalkSet, cell_groups
 
@@ -47,41 +42,6 @@ DEFAULT_PIPELINE_BATCHES = 16
 
 #: Queue items per compute unit the j-split targets.
 _TARGET_ITEMS_PER_CU = 4
-
-
-def _jw_walk_task(
-    item: tuple[int, int],
-    *,
-    walks: WalkSet,
-    config: PlanConfig,
-    backend: str | None = None,
-) -> tuple[np.ndarray, CostCounters]:
-    """One walk's packed segments, reduced in fixed segment order
-    (runs on an engine worker)."""
-    index, s = item
-    tree = walks.tree
-    w = walks[index]
-    ws = local_workspace()
-    counters = CostCounters()
-    src_pos, src_mass = walk_sources(tree, w, workspace=ws)
-    targets = tree.positions[w.start : w.end]
-    acc = np.zeros((w.n_bodies, 3), dtype=np.float32)
-    for a, b in JwParallelPlan._segments(w.list_length, s):
-        tile_loop_forces(
-            targets,
-            src_pos[a:b],
-            src_mass[a:b],
-            wg_size=config.wg_size,
-            softening=config.softening,
-            G=config.G,
-            device=config.device,
-            counters=counters,
-            out=acc,
-            accumulate=True,
-            workspace=ws,
-            backend=backend,
-        )
-    return acc, counters
 
 
 @register()
@@ -113,7 +73,7 @@ class JwParallelPlan(TreePlanBase):
         return cell_groups(tree, self.config.wg_size)
 
     # -- j-split policy ----------------------------------------------------
-    def split_counts(self, walks: WalkSet) -> list[int]:
+    def split_counts(self, walks: WalkSet) -> np.ndarray:
         """Segments per walk: work-proportional splitting.
 
         The queue should hold at least ``_TARGET_ITEMS_PER_CU`` items per
@@ -125,32 +85,23 @@ class JwParallelPlan(TreePlanBase):
         """
         dev = self.config.device
         target = dev.compute_units * _TARGET_ITEMS_PER_CU
-        total = walks.total_interactions
+        work = walks.interactions_per_walk()
+        total = int(work.sum())
         if total == 0:
-            return [1] * len(walks)
+            return np.ones(len(walks), dtype=np.int64)
         fair_share = max(1.0, total / target)
-        counts = []
-        for w in walks:
-            s = max(1, math.ceil(w.interactions / fair_share))
-            s_max = max(1, w.list_length // dev.wavefront_size)
-            counts.append(min(s, s_max))
-        return counts
-
-    @staticmethod
-    def _segments(length: int, s: int) -> list[tuple[int, int]]:
-        seg = math.ceil(length / s) if length else 0
-        if seg == 0:
-            return [(0, 0)]
-        return [(a, min(a + seg, length)) for a in range(0, length, seg)]
+        s = np.maximum(1, np.ceil(work / fair_share).astype(np.int64))
+        s_max = np.maximum(1, walks.list_lengths() // dev.wavefront_size)
+        return np.minimum(s, s_max)
 
     # -- launches ------------------------------------------------------------
     def _launches(self, walks: WalkSet) -> tuple[KernelLaunch, KernelLaunch | None]:
         cfg = self.config
-        splits = self.split_counts(walks)
+        splits = self.split_counts(walks).tolist()
         wgs = []
         needs_reduce = False
         for w, s in zip(walks, splits):
-            for k, (a, b) in enumerate(self._segments(w.list_length, s)):
+            for k, (a, b) in enumerate(segments(w.list_length, s)):
                 wgs.append(
                     packed_tile_loop_work(
                         f"walk{w.index}.seg{k}",
@@ -178,32 +129,6 @@ class JwParallelPlan(TreePlanBase):
             ]
             reduce_launch = KernelLaunch("jw_parallel_reduce", cfg.wg_size, rwgs)
         return force, reduce_launch
-
-    # -- functional -------------------------------------------------------
-    def accelerations_from_walks(self, walks: WalkSet) -> np.ndarray:
-        cfg = self.config
-        tree = walks.tree
-        splits = self.split_counts(walks)
-        counters = CostCounters()
-        acc_sorted = np.empty((tree.n_bodies, 3), dtype=np.float32)
-        # (walk, split) items fan out across the engine; inside a task the
-        # j-segment partials accumulate in fixed segment order, so the
-        # reduction is bit-identical to the serial evaluation.
-        task = partial(
-            _jw_walk_task, walks=walks, config=cfg,
-            backend=self._kernel_backend(),
-        )
-        with obs.span("force_kernel", plan=self.name, n_walks=len(walks)):
-            results = self._engine().map(
-                task, list(zip(range(len(walks)), splits)), label="jw.walk"
-            )
-        for w, (block, c) in zip(walks, results):
-            acc_sorted[w.start : w.end] = block
-            counters.add(c)
-        assert counters.interactions == walks.total_interactions, (
-            "functional/timing drift"
-        )
-        return tree.unsort(acc_sorted.astype(np.float64))
 
     # -- timing -------------------------------------------------------------
     def step_breakdown(self, positions: np.ndarray, masses: np.ndarray) -> StepBreakdown:

@@ -61,10 +61,12 @@ def tile_loop_forces(
     device rounding behaviour.
 
     ``out`` (``(nt, 3)`` of ``dtype``) receives the result — added in
-    place when ``accumulate`` is true, overwritten otherwise.  Tile
-    temporaries and input casts come from ``workspace`` (the calling
-    thread's local workspace by default), so steady-state evaluation
-    allocates nothing beyond a missing ``out``.
+    place when ``accumulate`` is true, overwritten otherwise.  ``G``
+    scales this call's contribution only (each tile's partial before it
+    is added), so accumulated calls compose like one call over all
+    their sources.  Tile temporaries and input casts come from
+    ``workspace`` (the calling thread's local workspace by default), so
+    steady-state evaluation allocates nothing beyond a missing ``out``.
 
     ``backend`` selects the kernel backend.  On a compiled backend the
     same interaction rectangle is evaluated in ``dtype`` without staging
@@ -104,12 +106,12 @@ def tile_loop_forces(
         src_pos = np.ascontiguousarray(src_pos)
         src_mass = np.ascontiguousarray(src_mass)
         if acc.flags.c_contiguous:
-            kb.sources(targets, src_pos, src_mass, eps2=float(eps2), out=acc,
-                       accumulate=True)
+            kb.sources(targets, src_pos, src_mass, eps2=float(eps2), G=G,
+                       out=acc, accumulate=True)
         else:
             tmp = np.empty((nt, 3), dtype=dtype)
-            kb.sources(targets, src_pos, src_mass, eps2=float(eps2), out=tmp,
-                       accumulate=False)
+            kb.sources(targets, src_pos, src_mass, eps2=float(eps2), G=G,
+                       out=tmp, accumulate=False)
             acc += tmp
         n_tiles = math.ceil(ns / wg_size) if ns else 0
     else:
@@ -135,6 +137,8 @@ def tile_loop_forces(
             np.power(r2, dtype(-1.5), out=inv_r3)
             inv_r3 *= lds_mass[np.newaxis, :k]
             np.einsum("ij,ijk->ik", inv_r3, d, out=acc_buf)
+            if G != 1.0:
+                acc_buf *= dtype(G)
             acc += acc_buf
             n_tiles += 1
 
@@ -147,8 +151,6 @@ def tile_loop_forces(
             + nt * BYTES_PER_ACCEL  # acceleration stores
         )
         counters.barriers += 2 * n_tiles
-    if G != 1.0:
-        acc *= dtype(G)
     return acc
 
 

@@ -148,20 +148,18 @@ def accelerations_from_sources(
     # rounds it to `dtype` exactly once (square-then-cast policy).
     eps2 = softening * softening
 
+    # G scales this call's contribution only — the kernel's partial sums,
+    # before they are added to `out` — so accumulate=True composes passes
+    # like one call over all their sources.
     kb = resolve_backend(backend)
     if kb.kind != "reference":
-        # Compiled path: contiguous inputs, G scaled at the
-        # end over the whole accumulator (same semantics as the numpy
-        # path, which matters when accumulate=True composes passes).
-        _dispatch_sources(kb, targets, src_pos, src_mass, eps2=eps2, out=out)
+        _dispatch_sources(kb, targets, src_pos, src_mass, eps2=eps2, G=G, out=out)
     else:
         ws = workspace if workspace is not None else local_workspace()
         blocked_sources(
             targets, src_pos, src_mass,
-            eps2=eps2, dtype=dtype, block=block, out=out, workspace=ws,
+            eps2=eps2, G=G, dtype=dtype, block=block, out=out, workspace=ws,
         )
-    if G != 1.0:
-        out *= dtype(G)
     return out
 
 
@@ -172,9 +170,10 @@ def _dispatch_sources(
     src_mass: np.ndarray,
     *,
     eps2: float,
+    G: float,
     out: np.ndarray,
 ) -> np.ndarray:
-    """Run ``kb.sources`` accumulating into ``out`` (G handled by caller).
+    """Run ``kb.sources`` adding ``G`` times its sum into ``out``.
 
     Compiled kernels address raw buffers, so inputs are made C-contiguous
     and a non-contiguous ``out`` is staged through a dense temporary.
@@ -184,11 +183,11 @@ def _dispatch_sources(
     src_mass = np.ascontiguousarray(src_mass)
     if out.flags.c_contiguous:
         kb.sources(
-            targets, src_pos, src_mass, eps2=eps2, out=out, accumulate=True
+            targets, src_pos, src_mass, eps2=eps2, G=G, out=out, accumulate=True
         )
         return out
     tmp = np.empty(out.shape, dtype=out.dtype)
-    kb.sources(targets, src_pos, src_mass, eps2=eps2, out=tmp, accumulate=False)
+    kb.sources(targets, src_pos, src_mass, eps2=eps2, G=G, out=tmp, accumulate=False)
     out += tmp
     return out
 

@@ -18,6 +18,18 @@ Summation is reassociated by vectorisation and ``-ffast-math``, so
 results are *not* bit-identical to the reference; the differential
 oracle admits them under the ``compiled-f64`` / ``compiled-f32``
 tolerances (:mod:`repro.check.oracle`).
+
+The same library holds the tree plans' walk machinery, compiled as a
+second translation unit *without* fast-math and with FMA contraction
+off, so its MAC decisions match the NumPy reference's exactly:
+
+* :meth:`CExtensionBackend.walk_lists` — the group traversal of
+  :func:`repro.tree.walks.generate_walks`, emitting the NumPy loop's
+  lists element for element in CSR form;
+* :meth:`CExtensionBackend.walk_forces` — float32 evaluation of a range
+  of walks: compiled code gathers each j-segment's sources into scratch
+  and every segment goes through :meth:`CExtensionBackend.sources`, the
+  call the per-walk path makes, so rows are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -112,9 +124,132 @@ SELF_KERNEL(repro_self_f64, double, sqrt)
 SELF_KERNEL(repro_self_f32, float, sqrtf)
 """
 
+_WALKS_SOURCE = r"""
+#include <math.h>
+#include <stdint.h>
+
+/* GroupMAC.accept term for term: the distance from the box [lo, hi] to
+ * the centre of mass is summed (dx*dx + dy*dy) + dz*dz, as in
+ * repro.tree.mac.aabb_distance, and the cell is accepted when
+ * size < theta * max(dist, 1e-300). */
+static int group_mac(const double *lo, const double *hi, const double *com,
+                     double size, double theta)
+{
+    double d[3];
+    for (int k = 0; k < 3; ++k) {
+        double below = lo[k] - com[k], above = com[k] - hi[k];
+        double t = below > 0.0 ? below : 0.0;
+        d[k] = above > t ? above : t;
+    }
+    const double dist = sqrt((d[0]*d[0] + d[1]*d[1]) + d[2]*d[2]);
+    return size < theta * (dist > 1e-300 ? dist : 1e-300);
+}
+
+/* Interaction lists of every group in CSR form, in the order of the
+ * level-synchronous NumPy frontier loop: a FIFO queue visits each level
+ * in frontier order and pushes an opened node's children in octant
+ * order.  A node is accepted (cell list) when the MAC holds and its body
+ * range misses the group's; else a leaf sends its bodies to the particle
+ * list and an internal node is opened.  Entries past a list's capacity
+ * are counted but not stored, so the offsets always end at the true
+ * totals.  Returns 0, 1 when a list overflowed (retry with the totals),
+ * or -1 on a malformed tree or a group outside [0, n_bodies). */
+int32_t repro_walk_lists(
+    const double *pos, int64_t n_bodies, const int64_t *starts,
+    const int64_t *ends, const int64_t *children, const uint8_t *is_leaf,
+    const double *sizes, const double *coms, int64_t n_nodes,
+    const int64_t *groups, int64_t n_groups, double theta, int64_t *queue,
+    int64_t *cell_offsets, int64_t *cells, int64_t cells_cap,
+    int64_t *part_offsets, int64_t *parts, int64_t parts_cap)
+{
+    int64_t nc = 0, np_ = 0;
+    if (n_nodes < 1) return -1;
+    cell_offsets[0] = 0;
+    part_offsets[0] = 0;
+    for (int64_t g = 0; g < n_groups; ++g) {
+        const int64_t gs = groups[2*g], ge = groups[2*g+1];
+        if (gs < 0 || ge <= gs || ge > n_bodies) return -1;
+        double lo[3], hi[3];
+        for (int k = 0; k < 3; ++k) lo[k] = hi[k] = pos[3*gs + k];
+        for (int64_t b = gs + 1; b < ge; ++b) {
+            for (int k = 0; k < 3; ++k) {
+                const double v = pos[3*b + k];
+                if (v < lo[k]) lo[k] = v;
+                if (v > hi[k]) hi[k] = v;
+            }
+        }
+        int64_t head = 0, tail = 0;
+        queue[tail++] = 0;
+        while (head < tail) {
+            const int64_t node = queue[head++];
+            const int64_t s = starts[node], e = ends[node];
+            if (s < 0 || e > n_bodies) return -1;
+            if (!(s < ge && e > gs)
+                && group_mac(lo, hi, coms + 3*node, sizes[node], theta)) {
+                if (nc < cells_cap) cells[nc] = node;
+                ++nc;
+            } else if (is_leaf[node]) {
+                for (int64_t b = s; b < e; ++b) {
+                    if (np_ < parts_cap) parts[np_] = b;
+                    ++np_;
+                }
+            } else {
+                for (int o = 0; o < 8; ++o) {
+                    const int64_t child = children[8*node + o];
+                    if (child < 0) continue;
+                    if (child >= n_nodes || tail >= n_nodes) return -1;
+                    queue[tail++] = child;
+                }
+            }
+        }
+        cell_offsets[g + 1] = nc;
+        part_offsets[g + 1] = np_;
+    }
+    return (nc > cells_cap || np_ > parts_cap) ? 1 : 0;
+}
+
+/* Entries [a, b) of one walk's interaction list (cells[0..nc), then
+ * parts) as float32 sources at the start of src_pos / src_mass: the
+ * float32 cast of repro.tree.bh_force.walk_sources' segment.  Returns 0,
+ * or -1 when an entry indexes outside the tree or body arrays. */
+int32_t repro_walk_gather_f32(
+    const double *pos, const double *masses, int64_t n_bodies,
+    const double *coms, const double *node_masses, int64_t n_nodes,
+    const int64_t *cells, int64_t nc, const int64_t *parts, int64_t a,
+    int64_t b, float *src_pos, float *src_mass)
+{
+    for (int64_t j = a; j < b; ++j) {
+        const double *x;
+        double m;
+        if (j < nc) {
+            const int64_t c = cells[j];
+            if (c < 0 || c >= n_nodes) return -1;
+            x = coms + 3*c;
+            m = node_masses[c];
+        } else {
+            const int64_t p = parts[j - nc];
+            if (p < 0 || p >= n_bodies) return -1;
+            x = pos + 3*p;
+            m = masses[p];
+        }
+        float *dst = src_pos + 3*(j - a);
+        dst[0] = (float)x[0];
+        dst[1] = (float)x[1];
+        dst[2] = (float)x[2];
+        src_mass[j - a] = (float)m;
+    }
+    return 0;
+}
+"""
+
 #: Compile flags for the kernel translation unit.  fast-math is confined
 #: to these kernels' own arithmetic.
 _CFLAGS = ["-O3", "-march=native", "-ffast-math", "-fno-math-errno", "-fPIC"]
+
+#: Compile flags for the walk translation unit: IEEE arithmetic, and no
+#: contraction of ``a*b + c`` into an FMA (GCC's default under
+#: ``-march=native``), which would move MAC decisions away from NumPy's.
+_WALKS_CFLAGS = ["-O2", "-march=native", "-ffp-contract=off", "-fno-math-errno", "-fPIC"]
 
 #: Link flags — deliberately *without* any fast-math option: linking a
 #: shared object with -ffast-math pulls in gcc's crtfastmath startup,
@@ -122,6 +257,11 @@ _CFLAGS = ["-O3", "-march=native", "-ffast-math", "-fno-math-errno", "-fPIC"]
 #: and silently breaks subnormal arithmetic for every other library in
 #: the process.  Compiling fast, linking plain keeps the damage local.
 _LDFLAGS = ["-shared"]
+
+
+def _contiguous(dtype: type, *arrays: np.ndarray) -> list[np.ndarray]:
+    """C-contiguous ``dtype`` copies (or the arrays themselves) for ctypes."""
+    return [np.ascontiguousarray(a, dtype=dtype) for a in arrays]
 
 
 def _cache_dir() -> Path:
@@ -142,8 +282,10 @@ def _find_compiler() -> str | None:
 
 def _build_library() -> Path:
     """Compile (or reuse) the shared library for the current source."""
+    units = (("kernels", _SOURCE, _CFLAGS), ("walks", _WALKS_SOURCE, _WALKS_CFLAGS))
     digest = hashlib.sha256(
-        (_SOURCE + " ".join(_CFLAGS) + " ".join(_LDFLAGS)).encode()
+        "".join(src + " ".join(flags) for _, src, flags in units).encode()
+        + " ".join(_LDFLAGS).encode()
     ).hexdigest()[:16]
     lib_path = _cache_dir() / f"repro_kernels_{digest}.so"
     if lib_path.exists():
@@ -153,14 +295,15 @@ def _build_library() -> Path:
         raise RuntimeError("no C compiler found (tried $CC, cc, gcc, clang)")
     lib_path.parent.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=lib_path.parent) as tmp:
-        src = Path(tmp) / "kernels.c"
-        src.write_text(_SOURCE)
-        obj = Path(tmp) / "kernels.o"
+        cmds, objs = [], []
+        for name, source, flags in units:
+            src = Path(tmp) / f"{name}.c"
+            src.write_text(source)
+            objs.append(str(Path(tmp) / f"{name}.o"))
+            cmds.append([cc, *flags, "-c", "-o", objs[-1], str(src)])
         tmp_lib = Path(tmp) / "kernels.so"
-        for cmd in (
-            [cc, *_CFLAGS, "-c", "-o", str(obj), str(src)],
-            [cc, *_LDFLAGS, "-o", str(tmp_lib), str(obj), "-lm"],
-        ):
+        cmds.append([cc, *_LDFLAGS, "-o", str(tmp_lib), *objs, "-lm"])
+        for cmd in cmds:
             proc = subprocess.run(cmd, capture_output=True, text=True)
             if proc.returncode != 0:
                 raise RuntimeError(
@@ -198,6 +341,15 @@ class CExtensionBackend(KernelBackend):
             lib.repro_self_f64.argtypes = [p, p, c_i64, c_f64, c_f64, p, p, c_i64]
             lib.repro_self_f32.restype = c_i64
             lib.repro_self_f32.argtypes = [p, p, c_i64, c_f32, c_f32, p, p, c_i64]
+            lib.repro_walk_lists.restype = c_i32
+            lib.repro_walk_lists.argtypes = [
+                p, c_i64, p, p, p, p, p, p, c_i64, p, c_i64, c_f64, p,
+                p, p, c_i64, p, p, c_i64,
+            ]
+            lib.repro_walk_gather_f32.restype = c_i32
+            lib.repro_walk_gather_f32.argtypes = [
+                p, p, c_i64, p, p, c_i64, p, c_i64, p, c_i64, c_i64, p, p,
+            ]
             self._lib = lib
         except (RuntimeError, OSError) as exc:
             self._error = str(exc)
@@ -261,3 +413,165 @@ class CExtensionBackend(KernelBackend):
             shown = bad[: min(int(n_bad), _MAX_BAD_PAIRS)]
             raise CoincidentPairError([(int(i), int(j)) for i, j in shown])
         return out
+
+    # -- walks -------------------------------------------------------------
+    def walk_lists(
+        self,
+        *,
+        positions: np.ndarray,
+        starts: np.ndarray,
+        ends: np.ndarray,
+        children: np.ndarray,
+        is_leaf: np.ndarray,
+        sizes: np.ndarray,
+        coms: np.ndarray,
+        groups: np.ndarray,
+        theta: float,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Interaction lists of every group: the compiled group traversal.
+
+        Takes an octree's node arrays (``sizes`` are cube side lengths)
+        and validated ``(k, 2)`` body ``groups``; returns ``(cell_offsets,
+        cells, part_offsets, parts)``, array-equal to the NumPy frontier
+        loop of :func:`repro.tree.walks.generate_walks`.
+        """
+        lib = self._load()
+        assert lib is not None, "backend unavailable; callers check .available"
+        positions, sizes, coms = _contiguous(np.float64, positions, sizes, coms)
+        starts, ends, children, groups = _contiguous(
+            np.int64, starts, ends, children, groups
+        )
+        leaf = np.ascontiguousarray(is_leaf, dtype=np.bool_).view(np.uint8)
+        n_nodes, k = starts.shape[0], groups.shape[0]
+        if not (
+            positions.shape[1:] == (3,) and coms.shape == (n_nodes, 3)
+            and ends.shape == sizes.shape == leaf.shape == (n_nodes,)
+            and children.shape == (n_nodes, 8) and groups.shape == (k, 2)
+        ):
+            raise ValueError("inconsistent tree or group array shapes")
+        queue = np.empty(n_nodes, dtype=np.int64)
+        cell_offsets = np.empty(k + 1, dtype=np.int64)
+        part_offsets = np.empty(k + 1, dtype=np.int64)
+        # First guess at the list sizes (Plummer spheres at theta 0.6 need
+        # about 900 cells per walk and 27 particles per body); an overflow
+        # reports the exact totals through the offsets and the traversal
+        # runs once more.  Untouched buffer tails are never paged in.
+        caps = (1024 * k, 32 * positions.shape[0])
+        while True:
+            cells = np.empty(caps[0], dtype=np.int64)
+            parts = np.empty(caps[1], dtype=np.int64)
+            status = lib.repro_walk_lists(
+                self._ptr(positions), positions.shape[0], self._ptr(starts),
+                self._ptr(ends), self._ptr(children), self._ptr(leaf),
+                self._ptr(sizes), self._ptr(coms), n_nodes,
+                self._ptr(groups), k, float(theta), self._ptr(queue),
+                self._ptr(cell_offsets), self._ptr(cells), caps[0],
+                self._ptr(part_offsets), self._ptr(parts), caps[1],
+            )
+            if status < 0:
+                raise ValueError("malformed octree passed to the walk traversal")
+            if status == 0:
+                return (
+                    cell_offsets, cells[: cell_offsets[-1]],
+                    part_offsets, parts[: part_offsets[-1]],
+                )
+            caps = (int(cell_offsets[-1]), int(part_offsets[-1]))
+
+    def walk_forces(
+        self,
+        *,
+        positions: np.ndarray,
+        masses: np.ndarray,
+        coms: np.ndarray,
+        node_masses: np.ndarray,
+        groups: np.ndarray,
+        cell_offsets: np.ndarray,
+        cells: np.ndarray,
+        part_offsets: np.ndarray,
+        parts: np.ndarray,
+        ids: np.ndarray,
+        splits: np.ndarray,
+        eps2: float,
+        G: float = 1.0,
+    ) -> tuple[np.ndarray, int]:
+        """Float32 accelerations of the walks ``ids``.
+
+        The walks are CSR lists over sorted bodies (``positions``,
+        ``masses``) and tree nodes (``coms``, ``node_masses``); walk ``w``'s
+        list is evaluated in ``splits[w]`` j-segments whose partials
+        accumulate in segment order.  Compiled code gathers each segment's
+        sources into float32 scratch, and the segment goes through
+        :meth:`sources` — the kernel call the per-walk path makes — so rows
+        are bit-identical to it and every kernel call stays visible at that
+        one entry point.  Returns the ``(sum of group sizes, 3)`` float32
+        rows, packed in ``ids`` order, and the interaction count.
+        """
+        lib = self._load()
+        assert lib is not None, "backend unavailable; resolve_backend gates this"
+        positions, masses, coms, node_masses = _contiguous(
+            np.float64, positions, masses, coms, node_masses
+        )
+        groups, cell_offsets, cells, part_offsets, parts, ids, splits = _contiguous(
+            np.int64, groups, cell_offsets, cells, part_offsets, parts, ids, splits
+        )
+        k = groups.shape[0]
+        if not (
+            positions.shape[1:] == (3,) and masses.shape == positions.shape[:1]
+            and coms.shape[1:] == (3,) and node_masses.shape == coms.shape[:1]
+            and groups.shape == (k, 2) and splits.shape == (k,)
+            and cell_offsets.shape == part_offsets.shape == (k + 1,)
+            and ids.ndim == 1 and (ids.size == 0 or 0 <= ids.min() <= ids.max() < k)
+            and (splits >= 1).all()
+        ):
+            raise ValueError("inconsistent walk arrays")
+        gs, ge = groups[ids, 0], groups[ids, 1]
+        if not (
+            (gs >= 0).all() and (ge > gs).all() and (ge <= positions.shape[0]).all()
+            and all(
+                offsets[0] >= 0 and offsets[-1] <= entries.size
+                and (np.diff(offsets) >= 0).all()
+                for offsets, entries in ((cell_offsets, cells), (part_offsets, parts))
+            )
+        ):
+            raise ValueError("walk groups or offsets outside the body or list arrays")
+        nt, nc = ge - gs, np.diff(cell_offsets)[ids]
+        lengths = nc + np.diff(part_offsets)[ids]
+        out = np.zeros((int(nt.sum()), 3), dtype=np.float32)
+        if ids.size == 0:
+            return out, 0
+        seg = int((-(-lengths // splits[ids])).max())
+        tgt = np.empty((int(nt.max()), 3), dtype=np.float32)
+        src_pos = np.empty((seg, 3), dtype=np.float32)
+        src_mass = np.empty(seg, dtype=np.float32)
+        eps2 = float(np.float32(eps2))
+        arrays = (
+            self._ptr(positions), self._ptr(masses), positions.shape[0],
+            self._ptr(coms), self._ptr(node_masses), coms.shape[0],
+        )
+        scratch = (self._ptr(src_pos), self._ptr(src_mass))
+        cells_at, parts_at = cells.ctypes.data, parts.ctypes.data
+        interactions, row = 0, 0
+        for g0, n, c0, n_cells, p0, length, s in zip(
+            gs.tolist(), nt.tolist(), cell_offsets[ids].tolist(), nc.tolist(),
+            part_offsets[ids].tolist(), lengths.tolist(), splits[ids].tolist(),
+        ):
+            targets = tgt[:n]
+            targets[...] = positions[g0 : g0 + n]
+            acc = out[row : row + n]
+            step = -(-length // s)
+            for a in range(0, max(length, 1), max(step, 1)):
+                b = min(a + step, length)
+                status = lib.repro_walk_gather_f32(
+                    *arrays, cells_at + cells.itemsize * c0, n_cells,
+                    parts_at + parts.itemsize * p0,
+                    a, b, *scratch,
+                )
+                if status < 0:
+                    raise ValueError("walk lists index outside the tree or body arrays")
+                self.sources(
+                    targets, src_pos[: b - a], src_mass[: b - a],
+                    eps2=eps2, G=G, out=acc, accumulate=True,
+                )
+                interactions += n * (b - a)
+            row += n
+        return out, interactions

@@ -29,6 +29,7 @@ def blocked_sources(
     src_mass: np.ndarray,
     *,
     eps2: float,
+    G: float = 1.0,
     dtype: np.dtype,
     block: int,
     out: np.ndarray,
@@ -39,9 +40,10 @@ def blocked_sources(
 
     ``eps2`` is the float64 squared softening; the in-place ``r2 += eps2``
     rounds it to the arithmetic dtype exactly once (the square-then-cast
-    policy).  ``key`` namespaces the scratch buffers so callers with
-    different blocking (force path vs device tile loop) do not thrash
-    each other's capacity buffers.
+    policy).  ``G`` scales each block's partial before it is added.
+    ``key`` namespaces the scratch buffers so callers with different
+    blocking (force path vs device tile loop) do not thrash each other's
+    capacity buffers.
     """
     nt = targets.shape[0]
     ns = src_pos.shape[0]
@@ -63,6 +65,8 @@ def blocked_sources(
         np.power(r2, -1.5, out=inv_r3)
         inv_r3 *= src_mass[s0:s1][np.newaxis, :]  # becomes the weight w
         np.einsum("ij,ijk->ik", inv_r3, d, out=acc_buf)
+        if G != 1.0:
+            acc_buf *= acc_buf.dtype.type(G)
         out += acc_buf
     return out
 
@@ -145,13 +149,9 @@ class NumpyBackend(KernelBackend):
         ws = local_workspace()
         if not accumulate:
             out[:] = 0.0
-        if G != 1.0:
-            # Fold G into the source masses so accumulate semantics stay
-            # per-contribution (compiled backends scale inside the loop).
-            src_mass = src_mass * dtype.type(G)
         return blocked_sources(
             targets, src_pos, src_mass,
-            eps2=eps2, dtype=dtype, block=self.block, out=out, workspace=ws,
+            eps2=eps2, G=G, dtype=dtype, block=self.block, out=out, workspace=ws,
         )
 
     def self_forces(

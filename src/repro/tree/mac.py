@@ -36,12 +36,15 @@ def aabb_distance(lo: np.ndarray, hi: np.ndarray, points: np.ndarray) -> np.ndar
     """Euclidean distance from points to the axis-aligned box ``[lo, hi]``.
 
     Zero for points inside the box.  ``points`` may be ``(3,)`` or ``(k, 3)``.
+    The squares are summed as ``(dx*dx + dy*dy) + dz*dz`` in elementwise
+    operations — a pinned order the compiled walk traversal repeats, so
+    both make identical MAC decisions.
     """
     points = np.asarray(points, dtype=np.float64)
     d = np.maximum(np.maximum(lo - points, 0.0), points - hi)
-    if points.ndim == 1:
-        return float(np.sqrt(d @ d))
-    return np.sqrt(np.einsum("ij,ij->i", d, d))
+    dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
+    dist = np.sqrt(dx * dx + dy * dy + dz * dz)
+    return float(dist) if points.ndim == 1 else dist
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import TreeError
-from repro.tree.mac import GroupMAC, aabb_distance
+from repro.nbody.kernels import get_backend
+from repro.tree.mac import GroupMAC
 from repro.tree.octree import Octree
 
 __all__ = [
@@ -68,38 +69,98 @@ class Walk:
 
 
 class WalkSet:
-    """All walks for one tree snapshot, plus aggregate statistics."""
+    """All walks for one tree snapshot, stored as CSR arrays.
 
-    def __init__(self, tree: Octree, walks: list[Walk], theta: float) -> None:
+    Walk ``i`` covers sorted bodies ``groups[i, 0]:groups[i, 1]``; its
+    cell list is ``cells[cell_offsets[i]:cell_offsets[i + 1]]`` and its
+    particle list ``parts[part_offsets[i]:part_offsets[i + 1]]``.  All
+    five arrays are int64.  Indexing or iterating yields :class:`Walk`
+    views built on access; the aggregate statistics are array
+    expressions over the offsets.
+    """
+
+    def __init__(
+        self,
+        tree: Octree,
+        *,
+        groups: np.ndarray,
+        cell_offsets: np.ndarray,
+        cells: np.ndarray,
+        part_offsets: np.ndarray,
+        parts: np.ndarray,
+        theta: float,
+    ) -> None:
         self.tree = tree
-        self.walks = walks
+        self.groups = np.asarray(groups, dtype=np.int64)
+        self.cell_offsets = np.asarray(cell_offsets, dtype=np.int64)
+        self.cells = np.asarray(cells, dtype=np.int64)
+        self.part_offsets = np.asarray(part_offsets, dtype=np.int64)
+        self.parts = np.asarray(parts, dtype=np.int64)
         self.theta = theta
+        if self.groups.ndim != 2 or self.groups.shape[1] != 2:
+            raise ValueError(f"groups must be (k, 2), got {self.groups.shape}")
+        k = self.groups.shape[0]
+        for name, offsets, entries in (
+            ("cell", self.cell_offsets, self.cells),
+            ("part", self.part_offsets, self.parts),
+        ):
+            if offsets.shape != (k + 1,) or offsets[0] != 0 or offsets[-1] != entries.size:
+                raise ValueError(
+                    f"{name}_offsets must run from 0 to len({name}s) over "
+                    f"{k} walks"
+                )
+            if (np.diff(offsets) < 0).any():
+                raise ValueError(f"{name}_offsets must be non-decreasing")
 
     def __len__(self) -> int:
-        return len(self.walks)
+        return self.groups.shape[0]
 
     def __iter__(self):
-        return iter(self.walks)
+        return (self[i] for i in range(len(self)))
 
     def __getitem__(self, i: int) -> Walk:
-        return self.walks[i]
+        i = range(len(self))[i]
+        c0, c1 = self.cell_offsets[i : i + 2]
+        p0, p1 = self.part_offsets[i : i + 2]
+        return Walk(
+            index=i,
+            start=int(self.groups[i, 0]),
+            end=int(self.groups[i, 1]),
+            cell_list=self.cells[c0:c1],
+            particle_list=self.parts[p0:p1],
+        )
 
     @property
     def total_interactions(self) -> int:
         """Total body-source evaluations across all walks (one force pass)."""
-        return sum(w.interactions for w in self.walks)
+        return int(self.interactions_per_walk().sum())
 
     def interactions_per_walk(self) -> np.ndarray:
         """Per-walk interaction counts (the load-balance input)."""
-        return np.asarray([w.interactions for w in self.walks], dtype=np.int64)
+        return self.group_sizes() * self.list_lengths()
+
+    def cell_counts(self) -> np.ndarray:
+        """Per-walk cell-list lengths."""
+        return np.diff(self.cell_offsets)
+
+    def part_counts(self) -> np.ndarray:
+        """Per-walk particle-list lengths."""
+        return np.diff(self.part_offsets)
 
     def list_lengths(self) -> np.ndarray:
         """Per-walk interaction-list lengths."""
-        return np.asarray([w.list_length for w in self.walks], dtype=np.int64)
+        return self.cell_counts() + self.part_counts()
 
     def group_sizes(self) -> np.ndarray:
         """Per-walk body-group sizes."""
-        return np.asarray([w.n_bodies for w in self.walks], dtype=np.int64)
+        return self.groups[:, 1] - self.groups[:, 0]
+
+    def body_rows(self, selected: np.ndarray) -> np.ndarray:
+        """Sorted-body indices of the ``selected`` walks' groups, in order."""
+        sel = self.groups[selected]
+        sizes = sel[:, 1] - sel[:, 0]
+        first = sel[:, 0] - (np.cumsum(sizes) - sizes)
+        return np.repeat(first, sizes) + np.arange(int(sizes.sum()))
 
     def load_imbalance(self) -> float:
         """Max over mean of per-walk interactions — 1.0 is perfectly even."""
@@ -202,34 +263,66 @@ def generate_walks(
 ) -> WalkSet:
     """Generate walks (interaction lists) for every body group.
 
-    The group traversal is frontier-vectorised: each iteration classifies
-    the whole frontier of candidate nodes at once.  A node is
+    In the group traversal a node is
 
     * **accepted** (cell list) when the group MAC holds *and* its body
       range does not overlap the group's own range;
     * sent to the **particle list** when it is a leaf that was not
       accepted;
     * **opened** otherwise.
+
+    The traversal runs in the compiled ``cext`` library whenever it
+    loads, and otherwise in :func:`_numpy_walk_lists`, the reference it
+    is tested against: both emit the same lists in the same order.
     """
     mac = GroupMAC(theta)
     if groups is None:
         groups = make_groups(tree, group_size)
-    groups = np.asarray(groups, dtype=np.int64)
+    groups = np.ascontiguousarray(groups, dtype=np.int64)
     if groups.ndim != 2 or groups.shape[1] != 2:
         raise ValueError(f"groups must be (k, 2), got {groups.shape}")
+    bad = np.flatnonzero(
+        (groups[:, 0] < 0) | (groups[:, 0] >= groups[:, 1])
+        | (groups[:, 1] > tree.n_bodies)
+    )
+    if bad.size:
+        gs, ge = groups[bad[0]]
+        raise ValueError(f"group [{gs},{ge}) out of range")
 
+    cext = get_backend("cext")
+    if cext.available:
+        lists = cext.walk_lists(
+            positions=tree.positions, starts=tree.starts, ends=tree.ends,
+            children=tree.children, is_leaf=tree.is_leaf,
+            sizes=tree.node_sizes(), coms=tree.coms, groups=groups, theta=theta,
+        )
+    else:
+        lists = _numpy_walk_lists(tree, groups, mac)
+    cell_offsets, cells, part_offsets, parts = lists
+    return WalkSet(
+        tree, groups=groups, cell_offsets=cell_offsets, cells=cells,
+        part_offsets=part_offsets, parts=parts, theta=theta,
+    )
+
+
+def _numpy_walk_lists(
+    tree: Octree, groups: np.ndarray, mac: GroupMAC
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The reference traversal: CSR lists from a frontier-vectorised loop.
+
+    Each iteration classifies a group's whole frontier of candidate nodes
+    at once; opened nodes contribute their children, in octant order, to
+    the next frontier.
+    """
     sizes = tree.node_sizes()
-    walks: list[Walk] = []
+    cells: list[np.ndarray] = []
+    parts: list[np.ndarray] = []
+    cell_counts = np.zeros(len(groups), dtype=np.int64)
+    part_counts = np.zeros(len(groups), dtype=np.int64)
     for widx, (gs, ge) in enumerate(groups):
-        gs, ge = int(gs), int(ge)
-        if not 0 <= gs < ge <= tree.n_bodies:
-            raise ValueError(f"group [{gs},{ge}) out of range")
         gpos = tree.positions[gs:ge]
         lo = gpos.min(axis=0)
         hi = gpos.max(axis=0)
-
-        cells: list[np.ndarray] = []
-        parts: list[np.ndarray] = []
         frontier = np.array([tree.root], dtype=np.int64)
         while frontier.size:
             ok = mac.accept(sizes[frontier], lo, hi, tree.coms[frontier])
@@ -239,12 +332,14 @@ def generate_walks(
             accepted = frontier[ok]
             if accepted.size:
                 cells.append(accepted)
+                cell_counts[widx] += accepted.size
             rest = frontier[~ok]
             if not rest.size:
                 break
             leaf = tree.is_leaf[rest]
             for li in rest[leaf]:
                 parts.append(np.arange(tree.starts[li], tree.ends[li], dtype=np.int64))
+                part_counts[widx] += parts[-1].size
             opened = rest[~leaf]
             if opened.size:
                 kids = tree.children[opened].ravel()
@@ -252,17 +347,9 @@ def generate_walks(
             else:
                 frontier = np.empty(0, dtype=np.int64)
 
-        walks.append(
-            Walk(
-                index=widx,
-                start=gs,
-                end=ge,
-                cell_list=(
-                    np.concatenate(cells) if cells else np.empty(0, dtype=np.int64)
-                ),
-                particle_list=(
-                    np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-                ),
-            )
-        )
-    return WalkSet(tree, walks, theta)
+    def csr(counts: np.ndarray, chunks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+        flat = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+        return offsets, flat
+
+    return (*csr(cell_counts, cells), *csr(part_counts, parts))

@@ -449,8 +449,9 @@ class TestCompiledBackends:
         pos = rng.standard_normal((32, 3))
         mass = rng.uniform(0.5, 1.5, 32)
         tgt = rng.standard_normal((16, 3))
-        # Two accumulated passes with G != 1 must match the numpy path:
-        # G scales the whole accumulator at the end of each call.
+        # G scales each call's own contribution, never what `out` already
+        # holds, so two accumulated halves with G != 1 equal one call over
+        # all the sources (up to summation order) on both backends.
         out_c = np.zeros((16, 3))
         out_n = np.zeros((16, 3))
         for backend, out in ((name, out_c), ("numpy", out_n)):
@@ -462,6 +463,10 @@ class TestCompiledBackends:
                 tgt, pos[16:], mass[16:], softening=EPS, G=2.0,
                 out=out, accumulate=True, backend=backend,
             )
+            whole = accelerations_from_sources(
+                tgt, pos, mass, softening=EPS, G=2.0, backend=backend
+            )
+            np.testing.assert_allclose(out, whole, rtol=1e-12, atol=1e-12)
         tol = compiled_tolerance(np.float64)
         np.testing.assert_allclose(out_c, out_n, rtol=1e-10,
                                    atol=tol.max_rel * np.abs(out_n).max())

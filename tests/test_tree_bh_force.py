@@ -69,7 +69,16 @@ class TestWalkForces:
         assert rms_relative_error(a32, a64) < 1e-4
 
     def test_incomplete_walks_rejected(self, tree, walks):
-        partial = WalkSet(tree, list(walks)[:-1], walks.theta)
+        k = len(walks) - 1  # drop the last walk
+        partial = WalkSet(
+            tree,
+            groups=walks.groups[:k],
+            cell_offsets=walks.cell_offsets[: k + 1],
+            cells=walks.cells[: walks.cell_offsets[k]],
+            part_offsets=walks.part_offsets[: k + 1],
+            parts=walks.parts[: walks.part_offsets[k]],
+            theta=walks.theta,
+        )
         with pytest.raises(ValueError, match="cover"):
             accelerations_from_walks(partial, softening=EPS)
 

@@ -26,6 +26,17 @@ class TestAabbDistance:
         d = aabb_distance(lo, hi, pts)
         np.testing.assert_allclose(d, [0.0, 1.0])
 
+    def test_pinned_summation_order(self, rng):
+        """Bit for bit sqrt((dx*dx + dy*dy) + dz*dz), the order the compiled
+        walk traversal repeats."""
+        lo, hi = np.array([-0.3, 0.1, -1.0]), np.array([0.2, 0.7, -0.4])
+        pts = rng.standard_normal((500, 3)) * 10.0 ** rng.uniform(-3, 3, (500, 1))
+        d = np.maximum(np.maximum(lo - pts, 0.0), pts - hi)
+        dx, dy, dz = d[:, 0], d[:, 1], d[:, 2]
+        want = np.sqrt((dx * dx + dy * dy) + dz * dz)
+        assert np.array_equal(aabb_distance(lo, hi, pts), want)
+        assert all(aabb_distance(lo, hi, p) == w for p, w in zip(pts[:50], want))
+
 
 class TestPointMAC:
     def test_accepts_distant_cell(self):
