@@ -19,10 +19,14 @@ results are *not* bit-identical to the reference; the differential
 oracle admits them under the ``compiled-f64`` / ``compiled-f32``
 tolerances (:mod:`repro.check.oracle`).
 
-The same library holds the tree plans' walk machinery, compiled as a
-second translation unit *without* fast-math and with FMA contraction
-off, so its MAC decisions match the NumPy reference's exactly:
+The same library holds the tree plans' host-side tree machinery,
+compiled as a second translation unit *without* fast-math and with FMA
+contraction off, so its node geometry and MAC decisions match the NumPy
+reference's exactly:
 
+* :meth:`CExtensionBackend.octree_nodes` — the node loop of
+  :func:`repro.tree.octree.build_octree`, emitting the NumPy loop's node
+  arrays value for value;
 * :meth:`CExtensionBackend.walk_lists` — the group traversal of
   :func:`repro.tree.walks.generate_walks`, emitting the NumPy loop's
   lists element for element in CSR form;
@@ -240,6 +244,91 @@ int32_t repro_walk_gather_f32(
     }
     return 0;
 }
+
+/* Node loop of repro.tree.octree.build_octree over sorted Morton keys.
+ * A LIFO stack pops a node; one with more than leaf_size bodies, above
+ * MORTON_DEPTH, is split on its key digit at its depth (child boundaries
+ * are lower bounds on the digit, as numpy.searchsorted finds them).  Its
+ * non-empty octants become children with consecutive indices in octant
+ * order, centred at centre + half * (+-1) per axis (x is the digit's
+ * high bit), and are pushed in that order.  Nodes past the capacity are
+ * counted but not stored, so *n_nodes is always the true total.  Returns
+ * 0, 1 when the nodes overflowed (retry with *n_nodes), or -1 on n < 1,
+ * leaf_size < 1 or decreasing keys. */
+
+/* Octree levels in a 63-bit key: repro.tree.morton.MAX_DEPTH. */
+#define MORTON_DEPTH 21
+/* A depth-first stack holds at most 1 + 7 * MORTON_DEPTH entries. */
+#define OCTREE_STACK (8 * (MORTON_DEPTH + 1))
+
+int32_t repro_octree_nodes(
+    const uint64_t *keys, int64_t n, int64_t leaf_size, const double *center,
+    double half_width, int64_t cap, double *centers, double *half_widths,
+    int64_t *starts, int64_t *ends, int64_t *children, uint8_t *is_leaf,
+    int64_t *depths, int64_t *n_nodes)
+{
+    /* Stack entries are (node, start, end, depth). */
+    int64_t stack[4 * OCTREE_STACK] = {0, 0, n, 0};
+    int64_t top = 1, count = 1;
+    if (n < 1 || leaf_size < 1) return -1;
+    for (int64_t i = 1; i < n; ++i)
+        if (keys[i] < keys[i-1]) return -1;
+    if (cap >= 1) {
+        for (int k = 0; k < 3; ++k) centers[k] = center[k];
+        half_widths[0] = half_width;
+        starts[0] = 0;
+        ends[0] = n;
+        for (int o = 0; o < 8; ++o) children[o] = -1;
+        is_leaf[0] = 1;
+        depths[0] = 0;
+    }
+    while (top > 0) {
+        --top;
+        const int64_t node = stack[4*top], s = stack[4*top+1];
+        const int64_t e = stack[4*top+2], d = stack[4*top+3];
+        if (e - s <= leaf_size || d >= MORTON_DEPTH) continue;
+        const int stored = node < cap;
+        if (stored) is_leaf[node] = 0;
+        const int shift = (int)(3 * (MORTON_DEPTH - 1 - d));
+        int64_t bounds[9];
+        bounds[0] = s;
+        bounds[8] = e;
+        for (int o = 1; o < 8; ++o) {
+            int64_t lo = bounds[o-1], hi = e;
+            while (lo < hi) {
+                const int64_t mid = lo + (hi - lo) / 2;
+                if ((int)((keys[mid] >> shift) & 7u) < o) lo = mid + 1;
+                else hi = mid;
+            }
+            bounds[o] = lo;
+        }
+        const double child_half = stored ? half_widths[node] * 0.5 : 0.0;
+        for (int o = 0; o < 8; ++o) {
+            const int64_t cs = bounds[o], ce = bounds[o+1];
+            if (cs == ce) continue;
+            const int64_t k = count++;
+            if (stored) children[8*node + o] = k;
+            if (k < cap) {
+                for (int a = 0; a < 3; ++a) {
+                    const double sign = (o >> (2 - a)) & 1 ? 1.0 : -1.0;
+                    centers[3*k + a] = centers[3*node + a] + child_half * sign;
+                }
+                half_widths[k] = child_half;
+                starts[k] = cs;
+                ends[k] = ce;
+                for (int c = 0; c < 8; ++c) children[8*k + c] = -1;
+                is_leaf[k] = 1;
+                depths[k] = d + 1;
+            }
+            if (top >= OCTREE_STACK) return -1;
+            stack[4*top] = k; stack[4*top+1] = cs;
+            stack[4*top+2] = ce; stack[4*top+3] = d + 1;
+            ++top;
+        }
+    }
+    *n_nodes = count;
+    return count > cap ? 1 : 0;
+}
 """
 
 #: Compile flags for the kernel translation unit.  fast-math is confined
@@ -350,6 +439,10 @@ class CExtensionBackend(KernelBackend):
             lib.repro_walk_gather_f32.argtypes = [
                 p, p, c_i64, p, p, c_i64, p, c_i64, p, c_i64, c_i64, p, p,
             ]
+            lib.repro_octree_nodes.restype = c_i32
+            lib.repro_octree_nodes.argtypes = [
+                p, c_i64, c_i64, p, c_f64, c_i64, p, p, p, p, p, p, p, p,
+            ]
             self._lib = lib
         except (RuntimeError, OSError) as exc:
             self._error = str(exc)
@@ -413,6 +506,51 @@ class CExtensionBackend(KernelBackend):
             shown = bad[: min(int(n_bad), _MAX_BAD_PAIRS)]
             raise CoincidentPairError([(int(i), int(j)) for i, j in shown])
         return out
+
+    # -- tree --------------------------------------------------------------
+    def octree_nodes(
+        self,
+        *,
+        keys: np.ndarray,
+        leaf_size: int,
+        center: np.ndarray,
+        half_width: float,
+    ) -> tuple[np.ndarray, ...]:
+        """Nodes of the octree over sorted Morton ``keys``: the compiled build loop.
+
+        Returns ``(centers, half_widths, starts, ends, children, is_leaf,
+        depths)``, array-equal in values and dtypes to the NumPy loop of
+        :func:`repro.tree.octree._numpy_octree_nodes`.
+        """
+        lib = self._load()
+        assert lib is not None, "backend unavailable; callers check .available"
+        keys = np.ascontiguousarray(keys, dtype=np.uint64)
+        center = np.ascontiguousarray(center, dtype=np.float64)
+        if keys.ndim != 1 or center.shape != (3,):
+            raise ValueError("keys must be (n,) and center (3,)")
+        n_nodes = np.empty(1, dtype=np.int64)
+        # First guess at the node count (Plummer spheres need 1.5 nodes
+        # per body at leaf_size 1 and under 6 per leaf_size bodies above);
+        # an overflow reports the exact total and the loop runs once more.
+        cap = 8 * keys.shape[0] // max(int(leaf_size), 1) + 64
+        while True:
+            nodes = (
+                np.empty((cap, 3)), np.empty(cap),
+                np.empty(cap, dtype=np.int64), np.empty(cap, dtype=np.int64),
+                np.empty((cap, 8), dtype=np.int64), np.empty(cap, dtype=np.bool_),
+                np.empty(cap, dtype=np.int64),
+            )
+            status = lib.repro_octree_nodes(
+                self._ptr(keys), keys.shape[0], int(leaf_size),
+                self._ptr(center), float(half_width), cap,
+                *(self._ptr(a) for a in nodes), self._ptr(n_nodes),
+            )
+            if status < 0:
+                raise ValueError("malformed keys or parameters passed to the octree build")
+            m = int(n_nodes[0])
+            if status == 0:
+                return tuple(a[:m] for a in nodes)
+            cap = m
 
     # -- walks -------------------------------------------------------------
     def walk_lists(

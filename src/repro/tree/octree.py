@@ -5,7 +5,10 @@ Bonsai): bodies are sorted by Morton key once, after which every node of
 the octree covers a contiguous slice ``[start, end)`` of the sorted body
 array.  Node child boundaries are found by binary search on the key array,
 and centre-of-mass moments come from prefix sums, so the build is
-O(M log N) for M nodes with small constants and no per-body Python work.
+O(M log N) for M nodes.  The key encode, the sort and the prefix sums are
+vectorised NumPy.  The node loop visits every node once; it runs in the
+compiled ``cext`` library when that loads, because as a Python loop it
+was most of the build, and the Python loop stays as its reference.
 
 The resulting :class:`Octree` stores all node attributes as flat NumPy
 arrays (structure-of-arrays), which is what the traversal kernels and the
@@ -18,6 +21,7 @@ import numpy as np
 
 from repro import obs
 from repro.errors import TreeError
+from repro.nbody.kernels import get_backend
 from repro.tree import morton
 
 __all__ = ["Octree", "build_octree"]
@@ -193,7 +197,13 @@ def build_octree(
         recurse forever.
     center, half_width:
         Optional explicit bounding cube; computed from the data when
-        omitted.
+        omitted.  An explicit cube must be finite, with a positive half
+        width, and contain every body.
+
+    Positions must be finite and masses finite and positive.  The node
+    loop runs in the compiled ``cext`` library whenever it loads, and
+    otherwise in :func:`_numpy_octree_nodes`, the reference it is tested
+    against: both emit the same nodes in the same order.
     """
     positions = np.ascontiguousarray(positions, dtype=np.float64)
     masses = np.ascontiguousarray(masses, dtype=np.float64)
@@ -206,7 +216,16 @@ def build_octree(
         raise TreeError(f"masses must be ({n},), got {masses.shape}")
     if leaf_size < 1:
         raise TreeError(f"leaf_size must be >= 1, got {leaf_size}")
+    finite = np.isfinite(positions)
+    if not finite.all():
+        i = np.flatnonzero(~finite.all(axis=1))[0]
+        raise TreeError(f"body {i} has a non-finite position {positions[i]}")
+    good = np.isfinite(masses) & (masses > 0.0)
+    if not good.all():
+        i = np.flatnonzero(~good)[0]
+        raise TreeError(f"body {i} has mass {masses[i]}; masses must be finite and positive")
 
+    explicit = center is not None or half_width is not None
     if center is None or half_width is None:
         lo = positions.min(axis=0)
         hi = positions.max(axis=0)
@@ -218,6 +237,9 @@ def build_octree(
         if half_width is None:
             half_width = auto_half
     center = np.asarray(center, dtype=np.float64)
+    half_width = float(half_width)
+    if explicit:
+        _check_cube(positions, center, half_width)
 
     keys = morton.encode(positions, center, half_width)
     order = np.argsort(keys, kind="stable")
@@ -229,6 +251,77 @@ def build_octree(
     csum_m = np.concatenate([[0.0], np.cumsum(mass_s)])
     csum_mx = np.vstack([np.zeros(3), np.cumsum(mass_s[:, np.newaxis] * pos_s, axis=0)])
 
+    cext = get_backend("cext")
+    if cext.available:
+        nodes = cext.octree_nodes(
+            keys=keys, leaf_size=leaf_size, center=center, half_width=half_width
+        )
+    else:
+        nodes = _numpy_octree_nodes(keys, leaf_size, center, half_width)
+    centers, half_widths, starts, ends, children, is_leaf, depths = nodes
+
+    node_masses = csum_m[ends] - csum_m[starts]
+    if np.any(node_masses <= 0.0):
+        raise TreeError("node with non-positive mass (prefix-sum cancellation?)")
+    coms = (csum_mx[ends] - csum_mx[starts]) / node_masses[:, np.newaxis]
+
+    if obs.enabled:
+        n_nodes, max_depth = centers.shape[0], int(depths.max())
+        obs.inc("octree_builds_total")
+        obs.set_gauge("tree_depth", max_depth)
+        obs.set_gauge("tree_nodes", n_nodes)
+        obs.instant(
+            "octree_built",
+            n_bodies=n,
+            n_nodes=n_nodes,
+            max_depth=max_depth,
+            leaf_size=leaf_size,
+        )
+
+    return Octree(
+        centers=centers,
+        half_widths=half_widths,
+        starts=starts,
+        ends=ends,
+        children=children,
+        is_leaf=is_leaf,
+        depths=depths,
+        coms=coms,
+        node_masses=node_masses,
+        positions=pos_s,
+        masses=mass_s,
+        keys=keys,
+        order=np.asarray(order, dtype=np.int64),
+        leaf_size=leaf_size,
+    )
+
+
+def _check_cube(positions: np.ndarray, center: np.ndarray, half_width: float) -> None:
+    """Raise :class:`TreeError` unless the closed cube is valid and holds every body."""
+    if center.shape != (3,) or not np.isfinite(center).all():
+        raise TreeError(f"center must be 3 finite numbers, got {center}")
+    if not (np.isfinite(half_width) and half_width > 0.0):
+        raise TreeError(f"half_width must be finite and positive, got {half_width}")
+    outside = (positions < center - half_width) | (positions > center + half_width)
+    if outside.any():
+        i = np.flatnonzero(outside.any(axis=1))[0]
+        raise TreeError(
+            f"body {i} at {positions[i]} lies outside the bounding cube "
+            f"(center {center}, half_width {half_width})"
+        )
+
+
+def _numpy_octree_nodes(
+    keys: np.ndarray, leaf_size: int, center: np.ndarray, half_width: float
+) -> tuple[np.ndarray, ...]:
+    """The reference node loop over sorted Morton ``keys``.
+
+    A LIFO stack splits each node with more than ``leaf_size`` bodies on
+    its key digit at its depth; the non-empty octants become children
+    with consecutive indices in octant order.  Returns ``(centers,
+    half_widths, starts, ends, children, is_leaf, depths)``.
+    """
+    n = keys.shape[0]
     centers: list[np.ndarray] = []
     half_widths: list[float] = []
     starts: list[int] = []
@@ -274,38 +367,12 @@ def build_octree(
         if (children[node] < 0).all():  # pragma: no cover - defensive
             raise TreeError(f"internal node {node} produced no children")
 
-    starts_a = np.asarray(starts, dtype=np.int64)
-    ends_a = np.asarray(ends, dtype=np.int64)
-    node_masses = csum_m[ends_a] - csum_m[starts_a]
-    if np.any(node_masses <= 0.0):
-        raise TreeError("node with non-positive mass (zero-mass bodies?)")
-    coms = (csum_mx[ends_a] - csum_mx[starts_a]) / node_masses[:, np.newaxis]
-
-    if obs.enabled:
-        obs.inc("octree_builds_total")
-        obs.set_gauge("tree_depth", max(depths))
-        obs.set_gauge("tree_nodes", len(centers))
-        obs.instant(
-            "octree_built",
-            n_bodies=n,
-            n_nodes=len(centers),
-            max_depth=max(depths),
-            leaf_size=leaf_size,
-        )
-
-    return Octree(
-        centers=np.asarray(centers),
-        half_widths=np.asarray(half_widths),
-        starts=starts_a,
-        ends=ends_a,
-        children=np.asarray(children),
-        is_leaf=np.asarray(is_leaf),
-        depths=np.asarray(depths, dtype=np.int64),
-        coms=coms,
-        node_masses=node_masses,
-        positions=pos_s,
-        masses=mass_s,
-        keys=keys,
-        order=np.asarray(order, dtype=np.int64),
-        leaf_size=leaf_size,
+    return (
+        np.asarray(centers),
+        np.asarray(half_widths),
+        np.asarray(starts, dtype=np.int64),
+        np.asarray(ends, dtype=np.int64),
+        np.asarray(children),
+        np.asarray(is_leaf),
+        np.asarray(depths, dtype=np.int64),
     )

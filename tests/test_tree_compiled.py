@@ -1,5 +1,7 @@
-"""The compiled walk machinery against its references.
+"""The compiled tree and walk machinery against its references.
 
+* **Octree build** — the ``cext`` node loop gives trees whose every
+  attribute is array-equal, values and dtypes, to the NumPy loop's.
 * **Traversal** — the ``cext`` group traversal emits the same CSR lists,
   element for element, as the NumPy frontier loop of
   :mod:`repro.tree.walks`.
@@ -7,18 +9,19 @@
   engine task per worker, every segment through ``sources``) gives rows
   bit-identical to evaluating every walk segment with
   ``tile_loop_forces(backend="cext")``, on a serial and a threaded engine.
-* **Fallback** — without the C library, walks come from the NumPy loop
-  and the plans from the per-walk path, with equal results.
+* **Fallback** — without the C library, trees and walks come from the
+  NumPy loops and the plans from the per-walk path, with equal results.
 * **G** — each accumulated contribution is scaled once, so a pass at
   ``G=2`` is exactly twice the pass at ``G=1`` on every tree plan.
 
-Only the traversal, the evaluator and the ``cext`` G case need a C
-compiler; the fallback and the numpy G case run everywhere.
+Only the build, the traversal, the evaluator and the ``cext`` G case
+need a C compiler; the fallback and the numpy G case run everywhere.
 """
 
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -76,6 +79,109 @@ def _bodies(kind: str, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
         pos = rng.uniform(-1.0, 1.0, (n, 3))
         pos[: max(1, n // 4)] = pos[0]
     return pos, rng.uniform(0.5, 1.5, n)
+
+
+class _UnavailableCext(KernelBackend):
+    name = "cext"
+    kind = "compiled"
+
+    @property
+    def available(self):
+        return False
+
+    @property
+    def unavailable_reason(self):
+        return "test stub is never available"
+
+    def sources(self, *a, **kw):  # pragma: no cover - never runs
+        raise NotImplementedError
+
+    def self_forces(self, *a, **kw):  # pragma: no cover - never runs
+        raise NotImplementedError
+
+
+@contextmanager
+def _without_cext():
+    """Run the body with ``cext`` registered as unavailable."""
+    register_backend(_UnavailableCext(), replace=True)
+    try:
+        yield
+    finally:
+        register_backend(_cext, replace=True)
+
+
+def _assert_trees_equal(got, want):
+    """Every attribute of two octrees equal, arrays in values and dtypes."""
+    assert vars(got).keys() == vars(want).keys()
+    for name, value in vars(want).items():
+        if isinstance(value, np.ndarray):
+            assert getattr(got, name).dtype == value.dtype, name
+            assert np.array_equal(getattr(got, name), value), name
+        else:
+            assert getattr(got, name) == value, name
+
+
+@needs_cext
+class TestOctreeBuild:
+    @given(
+        kind=st.sampled_from(["plummer", "clustered", "coincident"]),
+        n=st.integers(1, 3000),
+        seed=st.integers(0, 2**31 - 1),
+        leaf_size=st.sampled_from([1, 8, 32]),
+        cube=st.one_of(
+            st.none(),
+            st.tuples(st.floats(-2.0, 2.0), st.floats(1.0, 4.0)),
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_tree_array_equal_to_numpy_loop(self, kind, n, seed, leaf_size, cube):
+        pos, mass = _bodies(kind, n, seed)
+        kw = {}
+        if cube is not None:  # an explicit cube, shifted off the bodies' centre
+            shift, scale = cube
+            center = pos.mean(axis=0) + shift
+            kw = dict(center=center, half_width=scale * float(np.abs(pos - center).max()) + 1e-6)
+        tree = build_octree(pos, mass, leaf_size=leaf_size, **kw)
+        with _without_cext():
+            reference = build_octree(pos, mass, leaf_size=leaf_size, **kw)
+        _assert_trees_equal(tree, reference)
+
+    def test_oversized_leaves_at_max_depth(self):
+        pos, mass = _bodies("coincident", 400, seed=3)
+        tree = build_octree(pos, mass, leaf_size=1)
+        leaves = tree.leaf_nodes()
+        deep = leaves[tree.depths[leaves] == MAX_DEPTH]
+        assert (tree.node_counts()[deep] > 1).any(), "no oversized leaf built"
+        with _without_cext():
+            _assert_trees_equal(tree, build_octree(pos, mass, leaf_size=1))
+
+    def test_capacity_retry(self):
+        """A node count past the first buffer guess comes back whole."""
+        rng = np.random.default_rng(6)
+        pairs = rng.uniform(-1.0, 1.0, (500, 3))
+        pos = np.vstack([pairs, pairs + 1e-12])  # each pair splits to MAX_DEPTH
+        tree = build_octree(pos, np.ones(1000), leaf_size=1)
+        assert tree.n_nodes > 8 * 1000 + 64  # overflowed the guess
+        with _without_cext():
+            _assert_trees_equal(tree, build_octree(pos, np.ones(1000), leaf_size=1))
+
+    def test_malformed_input_rejected(self):
+        p = plummer(64, seed=1)
+        tree = build_octree(p.positions, p.masses, leaf_size=4)
+        arrays = dict(
+            keys=tree.keys, leaf_size=4, center=tree.centers[0],
+            half_width=tree.half_widths[0],
+        )
+        for case in (
+            dict(keys=tree.keys[:0]),
+            dict(leaf_size=0),
+            dict(keys=tree.keys[::-1]),
+        ):
+            with pytest.raises(ValueError, match="malformed"):
+                _cext.octree_nodes(**{**arrays, **case})
+        for case in (dict(keys=tree.keys[:, None]), dict(center=np.zeros(2))):
+            with pytest.raises(ValueError, match="must be"):
+                _cext.octree_nodes(**{**arrays, **case})
 
 
 def _lists(tree, groups, theta):
@@ -279,33 +385,14 @@ class TestEvaluator:
                 _cext.walk_forces(**{**arrays, **case})
 
 
-class _UnavailableCext(KernelBackend):
-    name = "cext"
-    kind = "compiled"
-
-    @property
-    def available(self):
-        return False
-
-    @property
-    def unavailable_reason(self):
-        return "test stub is never available"
-
-    def sources(self, *a, **kw):  # pragma: no cover - never runs
-        raise NotImplementedError
-
-    def self_forces(self, *a, **kw):  # pragma: no cover - never runs
-        raise NotImplementedError
-
-
 class TestFallback:
     def test_numpy_loop_and_per_walk_path_without_cext(self):
         p = plummer(1024, seed=4)
         cfg = PlanConfig(softening=EPS, kernel_backend="cext", n_rungs=3)
         active = np.arange(0, 1024, 5)
-        tree = build_octree(p.positions, p.masses, leaf_size=32)
 
         def run(config):
+            tree = build_octree(p.positions, p.masses, leaf_size=32)
             walks = generate_walks(tree, theta=0.6, groups=cell_groups(tree, 256))
             engine = ExecutionEngine()
             accs = [
@@ -314,16 +401,15 @@ class TestFallback:
                 )[0]
                 for name, extra in (("w", ()), ("jw", ()), ("block-jw", (active,)))
             ]
-            return walks, accs, engine.tasks_total
+            return tree, walks, accs, engine.tasks_total
 
-        walks, accs, _ = run(PlanConfig(softening=EPS, kernel_backend="numpy", n_rungs=3))
-        register_backend(_UnavailableCext(), replace=True)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                fb_walks, fb_accs, tasks = run(cfg)
-        finally:
-            register_backend(_cext, replace=True)
+        tree, walks, accs, _ = run(
+            PlanConfig(softening=EPS, kernel_backend="numpy", n_rungs=3)
+        )
+        with _without_cext(), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            fb_tree, fb_walks, fb_accs, tasks = run(cfg)
+        _assert_trees_equal(fb_tree, tree)
         for name in ("cell_offsets", "cells", "part_offsets", "parts"):
             assert np.array_equal(getattr(fb_walks, name), getattr(walks, name))
         assert tasks > 3  # per-walk tasks, not one task per pass

@@ -89,6 +89,34 @@ class TestBuild:
         tree.validate()
         assert tree.half_widths[0] == 50.0
 
+    def test_bodies_on_explicit_cube_faces_accepted(self):
+        pos = np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0], [0.0, 1.0, -1.0]])
+        tree = build_octree(pos, np.ones(3), leaf_size=1, center=np.zeros(3), half_width=1.0)
+        tree.validate()
+
+    @pytest.mark.parametrize(
+        "cube, match",
+        [
+            (dict(center=np.zeros(3), half_width=0.0), "half_width"),
+            (dict(center=np.zeros(3), half_width=-1.0), "half_width"),
+            (dict(center=np.zeros(3), half_width=np.nan), "half_width"),
+            (dict(center=np.zeros(3), half_width=np.inf), "half_width"),
+            (dict(center=np.array([0.0, np.nan, 0.0]), half_width=50.0), "center"),
+            (dict(center=np.array([np.inf, 0.0, 0.0]), half_width=50.0), "center"),
+            (dict(center=np.zeros(2), half_width=50.0), "center"),
+        ],
+    )
+    def test_bad_explicit_cube_rejected(self, plummer_small, cube, match):
+        with pytest.raises(TreeError, match=match):
+            _tree(plummer_small, **cube)
+
+    @pytest.mark.parametrize("x", [1e30, 1.0 + 1e-9, -1.0 - 1e-9])
+    def test_body_outside_explicit_cube_rejected(self, rng, x):
+        pos = rng.uniform(-0.5, 0.5, (10, 3))
+        pos[6, 0] = x
+        with pytest.raises(TreeError, match="body 6 .* outside the bounding cube"):
+            build_octree(pos, np.ones(10), center=np.zeros(3), half_width=1.0)
+
     def test_node_sizes_are_double_half_widths(self, plummer_small):
         tree = _tree(plummer_small)
         np.testing.assert_allclose(tree.node_sizes(), 2.0 * tree.half_widths)
@@ -110,6 +138,30 @@ class TestBuildErrors:
     def test_bad_leaf_size(self):
         with pytest.raises(TreeError, match="leaf_size"):
             build_octree(np.zeros((2, 3)), np.ones(2), leaf_size=0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_position_rejected(self, rng, value):
+        pos = rng.uniform(-1, 1, (10, 3))
+        pos[3, 1] = value
+        pos[7, 2] = value
+        with pytest.raises(TreeError, match="body 3 has a non-finite position"):
+            build_octree(pos, np.ones(10))
+
+    @pytest.mark.parametrize("leaf_size", [1, 32])
+    @pytest.mark.parametrize("mass", [0.0, -0.5, np.nan, np.inf])
+    def test_bad_mass_rejected(self, rng, leaf_size, mass):
+        # at leaf_size=32 every node's mass sum stays positive for a zero
+        # or small negative mass, so only a per-body check can catch it
+        masses = np.ones(10)
+        masses[5] = mass
+        with pytest.raises(TreeError, match="body 5 has mass"):
+            build_octree(rng.uniform(-1, 1, (10, 3)), masses, leaf_size=leaf_size)
+
+    def test_prefix_sum_cancellation_still_caught(self):
+        # the light body's node mass is (1e20 + 1) - 1e20 == 0 in float64
+        pos = np.array([[-1.0, -1.0, -1.0], [1.0, 1.0, 1.0]])
+        with pytest.raises(TreeError, match="non-positive mass"):
+            build_octree(pos, np.array([1e20, 1.0]), leaf_size=1)
 
 
 class TestScaling:
