@@ -20,16 +20,14 @@ builds on:
   :class:`~repro.errors.VerificationError` instead of serving bad
   physics;
 * :mod:`repro.check.golden` — golden-snapshot store with an explicit
-  ``--bless`` regeneration workflow;
-* :mod:`repro.check.settings` — ``repro.configure(verify=...)`` and
-  ``REPRO_CHECK_*`` environment resolution.
+  ``--bless`` regeneration workflow.
 
 CLI: ``repro-nbody check`` runs the plan x backend matrix, the invariant
 runs and (optionally) the golden comparisons, with a ``--json`` report.
 """
 
 from repro.check.golden import GoldenStore, state_digest
-from repro.check.guards import RunGuard
+from repro.check.guards import RunGuard, default_guard
 from repro.check.invariants import (
     PP_POLICY,
     STRICT_POLICY,
@@ -61,7 +59,6 @@ from repro.check.oracle import (
     kernel_matrix,
     ulp_distance,
 )
-from repro.check.settings import clear_overrides, default_guard, set_verify_override
 
 __all__ = [
     "BIT_IDENTICAL",
@@ -91,10 +88,8 @@ __all__ = [
     "compare_arrays",
     "compiled_tolerance",
     "kernel_matrix",
-    "clear_overrides",
     "default_guard",
     "policy_for",
-    "set_verify_override",
     "state_digest",
     "ulp_distance",
 ]

@@ -12,12 +12,13 @@ Every evaluation runs inside a ``check.invariants`` obs span and bumps
 ``check.evaluations_total``; failures bump ``check.failures_total``.
 
 Guards are opt-in per session/job, or on by default via
-``repro.configure(verify=True)`` / ``REPRO_CHECK_ENABLED=1`` (see
-:mod:`repro.check.settings`).
+``repro.configure(verify=True)`` / ``REPRO_CHECK_ENABLED=1``
+(:func:`default_guard`; the settings live in :mod:`repro.config`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import TYPE_CHECKING
 
 from repro import obs
@@ -28,12 +29,13 @@ from repro.check.invariants import (
     TolerancePolicy,
     policy_for,
 )
+from repro.config import resolve
 from repro.errors import ConfigurationError, StateError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.simulation import Simulation
 
-__all__ = ["RunGuard"]
+__all__ = ["RunGuard", "default_guard"]
 
 
 class RunGuard:
@@ -48,6 +50,10 @@ class RunGuard:
         Extra step cadence between evaluations, *on top of* the
         checkpoint-time evaluations a session always performs for a
         guarded run.  ``0`` evaluates only at checkpoints/slices.
+    energy_tol:
+        Replaces the energy bound of the policy :meth:`prime` resolves:
+        ``energy_drift_per_sync`` on a block-timestep policy,
+        ``energy_drift`` on the others (``REPRO_CHECK_ENERGY_TOL``).
 
     One guard belongs to one run: priming captures the baseline the
     drift checks compare against, so reusing a guard across runs would
@@ -61,11 +67,13 @@ class RunGuard:
         *,
         policy: TolerancePolicy | None = None,
         every: int = 0,
+        energy_tol: float | None = None,
     ) -> None:
         if every < 0:
             raise ConfigurationError(f"every must be >= 0, got {every}")
         self.policy = policy
         self.every = every
+        self.energy_tol = energy_tol
         self._engine: InvariantEngine | None = None
         self.baseline: InvariantBaseline | None = None
         #: evaluations performed / failed (observability)
@@ -83,6 +91,15 @@ class RunGuard:
         """Capture the baseline; resolves the plan-default policy."""
         if self.policy is None:
             self.policy = policy_for(sim.plan.name)
+        if self.energy_tol is not None:
+            bound = (
+                "energy_drift"
+                if self.policy.energy_drift_per_sync is None
+                else "energy_drift_per_sync"
+            )
+            self.policy = dataclasses.replace(
+                self.policy, **{bound: self.energy_tol}
+            )
         self._engine = InvariantEngine(
             self.policy,
             softening=sim.plan.config.softening,
@@ -157,3 +174,22 @@ class RunGuard:
             f"RunGuard(policy={policy!r}, every={self.every}, "
             f"evaluations={self.evaluations}, failures={self.failures})"
         )
+
+
+def default_guard() -> RunGuard | None:
+    """The guard a fresh session gets when none was passed explicitly.
+
+    ``None`` unless the ``verify`` setting is on.  A
+    :class:`TolerancePolicy` given to ``repro.configure(verify=...)``
+    becomes the guard's policy; ``verify=True`` leaves the choice to the
+    plan default at prime time.  ``REPRO_CHECK_EVERY`` sets the step
+    cadence and ``REPRO_CHECK_ENERGY_TOL`` the energy bound.
+    """
+    verify = resolve("verify")
+    if verify is False:
+        return None
+    return RunGuard(
+        policy=verify if isinstance(verify, TolerancePolicy) else None,
+        every=resolve("check_every"),
+        energy_tol=resolve("check_energy_tol"),
+    )

@@ -57,7 +57,8 @@ from repro import obs
 from repro._version import __version__
 from repro.bench.experiments import EXPERIMENTS, run_experiment
 from repro.bench.workloads import PAPER_N_SWEEP, QUICK_N_SWEEP, WORKLOADS
-from repro.config import configure
+from repro.config import SETTINGS, configure, resolve
+from repro.errors import ConfigurationError
 from repro.exec.engine import BACKENDS
 
 __all__ = ["main", "build_parser"]
@@ -105,7 +106,8 @@ def _common_parser() -> argparse.ArgumentParser:
         "--exec-backend",
         default=None,
         choices=sorted(BACKENDS),
-        help="parallel map backend for --workers (default: thread)",
+        help="parallel map backend for --workers (default: the "
+        "REPRO_EXEC_BACKEND environment variable, else thread)",
     )
     common.add_argument(
         "--max-retries",
@@ -796,9 +798,7 @@ def _resolve_cli_addr(args: argparse.Namespace) -> str | None:
         return None
     if args.addr is not None:
         return args.addr
-    from repro.serve.settings import current_settings
-
-    return current_settings().addr
+    return resolve("serve_addr")
 
 
 def _make_client(args: argparse.Namespace):
@@ -1054,9 +1054,8 @@ def _cmd_serve_shutdown(
     parser: argparse.ArgumentParser, args: argparse.Namespace
 ) -> None:
     from repro.serve import RemoteService
-    from repro.serve.settings import current_settings
 
-    remote = RemoteService(args.addr, token=current_settings(token=args.token).token)
+    remote = RemoteService(args.addr, token=resolve("serve_token", args.token))
     try:
         remote.shutdown()
     finally:
@@ -1180,9 +1179,8 @@ def _cmd_check(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Non
 def _resolve_ledger(parser: argparse.ArgumentParser, args: argparse.Namespace):
     """The ledger ``top``/``report`` read, or a parser error when unset."""
     from repro.obs.ledger import RunLedger
-    from repro.obs.settings import ledger_dir
 
-    directory = args.ledger_dir or ledger_dir()
+    directory = args.ledger_dir or resolve("ledger_dir")
     if directory is None:
         parser.error(
             "no ledger to read: pass --ledger-dir DIR or set REPRO_LEDGER_DIR"
@@ -1286,29 +1284,24 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error(f"--workers must be >= 1, got {args.workers}")
     if args.max_retries is not None and args.max_retries < 0:
         parser.error(f"--max-retries must be >= 0, got {args.max_retries}")
-    if (
-        args.workers is not None
-        or args.exec_backend is not None
-        or args.max_retries is not None
-    ):
+    # Every setting is resolved here, so a malformed flag or environment
+    # variable exits 2 naming it before any work starts.
+    try:
         configure(
             workers=args.workers,
             exec_backend=args.exec_backend,
             max_retries=args.max_retries,
+            ledger_dir=None if args.command in ("top", "report") else args.ledger_dir,
+            kernel_backend=args.kernel_backend,
         )
-    if args.ledger_dir is not None and args.command not in ("top", "report"):
-        configure(ledger_dir=args.ledger_dir)
-    if args.kernel_backend is not None:
-        from repro.errors import ConfigurationError
-
-        try:
-            configure(kernel_backend=args.kernel_backend)
-        except ConfigurationError as exc:
-            parser.error(str(exc))
+        for name in SETTINGS:
+            resolve(name)
+    except ConfigurationError as exc:
+        parser.error(str(exc))
     if args.command in ("run", "resume", "serve") and getattr(
         args, "serve_command", None
     ) not in ("merge-shards", "shutdown"):
-        from repro.obs.settings import default_ledger
+        from repro.obs.ledger import default_ledger
 
         ledger = default_ledger()
         if ledger is not None:

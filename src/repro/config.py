@@ -1,25 +1,42 @@
-"""Unified configuration entry point for the repro library.
+"""Process-wide settings: one table, one resolver, and ``repro.configure``.
 
-One call configures everything the CLI flags configure — execution
-parallelism, fault tolerance, and observability::
+Every process-wide knob is one row of :data:`SETTINGS`: how force work
+runs (the default execution engine, the force-kernel backend) and how
+jobs are served, checked and logged.  A row names the :func:`configure`
+keyword, the environment variable, how to parse it, the default and a
+check.  :func:`resolve` reads any row with one precedence chain (first
+hit wins):
+
+1. the explicit value a caller passes (``JobService(queue_capacity=)``,
+   ``connect(token=)``, ``Gateway(addr)``...);
+2. the value set through :func:`configure`;
+3. the row's environment variable (an empty value counts as unset);
+4. the row's default.
+
+The environment is read when a value is resolved, never at import.  A
+value from any level passes its row's check, so a bad one raises
+:class:`~repro.errors.ConfigurationError` naming the keyword or the
+variable.  README.md "Settings" lists every row.
+
+One call configures the whole process::
 
     import repro
 
     repro.configure(workers=4, exec_backend="process", max_retries=3,
                     trace=True)
-
-Exec-related keywords rebuild the process-global default
-:class:`~repro.exec.ExecutionEngine` (what plans constructed without an
-explicit ``engine=`` dispatch through); ``trace`` switches
-:mod:`repro.obs` on or off.  Keywords left as ``None`` leave that
-subsystem untouched, so ``repro.configure(trace=True)`` does not clobber
-a previously configured engine.
 """
 
 from __future__ import annotations
 
+import numbers
+import os
+from dataclasses import dataclass
+from typing import Any, Callable
+
 from repro import obs
+from repro.errors import ConfigurationError
 from repro.exec.engine import (
+    BACKENDS,
     ExecConfig,
     ExecutionEngine,
     get_default_engine,
@@ -27,7 +44,195 @@ from repro.exec.engine import (
 )
 from repro.exec.faults import FaultInjector, RetryPolicy
 
-__all__ = ["configure"]
+__all__ = ["SETTINGS", "Setting", "configure", "engine_from_settings", "reset", "resolve"]
+
+
+@dataclass(frozen=True)
+class Setting:
+    """One row of the settings table."""
+
+    #: the :func:`configure` keyword and :func:`resolve` name
+    name: str
+    #: environment variable (``None``: set in code only)
+    env: str | None
+    default: Any
+    #: what is wrong with a value, or ``None`` when it is valid
+    check: Callable[[Any], str | None]
+    #: turns the environment variable's text into a value
+    parse: Callable[[str], Any] = str
+
+
+def _integer(low: int) -> Callable[[Any], str | None]:
+    def check(value: Any) -> str | None:
+        if isinstance(value, numbers.Integral) and value >= low:
+            return None
+        return f"must be an integer >= {low}"
+
+    return check
+
+
+def _non_negative(value: Any) -> str | None:
+    if isinstance(value, numbers.Real) and value >= 0:
+        return None
+    return "must be a number >= 0"
+
+
+def _positive(value: Any) -> str | None:
+    if isinstance(value, numbers.Real) and value > 0:
+        return None
+    return "must be a positive number"
+
+
+def _text(value: Any) -> str | None:
+    if isinstance(value, (str, os.PathLike)) and str(value):
+        return None
+    return "must be a non-empty string"
+
+
+def _exec_backend(value: Any) -> str | None:
+    if value in BACKENDS:
+        return None
+    return f"must be one of {', '.join(BACKENDS)}"
+
+
+def _fault_injector(value: Any) -> str | None:
+    if isinstance(value, FaultInjector):
+        return None
+    return "must be a FaultInjector"
+
+
+def _verify(value: Any) -> str | None:
+    from repro.check.invariants import TolerancePolicy
+
+    if isinstance(value, (bool, TolerancePolicy)):
+        return None
+    return "must be a boolean flag or a TolerancePolicy"
+
+
+def _kernel_backend(value: Any) -> str | None:
+    from repro.nbody.kernels import known_backends
+
+    if value in known_backends():
+        return None
+    return f"is an unknown kernel backend (registered: {', '.join(known_backends())})"
+
+
+def _flag(text: str) -> bool:
+    value = text.strip().lower()
+    if value in ("1", "true", "yes", "on"):
+        return True
+    if value in ("0", "false", "no", "off", ""):
+        return False
+    raise ValueError(text)
+
+
+#: Every process-wide setting, by :func:`resolve` name.
+SETTINGS: dict[str, Setting] = {
+    row.name: row
+    for row in (
+        # The default execution engine (see engine_from_settings).
+        Setting("workers", "REPRO_WORKERS", 1, _integer(1), int),
+        Setting("exec_backend", "REPRO_EXEC_BACKEND", "thread", _exec_backend),
+        Setting("chunk_size", None, None, _integer(1)),
+        Setting("max_retries", None, 0, _integer(0)),
+        Setting("retry_backoff_s", None, 0.0, _non_negative),
+        Setting("deadline_s", None, None, _positive),
+        Setting("fault_injector", None, None, _fault_injector),
+        # Serving: JobService, Coordinator, Worker, Gateway, connect().
+        Setting("max_concurrent_jobs", "REPRO_SERVE_MAX_CONCURRENT_JOBS", 2,
+                _integer(1), int),
+        Setting("queue_capacity", "REPRO_SERVE_QUEUE_CAPACITY", 64,
+                _integer(1), int),
+        Setting("cache_dir", "REPRO_SERVE_CACHE_DIR", ".repro_cache", _text),
+        Setting("serve_addr", "REPRO_SERVE_ADDR", None, _text),
+        Setting("serve_token", "REPRO_SERVE_TOKEN", None, _text),
+        Setting("tenant", "REPRO_TENANT", None, _text),
+        Setting("gateway_addr", "REPRO_GATEWAY_ADDR", "127.0.0.1:0", _text),
+        # Runtime guards for new RunSessions (repro.check.default_guard);
+        # check_every and check_energy_tol are set in the environment only.
+        Setting("verify", "REPRO_CHECK_ENABLED", False, _verify, _flag),
+        Setting("check_every", "REPRO_CHECK_EVERY", 0, _integer(0), int),
+        Setting("check_energy_tol", "REPRO_CHECK_ENERGY_TOL", None, _positive,
+                float),
+        # The run ledger and the force kernels.
+        Setting("ledger_dir", "REPRO_LEDGER_DIR", None, _text),
+        Setting("kernel_backend", "REPRO_KERNEL_BACKEND", "numpy",
+                _kernel_backend),
+    )
+}
+
+#: Rows the default execution engine is built from.
+_ENGINE_ROWS = frozenset(
+    ("workers", "exec_backend", "chunk_size", "max_retries",
+     "retry_backoff_s", "deadline_s", "fault_injector")
+)
+
+#: Values set through :func:`configure`, by row name.
+_configured: dict[str, Any] = {}
+
+
+def _checked(row: Setting, value: Any, source: str) -> Any:
+    complaint = row.check(value)
+    if complaint is not None:
+        raise ConfigurationError(f"{source}={value!r} {complaint}")
+    return value
+
+
+def resolve(name: str, explicit: Any = None) -> Any:
+    """The value of setting ``name``: ``explicit`` unless it is ``None``,
+    else the :func:`configure` value, else the environment variable, else
+    the default."""
+    row = SETTINGS[name]
+    if explicit is not None:
+        return _checked(row, explicit, name)
+    if name in _configured:
+        return _configured[name]
+    raw = os.environ.get(row.env, "") if row.env else ""
+    if not raw:
+        return row.default
+    try:
+        value = row.parse(raw)
+    except ValueError:
+        value = raw
+    return _checked(row, value, row.env)
+
+
+def engine_from_settings(values: dict[str, Any] | None = None) -> ExecutionEngine:
+    """The default engine the engine rows describe; ``values`` win over
+    them.  One worker always runs serially, whatever ``exec_backend``
+    says."""
+    values = values or {}
+
+    def value(name: str) -> Any:
+        return resolve(name, values.get(name))
+
+    workers = value("workers")
+    return ExecutionEngine(
+        ExecConfig(
+            backend=value("exec_backend") if workers > 1 else "serial",
+            workers=workers,
+            chunk_size=value("chunk_size"),
+        ),
+        retry=RetryPolicy(
+            max_retries=value("max_retries"),
+            backoff_s=value("retry_backoff_s"),
+            deadline_s=value("deadline_s"),
+        ),
+        fault_injector=value("fault_injector"),
+    )
+
+
+def reset() -> None:
+    """Forget every :func:`configure` value, and close the default engine
+    and the shared default ledgers; the next use rebuilds them from the
+    table (tests)."""
+    _configured.clear()
+    dropped = set_default_engine(None)
+    if dropped is not None:
+        dropped.close()
+    for shared in obs.ledger._default_ledgers.values():
+        shared.close()
+    obs.ledger._default_ledgers.clear()
 
 
 def configure(
@@ -51,140 +256,70 @@ def configure(
     ledger_dir: str | None = None,
     kernel_backend: str | None = None,
 ) -> ExecutionEngine:
-    """Configure the library's global execution and observability state.
+    """Set process-wide settings; ``None`` leaves a setting as it is.
+
+    Every keyword but ``trace`` is a row of :data:`SETTINGS` (README.md
+    "Settings" gives each one's environment variable and default); a
+    value set here beats the environment and loses to an explicit
+    argument.  Every value is checked before anything changes, so a
+    rejected call changes nothing.
 
     Parameters
     ----------
-    workers:
-        CPU workers for the default execution engine (1 = serial).
-    exec_backend:
-        ``"serial"`` / ``"thread"`` / ``"process"``; defaults to
-        ``"thread"`` when ``workers > 1``.
-    chunk_size:
-        Tasks per process-pool submission.
+    workers, exec_backend, chunk_size:
+        The default :class:`~repro.exec.ExecutionEngine` plans dispatch
+        through when constructed without ``engine=``.  One worker runs
+        serially; more use ``exec_backend`` (``"thread"`` unless set).
     max_retries, retry_backoff_s, deadline_s:
         Per-task retry policy for the default engine (see
         :class:`~repro.exec.RetryPolicy`).
     fault_injector:
-        Deterministic fault source (tests/CI only).
+        Deterministic fault source for the default engine (tests/CI only).
     trace:
         ``True`` enables :mod:`repro.obs` (clearing prior data),
-        ``False`` disables it, ``None`` leaves it unchanged.
-    max_concurrent_jobs, queue_capacity, cache_dir, serve_addr:
+        ``False`` disables it.
+    max_concurrent_jobs, queue_capacity, cache_dir:
         Defaults for :mod:`repro.serve` services created afterwards.
-        ``serve_addr`` is the coordinator address
-        :func:`repro.serve.connect` dials when called with no argument
-        (``"host:port"``; unset = in-process).  Precedence (first hit
-        wins): explicit ``connect()`` / ``JobService`` keywords, then
-        these values, then the
-        ``REPRO_SERVE_MAX_CONCURRENT_JOBS`` /
-        ``REPRO_SERVE_QUEUE_CAPACITY`` / ``REPRO_SERVE_CACHE_DIR`` /
-        ``REPRO_SERVE_ADDR`` environment variables, then the built-in
-        defaults.
+    serve_addr:
+        The coordinator :func:`repro.serve.connect` dials when called
+        with no argument (``"host:port"``; unset = in-process).
     serve_token:
-        Shared secret for the serve wire protocol and the HTTP gateway:
-        a coordinator or :class:`~repro.serve.Gateway` constructed with
-        a token requires it from every client
-        (``connect(addr, token=)`` / ``Authorization: Bearer``).  Env
-        fallback ``REPRO_SERVE_TOKEN``.
+        Shared secret a coordinator or :class:`~repro.serve.Gateway`
+        requires from every client, and that clients send.
     tenant:
-        Default tenant label stamped on submissions that don't name one
-        (fair scheduling and quotas are per tenant; see
-        :class:`~repro.serve.TenantPolicy`).  Env fallback
-        ``REPRO_TENANT``.
+        Tenant label for submissions that name none (see
+        :class:`~repro.serve.TenantPolicy`).
     gateway_addr:
-        Default listen address for :class:`~repro.serve.Gateway` /
-        ``repro-nbody serve gateway``.  Env fallback
-        ``REPRO_GATEWAY_ADDR``.
+        Listen address of :class:`~repro.serve.Gateway`.
     verify:
         Default invariant guarding for :class:`~repro.runtime.RunSession`
         objects (and hence served jobs) created afterwards: ``True``
-        attaches a :class:`~repro.check.RunGuard` with the plan-default
-        :class:`~repro.check.TolerancePolicy`, a policy instance pins
-        explicit tolerances, ``False`` disables guarding even when
-        ``REPRO_CHECK_ENABLED`` is set, and ``None`` leaves the current
-        setting untouched.  Sessions constructed with an explicit
-        ``guard=`` argument always win.
+        guards with the plan's default
+        :class:`~repro.check.TolerancePolicy`, a policy pins the
+        tolerances, ``False`` turns guarding off even when
+        ``REPRO_CHECK_ENABLED`` is set.
     ledger_dir:
-        Directory the durable :class:`~repro.obs.ledger.RunLedger` is
-        written to; sessions and serve services created afterwards
-        append their run accounting there.  Precedence (first hit wins):
-        explicit ``ledger=`` arguments, then this value, then the
-        ``REPRO_LEDGER_DIR`` environment variable, then off.  ``None``
-        leaves the current setting untouched.
+        Directory of the durable :class:`~repro.obs.ledger.RunLedger`
+        that sessions and services created afterwards append to.
     kernel_backend:
-        Force-kernel backend for subsequent force passes (the
-        ``--kernel-backend`` CLI flag calls this).  Precedence (first hit
-        wins): explicit ``backend=`` arguments /
-        ``PlanConfig.kernel_backend``, then this value, then the
-        ``REPRO_KERNEL_BACKEND`` environment variable, then ``"numpy"``.
-        Must be a *registered* name (:func:`repro.nbody.kernels.known_backends`);
-        an unavailable one degrades to ``numpy`` at resolve time with a
-        one-time warning.  ``None`` leaves the current setting untouched.
+        Force-kernel backend for force passes whose plan does not pin
+        one (the ``--kernel-backend`` CLI flag calls this).  Must be a
+        registered name (:func:`repro.nbody.kernels.known_backends`); an
+        unavailable one degrades to ``numpy`` with a one-time warning.
 
     Returns the default :class:`~repro.exec.ExecutionEngine` after any
-    reconfiguration.
+    reconfiguration; engine keywords rebuild it from every engine row,
+    so ``configure(max_retries=3)`` keeps a configured worker count.
     """
-    exec_kwargs = (
-        workers,
-        exec_backend,
-        chunk_size,
-        max_retries,
-        retry_backoff_s,
-        deadline_s,
-        fault_injector,
-    )
-    if any(v is not None for v in exec_kwargs):
-        n_workers = 1 if workers is None else workers
-        backend = exec_backend or ("thread" if n_workers > 1 else "serial")
-        retry = None
-        if any(v is not None for v in (max_retries, retry_backoff_s, deadline_s)):
-            retry = RetryPolicy(
-                max_retries=0 if max_retries is None else max_retries,
-                backoff_s=0.0 if retry_backoff_s is None else retry_backoff_s,
-                deadline_s=deadline_s,
-            )
-        set_default_engine(
-            ExecutionEngine(
-                ExecConfig(
-                    backend=backend, workers=n_workers, chunk_size=chunk_size
-                ),
-                retry=retry,
-                fault_injector=fault_injector,
-            )
-        )
-    if any(
-        v is not None
-        for v in (
-            max_concurrent_jobs, queue_capacity, cache_dir, serve_addr,
-            serve_token, tenant, gateway_addr,
-        )
-    ):
-        from repro.serve.settings import set_overrides
-
-        set_overrides(
-            max_concurrent_jobs=max_concurrent_jobs,
-            queue_capacity=queue_capacity,
-            cache_dir=cache_dir,
-            addr=serve_addr,
-            token=serve_token,
-            tenant=tenant,
-            gateway_addr=gateway_addr,
-        )
-    if verify is not None:
-        from repro.check.settings import set_verify_override
-
-        set_verify_override(verify)
-    if ledger_dir is not None:
-        from repro.obs.settings import set_ledger_override
-
-        set_ledger_override(ledger_dir)
-    if kernel_backend is not None:
-        from repro.nbody.kernels import get_backend
-        from repro.nbody.kernels.settings import set_kernel_backend_override
-
-        get_backend(kernel_backend)  # unknown name -> ConfigurationError now
-        set_kernel_backend_override(kernel_backend)
+    # Every parameter is a keyword; collect the ones that were given.
+    given = {name: value for name, value in locals().items() if value is not None}
+    trace = given.pop("trace", None)
+    for name, value in given.items():
+        _checked(SETTINGS[name], value, name)
+    engine = engine_from_settings(given) if given.keys() & _ENGINE_ROWS else None
+    _configured.update(given)
+    if engine is not None:
+        set_default_engine(engine)
     if trace is not None:
         if trace:
             obs.enable(reset=True)

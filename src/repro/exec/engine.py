@@ -54,12 +54,12 @@ re-dispatches, the ``tasks_total`` / ``task_retries_total`` /
 
 The process-global default engine is serial; configure it with
 :func:`repro.configure` (the CLI's ``--workers`` does this) or the
-``REPRO_WORKERS`` / ``REPRO_EXEC_BACKEND`` environment variables.
+``REPRO_WORKERS`` / ``REPRO_EXEC_BACKEND`` environment variables, which
+are read when the engine is first used (see :mod:`repro.config`).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 import warnings
@@ -91,7 +91,6 @@ __all__ = [
     "ExecutionEngine",
     "get_default_engine",
     "set_default_engine",
-    "configure",
 ]
 
 T = TypeVar("T")
@@ -203,9 +202,9 @@ def _init_worker_kernel_backend(name: str) -> None:
     Runs in the worker before any task; tasks that resolve the backend
     themselves (plan tasks pass an explicit name) are unaffected.
     """
-    from repro.nbody.kernels.settings import set_kernel_backend_override
+    from repro.config import configure
 
-    set_kernel_backend_override(name)
+    configure(kernel_backend=name)
 
 
 class ExecutionEngine:
@@ -311,12 +310,12 @@ class ExecutionEngine:
                     # Carry the parent's kernel-backend selection into
                     # worker processes: in-process configure() overrides
                     # don't survive fork/spawn, only the environment does.
-                    from repro.nbody.kernels.settings import kernel_backend_name
+                    from repro.config import resolve
 
                     self._pool = ProcessPoolExecutor(
                         max_workers=self.config.workers,
                         initializer=_init_worker_kernel_backend,
-                        initargs=(kernel_backend_name(),),
+                        initargs=(resolve("kernel_backend"),),
                     )
                 self._pool_backend = backend
             return self._pool
@@ -659,24 +658,32 @@ class EnginePool:
 # Process-global default engine
 # ---------------------------------------------------------------------------
 
-def _engine_from_env() -> ExecutionEngine:
-    workers = int(os.environ.get("REPRO_WORKERS", "1") or "1")
-    backend = os.environ.get("REPRO_EXEC_BACKEND") or (
-        "thread" if workers > 1 else "serial"
-    )
-    return ExecutionEngine(ExecConfig(backend=backend, workers=workers))
-
-
-_default_engine: ExecutionEngine = _engine_from_env()
+_default_engine: ExecutionEngine | None = None
+_default_engine_lock = threading.Lock()
 
 
 def get_default_engine() -> ExecutionEngine:
-    """The engine plans fall back to when constructed without one."""
-    return _default_engine
+    """The engine plans fall back to when constructed without one.
 
-
-def set_default_engine(engine: ExecutionEngine | None) -> ExecutionEngine:
-    """Replace the default engine (``None`` restores a serial one)."""
+    Built on first use from the engine rows of the settings table
+    (:func:`repro.config.engine_from_settings`).
+    """
     global _default_engine
-    _default_engine = engine if engine is not None else ExecutionEngine()
-    return _default_engine
+    with _default_engine_lock:
+        if _default_engine is None:
+            from repro.config import engine_from_settings
+
+            _default_engine = engine_from_settings()
+        return _default_engine
+
+
+def set_default_engine(engine: ExecutionEngine | None) -> ExecutionEngine | None:
+    """Install ``engine`` as the default and return the one it replaced.
+
+    ``None`` leaves no default, so the next :func:`get_default_engine`
+    builds one from the settings table.
+    """
+    global _default_engine
+    with _default_engine_lock:
+        replaced, _default_engine = _default_engine, engine
+    return replaced

@@ -12,10 +12,11 @@ numpy      reference      always available; defines the bit-exact semantics
 cext       compiled       C via the host compiler + ctypes; no build-time deps
 =========  =============  =====================================================
 
-Selection precedence (first hit wins): explicit ``backend=`` argument /
-``PlanConfig.kernel_backend``, then ``repro.configure(kernel_backend=)``
-(the ``--kernel-backend`` CLI flag calls it), then the
-``REPRO_KERNEL_BACKEND`` environment variable, then ``"numpy"``.
+Selection: an explicit ``backend=`` argument or
+``PlanConfig.kernel_backend``, else the ``kernel_backend`` setting
+(``repro.configure(kernel_backend=)``, the ``--kernel-backend`` CLI
+flag, ``REPRO_KERNEL_BACKEND``; see :mod:`repro.config`), else
+``"numpy"``.
 
 The compiled backend is **not** bit-identical to the reference
 (reassociated summation, fused rsqrt); it is validated by
@@ -34,7 +35,6 @@ from __future__ import annotations
 import threading
 import warnings
 
-from repro.nbody.kernels import settings
 from repro.nbody.kernels.base import CoincidentPairError, KernelBackend
 from repro.nbody.kernels.cext import CExtensionBackend
 from repro.nbody.kernels.numpy_backend import NumpyBackend
@@ -130,16 +130,17 @@ def resolve_backend(
 ) -> KernelBackend:
     """The backend a force pass should run on.
 
-    ``spec`` is a backend instance, a registered name, or ``None`` (fall
-    through the settings precedence chain).  An unavailable selection
+    ``spec`` is a backend instance, a registered name, or ``None`` (the
+    ``kernel_backend`` setting).  An unavailable selection
     degrades to the NumPy reference — warning once per backend name and
     bumping ``kernels.fallbacks_total`` — unless ``strict`` is true, in
     which case it raises :class:`~repro.errors.ConfigurationError`.
     """
+    from repro.config import resolve
     from repro.errors import ConfigurationError
 
     backend = spec if isinstance(spec, KernelBackend) else get_backend(
-        spec if spec is not None else settings.kernel_backend_name()
+        spec if spec is not None else resolve("kernel_backend")
     )
     if backend.available:
         return backend

@@ -39,6 +39,10 @@ per-shard worker databases into one experiment database; shard
 provenance survives the merge because every copied row keeps its
 ``shard`` value.  :meth:`RunLedger.shard_table` and the ``shard=``
 filter on :meth:`RunLedger.runs` answer "which shard ran what".
+
+The ledger is opt-in: :func:`default_ledger` returns the one the
+``ledger_dir`` setting selects (explicit ``ledger=`` arguments beat it,
+``ledger=False`` opts out; see :mod:`repro.config`), or ``None``.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ __all__ = [
     "LEDGER_NAME",
     "LEDGER_VERSION",
     "RunLedger",
+    "default_ledger",
 ]
 
 #: File name used when a ledger is opened on a directory.
@@ -560,3 +565,29 @@ class RunLedger:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RunLedger(path={str(self.path)!r}, runs={len(self)})"
+
+
+#: Open default ledgers, keyed by database path.
+_default_ledgers: dict[Path, RunLedger] = {}
+
+
+def default_ledger() -> RunLedger | None:
+    """The process-shared ledger a fresh session/service gets, or ``None``
+    when the ``ledger_dir`` setting is unset.
+
+    One :class:`RunLedger` is kept open per resolved path, so concurrent
+    sessions and services append to the same database through one
+    thread-safe connection.
+    """
+    from repro.config import resolve
+
+    directory = resolve("ledger_dir")
+    if directory is None:
+        return None
+    ledger = RunLedger(directory)
+    cached = _default_ledgers.get(ledger.path)
+    if cached is not None:
+        ledger.close()
+        return cached
+    _default_ledgers[ledger.path] = ledger
+    return ledger

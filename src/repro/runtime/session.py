@@ -144,7 +144,7 @@ class RunSession:
         self.directory = Path(directory)
         self.checkpoint_every = checkpoint_every
         if guard is None:
-            from repro.check.settings import default_guard
+            from repro.check.guards import default_guard
 
             guard = default_guard()
         elif guard is False:
@@ -156,7 +156,7 @@ class RunSession:
         #: invariant watchdog evaluated at every checkpoint (may be None)
         self.guard = guard
         if ledger is None:
-            from repro.obs.settings import default_ledger
+            from repro.obs.ledger import default_ledger
 
             ledger = default_ledger()
         elif ledger is False:

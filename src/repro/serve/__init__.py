@@ -35,7 +35,9 @@ Layers (each importable on its own):
   slicing of live sessions.
 * :mod:`~repro.serve.service` — :class:`JobService`, :class:`JobHandle`,
   :class:`Client` (obtained through :func:`connect`).
-* :mod:`~repro.serve.settings` — knob resolution (configure/env/defaults).
+
+Service knobs (concurrency, queue bound, cache root, address, token,
+tenant) resolve through the settings table in :mod:`repro.config`.
 
 Distributed tier:
 
@@ -72,7 +74,6 @@ from repro.serve.remote import RemoteHandle, RemoteService, connect
 from repro.serve.scheduler import Scheduler
 from repro.serve.schema import DESCRIBE_VERSION, validate_describe
 from repro.serve.service import Client, JobHandle, JobService
-from repro.serve.settings import ServeSettings, current_settings
 from repro.serve.spec import JobSpec
 from repro.serve.tenancy import DEFAULT_TENANT, FairJobQueue, TenantPolicy
 from repro.serve.worker import Worker
@@ -93,12 +94,10 @@ __all__ = [
     "RemoteService",
     "ResultCache",
     "Scheduler",
-    "ServeSettings",
     "SubmitOptions",
     "TenantPolicy",
     "Worker",
     "connect",
-    "current_settings",
     "load_result",
     "validate_describe",
 ]

@@ -40,13 +40,12 @@ from pathlib import Path
 from typing import Any
 
 from repro import obs
+from repro.config import resolve
 from repro.errors import JobCancelledError, QuotaError, ServeError
-from repro.obs.ledger import RunLedger
-from repro.obs.settings import default_ledger
+from repro.obs.ledger import RunLedger, default_ledger
 from repro.serve.cache import ResultCache
 from repro.serve.options import SubmitOptions
 from repro.serve.schema import DESCRIBE_VERSION
-from repro.serve.settings import current_settings
 from repro.serve.spec import JobSpec
 from repro.serve.tenancy import DEFAULT_TENANT, FairJobQueue, TenantPolicy
 from repro.serve.wire import (
@@ -130,7 +129,7 @@ class Coordinator:
         bound address is available as :attr:`addr` after construction.
     cache_dir:
         Shared result-cache root (must be reachable by every worker and
-        client); resolves through the usual serve-settings chain.
+        client); resolves through the ``cache_dir`` setting.
     queue_capacity:
         Bound on queued-but-unassigned jobs before submissions are
         rejected with :class:`~repro.errors.AdmissionError`.
@@ -162,15 +161,13 @@ class Coordinator:
         aging_every: int = 8,
         age_max_boost: int = 8,
     ) -> None:
-        settings = current_settings(
-            queue_capacity=queue_capacity,
-            cache_dir=None if cache_dir is None else str(cache_dir),
-            token=token,
-        )
-        self.settings = settings
+        #: queued-but-unassigned jobs before AdmissionError
+        self.queue_capacity = resolve("queue_capacity", queue_capacity)
+        #: shared result-cache root
+        self.cache_dir = str(resolve("cache_dir", cache_dir))
         #: shared-secret RPCs must present (None = auth disabled)
-        self.token = settings.token
-        self.cache = ResultCache(settings.cache_dir)
+        self.token = resolve("serve_token", token)
+        self.cache = ResultCache(self.cache_dir)
         if ledger is None:
             self.ledger: RunLedger | None = default_ledger()
         elif ledger is False:
@@ -190,7 +187,7 @@ class Coordinator:
         self._jobs: dict[str, _TrackedJob] = {}
         #: queued jobs: weighted fair across tenants, aged priority within
         self._queue = FairJobQueue(
-            settings.queue_capacity,
+            self.queue_capacity,
             tenants=tenants,
             aging_every=aging_every,
             age_max_boost=age_max_boost,
@@ -570,8 +567,8 @@ class Coordinator:
                 "kind": "coordinator",
                 "addr": self.addr,
                 "settings": {
-                    "queue_capacity": self.settings.queue_capacity,
-                    "cache_dir": str(self.settings.cache_dir),
+                    "queue_capacity": self.queue_capacity,
+                    "cache_dir": self.cache_dir,
                     "auth": self.token is not None,
                 },
                 "queue_depth": len(self._queue),

@@ -52,12 +52,12 @@ from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
 from repro import obs
+from repro.config import resolve
 from repro.errors import AdmissionError, ReproError, ServeError
 from repro.serve.options import SubmitOptions
 from repro.serve.remote import connect
 from repro.serve.schema import DESCRIBE_VERSION
 from repro.serve.service import JobHandle, JobService
-from repro.serve.settings import current_settings
 from repro.serve.spec import JobSpec
 from repro.serve.wire import format_addr, parse_addr
 
@@ -153,11 +153,9 @@ class Gateway:
         token: str | None = None,
         **service_kwargs: Any,
     ) -> None:
-        settings = current_settings(token=token)
-        if addr is None:
-            addr = settings.gateway_addr or "127.0.0.1:0"
+        addr = resolve("gateway_addr", addr)
         self._bind_host, self._bind_port = parse_addr(addr)
-        self.token = settings.token
+        self.token = resolve("serve_token", token)
         self.backend = backend
         if backend is None:
             self._client = connect(None, **service_kwargs)
@@ -609,7 +607,7 @@ class Gateway:
         try:
             if self._service is not None:
                 depth = len(self._service.queue)
-                drain = self._service.settings.max_concurrent_jobs
+                drain = self._service.max_concurrent_jobs
             else:
                 described = self._client.describe()
                 depth = int(described.get("queue_depth", 0))

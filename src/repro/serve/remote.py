@@ -31,11 +31,11 @@ import socket
 import threading
 from typing import Any
 
+from repro.config import resolve
 from repro.errors import ServeError
 from repro.serve.cache import JobResult, load_result
 from repro.serve.options import SubmitOptions
 from repro.serve.service import Client, JobHandle, JobService
-from repro.serve.settings import current_settings
 from repro.serve.spec import JobSpec
 from repro.serve.wire import decode_error, parse_addr, recv_msg, send_msg
 
@@ -300,7 +300,7 @@ def connect(
     the two transports behave differently.
     """
     if addr is _UNSET:
-        addr = current_settings().addr
+        addr = resolve("serve_addr")
     if addr is not None:
         if service_kwargs:
             raise ServeError(
@@ -308,7 +308,7 @@ def connect(
                 f"and don't apply when connecting to a coordinator "
                 f"({addr}); set them on the coordinator/workers instead"
             )
-        if token is None:
-            token = current_settings().token
-        return Client(RemoteService(addr, token=token), own=True)
+        return Client(
+            RemoteService(addr, token=resolve("serve_token", token)), own=True
+        )
     return Client(JobService(**service_kwargs), own=True)

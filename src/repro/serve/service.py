@@ -72,16 +72,15 @@ from typing import Any, Iterable, Sequence
 from repro import obs
 from repro.check.guards import RunGuard
 from repro.check.invariants import TolerancePolicy
+from repro.config import resolve
 from repro.errors import JobCancelledError, QuotaError, ServeError
 from repro.exec.engine import EnginePool, ExecutionEngine
-from repro.obs.ledger import RunLedger
-from repro.obs.settings import default_ledger
+from repro.obs.ledger import RunLedger, default_ledger
 from repro.runtime.session import RunSession
 from repro.serve.cache import JobResult, ResultCache
 from repro.serve.options import SubmitOptions
 from repro.serve.scheduler import Scheduler
 from repro.serve.schema import DESCRIBE_VERSION
-from repro.serve.settings import ServeSettings, current_settings
 from repro.serve.spec import JobSpec
 from repro.serve.tenancy import DEFAULT_TENANT, FairJobQueue, TenantPolicy
 
@@ -337,7 +336,7 @@ class JobService:
 
     Keyword arguments override :func:`repro.configure` values, which
     override ``REPRO_SERVE_*`` environment variables, which override the
-    defaults (see :mod:`repro.serve.settings`).  ``pool`` injects an
+    defaults (see :mod:`repro.config`).  ``pool`` injects an
     existing :class:`~repro.exec.EnginePool` (the service then does not
     close it); otherwise a thread-backed pool with ``pool_workers``
     workers is created and owned.
@@ -386,17 +385,17 @@ class JobService:
         self.shard = shard
         #: adopt killed siblings' incomplete cache entries via resume
         self.resume_orphans = resume_orphans
-        self.settings: ServeSettings = current_settings(
-            max_concurrent_jobs=max_concurrent_jobs,
-            queue_capacity=queue_capacity,
-            cache_dir=None if cache_dir is None else str(cache_dir),
-            tenant=default_tenant,
-        )
+        #: live sessions the scheduler keeps at once
+        self.max_concurrent_jobs = resolve("max_concurrent_jobs", max_concurrent_jobs)
+        #: queued-but-not-live submissions before AdmissionError
+        self.queue_capacity = resolve("queue_capacity", queue_capacity)
+        #: result-cache root
+        self.cache_dir = str(resolve("cache_dir", cache_dir))
         #: bucket for submissions that name no tenant
-        self.default_tenant = self.settings.tenant or DEFAULT_TENANT
-        self.cache = ResultCache(self.settings.cache_dir)
+        self.default_tenant = resolve("tenant", default_tenant) or DEFAULT_TENANT
+        self.cache = ResultCache(self.cache_dir)
         self.queue = FairJobQueue(
-            self.settings.queue_capacity,
+            self.queue_capacity,
             tenants=tenants,
             aging_every=aging_every,
             age_max_boost=age_max_boost,
@@ -420,7 +419,7 @@ class JobService:
             )
         self.scheduler = Scheduler(
             self.queue,
-            max_live=self.settings.max_concurrent_jobs,
+            max_live=self.max_concurrent_jobs,
             runner_threads=runner_threads,
             steps_per_slice=steps_per_slice,
             slice_hook=lambda job, done: job.verify_slice(done),
@@ -811,9 +810,9 @@ class JobService:
             "describe_version": DESCRIBE_VERSION,
             "kind": "service",
             "settings": {
-                "max_concurrent_jobs": self.settings.max_concurrent_jobs,
-                "queue_capacity": self.settings.queue_capacity,
-                "cache_dir": str(self.settings.cache_dir),
+                "max_concurrent_jobs": self.max_concurrent_jobs,
+                "queue_capacity": self.queue_capacity,
+                "cache_dir": self.cache_dir,
             },
             "pool": self.pool.describe(),
             "queue_depth": len(self.queue),

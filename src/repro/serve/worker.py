@@ -32,10 +32,10 @@ from pathlib import Path
 from typing import Any
 
 from repro import obs
+from repro.config import resolve
 from repro.errors import ServeError
 from repro.serve.options import SubmitOptions
 from repro.serve.service import JobHandle, JobService
-from repro.serve.settings import current_settings
 from repro.serve.spec import JobSpec
 from repro.serve.wire import encode_error, parse_addr, recv_msg, send_msg
 
@@ -88,14 +88,14 @@ class Worker:
         self.addr = addr
         self.shard = shard
         self.max_idle_s = max_idle_s
-        self._token = current_settings(token=token).token
+        self._token = resolve("serve_token", token)
         self.service = JobService(
             shard=shard,
             resume_orphans=True,
             cache_dir=cache_dir,
             **service_kwargs,
         )
-        self._prefetch = max(1, self.service.settings.max_concurrent_jobs)
+        self._prefetch = max(1, self.service.max_concurrent_jobs)
         self._sock: socket.socket | None = None
         self._stop = threading.Event()
         self._killed = False

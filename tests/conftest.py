@@ -10,12 +10,28 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.config import SETTINGS, reset
 from repro.core.plans import PlanConfig, plan_by_name
 from repro.core.simulation import Simulation
 from repro.nbody.ic import plummer, uniform_sphere
 
 #: Softening used throughout the functional tests.
 EPS = 1e-2
+
+
+@pytest.fixture(autouse=True)
+def _clean_settings(monkeypatch):
+    """Every test starts from the settings table's defaults and leaves no
+    ``repro.configure`` value behind.
+
+    The engine rows' variables stay: CI runs the whole suite a second
+    time with ``REPRO_WORKERS=2 REPRO_EXEC_BACKEND=thread``.
+    """
+    for row in SETTINGS.values():
+        if row.env not in (None, "REPRO_WORKERS", "REPRO_EXEC_BACKEND"):
+            monkeypatch.delenv(row.env, raising=False)
+    yield
+    reset()
 
 
 # ---------------------------------------------------------------------------

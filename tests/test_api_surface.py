@@ -5,11 +5,14 @@ documented public API actually resolves and that `__all__` is truthful.
 """
 
 import importlib
+import pkgutil
+from pathlib import Path
 
 import pytest
 
 import repro
-from repro import errors
+from repro import errors, obs
+from repro.config import SETTINGS, resolve
 
 
 PACKAGES = [
@@ -27,6 +30,13 @@ PACKAGES = [
     "repro.serve",
     "repro.plans",
     "repro.check",
+]
+
+#: ``repro`` and every module under it (``__main__`` runs the CLI).
+MODULES = ["repro"] + [
+    info.name
+    for info in pkgutil.walk_packages(repro.__path__, "repro.")
+    if info.name != "repro.__main__"
 ]
 
 #: The documented stable facade: ``from repro import <name>`` must work.
@@ -72,11 +82,11 @@ FACADE_EXPORTS = [
 
 
 class TestExports:
-    @pytest.mark.parametrize("package", PACKAGES)
-    def test_all_names_resolve(self, package):
-        mod = importlib.import_module(package)
-        for name in mod.__all__:
-            assert hasattr(mod, name), f"{package}.__all__ lists missing '{name}'"
+    @pytest.mark.parametrize("module", MODULES)
+    def test_all_names_resolve(self, module):
+        mod = importlib.import_module(module)
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), f"{module}.__all__ lists missing '{name}'"
 
     @pytest.mark.parametrize("package", PACKAGES)
     def test_all_is_nonempty_and_unique(self, package):
@@ -133,27 +143,17 @@ class TestUnifiedConfigure:
     """repro.configure subsumes the per-module entry points."""
 
     def test_configure_builds_default_engine(self):
-        from repro.exec import get_default_engine, set_default_engine
+        from repro.exec import get_default_engine
 
-        prior = get_default_engine()
-        try:
-            engine = repro.configure(workers=2, exec_backend="thread")
-            assert get_default_engine() is engine
-            assert engine.workers == 2
-            assert engine.backend == "thread"
-        finally:
-            set_default_engine(prior)
+        engine = repro.configure(workers=2, exec_backend="thread")
+        assert get_default_engine() is engine
+        assert engine.workers == 2
+        assert engine.backend == "thread"
 
     def test_configure_sets_retry_policy(self):
-        from repro.exec import get_default_engine, set_default_engine
-
-        prior = get_default_engine()
-        try:
-            engine = repro.configure(workers=1, max_retries=3)
-            assert engine.retry is not None
-            assert engine.retry.max_retries == 3
-        finally:
-            set_default_engine(prior)
+        engine = repro.configure(workers=1, max_retries=3)
+        assert engine.retry is not None
+        assert engine.retry.max_retries == 3
 
     def test_configure_trace_toggle(self):
         from repro import obs
@@ -169,6 +169,51 @@ class TestUnifiedConfigure:
         before = get_default_engine()
         repro.configure(trace=False)
         assert get_default_engine() is before
+
+    def test_rejected_call_changes_nothing(self, tmp_path):
+        from repro.exec import get_default_engine
+
+        engine = get_default_engine()
+        before = {name: resolve(name) for name in SETTINGS}
+        for bad in (
+            dict(workers=2, exec_backend="thread", queue_capacity=-1),
+            dict(ledger_dir=str(tmp_path), kernel_backend="nope"),
+            dict(ledger_dir=""),
+            dict(max_retries=3, trace=True, tenant=""),
+        ):
+            with pytest.raises(errors.ConfigurationError):
+                repro.configure(**bad)
+        assert {name: resolve(name) for name in SETTINGS} == before
+        assert get_default_engine() is engine
+        assert not obs.enabled
+
+    def test_engine_keywords_keep_the_other_engine_rows(self):
+        repro.configure(workers=2, exec_backend="thread")
+        engine = repro.configure(max_retries=3)
+        assert (engine.workers, engine.backend) == (2, "thread")
+        assert engine.retry.max_retries == 3
+
+    def test_takes_a_keyword_per_settable_row(self):
+        import inspect
+
+        env_only = {"check_every", "check_energy_tol"}
+        keywords = set(inspect.signature(repro.configure).parameters)
+        assert keywords == set(SETTINGS) - env_only | {"trace"}
+
+    def test_readme_table_lists_every_row(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("\n## Settings\n", 1)[1].split("\n## ", 1)[0]
+        lines = {
+            line.split("|")[1].strip(): line
+            for line in section.splitlines()
+            if line.startswith("| `")
+        }
+        for row in SETTINGS.values():
+            line = lines.get(f"`{row.name}`")
+            assert line is not None, f"README settings table misses {row.name}"
+            assert (f"`{row.env}`" if row.env else "—") in line, line
+            default = "unset" if row.default is None else f"`{row.default}`"
+            assert default in line, line
 
 
 class TestErrorHierarchy:

@@ -36,14 +36,13 @@ from repro.check import (
     assert_bit_identical,
     assert_within,
     compare_arrays,
-    clear_overrides,
     default_guard,
     policy_for,
     state_digest,
     ulp_distance,
 )
+from repro.check.invariants import BLOCK_TREE_POLICY
 from repro.check.oracle import expected_tolerance
-from repro.check.settings import ENV_ENABLED, ENV_ENERGY_TOL, ENV_EVERY
 from repro.core.plans import PlanConfig
 from repro.core.plans import registry as plan_registry
 from repro.core.plans.i_parallel import IParallelPlan
@@ -58,15 +57,9 @@ from repro.runtime import RunSession
 from repro.serve import SubmitOptions, connect
 from tests.conftest import EPS, make_sim, small_spec
 
-
-@pytest.fixture(autouse=True)
-def _clean_check_settings(monkeypatch):
-    """Each test starts with no configure override and no REPRO_CHECK_* env."""
-    clear_overrides()
-    for var in (ENV_ENABLED, ENV_EVERY, ENV_ENERGY_TOL):
-        monkeypatch.delenv(var, raising=False)
-    yield
-    clear_overrides()
+ENV_ENABLED = "REPRO_CHECK_ENABLED"
+ENV_EVERY = "REPRO_CHECK_EVERY"
+ENV_ENERGY_TOL = "REPRO_CHECK_ENERGY_TOL"
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +392,33 @@ class TestCheckSettings:
         monkeypatch.setenv(ENV_ENABLED, "true")
         monkeypatch.setenv(ENV_ENERGY_TOL, "0.25")
         guard = default_guard()
-        assert guard.policy is not None
-        assert guard.policy.energy_drift == 0.25
+        guard.prime(make_sim())
+        assert guard.policy == dataclasses.replace(PP_POLICY, energy_drift=0.25)
+
+    @pytest.mark.parametrize(
+        "plan, policy",
+        [
+            ("jw", dataclasses.replace(TREE_POLICY, energy_drift=1e-2)),
+            (
+                "block-jw",
+                dataclasses.replace(BLOCK_TREE_POLICY, energy_drift_per_sync=1e-2),
+            ),
+        ],
+    )
+    def test_env_energy_tol_keeps_the_plan_policy(
+        self, plan, policy, tmp_path, monkeypatch
+    ):
+        """A healthy tree run guarded with only a looser energy bound
+        passes: the bound replaces the energy field of the plan's policy
+        (the per-sync budget on block plans) instead of swapping in the
+        all-pairs policy, whose net-force bound a tree run cannot meet."""
+        monkeypatch.setenv(ENV_ENABLED, "1")
+        monkeypatch.setenv(ENV_ENERGY_TOL, "1e-2")
+        session = RunSession(
+            make_sim(plan, n=512, seed=0), tmp_path / "run", checkpoint_every=4
+        )
+        session.run(16)
+        assert session.guard.policy == policy
 
     def test_env_rejects_garbage(self, monkeypatch):
         monkeypatch.setenv(ENV_ENABLED, "maybe")

@@ -1,6 +1,10 @@
 """Tests for the command-line interface (subcommands)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +133,48 @@ class TestFlagValidation:
         with pytest.raises(SystemExit) as exc:
             main(["bench", "fig4", "--quick", "--max-retries", "-1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "var, value",
+        [
+            ("REPRO_WORKERS", "abc"),
+            ("REPRO_SERVE_QUEUE_CAPACITY", "0"),
+            ("REPRO_CHECK_ENABLED", "maybe"),
+        ],
+    )
+    def test_malformed_environment_exits_2(
+        self, var, value, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv(var, value)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--n", "32", "--steps", "1", "--out", str(tmp_path / "r")])
+        assert exc.value.code == 2
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert f"error: {var}=" in error
+
+    def test_malformed_workers_variable_does_not_break_import(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "REPRO_WORKERS": "abc", "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "--help"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "usage" in proc.stdout
+
+    def test_engine_flags_keep_the_environment_worker_count(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.exec import get_default_engine
+
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        assert main([
+            "run", "--n", "32", "--steps", "1", "--out", str(tmp_path / "r"),
+            "--max-retries", "1",
+        ]) == 0
+        engine = get_default_engine()
+        assert engine.workers == 2 and engine.backend != "serial"
+        assert engine.retry.max_retries == 1
 
 
 class TestProfile:
@@ -313,17 +359,14 @@ class TestCheckCommand:
         assert "nope" in capsys.readouterr().err
 
     def test_kernel_backend_flag_configures(self, tmp_path):
-        from repro.nbody.kernels import settings as kernel_settings
+        from repro.config import resolve
 
-        try:
-            assert main([
-                "run", "--n", "32", "--steps", "1",
-                "--out", str(tmp_path / "run"),
-                "--kernel-backend", "numpy",
-            ]) == 0
-            assert kernel_settings.kernel_backend_name() == "numpy"
-        finally:
-            kernel_settings.clear_overrides()
+        assert main([
+            "run", "--n", "32", "--steps", "1",
+            "--out", str(tmp_path / "run"),
+            "--kernel-backend", "numpy",
+        ]) == 0
+        assert resolve("kernel_backend") == "numpy"
 
 
 @pytest.mark.cli
@@ -547,15 +590,6 @@ class TestServeSubcommands:
 
 class TestTopAndReport:
     """repro-nbody top / report over the durable run ledger."""
-
-    @pytest.fixture(autouse=True)
-    def _clean_ledger(self, monkeypatch):
-        from repro.obs.settings import clear_overrides
-
-        monkeypatch.delenv("REPRO_LEDGER_DIR", raising=False)
-        clear_overrides()
-        yield
-        clear_overrides()
 
     def _run_with_ledger(self, tmp_path):
         ledger_dir = tmp_path / "ledger"

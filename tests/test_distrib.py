@@ -23,6 +23,7 @@ import warnings
 
 import pytest
 
+import repro
 from repro.check import assert_bit_identical
 from repro.errors import AdmissionError, CheckpointError, ServeError
 from repro.obs.ledger import RunLedger
@@ -37,7 +38,6 @@ from repro.serve import (
     Worker,
     connect,
 )
-from repro.serve.settings import ENV_ADDR, clear_overrides, set_overrides
 from repro.serve.wire import (
     decode_error,
     encode_error,
@@ -342,21 +342,18 @@ class TestConnect:
         self, tmp_path, monkeypatch
     ):
         with Coordinator(cache_dir=tmp_path, ledger=False) as coord:
-            monkeypatch.setenv(ENV_ADDR, coord.addr)
-            try:
-                with connect() as client:
-                    assert isinstance(client.service, RemoteService)
-                    assert client.service.addr == coord.addr
-                # configure() beats the environment...
-                set_overrides(addr=coord.addr)
-                monkeypatch.setenv(ENV_ADDR, "203.0.113.1:1")
-                with connect() as client:
-                    assert client.service.addr == coord.addr
-                # ...and an explicit None beats both (forces in-process).
-                with connect(None, cache_dir=tmp_path) as client:
-                    assert isinstance(client.service, JobService)
-            finally:
-                clear_overrides()
+            monkeypatch.setenv("REPRO_SERVE_ADDR", coord.addr)
+            with connect() as client:
+                assert isinstance(client.service, RemoteService)
+                assert client.service.addr == coord.addr
+            # configure() beats the environment...
+            repro.configure(serve_addr=coord.addr)
+            monkeypatch.setenv("REPRO_SERVE_ADDR", "203.0.113.1:1")
+            with connect() as client:
+                assert client.service.addr == coord.addr
+            # ...and an explicit None beats both (forces in-process).
+            with connect(None, cache_dir=tmp_path) as client:
+                assert isinstance(client.service, JobService)
 
     def test_shutdown_rpc_stops_coordinator(self, tmp_path):
         coord = Coordinator(cache_dir=tmp_path, ledger=False).start()
@@ -414,17 +411,12 @@ class TestTokenAuth:
         assert_bit_identical(result.positions, pos)
 
     def test_token_resolves_through_settings_chain(self, tmp_path):
-        from repro.serve.settings import clear_overrides, set_overrides
-
-        set_overrides(token="from-config")
-        try:
-            with Coordinator(cache_dir=tmp_path, ledger=False) as coord:
-                assert coord.token == "from-config"
-                # connect() with no explicit token picks it up too.
-                with connect(coord.addr) as client:
-                    client.describe()  # authenticates successfully
-        finally:
-            clear_overrides()
+        repro.configure(serve_token="from-config")
+        with Coordinator(cache_dir=tmp_path, ledger=False) as coord:
+            assert coord.token == "from-config"
+            # connect() with no explicit token picks it up too.
+            with connect(coord.addr) as client:
+                client.describe()  # authenticates successfully
 
     def test_no_token_disables_auth(self, tmp_path):
         with Coordinator(cache_dir=tmp_path, ledger=False) as coord:

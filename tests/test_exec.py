@@ -29,7 +29,6 @@ from repro.exec import (
     Workspace,
     get_default_engine,
     local_workspace,
-    set_default_engine,
     total_workspace_bytes,
     uncached,
 )
@@ -171,16 +170,12 @@ class TestEngine:
     def test_default_engine_configure_roundtrip(self):
         import repro
 
-        prior = get_default_engine()
-        try:
-            eng = repro.configure(workers=2, exec_backend="thread")
-            assert get_default_engine() is eng
-            assert eng.workers == 2
-            assert eng.backend == "thread"
-            serial = repro.configure(workers=1)
-            assert serial.backend == "serial"
-        finally:
-            set_default_engine(prior)
+        eng = repro.configure(workers=2, exec_backend="thread")
+        assert get_default_engine() is eng
+        assert eng.workers == 2
+        assert eng.backend == "thread"
+        serial = repro.configure(workers=1)
+        assert serial.backend == "serial"
 
     def test_map_emits_spans_and_metrics(self):
         obs.enable(reset=True)

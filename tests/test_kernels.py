@@ -21,7 +21,7 @@ from repro.check import (
     compiled_tolerance,
     kernel_matrix,
 )
-from repro.config import configure
+from repro.config import configure, resolve
 from repro.core.plans import PlanConfig, plan_by_name
 from repro.errors import ConfigurationError
 from repro.exec.workspace import Workspace
@@ -42,7 +42,6 @@ from repro.nbody.kernels import (
     register_backend,
     resolve_backend,
 )
-from repro.nbody.kernels import settings as kernel_settings
 from repro.runtime.checkpoint import plan_config_from_dict, plan_config_to_dict
 
 EPS = 1e-2
@@ -57,15 +56,6 @@ needs_cext = pytest.mark.skipif(
 #: Compiled backends that can actually run here (cext needs only a host
 #: C compiler).
 LIVE_COMPILED = [pytest.param("cext", marks=needs_cext)]
-
-
-@pytest.fixture(autouse=True)
-def _clean_backend_selection(monkeypatch):
-    """No test leaks a configure-level or env-level backend selection."""
-    monkeypatch.delenv(kernel_settings.ENV_KERNEL_BACKEND, raising=False)
-    kernel_settings.clear_overrides()
-    yield
-    kernel_settings.clear_overrides()
 
 
 # ---------------------------------------------------------------------------
@@ -132,17 +122,17 @@ class _UnavailableStub(KernelBackend):
 
 class TestResolution:
     def test_default_is_numpy(self):
-        assert kernel_settings.kernel_backend_name() == "numpy"
+        assert resolve("kernel_backend") == "numpy"
         assert resolve_backend(None).name == "numpy"
 
     def test_env_var_selects(self, monkeypatch):
-        monkeypatch.setenv(kernel_settings.ENV_KERNEL_BACKEND, "cext")
-        assert kernel_settings.kernel_backend_name() == "cext"
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cext")
+        assert resolve("kernel_backend") == "cext"
 
     def test_configure_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(kernel_settings.ENV_KERNEL_BACKEND, "cext")
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cext")
         configure(kernel_backend="numpy")
-        assert kernel_settings.kernel_backend_name() == "numpy"
+        assert resolve("kernel_backend") == "numpy"
 
     def test_configure_rejects_unknown(self):
         with pytest.raises(ConfigurationError, match="unknown kernel backend"):

@@ -16,21 +16,12 @@ import pytest
 import repro
 from repro import obs
 from repro.errors import LedgerError
-from repro.obs.ledger import LEDGER_NAME, LEDGER_VERSION, RunLedger
-from repro.obs.settings import clear_overrides, default_ledger, ledger_dir
+from repro.config import resolve
+from repro.obs.ledger import LEDGER_NAME, LEDGER_VERSION, RunLedger, default_ledger
 from repro.runtime import RunSession
 from repro.serve import JobService
 
 from tests.conftest import Interrupt, interrupt_at, make_sim, small_spec, solo_state
-
-
-@pytest.fixture(autouse=True)
-def _clean_ledger_settings(monkeypatch):
-    """Isolate every test from ambient ledger configuration."""
-    monkeypatch.delenv("REPRO_LEDGER_DIR", raising=False)
-    clear_overrides()
-    yield
-    clear_overrides()
 
 
 # ---------------------------------------------------------------------------
@@ -275,19 +266,19 @@ class TestMerge:
 
 class TestLedgerSettings:
     def test_off_by_default(self):
-        assert ledger_dir() is None
+        assert resolve("ledger_dir") is None
         assert default_ledger() is None
 
     def test_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_LEDGER_DIR", str(tmp_path / "env"))
-        assert ledger_dir() == str(tmp_path / "env")
+        assert resolve("ledger_dir") == str(tmp_path / "env")
         led = default_ledger()
         assert led is not None and led.path.parent == tmp_path / "env"
 
     def test_configure_beats_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_LEDGER_DIR", str(tmp_path / "env"))
         repro.configure(ledger_dir=str(tmp_path / "cfg"))
-        assert ledger_dir() == str(tmp_path / "cfg")
+        assert resolve("ledger_dir") == str(tmp_path / "cfg")
         assert default_ledger().path.parent == tmp_path / "cfg"
 
     def test_default_ledger_is_shared(self, tmp_path):

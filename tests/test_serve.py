@@ -34,13 +34,11 @@ from repro.serve import (
     JobSpec,
     ResultCache,
     Scheduler,
-    ServeSettings,
     SubmitOptions,
     connect,
-    current_settings,
 )
+from repro.config import resolve
 from repro.runtime.checkpoint import plan_config_to_dict
-from repro.serve.settings import clear_overrides, set_overrides
 from repro.check import assert_bit_identical
 from tests.conftest import small_spec, solo_state
 
@@ -471,49 +469,44 @@ class TestJobService:
 # ---------------------------------------------------------------------------
 
 class TestServeSettings:
-    def teardown_method(self):
-        clear_overrides()
-
     def test_defaults(self):
-        s = ServeSettings()
-        assert s.max_concurrent_jobs == 2
-        assert s.queue_capacity == 64
+        assert resolve("max_concurrent_jobs") == 2
+        assert resolve("queue_capacity") == 64
 
     def test_env_overrides_defaults(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVE_MAX_CONCURRENT_JOBS", "7")
         monkeypatch.setenv("REPRO_SERVE_CACHE_DIR", "/tmp/envcache")
-        s = current_settings()
-        assert s.max_concurrent_jobs == 7
-        assert s.cache_dir == "/tmp/envcache"
-        assert s.queue_capacity == 64
+        assert resolve("max_concurrent_jobs") == 7
+        assert resolve("cache_dir") == "/tmp/envcache"
+        assert resolve("queue_capacity") == 64
 
     def test_configure_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVE_MAX_CONCURRENT_JOBS", "7")
         repro.configure(max_concurrent_jobs=3)
-        assert current_settings().max_concurrent_jobs == 3
+        assert resolve("max_concurrent_jobs") == 3
 
     def test_explicit_kwarg_beats_configure(self, tmp_path):
         repro.configure(max_concurrent_jobs=3, cache_dir=str(tmp_path / "c"))
         svc = JobService(max_concurrent_jobs=5)
         try:
-            assert svc.settings.max_concurrent_jobs == 5
-            assert svc.settings.cache_dir == str(tmp_path / "c")
+            assert svc.max_concurrent_jobs == 5
+            assert svc.cache_dir == str(tmp_path / "c")
         finally:
             svc.close()
 
     def test_validation(self, monkeypatch):
         with pytest.raises(ConfigurationError):
-            ServeSettings(max_concurrent_jobs=0)
+            resolve("max_concurrent_jobs", 0)
         with pytest.raises(ConfigurationError):
-            ServeSettings(queue_capacity=0)
+            resolve("queue_capacity", 0)
         monkeypatch.setenv("REPRO_SERVE_QUEUE_CAPACITY", "zap")
         with pytest.raises(ConfigurationError, match="integer"):
-            current_settings()
+            resolve("queue_capacity")
         monkeypatch.delenv("REPRO_SERVE_QUEUE_CAPACITY")
         with pytest.raises(ConfigurationError):
             repro.configure(queue_capacity=-1)
         # the failed configure must not leave partial state
-        assert current_settings().queue_capacity == 64
+        assert resolve("queue_capacity") == 64
 
 
 # ---------------------------------------------------------------------------
