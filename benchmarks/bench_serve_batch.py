@@ -88,7 +88,6 @@ def run_batched(
     specs: list[JobSpec],
     cache_dir: Path,
     *,
-    backend: str,
     workers: int,
     max_concurrent: int,
 ) -> tuple[float, list, dict]:
@@ -96,7 +95,6 @@ def run_batched(
         None,
         cache_dir=cache_dir,
         max_concurrent_jobs=max_concurrent,
-        pool_backend=backend,
         pool_workers=workers,
     )
     t0 = time.perf_counter()
@@ -124,8 +122,6 @@ def run_batched(
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--steps", type=int, default=40)
-    parser.add_argument("--backend", default="thread",
-                        choices=("serial", "thread", "process"))
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--max-concurrent", type=int, default=4)
     parser.add_argument("--out", default="BENCH_PR4.json")
@@ -135,7 +131,7 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"batch: {len(specs)} submissions ({len(BATCH)} unique, "
         f"{len(REPEATS)} repeats, job {FAULTY} fault-injected), "
-        f"steps={args.steps}, pool={args.backend}x{args.workers}"
+        f"steps={args.steps}, pool={args.workers} threads"
     )
 
     references = {}
@@ -153,7 +149,6 @@ def main(argv: list[str] | None = None) -> int:
         batch_wall, handles, described = run_batched(
             specs,
             cache_dir,
-            backend=args.backend,
             workers=args.workers,
             max_concurrent=args.max_concurrent,
         )
@@ -208,7 +203,7 @@ def main(argv: list[str] | None = None) -> int:
         "n_unique": len(BATCH),
         "n_repeats": len(REPEATS),
         "steps": args.steps,
-        "pool": {"backend": args.backend, "workers": args.workers},
+        "pool": {"workers": args.workers},
         "max_concurrent_jobs": args.max_concurrent,
         "sequential_wall_s": seq_wall,
         "batched_wall_s": batch_wall,

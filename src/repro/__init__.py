@@ -29,7 +29,7 @@ Package layout
   parallel plans (i/j/w/jw), the host-device pipeline and the high-level
   :class:`~repro.core.simulation.Simulation`.
 * :mod:`repro.exec` — CPU execution engine: workspace pool, deterministic
-  parallel map, retry/fallback fault handling.
+  parallel map, per-task retry.
 * :mod:`repro.runtime` — fault-tolerant run sessions: checkpointing and
   bit-exact resume.
 * :mod:`repro.check` — differential & invariant verification: the

@@ -19,13 +19,7 @@ import numpy as np
 from repro import obs
 from repro.bench.workloads import make_workload
 from repro.core.plans import PlanConfig, plan_by_name
-from repro.exec import (
-    ExecutionEngine,
-    get_default_engine,
-    local_workspace,
-    uncached,
-    workspace_stats,
-)
+from repro.exec import get_default_engine, workspace_stats
 from repro.nbody.flops import FLOPS_PER_INTERACTION_RSQRT
 from repro.perfmodel.metrics import gflops_rate
 
@@ -35,7 +29,6 @@ __all__ = [
     "run_plan_point",
     "bench_summary",
     "write_bench_summary",
-    "force_pass_bench",
 ]
 
 #: Steps per run in the paper's tables ("100 步").
@@ -200,78 +193,6 @@ def bench_summary(
             }
             for r in rows
         ],
-    }
-
-
-def force_pass_bench(
-    plan_name: str,
-    n: int,
-    *,
-    workload: str = "plummer",
-    config: PlanConfig | None = None,
-    workers: int = 2,
-    backend: str = "thread",
-    repeats: int = 3,
-    seed: int = 0,
-) -> dict[str, Any]:
-    """Measured wall-clock of one *functional* force pass, three ways.
-
-    1. ``uncached_seconds`` — workspace pooling off (the pre-``repro.exec``
-       allocate-every-pass behaviour);
-    2. ``serial_seconds`` — workspace-cached, serial engine;
-    3. ``parallel_seconds`` — workspace-cached, ``workers`` workers on
-       ``backend``, with the parallel result checked bit-identical to
-       serial.
-
-    Each timing is best-of-``repeats`` after a warm-up pass.  This is the
-    record the BENCH artifacts commit: wall-clock speedup with the
-    workspace pool and with ``workers > 1``, plus allocation accounting
-    showing the pool does not grow across passes.
-    """
-    particles = make_workload(workload, n, seed=seed)
-    plan = plan_by_name(plan_name, config)
-
-    def best(fn) -> float:
-        times = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - t0)
-        return min(times)
-
-    pos, mass = particles.positions, particles.masses
-    ref = plan.accelerations(pos, mass)  # warm the workspace pool
-    ws = local_workspace()
-    alloc_before = ws.allocations
-    serial_seconds = best(lambda: plan.accelerations(pos, mass))
-    steady_state_allocations = ws.allocations - alloc_before
-    with uncached():
-        uncached_seconds = best(lambda: plan.accelerations(pos, mass))
-
-    with ExecutionEngine(backend=backend, workers=workers) as engine:
-        par_plan = plan_by_name(plan_name, config, engine=engine)
-        acc_parallel = par_plan.accelerations(pos, mass)  # warm worker pools
-        parallel_seconds = best(lambda: par_plan.accelerations(pos, mass))
-    from repro.check import compare_arrays
-
-    bit_identical = compare_arrays(ref, acc_parallel).bit_identical
-
-    return {
-        "plan": plan_name,
-        "n_bodies": n,
-        "workload": workload,
-        "repeats": repeats,
-        "uncached_seconds": uncached_seconds,
-        "serial_seconds": serial_seconds,
-        "parallel_seconds": parallel_seconds,
-        "workers": workers,
-        "backend": backend,
-        "bit_identical": bit_identical,
-        "speedup_workspace": uncached_seconds / serial_seconds,
-        "speedup_parallel": serial_seconds / parallel_seconds,
-        "speedup_total": uncached_seconds / parallel_seconds,
-        "steady_state_allocations": steady_state_allocations,
-        "workspace": ws.stats(),
     }
 
 

@@ -1,13 +1,13 @@
 """repro.check — differential & invariant verification.
 
 The paper's four plans are four *schedules* of one physics; the exec
-engine's backends are schedules of those schedules.  This package is the
-machine-checkable definition of "same answer" the rest of the library
-builds on:
+engine's worker counts are schedules of those schedules.  This package is
+the machine-checkable definition of "same answer" the rest of the
+library builds on:
 
 * :mod:`repro.check.oracle` — the differential oracle: per-body force
   error, max-ulp deviation and bit-identity between any reference and
-  candidate plan/backend, with documented tolerances per comparison axis
+  candidate plan/engine, with documented tolerances per comparison axis
   (:func:`assert_bit_identical` / :func:`assert_within` replace the
   ad-hoc ``np.array_equal`` gates of earlier PRs);
 * :mod:`repro.check.invariants` — physical invariants (energy drift,
@@ -22,8 +22,10 @@ builds on:
 * :mod:`repro.check.golden` — golden-snapshot store with an explicit
   ``--bless`` regeneration workflow.
 
-CLI: ``repro-nbody check`` runs the plan x backend matrix, the invariant
-runs and (optionally) the golden comparisons, with a ``--json`` report.
+CLI: ``repro-nbody check`` runs the plan matrix (serial, plus a
+bit-identical thread run per plan when ``--workers`` is above 1), the
+invariant runs and (optionally) the golden comparisons, with a
+``--json`` report.
 """
 
 from repro.check.golden import GoldenStore, state_digest

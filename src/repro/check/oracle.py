@@ -1,22 +1,22 @@
 """Differential oracle: one physics, many schedules, one verdict.
 
 The paper's four plans (i/j/w/jw) are *schedules* of the same force
-computation, and the execution engine's backends (serial/thread/process)
-are schedules of the same schedule — so their outputs must agree, and
-"agree" must be machine-checkable rather than re-derived ad hoc at every
-call site.  This module is the single place that turns two acceleration
+computation, and the execution engine's worker counts (serial or a
+thread pool) are schedules of the same schedule — so their outputs must
+agree, and "agree" must be machine-checkable rather than re-derived ad
+hoc at every call site.  This module is the single place that turns two acceleration
 arrays into a verdict:
 
 * :func:`compare_arrays` measures the deviation between a reference and a
   candidate array — per-body absolute/relative force error, RMS relative
   error, max ulp distance, and bit-identity;
 * :class:`ForceTolerance` states what a comparison is *allowed* to show
-  (``BIT_IDENTICAL`` for backend changes, documented RMS bounds for
-  cross-plan and plan-vs-direct comparisons);
+  (``BIT_IDENTICAL`` for worker-count changes, documented RMS bounds
+  for cross-plan and plan-vs-direct comparisons);
 * :class:`DifferentialOracle` runs a workload through a reference plan
-  and any candidate plan/backend combination and produces
-  :class:`ForceComparison` verdicts, including the full plan x backend
-  matrix the ``repro-nbody check`` CLI reports;
+  and any candidate plan/engine combination and produces
+  :class:`ForceComparison` verdicts, including the plan matrix the
+  ``repro-nbody check`` CLI reports;
 * :func:`assert_bit_identical` / :func:`assert_within` are the drop-in
   replacements for the ``np.array_equal`` gates previously copy-pasted
   through tests, benchmarks and CI — they raise
@@ -322,7 +322,7 @@ class DifferentialOracle:
     def reference_accelerations(
         self, positions: np.ndarray, masses: np.ndarray
     ) -> np.ndarray:
-        with ExecutionEngine(backend="serial", workers=1) as engine:
+        with ExecutionEngine() as engine:
             ref_plan = get_plan(
                 self.reference.name, self.reference.config, engine=engine
             )
@@ -338,9 +338,9 @@ class DifferentialOracle:
         tolerance: ForceTolerance | None = None,
         plan_config=None,
     ) -> ForceComparison:
-        """Differential verdict for one candidate plan/backend.
+        """Differential verdict for one candidate plan/engine.
 
-        ``engine`` rewires the candidate's force execution (the backend
+        ``engine`` rewires the candidate's force execution (the worker
         axis); ``tolerance`` overrides the documented default for the
         plan pair (:func:`expected_tolerance`).
         """
@@ -355,7 +355,7 @@ class DifferentialOracle:
                 engine=engine,
             )
         tol = tolerance or expected_tolerance(self.reference, cand_plan)
-        backend = engine.backend if engine is not None else "serial"
+        backend = engine.effective_backend if engine is not None else "serial"
         with obs.span(
             "check.oracle",
             reference=self.reference.name,
@@ -384,49 +384,47 @@ class DifferentialOracle:
         masses: np.ndarray,
         *,
         plans: Sequence[str] = ("i", "j", "w", "jw"),
-        backends: Sequence[str] = ("serial", "thread", "process"),
         workers: int = 2,
         plan_config=None,
     ) -> list[ForceComparison]:
-        """The full plan x backend verdict matrix for one workload.
+        """The plan verdict matrix for one workload.
 
-        For every plan, the serial run is the anchor and each parallel
-        backend must reproduce it bit-for-bit; each plan's serial answer
-        is additionally compared against this oracle's reference plan
-        under the documented cross-plan tolerance.
+        For every plan, a serial run is the anchor and is compared
+        against this oracle's reference plan under the documented
+        cross-plan tolerance.  With ``workers`` above 1, the plan also
+        runs on a thread pool of that size, which must reproduce the
+        anchor bit-for-bit.
         """
         config = plan_config if plan_config is not None else self.reference.config
         ref = self.reference_accelerations(positions, masses)
         results: list[ForceComparison] = []
         for plan_name in plans:
-            serial_acc = None
-            for backend in backends:
-                n_workers = 1 if backend == "serial" else workers
-                with ExecutionEngine(backend=backend, workers=n_workers) as eng:
-                    plan = get_plan(plan_name, config, engine=eng)
-                    acc = plan.accelerations(positions, masses)
-                if serial_acc is None:
-                    serial_acc = acc
-                    tol = expected_tolerance(self.reference, plan)
-                    results.append(
-                        ForceComparison(
-                            reference=f"{self.reference.name}/serial",
-                            candidate=f"{plan_name}/serial",
-                            deviation=compare_arrays(ref, acc),
-                            tolerance=tol,
-                            meta={"axis": "plan", "n": len(masses)},
-                        )
+            with ExecutionEngine() as eng:
+                plan = get_plan(plan_name, config, engine=eng)
+                serial_acc = plan.accelerations(positions, masses)
+            results.append(
+                ForceComparison(
+                    reference=f"{self.reference.name}/serial",
+                    candidate=f"{plan_name}/serial",
+                    deviation=compare_arrays(ref, serial_acc),
+                    tolerance=expected_tolerance(self.reference, plan),
+                    meta={"axis": "plan", "n": len(masses)},
+                )
+            )
+            if workers > 1:
+                with ExecutionEngine(workers) as eng:
+                    acc = get_plan(plan_name, config, engine=eng).accelerations(
+                        positions, masses
                     )
-                else:
-                    results.append(
-                        ForceComparison(
-                            reference=f"{plan_name}/serial",
-                            candidate=f"{plan_name}/{backend}",
-                            deviation=compare_arrays(serial_acc, acc),
-                            tolerance=BIT_IDENTICAL,
-                            meta={"axis": "backend", "n": len(masses)},
-                        )
+                results.append(
+                    ForceComparison(
+                        reference=f"{plan_name}/serial",
+                        candidate=f"{plan_name}/thread",
+                        deviation=compare_arrays(serial_acc, acc),
+                        tolerance=BIT_IDENTICAL,
+                        meta={"axis": "backend", "n": len(masses)},
                     )
+                )
         obs.inc("check.comparisons_total", len(results))
         failed = sum(not r.ok for r in results)
         if failed:

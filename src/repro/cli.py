@@ -59,7 +59,6 @@ from repro.bench.experiments import EXPERIMENTS, run_experiment
 from repro.bench.workloads import PAPER_N_SWEEP, QUICK_N_SWEEP, WORKLOADS
 from repro.config import SETTINGS, configure, resolve
 from repro.errors import ConfigurationError
-from repro.exec.engine import BACKENDS
 
 __all__ = ["main", "build_parser"]
 
@@ -98,24 +97,17 @@ def _common_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="CPU workers for functional force passes (default: 1, or the "
-        "REPRO_WORKERS environment variable); results are bit-identical "
-        "to serial for any worker count",
-    )
-    common.add_argument(
-        "--exec-backend",
-        default=None,
-        choices=sorted(BACKENDS),
-        help="parallel map backend for --workers (default: the "
-        "REPRO_EXEC_BACKEND environment variable, else thread)",
+        help="CPU workers for functional force passes: 1 runs them in "
+        "order, more run them on a thread pool of that size (default: 1, "
+        "or the REPRO_WORKERS environment variable; check defaults to 2); "
+        "results are bit-identical to serial for any worker count",
     )
     common.add_argument(
         "--max-retries",
         type=int,
         default=None,
         metavar="N",
-        help="retry each failed force task up to N times (default: 0; "
-        "a dead worker pool additionally degrades process->thread->serial)",
+        help="retry each failed force task up to N times (default: 0)",
     )
     common.add_argument(
         "--trace",
@@ -438,20 +430,15 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser(
         "check",
         parents=[common],
-        help="run the differential plan x backend matrix and invariant battery",
+        help="run the differential plan matrix and invariant battery; "
+        "with --workers above 1 (default: 2) each plan's thread run must "
+        "match its serial run bit for bit",
     )
     check.add_argument(
         "--plans",
         default="i,j,w,jw",
         metavar="CSV",
         help="comma-separated plan names to verify (default: i,j,w,jw)",
-    )
-    check.add_argument(
-        "--backends",
-        default="serial,thread,process",
-        metavar="CSV",
-        help="comma-separated parallel backends each plan must reproduce "
-        "bit-identically (default: serial,thread,process)",
     )
     check.add_argument(
         "--reference",
@@ -565,12 +552,8 @@ def _add_serve_flags(parser: argparse.ArgumentParser) -> None:
         help="content-addressed result cache root (default: .repro_cache)",
     )
     parser.add_argument(
-        "--pool-backend", default="thread", choices=sorted(BACKENDS),
-        help="shared worker-pool backend (default: thread)",
-    )
-    parser.add_argument(
         "--pool-workers", type=int, default=2, metavar="N",
-        help="workers in the shared pool (default: 2)",
+        help="threads in the shared pool (default: 2)",
     )
     parser.add_argument(
         "--steps-per-slice", type=int, default=8, metavar="K",
@@ -813,7 +796,6 @@ def _make_client(args: argparse.Namespace):
         max_concurrent_jobs=args.max_concurrent,
         queue_capacity=args.queue_capacity,
         cache_dir=args.cache_dir,
-        pool_backend=args.pool_backend,
         pool_workers=args.pool_workers,
         steps_per_slice=args.steps_per_slice,
     )
@@ -991,7 +973,6 @@ def _cmd_serve_worker(
         token=args.token,
         max_concurrent_jobs=args.max_concurrent,
         queue_capacity=args.queue_capacity,
-        pool_backend=args.pool_backend,
         pool_workers=args.pool_workers,
         steps_per_slice=args.steps_per_slice,
     )
@@ -1084,8 +1065,7 @@ def _cmd_serve_gateway(
             max_concurrent_jobs=args.max_concurrent,
             queue_capacity=args.queue_capacity,
             cache_dir=args.cache_dir,
-            pool_backend=args.pool_backend,
-            pool_workers=args.pool_workers,
+                pool_workers=args.pool_workers,
             steps_per_slice=args.steps_per_slice,
         )
     gw.start()
@@ -1122,18 +1102,12 @@ def _cmd_check(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Non
     from repro.check.report import render_report, run_check
 
     plans = tuple(p.strip() for p in args.plans.split(",") if p.strip())
-    backends = tuple(b.strip() for b in args.backends.split(",") if b.strip())
     if not plans:
         parser.error("--plans must name at least one plan")
     known = set(_run_plans())
     for name in (*plans, args.reference):
         if name not in known:
             parser.error(f"unknown plan '{name}' (registered: {sorted(known)})")
-    for backend in backends:
-        if backend not in BACKENDS:
-            parser.error(
-                f"unknown backend '{backend}' (choose from {sorted(BACKENDS)})"
-            )
     if args.bless and args.golden is None:
         parser.error("--bless requires --golden DIR (nowhere to record digests)")
 
@@ -1160,7 +1134,6 @@ def _cmd_check(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Non
         dt=args.dt,
         steps=args.steps,
         plans=plans,
-        backends=backends,
         workers=args.workers or 2,
         reference=args.reference,
         golden_dir=args.golden,
@@ -1289,7 +1262,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         configure(
             workers=args.workers,
-            exec_backend=args.exec_backend,
             max_retries=args.max_retries,
             ledger_dir=None if args.command in ("top", "report") else args.ledger_dir,
             kernel_backend=args.kernel_backend,

@@ -22,8 +22,7 @@ One call configures the whole process::
 
     import repro
 
-    repro.configure(workers=4, exec_backend="process", max_retries=3,
-                    trace=True)
+    repro.configure(workers=4, max_retries=3, trace=True)
 """
 
 from __future__ import annotations
@@ -36,8 +35,6 @@ from typing import Any, Callable
 from repro import obs
 from repro.errors import ConfigurationError
 from repro.exec.engine import (
-    BACKENDS,
-    ExecConfig,
     ExecutionEngine,
     get_default_engine,
     set_default_engine,
@@ -89,12 +86,6 @@ def _text(value: Any) -> str | None:
     return "must be a non-empty string"
 
 
-def _exec_backend(value: Any) -> str | None:
-    if value in BACKENDS:
-        return None
-    return f"must be one of {', '.join(BACKENDS)}"
-
-
 def _fault_injector(value: Any) -> str | None:
     if isinstance(value, FaultInjector):
         return None
@@ -132,8 +123,6 @@ SETTINGS: dict[str, Setting] = {
     for row in (
         # The default execution engine (see engine_from_settings).
         Setting("workers", "REPRO_WORKERS", 1, _integer(1), int),
-        Setting("exec_backend", "REPRO_EXEC_BACKEND", "thread", _exec_backend),
-        Setting("chunk_size", None, None, _integer(1)),
         Setting("max_retries", None, 0, _integer(0)),
         Setting("retry_backoff_s", None, 0.0, _non_negative),
         Setting("deadline_s", None, None, _positive),
@@ -163,8 +152,7 @@ SETTINGS: dict[str, Setting] = {
 
 #: Rows the default execution engine is built from.
 _ENGINE_ROWS = frozenset(
-    ("workers", "exec_backend", "chunk_size", "max_retries",
-     "retry_backoff_s", "deadline_s", "fault_injector")
+    ("workers", "max_retries", "retry_backoff_s", "deadline_s", "fault_injector")
 )
 
 #: Values set through :func:`configure`, by row name.
@@ -199,20 +187,14 @@ def resolve(name: str, explicit: Any = None) -> Any:
 
 def engine_from_settings(values: dict[str, Any] | None = None) -> ExecutionEngine:
     """The default engine the engine rows describe; ``values`` win over
-    them.  One worker always runs serially, whatever ``exec_backend``
-    says."""
+    them."""
     values = values or {}
 
     def value(name: str) -> Any:
         return resolve(name, values.get(name))
 
-    workers = value("workers")
     return ExecutionEngine(
-        ExecConfig(
-            backend=value("exec_backend") if workers > 1 else "serial",
-            workers=workers,
-            chunk_size=value("chunk_size"),
-        ),
+        value("workers"),
         retry=RetryPolicy(
             max_retries=value("max_retries"),
             backoff_s=value("retry_backoff_s"),
@@ -238,8 +220,6 @@ def reset() -> None:
 def configure(
     *,
     workers: int | None = None,
-    exec_backend: str | None = None,
-    chunk_size: int | None = None,
     max_retries: int | None = None,
     retry_backoff_s: float | None = None,
     deadline_s: float | None = None,
@@ -266,10 +246,10 @@ def configure(
 
     Parameters
     ----------
-    workers, exec_backend, chunk_size:
+    workers:
         The default :class:`~repro.exec.ExecutionEngine` plans dispatch
         through when constructed without ``engine=``.  One worker runs
-        serially; more use ``exec_backend`` (``"thread"`` unless set).
+        serially; more run on a thread pool of that size.
     max_retries, retry_backoff_s, deadline_s:
         Per-task retry policy for the default engine (see
         :class:`~repro.exec.RetryPolicy`).

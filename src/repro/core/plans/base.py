@@ -188,9 +188,9 @@ class Plan(ABC):
     def _kernel_backend(self) -> str:
         """The resolved kernel-backend *name* for this force pass.
 
-        Resolved in the parent process (so unavailable selections warn and
-        fall back here, once) and passed to engine workers as a picklable
-        string.
+        Resolved once per pass on the dispatching thread (so unavailable
+        selections warn and fall back here, once) and passed to engine
+        tasks by name.
         """
         from repro.nbody.kernels import resolve_backend
 

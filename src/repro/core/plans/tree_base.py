@@ -130,8 +130,7 @@ def evaluate_walks(
     every segment in compiled code and hands it to the backend's
     ``sources`` kernel; any other backend maps the per-walk
     :func:`tile_loop_forces` path, the reference, over the walks.  Walks
-    are independent, so every engine backend and worker count gives
-    bit-identical rows.
+    are independent, so every worker count gives bit-identical rows.
     """
     check_lds_fit(config.device, config.wg_size * BYTES_PER_BODY)
     ids = np.arange(len(walks)) if selected is None else np.asarray(selected, np.int64)
@@ -139,8 +138,7 @@ def evaluate_walks(
     kb = resolve_backend(backend)
     task_args = dict(walks=walks, splits=splits, config=config, backend=kb.name)
     if isinstance(kb, CExtensionBackend):
-        n = engine.workers if engine.effective_backend != "serial" else 1
-        runs = _ranges(walks, ids, n)
+        runs = _ranges(walks, ids, engine.workers)
         task = partial(_compiled_walks_task, **task_args)
         results = engine.map(task, runs, label="walks.compiled")
     else:

@@ -44,7 +44,7 @@ class ExecutionError(ReproError):
 
     Raised by :class:`~repro.exec.ExecutionEngine` when a dispatch
     exceeds its deadline or a task keeps failing after every configured
-    retry and backend fallback.
+    retry.
     """
 
 

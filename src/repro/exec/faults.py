@@ -7,15 +7,14 @@ pieces the engine needs:
 
 * :class:`RetryPolicy` — how many times a failed task is retried, with
   what backoff, and how long a whole dispatch may take;
-* :class:`FaultInjector` — a *deterministic*, picklable fault source the
-  tests and CI inject into an :class:`~repro.exec.ExecutionEngine` to
-  prove the retry, backend-fallback and checkpoint-resume paths work.
+* :class:`FaultInjector` — a *deterministic* fault source the tests and
+  CI inject into an :class:`~repro.exec.ExecutionEngine` to prove the
+  retry and checkpoint-resume paths work.
 
 Determinism is the design constraint: every injected decision is a pure
-function of ``(seed, task index, attempt)`` or ``(dispatch index,
-backend)``, so the same faults fire on every backend, in every worker
-process, on every run.  A stateful injector would drift between the
-serial reference and a process pool and the bit-equality guarantees
+function of ``(seed, task index, attempt)``, so the same faults fire for
+any worker count, on every run.  A stateful injector would drift between
+the serial reference and a thread pool and the bit-equality guarantees
 could not be tested.
 """
 
@@ -30,16 +29,11 @@ __all__ = [
     "RetryPolicy",
     "FaultInjector",
     "InjectedFault",
-    "InjectedBackendDeath",
 ]
 
 
 class InjectedFault(ReproError):
     """A task failure injected by a :class:`FaultInjector` (retryable)."""
-
-
-class InjectedBackendDeath(ReproError):
-    """An injected backend death (treated like ``BrokenProcessPool``)."""
 
 
 @dataclass(frozen=True)
@@ -88,28 +82,17 @@ class FaultInjector:
     Task faults fire for explicit ``fail_tasks`` indices and/or a seeded
     pseudo-random ``task_failure_rate``; either way a given task fails
     only on its first ``fail_attempts`` attempts, so a retrying engine is
-    guaranteed to converge.  Dispatch faults (``die_on_dispatch``)
-    emulate a worker-pool death on the engine's n-th ``map`` call and
-    only fire for backends listed in ``die_backends`` — the serial
-    backend cannot die.
-
-    Instances are immutable and picklable, so the same injector rides
-    into process-pool workers unchanged.
+    guaranteed to converge.  Instances are immutable, so pool threads
+    share one injector without locking.
     """
 
     seed: int = 0
     task_failure_rate: float = 0.0
     fail_attempts: int = 1
     fail_tasks: frozenset = field(default_factory=frozenset)
-    die_on_dispatch: frozenset = field(default_factory=frozenset)
-    die_backends: frozenset = field(
-        default_factory=lambda: frozenset({"process", "thread"})
-    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "fail_tasks", frozenset(self.fail_tasks))
-        object.__setattr__(self, "die_on_dispatch", frozenset(self.die_on_dispatch))
-        object.__setattr__(self, "die_backends", frozenset(self.die_backends))
         if not 0.0 <= self.task_failure_rate <= 1.0:
             raise ConfigurationError(
                 f"task_failure_rate must be in [0, 1], got {self.task_failure_rate}"
@@ -133,21 +116,10 @@ class FaultInjector:
             return draw < self.task_failure_rate
         return False
 
-    def dispatch_fault(self, dispatch: int, backend: str) -> bool:
-        """Whether ``map`` call ``dispatch`` on ``backend`` should die."""
-        return backend in self.die_backends and dispatch in self.die_on_dispatch
-
     # ------------------------------------------------------------------
     def maybe_fail_task(self, task: int, attempt: int) -> None:
         """Raise :class:`InjectedFault` when the task fault fires."""
         if self.task_fault(task, attempt):
             raise InjectedFault(
                 f"injected fault: task {task}, attempt {attempt}"
-            )
-
-    def maybe_kill_dispatch(self, dispatch: int, backend: str) -> None:
-        """Raise :class:`InjectedBackendDeath` when the dispatch fault fires."""
-        if self.dispatch_fault(dispatch, backend):
-            raise InjectedBackendDeath(
-                f"injected backend death: dispatch {dispatch} on '{backend}'"
             )

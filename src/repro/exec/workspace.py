@@ -29,8 +29,7 @@ from __future__ import annotations
 import math
 import threading
 import weakref
-from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -40,20 +39,14 @@ __all__ = [
     "reset_local_workspace",
     "total_workspace_bytes",
     "workspace_stats",
-    "uncached",
 ]
 
 #: Live workspaces, for the ``workspace_bytes`` gauge.  Weak so that
-#: short-lived workspaces (``uncached`` mode, tests) do not pin memory.
+#: short-lived workspaces (tests) do not pin memory.
 _REGISTRY: "weakref.WeakSet[Workspace]" = weakref.WeakSet()
 _REGISTRY_LOCK = threading.Lock()
 
 _tls = threading.local()
-
-#: When true, :func:`local_workspace` returns a fresh unregistered
-#: workspace per call — restoring the old allocate-every-pass behaviour
-#: for A/B benchmarking and for tests that need pristine buffers.
-_uncached = False
 
 
 class Workspace:
@@ -157,8 +150,6 @@ class Workspace:
 
 def local_workspace() -> Workspace:
     """The calling thread's workspace (created on first use)."""
-    if _uncached:
-        return Workspace(name="uncached", register=False)
     ws = getattr(_tls, "ws", None)
     if ws is None:
         ws = Workspace(name=f"ws/{threading.current_thread().name}")
@@ -169,22 +160,6 @@ def local_workspace() -> Workspace:
 def reset_local_workspace() -> None:
     """Drop the calling thread's workspace (a fresh one forms on next use)."""
     _tls.ws = None
-
-
-@contextmanager
-def uncached() -> Iterator[None]:
-    """Scope in which :func:`local_workspace` allocates fresh every call.
-
-    Restores the pre-workspace allocation behaviour — the serial baseline
-    the BENCH artifacts compare against.
-    """
-    global _uncached
-    prior = _uncached
-    _uncached = True
-    try:
-        yield
-    finally:
-        _uncached = prior
 
 
 # ---------------------------------------------------------------------------

@@ -35,9 +35,7 @@ The run-runtime and fault-tolerance layers report through here too:
 ``repro.runtime`` emits ``runtime.run`` / ``runtime.checkpoint`` spans, a
 ``runtime.resume`` instant and the ``checkpoints_total`` counter;
 ``repro.exec`` adds ``exec.retry`` spans with ``task_retries_total`` for
-recovered task failures, and ``exec.fallback`` spans with
-``exec_fallbacks_total`` when a dying pool backend degrades along
-process → thread → serial.
+recovered task failures.
 """
 
 from __future__ import annotations

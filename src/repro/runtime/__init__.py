@@ -12,8 +12,7 @@ production N-body codes (Bonsai's periodic snapshot + restart loop):
   with an atomically updated checkpoint index over
   :mod:`repro.nbody.io` snapshots.
 
-Failure handling *within* a run (task retry, backend fallback, fault
-injection) lives in :mod:`repro.exec`; the relevant types are re-exported
+Failure handling *within* a run (task retry, fault injection) lives in :mod:`repro.exec`; the relevant types are re-exported
 here because checkpointing and retry are configured together.
 """
 

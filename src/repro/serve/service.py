@@ -11,8 +11,8 @@ step-sliced by the :class:`~repro.serve.Scheduler` over one shared
 Fault domains are per job: each job gets its own
 :class:`~repro.exec.ExecutionEngine` (vended from the shared pool) with
 its own retry policy and fault injector, so an injected or real failure
-degrades or kills *that* job while siblings keep their pool and their
-bit-identical results.
+is retried in, or fails, *that* job while siblings keep their pool and
+their bit-identical results.
 
 Observability: every submission bumps ``serve.jobs_total``; cache
 answers bump ``serve.cache_hits_total``; coalesced submissions bump
@@ -244,7 +244,7 @@ class _Job:
         if self.service.ledger is not None and self.run_id is not None:
             self.service.ledger.record_started(
                 self.run_id,
-                backend=self.engine.backend,
+                backend=self.engine.effective_backend,
                 checkpoint_dir=str(run_dir),
             )
         self.service._note_dequeued()
@@ -368,7 +368,6 @@ class JobService:
         queue_capacity: int | None = None,
         cache_dir: str | Path | None = None,
         pool: EnginePool | None = None,
-        pool_backend: str = "thread",
         pool_workers: int = 2,
         runner_threads: int | None = None,
         steps_per_slice: int = 8,
@@ -401,7 +400,7 @@ class JobService:
             age_max_boost=age_max_boost,
         )
         self._own_pool = pool is None
-        self.pool = pool or EnginePool(backend=pool_backend, workers=pool_workers)
+        self.pool = pool or EnginePool(workers=pool_workers)
         #: service-wide verification default (per-submit ``verify`` wins)
         self.verify = verify
         #: durable run ledger (None when ledgering is off); resolved with

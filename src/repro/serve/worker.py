@@ -1,7 +1,7 @@
 """A worker shard: one in-process job service fed from a coordinator.
 
 Each worker wraps today's :class:`~repro.serve.JobService` — scheduler,
-engine pool, retry/fallback machinery, result cache, ledger — and adds a
+engine pool, retry machinery, result cache, ledger — and adds a
 thin pull loop: ask the coordinator for the ``next`` job whenever local
 capacity allows, submit it to the service, report ``done`` (or the
 failure) when the handle resolves.  A worker *is* the fault domain: its

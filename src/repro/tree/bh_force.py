@@ -100,9 +100,9 @@ def accelerations_from_walks(
     :func:`repro.tree.walks.generate_walks` guarantees).  Walk evaluation
     fans out across ``engine`` (default: the process-global engine); walk
     blocks are written back in fixed walk order, so the result is
-    bit-identical for every engine backend and worker count (within one
-    *kernel* backend — ``backend`` selects it, resolved here once so
-    fallback happens in the parent, and passed to workers by name).
+    bit-identical for every worker count (within one *kernel* backend —
+    ``backend`` selects it, resolved here once so an unavailable one
+    falls back once, and passed to the tasks by name).
     """
     tree = walks.tree
     eng = engine if engine is not None else get_default_engine()

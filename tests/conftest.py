@@ -24,11 +24,11 @@ def _clean_settings(monkeypatch):
     """Every test starts from the settings table's defaults and leaves no
     ``repro.configure`` value behind.
 
-    The engine rows' variables stay: CI runs the whole suite a second
-    time with ``REPRO_WORKERS=2 REPRO_EXEC_BACKEND=thread``.
+    ``REPRO_WORKERS`` stays: CI runs the whole suite a second time with
+    ``REPRO_WORKERS=2``.
     """
     for row in SETTINGS.values():
-        if row.env not in (None, "REPRO_WORKERS", "REPRO_EXEC_BACKEND"):
+        if row.env not in (None, "REPRO_WORKERS"):
             monkeypatch.delenv(row.env, raising=False)
     yield
     reset()

@@ -145,10 +145,10 @@ class TestUnifiedConfigure:
     def test_configure_builds_default_engine(self):
         from repro.exec import get_default_engine
 
-        engine = repro.configure(workers=2, exec_backend="thread")
+        engine = repro.configure(workers=2)
         assert get_default_engine() is engine
         assert engine.workers == 2
-        assert engine.backend == "thread"
+        assert engine.effective_backend == "thread"
 
     def test_configure_sets_retry_policy(self):
         engine = repro.configure(workers=1, max_retries=3)
@@ -176,7 +176,7 @@ class TestUnifiedConfigure:
         engine = get_default_engine()
         before = {name: resolve(name) for name in SETTINGS}
         for bad in (
-            dict(workers=2, exec_backend="thread", queue_capacity=-1),
+            dict(workers=2, queue_capacity=-1),
             dict(ledger_dir=str(tmp_path), kernel_backend="nope"),
             dict(ledger_dir=""),
             dict(max_retries=3, trace=True, tenant=""),
@@ -188,9 +188,9 @@ class TestUnifiedConfigure:
         assert not obs.enabled
 
     def test_engine_keywords_keep_the_other_engine_rows(self):
-        repro.configure(workers=2, exec_backend="thread")
+        repro.configure(workers=2)
         engine = repro.configure(max_retries=3)
-        assert (engine.workers, engine.backend) == (2, "thread")
+        assert (engine.workers, engine.effective_backend) == (2, "thread")
         assert engine.retry.max_retries == 3
 
     def test_takes_a_keyword_per_settable_row(self):
@@ -264,3 +264,40 @@ class TestPlanRegistryConsistency:
 
         res = run_experiment("abl-queue", n=2048)
         assert res.exp_id == "abl-queue"
+
+
+class TestBenchmarkHooks:
+    """Every attribute ``e2ebench/spans.py`` shims exists where it looks.
+
+    The end-to-end benchmark times layers by replacing callables on
+    their owners; a renamed or moved hook would otherwise surface only
+    when the benchmark itself runs.
+    """
+
+    @staticmethod
+    def _spans():
+        import importlib.util
+
+        path = Path(__file__).parents[1] / "e2ebench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("e2ebench_spans", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_every_target_is_defined_on_its_owner(self):
+        spans = self._spans()
+        for module_name, owner_name, attr, span in (
+            spans.SIM_TARGETS + spans.SERVE_TARGETS
+        ):
+            module = importlib.import_module(module_name)
+            owner = module if owner_name is None else getattr(module, owner_name)
+            where = f"{module_name}:{owner_name or ''}.{attr} ({span})"
+            assert attr in vars(owner), f"hook {where} is not defined there"
+            assert callable(vars(owner)[attr]), f"hook {where} is not callable"
+
+    def test_engine_reports_serial_or_thread(self):
+        from repro.exec import ExecutionEngine
+
+        assert isinstance(vars(ExecutionEngine)["effective_backend"], property)
+        assert ExecutionEngine().effective_backend == "serial"
+        assert ExecutionEngine(2).effective_backend == "thread"

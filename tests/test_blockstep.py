@@ -510,7 +510,7 @@ class TestCheckCli:
             main([
                 "check", "--workload", "plummer", "--n", "128",
                 "--plans", "block-i", "--reference", "i",
-                "--backends", "serial", "--kernel-backends", "",
+                "--workers", "1", "--kernel-backends", "",
                 "--dt", "4e-3", "--steps", "16", "--json", str(out),
             ])
         assert exc.value.code == 1
@@ -533,7 +533,7 @@ class TestCheckCli:
         assert main([
             "check", "--workload", "plummer", "--n", "128",
             "--plans", "block-i,block-jw", "--reference", "i",
-            "--backends", "serial", "--kernel-backends", "",
+            "--workers", "1", "--kernel-backends", "",
             "--dt", "4e-3", "--steps", "16", "--json", str(out),
         ]) in (0, None)
         report = json.loads(out.read_text())

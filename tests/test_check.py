@@ -180,29 +180,26 @@ class TestDifferentialOracle:
         assert doc["tolerance"]["name"] == "pp-cross-plan"
 
     @pytest.mark.slow
-    @pytest.mark.process_backend
     def test_full_matrix_plans_by_backends(self, bodies, config):
-        """The PR's determinism matrix: serial/thread/process x i/j/w/jw.
+        """The determinism matrix: serial and two threads x i/j/w/jw.
 
-        Every parallel backend must be bit-identical to its plan's serial
-        run; every plan must sit within its documented tolerance of the
+        Every thread run must be bit-identical to its plan's serial run;
+        every plan must sit within its documented tolerance of the
         reference plan.  This is the test-suite twin of
         ``repro-nbody check``.
         """
         pos, mass = bodies
         oracle = DifferentialOracle("i", config)
         results = oracle.matrix(
-            pos,
-            mass,
-            plans=("i", "j", "w", "jw"),
-            backends=("serial", "thread", "process"),
-            workers=2,
+            pos, mass, plans=("i", "j", "w", "jw"), workers=2
         )
-        assert len(results) == 12  # 4 plans x (1 cross-plan + 2 backends)
+        assert len(results) == 8  # 4 plans x (1 cross-plan + 1 thread)
         failures = [c for c in results if not c.ok]
         assert not failures, "\n".join(str(c) for c in failures)
         backend_rows = [c for c in results if c.meta.get("axis") == "backend"]
-        assert len(backend_rows) == 8
+        assert [c.candidate for c in backend_rows] == [
+            "i/thread", "j/thread", "w/thread", "jw/thread"
+        ]
         assert all(c.deviation.bit_identical for c in backend_rows)
 
 
@@ -578,12 +575,9 @@ class TestServeVerification:
 # ---------------------------------------------------------------------------
 
 class TestGuardAcrossBackends:
-    @pytest.mark.parametrize(
-        "backend",
-        ["thread", pytest.param("process", marks=pytest.mark.process_backend)],
-    )
-    def test_guarded_session_on_parallel_backend(self, tmp_path, backend):
-        with ExecutionEngine(backend=backend, workers=2) as engine:
+    @pytest.mark.parametrize("workers", [2], ids=["thread"])
+    def test_guarded_session_on_parallel_backend(self, tmp_path, workers):
+        with ExecutionEngine(workers) as engine:
             session = RunSession(
                 make_sim(engine=engine, n=64),
                 tmp_path / "run",

@@ -173,7 +173,7 @@ class TestFlagValidation:
             "--max-retries", "1",
         ]) == 0
         engine = get_default_engine()
-        assert engine.workers == 2 and engine.backend != "serial"
+        assert engine.workers == 2 and engine.effective_backend == "thread"
         assert engine.retry.max_retries == 1
 
 
@@ -283,7 +283,6 @@ class TestCheckCommand:
                 "check",
                 "--n", "48",
                 "--plans", "i,jw",
-                "--backends", "serial,thread",
                 "--steps", "4",
                 *extra,
             ]
@@ -298,9 +297,32 @@ class TestCheckCommand:
         doc = json.loads(report_path.read_text())
         assert doc["ok"] is True
         assert doc["matrix_ok"] and doc["invariants_ok"]
-        # 2 plans x (1 cross-plan row + 1 parallel backend row)
+        # 2 plans x (1 cross-plan row + 1 thread row); check's default
+        # worker count is 2
         assert len(doc["matrix"]) == 4
         assert {row["plan"] for row in doc["invariants"]} == {"i", "jw"}
+
+    def test_matrix_rows_follow_workers(self, tmp_path):
+        rows = {}
+        for workers in ("1", "2"):
+            path = tmp_path / f"workers{workers}.json"
+            assert self._run_check("--workers", workers, "--json", str(path)) == 0
+            doc = json.loads(path.read_text())
+            assert doc["workers"] == int(workers)
+            rows[workers] = [
+                (r["candidate"], r["reference"], r["meta"]["axis"])
+                for r in doc["matrix"]
+            ]
+        assert rows["1"] == [
+            ("i/serial", "i/serial", "plan"),
+            ("jw/serial", "i/serial", "plan"),
+        ]
+        assert rows["2"] == [
+            ("i/serial", "i/serial", "plan"),
+            ("i/thread", "i/serial", "backend"),
+            ("jw/serial", "i/serial", "plan"),
+            ("jw/thread", "jw/serial", "backend"),
+        ]
 
     def test_check_golden_bless_then_verify(self, tmp_path, capsys):
         golden = tmp_path / "golden"
@@ -320,7 +342,7 @@ class TestCheckCommand:
                     "check",
                     "--n", "48",
                     "--plans", "i,jw",
-                    "--backends", "serial",
+                    "--workers", "1",
                     "--steps", "4",
                     "--seed", "1",
                     "--golden", str(golden),
@@ -336,9 +358,11 @@ class TestCheckCommand:
         assert "unknown plan" in capsys.readouterr().err
 
     def test_unknown_backend_rejected(self, capsys):
+        # The worker count picks the engine; there is no backend flag.
         with pytest.raises(SystemExit) as exc:
             main(["check", "--backends", "serial,gpu"])
         assert exc.value.code == 2
+        assert "unrecognized arguments: --backends" in capsys.readouterr().err
 
     def test_bless_requires_golden(self, capsys):
         with pytest.raises(SystemExit) as exc:

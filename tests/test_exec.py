@@ -4,8 +4,8 @@ Covers the three contracts the execution layer makes:
 
 1. the workspace pool hands out reused storage and does not grow in
    steady state;
-2. ``ExecutionEngine.map`` returns results in fixed index order on every
-   backend, so parallel force passes are **bit-identical** to serial;
+2. ``ExecutionEngine.map`` returns results in fixed index order for any
+   worker count, so parallel force passes are **bit-identical** to serial;
 3. dispatches are observable (``exec.dispatch`` / ``exec.worker`` spans,
    ``tasks_total`` counter, ``workspace_bytes`` gauge).
 
@@ -23,14 +23,12 @@ from repro.core.plans import PlanConfig, plan_by_name
 from repro.core.simulation import Simulation
 from repro.errors import ConfigurationError
 from repro.exec import (
-    BACKENDS,
-    ExecConfig,
+    EnginePool,
     ExecutionEngine,
     Workspace,
     get_default_engine,
     local_workspace,
     total_workspace_bytes,
-    uncached,
 )
 from repro.nbody.forces import accelerations_from_sources, direct_forces
 from repro.nbody.ic import plummer
@@ -114,13 +112,6 @@ class TestWorkspace:
         t.join()
         assert seen[0] is not ws
 
-    def test_uncached_returns_fresh_workspaces(self):
-        with uncached():
-            a = local_workspace()
-            b = local_workspace()
-        assert a is not b
-        assert local_workspace() is local_workspace()
-
     def test_total_workspace_bytes_counts_registered(self):
         before = total_workspace_bytes()
         ws = Workspace(name="counted")
@@ -140,21 +131,17 @@ def _square(x):
 class TestEngine:
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
-            ExecConfig(backend="cuda")
+            ExecutionEngine(0)
         with pytest.raises(ConfigurationError):
-            ExecConfig(workers=0)
-        with pytest.raises(ConfigurationError):
-            ExecConfig(chunk_size=0)
-        with pytest.raises(ConfigurationError):
-            ExecutionEngine(ExecConfig(), workers=2)
+            EnginePool(workers=0)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_map_preserves_order(self, backend):
-        with ExecutionEngine(backend=backend, workers=2) as eng:
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "thread"])
+    def test_map_preserves_order(self, workers):
+        with ExecutionEngine(workers) as eng:
             assert eng.map(_square, range(20)) == [i * i for i in range(20)]
 
     def test_serial_fallback_for_single_task(self):
-        with ExecutionEngine(backend="thread", workers=2) as eng:
+        with ExecutionEngine(2) as eng:
             assert eng.map(_square, [3]) == [9]
 
     def test_counters_accumulate(self):
@@ -170,17 +157,17 @@ class TestEngine:
     def test_default_engine_configure_roundtrip(self):
         import repro
 
-        eng = repro.configure(workers=2, exec_backend="thread")
+        eng = repro.configure(workers=2)
         assert get_default_engine() is eng
         assert eng.workers == 2
-        assert eng.backend == "thread"
+        assert eng.effective_backend == "thread"
         serial = repro.configure(workers=1)
-        assert serial.backend == "serial"
+        assert serial.effective_backend == "serial"
 
     def test_map_emits_spans_and_metrics(self):
         obs.enable(reset=True)
         try:
-            with ExecutionEngine(backend="thread", workers=2) as eng:
+            with ExecutionEngine(2) as eng:
                 eng.map(_square, range(4), label="unit")
             spans = {s.name for s in obs.tracer().spans}
             assert "exec.dispatch" in spans
@@ -203,25 +190,16 @@ class TestEngine:
 
 class TestBitEquality:
     @pytest.mark.parametrize("plan_name", PLANS)
-    @pytest.mark.parametrize(
-        "backend,workers",
-        [
-            ("thread", 2),
-            ("thread", 3),
-            pytest.param("process", 2, marks=pytest.mark.process_backend),
-        ],
-    )
-    def test_parallel_matches_serial_bitwise(
-        self, bodies, plan_name, backend, workers
-    ):
+    @pytest.mark.parametrize("workers", [2, 3], ids=["thread-2", "thread-3"])
+    def test_parallel_matches_serial_bitwise(self, bodies, plan_name, workers):
         pos, mass = bodies
         cfg = PlanConfig(softening=EPS)
         ref = plan_by_name(plan_name, cfg).accelerations(pos, mass)
-        with ExecutionEngine(backend=backend, workers=workers) as eng:
+        with ExecutionEngine(workers) as eng:
             acc = plan_by_name(plan_name, cfg, engine=eng).accelerations(pos, mass)
         assert acc.dtype == ref.dtype
         assert_bit_identical(
-            ref, acc, context=f"plan {plan_name} on {backend}x{workers}"
+            ref, acc, context=f"plan {plan_name} on {workers} threads"
         )
 
     @pytest.mark.parametrize("plan_name", PLANS)
@@ -336,17 +314,3 @@ class TestOutValidation:
         assert res is out
         assert np.any(out != 0.0)
 
-
-# ---------------------------------------------------------------------------
-# force_pass_bench smoke (tiny N)
-# ---------------------------------------------------------------------------
-
-def test_force_pass_bench_smoke():
-    from repro.bench.runner import force_pass_bench
-
-    rec = force_pass_bench("jw", 256, workers=2, backend="thread", repeats=1)
-    assert rec["bit_identical"] is True
-    assert rec["uncached_seconds"] > 0
-    assert rec["serial_seconds"] > 0
-    assert rec["parallel_seconds"] > 0
-    assert rec["steady_state_allocations"] == 0

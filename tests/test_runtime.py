@@ -5,22 +5,21 @@ The contracts under test:
 1. a run interrupted between checkpoints resumes via ``RunSession.resume``
    and finishes **bit-identical** to an uninterrupted run (positions,
    velocities, time, record totals) — including when resumed onto a
-   different execution backend;
-2. per-task retry, dispatch deadline, and backend fallback in
-   ``ExecutionEngine`` each recover deterministically under an injected
-   fault, observably (spans + counters);
+   different worker count;
+2. per-task retry and the dispatch deadline in ``ExecutionEngine`` each
+   recover deterministically under an injected fault, observably
+   (spans + counters);
 3. the checkpoint format is crash-safe: unlisted checkpoint directories
    are ignored, manifests are atomically replaced.
 """
 
 import json
-import warnings
 
 import pytest
 
 from repro import obs
 from repro.check import assert_bit_identical
-from repro.core.plans import PlanConfig, plan_by_name
+from repro.core.plans import PlanConfig
 from repro.core.simulation import SimulationRecord
 from repro.errors import (
     CheckpointError,
@@ -73,12 +72,9 @@ class TestRunSession:
         )
         assert resumed.complete
 
-    @pytest.mark.parametrize(
-        "backend",
-        ["thread", pytest.param("process", marks=pytest.mark.process_backend)],
-    )
+    @pytest.mark.parametrize("workers", [2], ids=["thread"])
     def test_resume_onto_parallel_backend_stays_bit_identical(
-        self, tmp_path, backend
+        self, tmp_path, workers
     ):
         ref = make_sim()
         ref.run(8)
@@ -87,18 +83,18 @@ class TestRunSession:
         with pytest.raises(Interrupt):
             session.run(8, callback=interrupt_at(5))
 
-        with ExecutionEngine(backend=backend, workers=2) as engine:
+        with ExecutionEngine(workers) as engine:
             resumed = RunSession.resume(tmp_path / "run", engine=engine)
             resumed.run()
         assert_bit_identical(
             ref.particles.positions,
             resumed.simulation.particles.positions,
-            context=f"resume onto {backend}: positions",
+            context=f"resume onto {workers} threads: positions",
         )
         assert_bit_identical(
             ref.particles.velocities,
             resumed.simulation.particles.velocities,
-            context=f"resume onto {backend}: velocities",
+            context=f"resume onto {workers} threads: velocities",
         )
 
     def test_uninterrupted_session_matches_plain_run(self, tmp_path):
@@ -241,14 +237,10 @@ class TestRetry:
         with pytest.raises(InjectedFault):
             eng.map(_square, range(6))
 
-    @pytest.mark.parametrize(
-        "backend",
-        ["thread", pytest.param("process", marks=pytest.mark.process_backend)],
-    )
-    def test_parallel_retry_recovers(self, backend):
+    @pytest.mark.parametrize("workers", [2], ids=["thread"])
+    def test_parallel_retry_recovers(self, workers):
         with ExecutionEngine(
-            backend=backend,
-            workers=2,
+            workers,
             retry=RetryPolicy(max_retries=2),
             fault_injector=FaultInjector(fail_tasks=[0, 5]),
         ) as eng:
@@ -302,125 +294,38 @@ class TestRetry:
             FaultInjector(task_failure_rate=1.5)
 
 
-class TestFallback:
-    def test_thread_death_falls_back_to_serial(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with ExecutionEngine(
-                backend="thread",
-                workers=2,
-                fault_injector=FaultInjector(
-                    die_on_dispatch=[0], die_backends=["thread"]
-                ),
-            ) as eng:
-                assert eng.map(_square, range(8)) == [i * i for i in range(8)]
-                assert eng.fallbacks == [("thread", "serial")]
-                assert eng.effective_backend == "serial"
-                # degradation is sticky: later maps stay serial
-                assert eng.map(_square, range(8)) == [i * i for i in range(8)]
-                assert eng.describe()["effective_backend"] == "serial"
-
-    def test_process_death_degrades_down_the_chain(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with ExecutionEngine(
-                backend="process",
-                workers=2,
-                fault_injector=FaultInjector(die_on_dispatch=[0]),
-            ) as eng:
-                assert eng.map(_square, range(8)) == [i * i for i in range(8)]
-                assert eng.fallbacks == [
-                    ("process", "thread"),
-                    ("thread", "serial"),
-                ]
-
-    def test_fallback_emits_span_and_counter(self):
-        obs.enable(reset=True)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                with ExecutionEngine(
-                    backend="thread",
-                    workers=2,
-                    fault_injector=FaultInjector(
-                        die_on_dispatch=[0], die_backends=["thread"]
-                    ),
-                ) as eng:
-                    eng.map(_square, range(8))
-            spans = [s for s in obs.tracer().spans if s.name == "exec.fallback"]
-            assert len(spans) == 1
-            assert spans[0].attrs["from_backend"] == "thread"
-            assert spans[0].attrs["to_backend"] == "serial"
-            snap = obs.metrics().snapshot()
-            assert snap["exec_fallbacks_total"]["value"] == 1
-        finally:
-            obs.disable()
-
-    def test_results_bit_identical_across_fallback(self, plummer_small):
-        """A force pass that survives a backend death matches serial exactly."""
-        cfg = PlanConfig(softening=EPS)
-        ref = plan_by_name("j", cfg).accelerations(
-            plummer_small.positions, plummer_small.masses
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with ExecutionEngine(
-                backend="thread",
-                workers=2,
-                fault_injector=FaultInjector(
-                    die_on_dispatch=[0], die_backends=["thread"]
-                ),
-            ) as eng:
-                acc = plan_by_name("j", cfg, engine=eng).accelerations(
-                    plummer_small.positions, plummer_small.masses
-                )
-        assert_bit_identical(ref, acc, context="force pass across fallback")
-
-    def test_serial_backend_cannot_die(self):
-        eng = ExecutionEngine(
-            fault_injector=FaultInjector(die_on_dispatch=[0, 1, 2])
-        )
-        assert eng.map(_square, range(4)) == [0, 1, 4, 9]
-        assert eng.fallbacks == []
-
-
 # ---------------------------------------------------------------------------
 # End-to-end: faults during a checkpointed run
 # ---------------------------------------------------------------------------
 
 class TestFaultsEndToEnd:
     def test_interrupt_retry_fallback_resume_bit_identical(self, tmp_path):
-        """The full gauntlet: task faults + a backend death + an interrupt,
-        then resume — final state matches a clean serial run bit for bit.
+        """The full gauntlet on two threads: seeded task faults retried,
+        an interrupt, then resume — final state matches a clean serial run
+        bit for bit.
 
         ``wg_size=32`` gives each force pass several i-block tasks, so
-        dispatches really run parallel and the injected death can fire.
+        dispatches really run parallel.
         """
         ref = make_sim(wg_size=32)
         ref.run(9)
 
-        injector = FaultInjector(
-            seed=1, task_failure_rate=0.1, die_on_dispatch=[2],
-            die_backends=["thread"],
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with ExecutionEngine(
-                backend="thread", workers=2,
-                retry=RetryPolicy(max_retries=3), fault_injector=injector,
-            ) as engine:
-                session = RunSession(
-                    make_sim(engine=engine, wg_size=32),
-                    tmp_path / "run",
-                    checkpoint_every=3,
-                )
-                with pytest.raises(Interrupt):
-                    session.run(9, callback=interrupt_at(5))
-                assert engine.fallbacks == [("thread", "serial")]
+        injector = FaultInjector(seed=1, task_failure_rate=0.1)
+        with ExecutionEngine(
+            2, retry=RetryPolicy(max_retries=3), fault_injector=injector,
+        ) as engine:
+            session = RunSession(
+                make_sim(engine=engine, wg_size=32),
+                tmp_path / "run",
+                checkpoint_every=3,
+            )
+            with pytest.raises(Interrupt):
+                session.run(9, callback=interrupt_at(5))
+            assert engine.retries_total > 0
 
-            resumed = RunSession.resume(tmp_path / "run")
-            assert resumed.simulation.record.steps == 3
-            resumed.run()
+        resumed = RunSession.resume(tmp_path / "run")
+        assert resumed.simulation.record.steps == 3
+        resumed.run()
 
         assert_bit_identical(
             ref.particles.positions,

@@ -419,17 +419,8 @@ class TestJobService:
         pos, _, _ = solo_state(spec)
         assert_bit_identical(pos, result.positions)
 
-    def test_process_pool_backend(self, tmp_path):
-        spec = small_spec()
-        pos, _, _ = solo_state(spec)
-        with connect(
-            None, cache_dir=tmp_path, pool_backend="process", pool_workers=2
-        ) as client:
-            result = client.run(spec)
-        assert_bit_identical(pos, result.positions)
-
     def test_shared_pool_injection_left_open(self, tmp_path):
-        with EnginePool(backend="thread", workers=2) as pool:
+        with EnginePool(workers=2) as pool:
             svc = JobService(cache_dir=tmp_path, pool=pool)
             svc.run(small_spec())
             svc.close()

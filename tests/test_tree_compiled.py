@@ -334,7 +334,7 @@ class TestEvaluator:
         serial, _ = evaluate_walks(
             walks, splits, config=cfg, engine=ExecutionEngine(), backend="cext"
         )
-        with ExecutionEngine(backend="thread", workers=2) as engine:
+        with ExecutionEngine(2) as engine:
             tasks = engine.tasks_total
             threaded, _ = evaluate_walks(
                 walks, splits, config=cfg, engine=engine, backend="cext"
