@@ -8,18 +8,12 @@ exercised by the test suite and the accuracy experiments.
 
 from __future__ import annotations
 
-import json
-import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Iterable, Sequence
-
-import numpy as np
 
 from repro import obs
 from repro.bench.workloads import make_workload
 from repro.core.plans import PlanConfig, plan_by_name
-from repro.exec import get_default_engine, workspace_stats
 from repro.nbody.flops import FLOPS_PER_INTERACTION_RSQRT
 from repro.perfmodel.metrics import gflops_rate
 
@@ -27,8 +21,6 @@ __all__ = [
     "SweepRow",
     "run_sweep",
     "run_plan_point",
-    "bench_summary",
-    "write_bench_summary",
 ]
 
 #: Steps per run in the paper's tables ("100 步").
@@ -150,66 +142,3 @@ def run_sweep(
                     )
                 )
     return rows
-
-
-# ---------------------------------------------------------------------------
-# Machine-readable benchmark summaries (the cross-PR perf trajectory)
-# ---------------------------------------------------------------------------
-
-def bench_summary(
-    rows: Sequence[SweepRow],
-    *,
-    experiment: str,
-    wall_seconds: float | None = None,
-) -> dict[str, Any]:
-    """A JSON-serialisable summary of a sweep: the perf-trajectory record.
-
-    Captures per-(plan, N) simulated GFLOPS and seconds so future PRs can
-    diff performance against this one (see ``BENCH_PR1.json`` at the repo
-    root).  Also records the execution-engine configuration and
-    workspace-pool allocation stats the sweep ran under.
-    """
-    engine = get_default_engine()
-    return {
-        "schema": 2,
-        "experiment": experiment,
-        "n_values": sorted({r.n_bodies for r in rows}),
-        "plans": sorted({r.plan for r in rows}),
-        "n_steps": rows[0].n_steps if rows else 0,
-        "wall_seconds": wall_seconds,
-        "exec": engine.describe(),
-        "workspaces": workspace_stats(),
-        "points": [
-            {
-                "plan": r.plan,
-                "n_bodies": r.n_bodies,
-                "kernel_seconds": r.kernel_seconds,
-                "host_seconds": r.host_seconds,
-                "transfer_seconds": r.transfer_seconds,
-                "total_seconds": r.total_seconds,
-                "interactions": r.interactions,
-                "kernel_gflops": r.kernel_gflops,
-                "effective_gflops": r.effective_gflops,
-            }
-            for r in rows
-        ],
-    }
-
-
-def write_bench_summary(
-    path: str | Path,
-    plan_names: Sequence[str],
-    n_values: Iterable[int],
-    *,
-    experiment: str,
-    workload: str = "plummer",
-    n_steps: int = PAPER_N_STEPS,
-) -> Path:
-    """Run a sweep, time it, and write its :func:`bench_summary` to ``path``."""
-    t0 = time.perf_counter()
-    rows = run_sweep(plan_names, n_values, workload=workload, n_steps=n_steps)
-    wall = time.perf_counter() - t0
-    path = Path(path)
-    summary = bench_summary(rows, experiment=experiment, wall_seconds=wall)
-    path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
-    return path

@@ -246,9 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--steps",
         type=int,
-        default=None,
-        help="total leapfrog steps to reach (default: 100; with --resume, "
-        "the manifest's recorded target)",
+        default=100,
+        help="total leapfrog steps to reach (default: 100)",
     )
     run.add_argument(
         "--checkpoint-every",
@@ -262,13 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="run_out",
         metavar="DIR",
         help="run directory for manifest + checkpoints (default: run_out)",
-    )
-    run.add_argument(
-        "--resume",
-        default=None,
-        metavar="DIR",
-        help="resume the run in DIR instead of starting fresh "
-        "(workload/plan flags are then taken from its manifest)",
     )
 
     resume = sub.add_parser(
@@ -749,16 +741,10 @@ def _cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     from repro.core.simulation import Simulation
     from repro.runtime import RunSession
 
-    if args.resume is not None:
-        session = RunSession.resume(args.resume)
-        session.run(args.steps)
-    else:
-        particles = make_workload(args.workload, args.n, seed=args.seed)
-        sim = Simulation(particles, plan_by_name(args.plan), dt=args.dt)
-        session = RunSession(
-            sim, args.out, checkpoint_every=args.checkpoint_every
-        )
-        session.run(args.steps if args.steps is not None else 100)
+    particles = make_workload(args.workload, args.n, seed=args.seed)
+    sim = Simulation(particles, plan_by_name(args.plan), dt=args.dt)
+    session = RunSession(sim, args.out, checkpoint_every=args.checkpoint_every)
+    session.run(args.steps)
     _print_run_summary(session)
 
 

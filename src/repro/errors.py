@@ -98,7 +98,7 @@ class VerificationError(ReproError):
 class AdmissionError(ServeError):
     """The job queue refused a submission.
 
-    Backpressure signal from :class:`~repro.serve.JobQueue`: the queue is
+    Backpressure signal from :class:`~repro.serve.FairJobQueue`: the queue is
     at ``queue_capacity`` and the service is configured to reject rather
     than block.  Resubmit after draining or raise the capacity via
     ``repro.configure(queue_capacity=...)``.

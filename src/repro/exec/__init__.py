@@ -46,7 +46,6 @@ from repro.exec.workspace import (
     local_workspace,
     reset_local_workspace,
     total_workspace_bytes,
-    workspace_stats,
 )
 
 __all__ = [
@@ -61,5 +60,4 @@ __all__ = [
     "local_workspace",
     "reset_local_workspace",
     "total_workspace_bytes",
-    "workspace_stats",
 ]

@@ -38,7 +38,6 @@ __all__ = [
     "local_workspace",
     "reset_local_workspace",
     "total_workspace_bytes",
-    "workspace_stats",
 ]
 
 #: Live workspaces, for the ``workspace_bytes`` gauge.  Weak so that
@@ -170,9 +169,3 @@ def total_workspace_bytes() -> int:
     """Bytes held by every live registered workspace."""
     with _REGISTRY_LOCK:
         return sum(ws.nbytes for ws in _REGISTRY)
-
-
-def workspace_stats() -> list[dict[str, Any]]:
-    """Per-workspace stats for every live registered workspace."""
-    with _REGISTRY_LOCK:
-        return sorted((ws.stats() for ws in _REGISTRY), key=lambda s: s["name"])

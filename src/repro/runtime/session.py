@@ -103,8 +103,9 @@ class RunSession:
     Parameters
     ----------
     simulation:
-        The simulation to drive.  For resumable runs its plan must be one
-        of the four named PTPM plans (``plan_by_name``-constructible).
+        The simulation to drive.  For resumable runs its plan must be a
+        registered plan (``plan_by_name``-constructible), block-timestep
+        plans included.
     directory:
         Run directory for the manifest and checkpoints.  Must not already
         contain a manifest — resuming an existing run goes through
@@ -221,7 +222,6 @@ class RunSession:
         if self.ledger is None or self._ledger_run_id is not None:
             return
         sim = self.simulation
-        backend = getattr(getattr(sim.plan, "engine", None), "backend", None)
         self._ledger_run_id = self.ledger.record_submitted(
             source=self._ledger_source,
             plan=sim.plan.name,
@@ -230,7 +230,9 @@ class RunSession:
             steps=target_steps,
             checkpoint_dir=str(self.directory),
         )
-        self.ledger.record_started(self._ledger_run_id, backend=backend)
+        self.ledger.record_started(
+            self._ledger_run_id, backend=sim.plan._engine().effective_backend
+        )
 
     def _ledger_slice(self, steps: int, wall_s: float) -> None:
         if self.ledger is None or self._ledger_run_id is None or steps == 0:

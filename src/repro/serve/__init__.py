@@ -27,8 +27,6 @@ Layers (each importable on its own):
 
 * :mod:`~repro.serve.spec` — :class:`JobSpec`: canonical, content-hashed
   job descriptions.
-* :mod:`~repro.serve.queue` — :class:`JobQueue`: bounded priority queue
-  with :class:`~repro.errors.AdmissionError` backpressure.
 * :mod:`~repro.serve.cache` — :class:`ResultCache` / :class:`JobResult`:
   spec-hash → completed run directory.
 * :mod:`~repro.serve.scheduler` — :class:`Scheduler`: round-robin step
@@ -56,8 +54,9 @@ Multi-tenant tier:
   submission-tuning surface (priority, tenant, retry, fault injection,
   verify) shared by every submit path.
 * :mod:`~repro.serve.tenancy` — :class:`TenantPolicy` /
-  :class:`FairJobQueue`: weighted fair scheduling, priority aging, and
-  per-tenant quotas.
+  :class:`FairJobQueue`: the bounded job queue — weighted fair
+  scheduling, priority aging, per-tenant quotas and
+  :class:`~repro.errors.AdmissionError` backpressure.
 * :mod:`~repro.serve.schema` — the versioned describe-document contract
   shared by ``describe()`` surfaces and the gateway's ``/v1/status``.
 * :mod:`~repro.serve.gateway` — :class:`Gateway`: asyncio HTTP front
@@ -69,7 +68,6 @@ from repro.serve.cache import JobResult, ResultCache, load_result
 from repro.serve.coordinator import Coordinator
 from repro.serve.gateway import Gateway
 from repro.serve.options import SubmitOptions
-from repro.serve.queue import JobQueue
 from repro.serve.remote import RemoteHandle, RemoteService, connect
 from repro.serve.scheduler import Scheduler
 from repro.serve.schema import DESCRIBE_VERSION, validate_describe
@@ -86,7 +84,6 @@ __all__ = [
     "FairJobQueue",
     "Gateway",
     "JobHandle",
-    "JobQueue",
     "JobResult",
     "JobService",
     "JobSpec",

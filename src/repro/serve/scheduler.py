@@ -40,7 +40,7 @@ from collections import deque
 from typing import Any, Callable
 
 from repro.errors import ServeError
-from repro.serve.queue import JobQueue
+from repro.serve.tenancy import FairJobQueue
 
 __all__ = ["Scheduler"]
 
@@ -49,11 +49,11 @@ _POLL_S = 0.05
 
 
 class Scheduler:
-    """Drains a :class:`JobQueue` through round-robin step slices."""
+    """Drains a :class:`FairJobQueue` through round-robin step slices."""
 
     def __init__(
         self,
-        queue: JobQueue,
+        queue: FairJobQueue,
         *,
         max_live: int = 2,
         runner_threads: int | None = None,

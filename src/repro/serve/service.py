@@ -1,7 +1,7 @@
 """The batched job service: admission, dedup, caching, execution.
 
 :class:`JobService` ties the serve layer together: submissions pass
-admission control on a bounded :class:`~repro.serve.JobQueue`, identical
+admission control on a bounded :class:`~repro.serve.FairJobQueue`, identical
 in-flight specs coalesce onto one :class:`JobHandle`, completed specs are
 answered straight from the content-addressed
 :class:`~repro.serve.ResultCache`, and everything that actually runs is

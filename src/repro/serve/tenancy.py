@@ -1,9 +1,9 @@
 """Multi-tenant fair scheduling: policies, quotas, and the fair queue.
 
 The serve tier's answer to "millions of users, heavy traffic": submissions
-carry a *tenant* label, and :class:`FairJobQueue` replaces the flat
-priority heap with weighted fair scheduling across tenants so one tenant's
-bulk sweep can never starve another tenant's interactive probe.
+carry a *tenant* label, and :class:`FairJobQueue` schedules them with
+weighted fair scheduling across tenants so one tenant's bulk sweep can
+never starve another tenant's interactive probe.
 
 Three mechanisms compose:
 
@@ -115,10 +115,10 @@ class FairJobQueue:
     """Bounded multi-tenant queue: weighted fair across tenants, aged
     priority within one.
 
-    Drop-in replacement for :class:`~repro.serve.JobQueue` (same
-    ``push``/``pop``/``close``/``len``/counters surface) plus the tenant
-    dimension.  With a single tenant and no aging pressure it degrades to
-    exactly the old strict-priority/FIFO order.
+    Admission is reject-not-block: :meth:`push` raises rather than waits
+    when the queue is full, so a submitting client always gets an
+    immediate answer.  With a single tenant and no aging pressure the
+    order is strict priority, FIFO within a priority level.
     """
 
     def __init__(

@@ -265,6 +265,7 @@ class TestRunResume:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["target_steps"] == 8
         assert manifest["status"] == "complete"
+        assert [c["step"] for c in manifest["checkpoints"]] == [2, 4, 6, 8]
 
     def test_resume_missing_dir_raises(self, tmp_path):
         from repro.errors import CheckpointError

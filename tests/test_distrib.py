@@ -475,6 +475,46 @@ class TestTenantOverWire:
             table = led.tenant_table()
             assert [row["tenant"] for row in table] == ["acme"]
 
+    def test_coordinator_assigns_tenants_by_weight(self, tmp_path):
+        """A 4:1 weight gives the 4:1 share of the coordinator's dispatch.
+
+        The whole interleaved backlog is queued before any worker
+        connects, so the coordinator's ``assign`` events are its pop
+        order.
+        """
+        tenant_of = {}
+        handles = []
+        with RunLedger(tmp_path / "coord-ledger") as ledger:
+            with Coordinator(
+                cache_dir=tmp_path / "cache", ledger=ledger,
+                tenants={"a": {"weight": 4.0}, "b": {"weight": 1.0}},
+            ) as coord:
+                with connect(coord.addr) as client:
+                    for i in range(8):
+                        for tenant in ("a", "b"):
+                            spec = small_spec(
+                                seed=200 + 2 * i + (tenant == "b"), steps=2
+                            )
+                            tenant_of[spec.spec_hash()[:12]] = tenant
+                            handles.append(client.submit(
+                                spec, options=SubmitOptions(tenant=tenant)
+                            ))
+                    with Worker(
+                        coord.addr, "shard-a", cache_dir=tmp_path / "cache",
+                        ledger=False, max_concurrent_jobs=1,
+                    ):
+                        for handle in handles:
+                            handle.result(timeout=_WAIT)
+            assigned = [
+                tenant_of[event["detail"].split(" -> ")[0]]
+                for event in ledger.events()
+                if event["kind"] == "coord.assign"
+            ]
+        assert len(assigned) == 16
+        first_ten = assigned[:10]
+        assert first_ten.count("a") == 8
+        assert first_ten.count("b") == 2
+
     def test_coordinator_quota_rejects_over_wire(self, tmp_path):
         from repro.errors import QuotaError
 

@@ -338,5 +338,20 @@ class TestRemoteBackend:
                             break
                         _time.sleep(0.05)
                     assert job.get("status") == "complete"
+                    # No push seam over the wire: the stream carries
+                    # status transitions and always ends with `finished`.
+                    streamed = small_spec(seed=152, steps=24)
+                    http(
+                        base, "POST", "/v1/jobs",
+                        spec_body(streamed), headers=auth,
+                    )
+                    request = urllib.request.Request(
+                        base + f"/v1/jobs/{streamed.spec_hash()}/events",
+                        headers=auth,
+                    )
+                    with urllib.request.urlopen(request, timeout=120) as response:
+                        raw = response.read().decode()
+                    last = raw.rstrip().split("\n\n")[-1]
+                    assert last.startswith("event: finished"), raw[:400]
                 finally:
                     gw.stop()

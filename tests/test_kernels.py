@@ -9,6 +9,7 @@ and the plan/config/CLI plumbing that selects a backend.
 
 from __future__ import annotations
 
+import json
 import warnings
 
 import numpy as np
@@ -419,6 +420,22 @@ class TestCompiledBackends:
         labels = {c.candidate for c in comparisons}
         for shape in KERNEL_SHAPES:
             assert any(f"kernel:{shape}/{name}/" in lab for lab in labels)
+
+    @pytest.mark.cli
+    @needs_cext
+    def test_check_cli_reports_every_kernel_row(self, tmp_path):
+        from repro.cli import main
+
+        path = tmp_path / "report.json"
+        assert main([
+            "check", "--n", "48", "--plans", "i", "--workers", "1",
+            "--steps", "2", "--kernel-backends", "cext", "--json", str(path),
+        ]) == 0
+        doc = json.loads(path.read_text())
+        # 1 backend x 3 shapes x 2 dtypes, none skipped
+        assert len(doc["kernels"]) == len(KERNEL_SHAPES) * 2 == 6
+        assert not doc["kernels_skipped"]
+        assert doc["kernels_ok"]
 
     def test_kernel_matrix_rejects_unavailable_strictly(self):
         stub = register_backend(_UnavailableStub("stub-matrix"))

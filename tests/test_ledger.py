@@ -308,6 +308,21 @@ class TestSessionLedger:
         assert "checkpoint" in kinds
         led.close()
 
+    def test_records_the_engine_backend(self, tmp_path):
+        from repro.exec import ExecutionEngine, get_default_engine
+
+        led = RunLedger(tmp_path / "led")
+        with ExecutionEngine(1) as serial, ExecutionEngine(2) as thread:
+            for i, engine in enumerate((serial, thread, None)):
+                RunSession(
+                    make_sim(n=48, engine=engine), tmp_path / f"run{i}",
+                    ledger=led,
+                ).run(2)
+        assert [row["backend"] for row in led.runs()] == [
+            "serial", "thread", get_default_engine().effective_backend,
+        ]
+        led.close()
+
     def test_failure_recorded(self, tmp_path):
         led = RunLedger(tmp_path / "led")
         session = RunSession(make_sim(n=48), tmp_path / "run", ledger=led)

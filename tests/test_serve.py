@@ -13,6 +13,9 @@ The contracts under test:
    step-sliced against siblings, or is served from cache;
 5. a fault-injected job fails (or retries) inside its own engine without
    perturbing sibling jobs sharing the pool.
+
+Multi-tenant fairness of :class:`~repro.serve.FairJobQueue` is tested in
+``tests/test_tenancy.py``.
 """
 
 import threading
@@ -29,7 +32,7 @@ from repro.errors import (
 )
 from repro.exec import EnginePool, FaultInjector, RetryPolicy
 from repro.serve import (
-    JobQueue,
+    FairJobQueue,
     JobService,
     JobSpec,
     ResultCache,
@@ -122,12 +125,12 @@ class TestJobSpec:
 
 
 # ---------------------------------------------------------------------------
-# JobQueue
+# JobQueue (FairJobQueue with one tenant: the service's queue)
 # ---------------------------------------------------------------------------
 
 class TestJobQueue:
     def test_priority_order_fifo_within_level(self):
-        q = JobQueue(capacity=10)
+        q = FairJobQueue(capacity=10)
         q.push("low-1", priority=0)
         q.push("high-1", priority=5)
         q.push("low-2", priority=0)
@@ -137,7 +140,7 @@ class TestJobQueue:
         ]
 
     def test_capacity_rejection(self):
-        q = JobQueue(capacity=2)
+        q = FairJobQueue(capacity=2)
         q.push("a")
         q.push("b")
         with pytest.raises(AdmissionError, match="capacity"):
@@ -148,7 +151,7 @@ class TestJobQueue:
         assert q.accepted == 3
 
     def test_close_wakes_blocked_pop(self):
-        q = JobQueue(capacity=2)
+        q = FairJobQueue(capacity=2)
         got = []
         t = threading.Thread(target=lambda: got.append(q.pop(timeout=5)))
         t.start()
@@ -159,7 +162,7 @@ class TestJobQueue:
             q.push("x")
 
     def test_pop_timeout(self):
-        assert JobQueue().pop(timeout=0.01) is None
+        assert FairJobQueue().pop(timeout=0.01) is None
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +364,46 @@ class TestJobService:
         finally:
             svc.close()
 
+    def test_slice_listener_sees_every_slice_then_finished(self, tmp_path):
+        """The seam the gateway's per-slice SSE stream is fed from."""
+        spec = small_spec(seed=11, steps=24)
+        events = []
+        svc = JobService(cache_dir=tmp_path, steps_per_slice=8)
+        try:
+            svc.add_slice_listener(events.append)
+            svc.submit(spec).result(timeout=120)
+        finally:
+            svc.close()
+        assert [e["type"] for e in events] == ["slice"] * 3 + ["finished"]
+        assert [e.get("steps") for e in events] == [8, 8, 8, None]
+        assert all(e["spec_hash"] == spec.spec_hash() for e in events)
+        assert all("tenant" in e for e in events)
+
+    def test_repeated_specs_are_never_stepped_twice(self, tmp_path, monkeypatch):
+        """Each repeat in a batch coalesces in flight or is answered from
+        the cache, so the service steps every distinct spec exactly once."""
+        from repro.core.simulation import Simulation
+
+        stepped = []
+        real_step = Simulation.step
+
+        def counted_step(sim):
+            stepped.append(sim)
+            return real_step(sim)
+
+        monkeypatch.setattr(Simulation, "step", counted_step)
+        unique = [
+            small_spec(seed=s, plan=p) for s, p in [(1, "jw"), (2, "i"), (3, "w")]
+        ]
+        repeats = [unique[0], unique[2], unique[0]]
+        with connect(None, cache_dir=tmp_path, max_concurrent_jobs=2) as client:
+            handles = [client.submit(spec) for spec in unique + repeats]
+            for handle in handles:
+                handle.result(timeout=120)
+            described = client.describe()
+        assert described["deduped"] + described["cache_hits"] == len(repeats)
+        assert len(stepped) == sum(spec.steps for spec in unique)
+
     def test_fault_injected_job_does_not_perturb_siblings(self, tmp_path):
         good_spec = small_spec(seed=1)
         bad_spec = small_spec(seed=9, plan="i")
@@ -526,7 +569,7 @@ class _FakeJob:
 
 class TestScheduler:
     def test_drain_completes_all(self):
-        q = JobQueue(capacity=16)
+        q = FairJobQueue(capacity=16)
         jobs = [_FakeJob(slices_needed=3) for _ in range(6)]
         for j in jobs:
             q.push(j)
@@ -541,7 +584,7 @@ class TestScheduler:
             def begin(self):
                 raise RuntimeError("boom")
 
-        q = JobQueue(capacity=4)
+        q = FairJobQueue(capacity=4)
         job = ExplodingJob()
         q.push(job)
         sched = Scheduler(q, max_live=1, runner_threads=1)
@@ -550,7 +593,7 @@ class TestScheduler:
         assert ("fail", "RuntimeError") in job.events
 
     def test_abort_fails_leftovers(self):
-        q = JobQueue(capacity=16)
+        q = FairJobQueue(capacity=16)
         jobs = [_FakeJob(slices_needed=10_000) for _ in range(4)]
         for j in jobs:
             q.push(j)

@@ -5,6 +5,8 @@ depend only on the submission/pop sequence (pop count is the aging
 clock), never wall time, so each assertion is exact, not statistical.
 """
 
+import threading
+
 import pytest
 
 from tests.conftest import small_spec, solo_state
@@ -292,6 +294,54 @@ class TestFairServiceIntegration:
                 pos, vel, time = solo_state(spec)
                 np.testing.assert_array_equal(result.positions, pos)
                 np.testing.assert_array_equal(result.velocities, vel)
+
+    @pytest.mark.serve
+    def test_service_runs_tenants_by_weight(self, tmp_path):
+        """With one live slot, a 4:1 weight gives the 4:1 share of runs.
+
+        A listener holds the blocker's first slice until the interleaved
+        backlog is queued, so the order jobs finish in is the order the
+        service admitted them, not a race with the submitting thread.
+        """
+        blocker = small_spec(seed=70, steps=16)
+        queued, release = threading.Event(), threading.Event()
+        finished = []
+
+        def listen(event):
+            if event["type"] == "finished":
+                finished.append(event["tenant"])
+            elif event["spec_hash"] == blocker.spec_hash() and not queued.is_set():
+                queued.set()
+                release.wait(timeout=60)
+
+        with connect(
+            None,
+            max_concurrent_jobs=1,
+            cache_dir=tmp_path / "cache",
+            ledger=False,
+            tenants={"a": {"weight": 4.0}, "b": {"weight": 1.0}},
+        ) as client:
+            client.service.add_slice_listener(listen)
+            handles = [client.submit(blocker)]
+            try:
+                assert queued.wait(timeout=60)
+                for i in range(8):
+                    for tenant in ("a", "b"):
+                        spec = small_spec(
+                            seed=100 + 2 * i + (tenant == "b"), steps=2
+                        )
+                        handles.append(client.submit(
+                            spec, options=SubmitOptions(tenant=tenant)
+                        ))
+            finally:
+                release.set()
+            for handle in handles:
+                handle.result(timeout=120)
+        assert finished[0] == DEFAULT_TENANT
+        first_ten = finished[1:11]
+        # the same 4:1 share test_weight_four_gets_four_to_one_share pops
+        assert first_ten.count("a") == 8
+        assert first_ten.count("b") == 2
 
     def test_default_tenant_label_applied(self, tmp_path):
         with connect(
