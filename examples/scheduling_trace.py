@@ -35,7 +35,7 @@ def main() -> None:
 
     # --- jw-parallel: j-split items drained from a dynamic queue ---------
     jw_plan = JwParallelPlan(cfg)
-    jw_launch, _ = jw_plan._launches(walks)
+    jw_launch, _ = jw_plan._launches(walks, jw_plan.split_counts(walks))
     tr_dyn = trace_launch(cfg.device, jw_launch, schedule="hardware")
     print("\njw-parallel (dynamic queue, work-proportional j-split):")
     print(tr_dyn.gantt(width=64))

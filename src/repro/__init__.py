@@ -55,7 +55,6 @@ _EXPORTS = {
     "JParallelPlan": "repro.core.plans",
     "WParallelPlan": "repro.core.plans",
     "JwParallelPlan": "repro.core.plans",
-    "plan_by_name": "repro.core.plans",
     "available_plans": "repro.core.plans",
     "get_plan": "repro.core.plans",
     "register": "repro.plans",

@@ -23,7 +23,7 @@ abl-overlap host/device overlap on vs off (jw)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -35,6 +35,7 @@ from repro.bench.workloads import PAPER_N_SWEEP, make_workload
 from repro.core.hostmodel import PENTIUM_E5300
 from repro.core.plans import PlanConfig, get_plan
 from repro.core.scheduler import schedule_walks
+from repro.gpu.device import multi_device
 from repro.nbody.forces import direct_forces
 from repro.tree.bh_force import rms_relative_error
 
@@ -464,15 +465,13 @@ def extension_multigpu(
     the host ceiling — the quantitative version of the paper's
     multi-device outlook.
     """
-    from repro.core.plans.multi_jw import MultiDeviceJwPlan
-
     particles = make_workload(workload, n, seed=seed)
     cfg = PlanConfig()
     table_rows = []
     totals = []
     base_total = None
     for d in devices:
-        plan = MultiDeviceJwPlan(cfg, n_devices=d)
+        plan = get_plan("jw", replace(cfg, device=multi_device(cfg.device, d)))
         b = plan.step_breakdown(particles.positions, particles.masses)
         totals.append(b.total_seconds)
         base_total = base_total if base_total is not None else b.total_seconds

@@ -13,7 +13,7 @@ from typing import Any, Iterable, Sequence
 
 from repro import obs
 from repro.bench.workloads import make_workload
-from repro.core.plans import PlanConfig, plan_by_name
+from repro.core.plans import PlanConfig, get_plan
 from repro.nbody.flops import FLOPS_PER_INTERACTION_RSQRT
 from repro.perfmodel.metrics import gflops_rate
 
@@ -72,7 +72,7 @@ def run_plan_point(
     """Time one plan at one N (scaled to ``n_steps`` steps)."""
     with obs.span("bench.point", plan=plan_name, n=n, workload=workload) as sp:
         particles = make_workload(workload, n, seed=seed)
-        plan = plan_by_name(plan_name, config)
+        plan = get_plan(plan_name, config)
         for key, value in plan_kwargs.items():
             if not hasattr(plan, key):
                 raise AttributeError(f"plan '{plan_name}' has no option '{key}'")

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from repro.bench.tables import format_table
 from repro.bench.workloads import make_workload
-from repro.core.plans import PlanConfig, plan_by_name
+from repro.core.plans import PlanConfig, get_plan
 from repro.nbody.forces import direct_forces
 from repro.tree.bh_force import rms_relative_error
 
@@ -60,7 +60,7 @@ def accuracy_matrix(
             include_self=False,
         )
         for name in plans:
-            plan = plan_by_name(name, config)
+            plan = get_plan(name, config)
             acc = plan.accelerations(particles.positions, particles.masses)
             cells.append(
                 ValidationCell(

@@ -737,12 +737,12 @@ def _print_run_summary(session) -> None:
 
 def _cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     from repro.bench.workloads import make_workload
-    from repro.core.plans import plan_by_name
+    from repro.core.plans import get_plan
     from repro.core.simulation import Simulation
     from repro.runtime import RunSession
 
     particles = make_workload(args.workload, args.n, seed=args.seed)
-    sim = Simulation(particles, plan_by_name(args.plan), dt=args.dt)
+    sim = Simulation(particles, get_plan(args.plan), dt=args.dt)
     session = RunSession(sim, args.out, checkpoint_every=args.checkpoint_every)
     session.run(args.steps)
     _print_run_summary(session)

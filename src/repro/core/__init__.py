@@ -19,7 +19,6 @@ from repro.core.plans import (
     IParallelPlan,
     JParallelPlan,
     JwParallelPlan,
-    MultiDeviceJwPlan,
     Plan,
     PlanConfig,
     RunTiming,
@@ -28,7 +27,6 @@ from repro.core.plans import (
     WParallelPlan,
     available_plans,
     get_plan,
-    plan_by_name,
     resolve_plan,
 )
 from repro.core.simulation import Simulation, SimulationRecord
@@ -51,7 +49,6 @@ __all__ = [
     "IParallelPlan",
     "JParallelPlan",
     "JwParallelPlan",
-    "MultiDeviceJwPlan",
     "Plan",
     "PlanConfig",
     "RunTiming",
@@ -60,7 +57,6 @@ __all__ = [
     "WParallelPlan",
     "available_plans",
     "get_plan",
-    "plan_by_name",
     "resolve_plan",
     "Simulation",
     "SimulationRecord",

@@ -20,7 +20,6 @@ from repro.core.plans.j_parallel import JParallelPlan
 from repro.core.plans.tree_base import TreePlanBase
 from repro.core.plans.w_parallel import WParallelPlan
 from repro.core.plans.jw_parallel import DEFAULT_PIPELINE_BATCHES, JwParallelPlan
-from repro.core.plans.multi_jw import MultiDeviceJwPlan
 from repro.core.plans.blockstep import (
     BlockDirectPlan,
     BlockTimestepPlan,
@@ -37,24 +36,13 @@ __all__ = [
     "TreePlanBase",
     "WParallelPlan",
     "JwParallelPlan",
-    "MultiDeviceJwPlan",
     "BlockTimestepPlan",
     "BlockDirectPlan",
     "BlockTreePlan",
     "DEFAULT_PIPELINE_BATCHES",
     "available_plans",
     "get_plan",
-    "plan_by_name",
     "register",
     "resolve_plan",
     "unregister",
 ]
-
-
-def plan_by_name(name: str, config: PlanConfig | None = None, *, engine=None) -> Plan:
-    """Instantiate a plan from its short name ("i", "j", "w", "jw").
-
-    Kept as a documented alias of :func:`get_plan` (the registry entry
-    point, which additionally accepts config fields as keywords).
-    """
-    return get_plan(name, config, engine=engine)

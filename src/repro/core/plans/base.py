@@ -16,6 +16,7 @@ against device work (time).  Every plan provides
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any
@@ -60,6 +61,10 @@ class PlanConfig:
 
     def __post_init__(self) -> None:
         self.device.validate_workgroup(self.wg_size)
+        for name in ("softening", "theta", "G", "step_eta"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         if self.softening < 0.0:
             raise ConfigurationError(f"softening must be >= 0, got {self.softening}")
         if self.theta <= 0.0:

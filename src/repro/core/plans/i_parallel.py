@@ -7,6 +7,10 @@ local memory.  The grid therefore has ``ceil(N/p)`` work-groups — at small
 N far fewer than the device's compute units, which is exactly the
 occupancy starvation the paper's Fig. 4/5 analysis attributes to this
 plan.
+
+A full pass targets every row; the masked pass of a block-timestep run
+(:meth:`IParallelPlan.masked_pass`) compacts the active rows into the
+same work-groups.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ __all__ = ["IParallelPlan"]
 def _workgroup_task(
     rng: tuple[int, int],
     *,
+    targets: np.ndarray,
     positions: np.ndarray,
     masses: np.ndarray,
     wg_size: int,
@@ -40,11 +45,12 @@ def _workgroup_task(
     device: DeviceSpec,
     backend: str | None = None,
 ) -> tuple[np.ndarray, CostCounters]:
-    """Evaluate one work-group's target range (runs on an engine worker)."""
+    """Evaluate one work-group's target rows against every body (runs on
+    an engine worker)."""
     i0, i1 = rng
     counters = CostCounters()
     block = tile_loop_forces(
-        positions[i0:i1],
+        targets[i0:i1],
         positions,
         masses,
         wg_size=wg_size,
@@ -65,11 +71,12 @@ class IParallelPlan(Plan):
     method = "pp"
 
     # -- work enumeration (shared by functional and timing paths) --------
-    def _workgroup_ranges(self, n: int) -> list[tuple[int, int]]:
+    def _workgroup_ranges(self, rows: int) -> list[tuple[int, int]]:
         p = self.config.wg_size
-        return [(i0, min(i0 + p, n)) for i0 in range(0, n, p)]
+        return [(i0, min(i0 + p, rows)) for i0 in range(0, rows, p)]
 
-    def _launch(self, n: int) -> KernelLaunch:
+    def _launch(self, rows: int, n: int, kernel: str) -> KernelLaunch:
+        """``rows`` target rows against all ``n`` bodies."""
         p = self.config.wg_size
         dev = self.config.device
         wgs = [
@@ -80,25 +87,28 @@ class IParallelPlan(Plan):
                 wg_size=p,
                 wavefront_size=dev.wavefront_size,
             )
-            for i0, i1 in self._workgroup_ranges(n)
+            for i0, i1 in self._workgroup_ranges(rows)
         ]
-        return KernelLaunch("i_parallel_forces", p, wgs)
+        return KernelLaunch(kernel, p, wgs)
 
-    def _transfers(self, n: int) -> TransferLog:
+    def _transfers(self, rows: int, n: int) -> TransferLog:
         log = TransferLog()
         log.host_to_device(n * BYTES_PER_BODY)  # positions+masses up
-        log.device_to_host(n * BYTES_PER_ACCEL)  # accelerations down
+        log.device_to_host(rows * BYTES_PER_ACCEL)  # target accelerations down
         return log
 
     # -- functional -------------------------------------------------------
-    def accelerations(self, positions: np.ndarray, masses: np.ndarray) -> np.ndarray:
-        positions, masses = self._validate_bodies(positions, masses)
-        n = positions.shape[0]
+    def _forces(
+        self, targets: np.ndarray, positions: np.ndarray, masses: np.ndarray
+    ) -> tuple[np.ndarray, int]:
+        """Float32 forces on ``targets`` from every body, and the
+        interactions evaluated."""
         cfg = self.config
-        acc = np.empty((n, 3), dtype=np.float32)
+        acc = np.empty((targets.shape[0], 3), dtype=np.float32)
         counters = CostCounters()
         task = partial(
             _workgroup_task,
+            targets=targets,
             positions=positions,
             masses=masses,
             wg_size=cfg.wg_size,
@@ -107,38 +117,66 @@ class IParallelPlan(Plan):
             device=cfg.device,
             backend=self._kernel_backend(),
         )
-        ranges = self._workgroup_ranges(n)
-        with obs.span("force_kernel", plan=self.name, n=n):
-            results = self._engine().map(task, ranges, label="i.workgroup")
+        ranges = self._workgroup_ranges(targets.shape[0])
+        results = self._engine().map(task, ranges, label="i.workgroup")
         for (i0, i1), (block, c) in zip(ranges, results):
             acc[i0:i1] = block
             counters.add(c)
-        expected = self._launch(n).total_interactions
-        assert counters.interactions == expected, "functional/timing drift"
-        return acc.astype(np.float64)
+        return acc, counters.interactions
 
-    # -- timing -------------------------------------------------------------
-    def step_breakdown(self, positions: np.ndarray, masses: np.ndarray) -> StepBreakdown:
+    def accelerations(self, positions: np.ndarray, masses: np.ndarray) -> np.ndarray:
         positions, masses = self._validate_bodies(positions, masses)
         n = positions.shape[0]
+        with obs.span("force_kernel", plan=self.name, n=n):
+            acc, interactions = self._forces(positions, positions, masses)
+        expected = self._launch(n, n, "i_parallel_forces").total_interactions
+        assert interactions == expected, "functional/timing drift"
+        return acc.astype(np.float64)
+
+    def masked_pass(
+        self, positions: np.ndarray, masses: np.ndarray, active: np.ndarray
+    ) -> tuple[np.ndarray, StepBreakdown]:
+        """Forces on the ``active`` rows from every body, and their cost.
+
+        ``active`` holds in-range row indices.  Each row's sum over the
+        source tiles depends only on the sources and the tile width, so
+        the ``(len(active), 3)`` result is bit-identical to those rows
+        of a full pass.
+        """
+        positions, masses = self._validate_bodies(positions, masses)
+        n = positions.shape[0]
+        with obs.span("force_kernel", plan=self.name, n=n, n_active=active.size):
+            acc, interactions = self._forces(positions[active], positions, masses)
+        bd = self._breakdown(active.size, n, "block_i_forces")
+        assert interactions == bd.interactions, "functional/timing drift"
+        bd.meta["active_bodies"] = active.size
+        return acc.astype(np.float64), bd
+
+    # -- timing -------------------------------------------------------------
+    def _breakdown(self, rows: int, n: int, kernel: str) -> StepBreakdown:
+        """Simulated cost of ``rows`` target rows against all ``n`` bodies."""
         cfg = self.config
-        with obs.span("plan.breakdown", plan=self.name, n=n):
-            launch = self._launch(n)
-            timing = time_kernel(cfg.device, launch)
+        launch = self._launch(rows, n, kernel)
+        timing = time_kernel(cfg.device, launch)
         return StepBreakdown(
             plan=self.name,
             n_bodies=n,
             kernel_seconds=timing.seconds,
             host_seconds=0.0,
-            transfer_seconds=self._transfers(n).total_time(cfg.device),
+            transfer_seconds=self._transfers(rows, n).total_time(cfg.device),
             serial_seconds=cfg.host.integration_seconds(n),
             overlapped=False,
             interactions=launch.total_interactions,
             issued_interactions=launch.total_issued_interactions,
             kernels=[timing],
-            meta={
-                "n_workgroups": launch.n_workgroups,
-                "tiles_per_workgroup": math.ceil(n / cfg.wg_size),
-                "occupancy_efficiency": timing.occupancy.latency_efficiency,
-            },
+            meta={"n_workgroups": launch.n_workgroups},
         )
+
+    def step_breakdown(self, positions: np.ndarray, masses: np.ndarray) -> StepBreakdown:
+        positions, masses = self._validate_bodies(positions, masses)
+        n = positions.shape[0]
+        with obs.span("plan.breakdown", plan=self.name, n=n):
+            bd = self._breakdown(n, n, "i_parallel_forces")
+        bd.meta["tiles_per_workgroup"] = math.ceil(n / self.config.wg_size)
+        bd.meta["occupancy_efficiency"] = bd.kernels[0].occupancy.latency_efficiency
+        return bd

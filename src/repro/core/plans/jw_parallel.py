@@ -16,6 +16,10 @@ Combines the j- and w-parallel ideas under the PTPM analysis:
   a dynamic queue (greedy earliest-free-CU scheduling).
 * **Time**: walk generation on the CPU is pipelined with kernel execution
   on the GPU, hiding the host cost that dominates w-parallel's total time.
+
+The masked pass of a block-timestep run (:meth:`JwParallelPlan.masked_pass`)
+evaluates only the walks holding an active body, through the same launch
+builder as a full pass.
 """
 
 from __future__ import annotations
@@ -24,12 +28,12 @@ import numpy as np
 
 from repro import obs
 from repro.core.plans.base import StepBreakdown
-from repro.core.plans.tree_base import TreePlanBase, segments
+from repro.core.plans.tree_base import TreePlanBase, evaluate_walks, segments
 from repro.core.plans.registry import register
 from repro.core.pipeline import overlapped_pipeline3, split_batches
 from repro.gpu.kernel import packed_tile_loop_work, reduction_work
 from repro.gpu.launch import KernelLaunch
-from repro.gpu.timing import time_kernel
+from repro.gpu.timing import KernelTiming, time_kernel
 from repro.gpu.trace import trace_launch
 from repro.tree.bh_force import walk_sources  # noqa: F401 - e2ebench/spans.py times this name
 from repro.tree.octree import Octree
@@ -95,40 +99,102 @@ class JwParallelPlan(TreePlanBase):
         return np.minimum(s, s_max)
 
     # -- launches ------------------------------------------------------------
-    def _launches(self, walks: WalkSet) -> tuple[KernelLaunch, KernelLaunch | None]:
+    def _launches(
+        self,
+        walks: WalkSet,
+        splits: np.ndarray,
+        selected: np.ndarray | None = None,
+        kernel: str = "jw_parallel",
+    ) -> tuple[KernelLaunch, list[KernelTiming]]:
+        """The force launch of the ``selected`` walks (all by default) and
+        the timings of it and, when a walk is split, its reduce launch.
+
+        Walk ``i``'s list is cut into ``splits[i]`` queue items; a walk cut
+        more than once adds one reduction work-group.
+        """
         cfg = self.config
-        splits = self.split_counts(walks).tolist()
+        ids = np.arange(len(walks)) if selected is None else selected
+        sizes = walks.group_sizes()
+        lengths = walks.list_lengths()
         wgs = []
-        needs_reduce = False
-        for w, s in zip(walks, splits):
-            for k, (a, b) in enumerate(segments(w.list_length, s)):
+        rwgs = []
+        for i in ids.tolist():
+            s = int(splits[i])
+            for k, (a, b) in enumerate(segments(int(lengths[i]), s)):
                 wgs.append(
                     packed_tile_loop_work(
-                        f"walk{w.index}.seg{k}",
-                        n_targets=w.n_bodies,
+                        f"walk{i}.seg{k}",
+                        n_targets=int(sizes[i]),
                         n_sources=b - a,
                         wg_size=cfg.wg_size,
                         wavefront_size=cfg.device.wavefront_size,
                     )
                 )
             if s > 1:
-                needs_reduce = True
-        force = KernelLaunch("jw_parallel_forces", cfg.wg_size, wgs)
-        reduce_launch = None
-        if needs_reduce:
-            rwgs = [
-                reduction_work(
-                    f"reduce.walk{w.index}",
-                    n_outputs=w.n_bodies,
-                    n_partials_per_output=s,
-                    wg_size=cfg.wg_size,
-                    wavefront_size=cfg.device.wavefront_size,
+                rwgs.append(
+                    reduction_work(
+                        f"reduce.walk{i}",
+                        n_outputs=int(sizes[i]),
+                        n_partials_per_output=s,
+                        wg_size=cfg.wg_size,
+                        wavefront_size=cfg.device.wavefront_size,
+                    )
                 )
-                for w, s in zip(walks, splits)
-                if s > 1
-            ]
-            reduce_launch = KernelLaunch("jw_parallel_reduce", cfg.wg_size, rwgs)
-        return force, reduce_launch
+        force = KernelLaunch(f"{kernel}_forces", cfg.wg_size, wgs)
+        timings = [time_kernel(cfg.device, force, schedule=self.schedule)]
+        if rwgs:
+            reduce_launch = KernelLaunch(f"{kernel}_reduce", cfg.wg_size, rwgs)
+            timings.append(time_kernel(cfg.device, reduce_launch))
+        return force, timings
+
+    # -- masked pass ------------------------------------------------------------
+    def masked_pass(
+        self, positions: np.ndarray, masses: np.ndarray, active: np.ndarray
+    ) -> tuple[np.ndarray, StepBreakdown]:
+        """Forces on the ``active`` bodies from every body, and their cost.
+
+        ``active`` holds in-range body indices.  Only the walks holding an
+        active body are evaluated, with the full pass's split counts, so
+        the ``(len(active), 3)`` result is bit-identical to those rows of
+        a full pass.  The full walk generation cannot hide behind the
+        reduced kernel, so host and device work compose serially.
+        """
+        cfg = self.config
+        walks = self.prepare(positions, masses)
+        n = walks.tree.n_bodies
+        selected = walks.holding(active)
+        splits = self.split_counts(walks)
+        with obs.span(
+            "force_kernel", plan=self.name, n_walks=len(selected), n_active=active.size
+        ):
+            acc_sorted, interactions = evaluate_walks(
+                walks, splits, config=cfg, engine=self._engine(),
+                backend=self._kernel_backend(), selected=selected,
+            )
+        force, timings = self._launches(walks, splits, selected, "block_jw")
+        assert interactions == force.total_interactions, "functional/timing drift"
+        tree_s, walk_s = self._host_seconds(walks)
+        bd = StepBreakdown(
+            plan=self.name,
+            n_bodies=n,
+            kernel_seconds=sum(t.seconds for t in timings),
+            host_seconds=tree_s + walk_s,
+            transfer_seconds=self._transfers(
+                walks, active.size, selected
+            ).total_time(cfg.device),
+            serial_seconds=cfg.host.integration_seconds(n),
+            overlapped=False,
+            interactions=force.total_interactions,
+            issued_interactions=force.total_issued_interactions,
+            kernels=timings,
+            meta={
+                "active_bodies": active.size,
+                "n_walks": len(walks),
+                "n_walks_active": len(selected),
+                "theta": walks.theta,
+            },
+        )
+        return walks.tree.unsort(acc_sorted.astype(np.float64))[active], bd
 
     # -- timing -------------------------------------------------------------
     def step_breakdown(self, positions: np.ndarray, masses: np.ndarray) -> StepBreakdown:
@@ -138,11 +204,9 @@ class JwParallelPlan(TreePlanBase):
     def breakdown_from_walks(self, walks: WalkSet) -> StepBreakdown:
         """Timing of one force step given prepared walks."""
         cfg = self.config
+        splits = self.split_counts(walks)
         with obs.span("plan.breakdown", plan=self.name, n=walks.tree.n_bodies):
-            force, reduce_launch = self._launches(walks)
-            timings = [time_kernel(cfg.device, force, schedule=self.schedule)]
-            if reduce_launch is not None:
-                timings.append(time_kernel(cfg.device, reduce_launch))
+            force, timings = self._launches(walks, splits)
         kernel_seconds = sum(t.seconds for t in timings)
         tree_s, walk_s = self._host_seconds(walks)
         list_xfer_s = self._list_transfers(walks).total_time(cfg.device)
@@ -177,7 +241,7 @@ class JwParallelPlan(TreePlanBase):
         meta["pipeline_batches"] = self.pipeline_batches
         meta["schedule"] = self.schedule
         meta["n_queue_items"] = force.n_workgroups
-        meta["mean_split"] = float(np.mean(self.split_counts(walks)))
+        meta["mean_split"] = float(np.mean(splits))
         return StepBreakdown(
             plan=self.name,
             n_bodies=walks.tree.n_bodies,

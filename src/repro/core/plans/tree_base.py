@@ -219,27 +219,37 @@ class TreePlanBase(Plan):
         )
         return tree_s, walk_s
 
-    def _body_transfers(self, walks: WalkSet) -> TransferLog:
-        """Per-step body upload + acceleration download."""
+    def _body_transfers(self, walks: WalkSet, rows: int | None = None) -> TransferLog:
+        """Per-step body upload + download of ``rows`` accelerations
+        (every body's by default)."""
         n = walks.tree.n_bodies
         log = TransferLog()
         log.host_to_device(n * BYTES_PER_BODY)
-        log.device_to_host(n * BYTES_PER_ACCEL)
+        log.device_to_host((n if rows is None else rows) * BYTES_PER_ACCEL)
         return log
 
-    def _list_transfers(self, walks: WalkSet) -> TransferLog:
-        """Interaction-list upload: cell monopoles ship as float4 bodies,
-        particle-list entries as 4-byte indices into the body array."""
-        cells = int(walks.cell_offsets[-1])
-        parts = int(walks.part_offsets[-1])
+    def _list_transfers(
+        self, walks: WalkSet, selected: np.ndarray | None = None
+    ) -> TransferLog:
+        """Upload of the ``selected`` walks' lists (all by default): cell
+        monopoles ship as float4 bodies, particle-list entries as 4-byte
+        indices into the body array."""
+        ids = slice(None) if selected is None else selected
+        cells = int(walks.cell_counts()[ids].sum())
+        parts = int(walks.part_counts()[ids].sum())
         log = TransferLog()
         log.host_to_device(cells * BYTES_PER_BODY + parts * 4)
         return log
 
-    def _transfers(self, walks: WalkSet) -> TransferLog:
+    def _transfers(
+        self,
+        walks: WalkSet,
+        rows: int | None = None,
+        selected: np.ndarray | None = None,
+    ) -> TransferLog:
         """All PCIe traffic of one step (bodies, lists, accelerations)."""
-        log = self._body_transfers(walks)
-        other = self._list_transfers(walks)
+        log = self._body_transfers(walks, rows)
+        other = self._list_transfers(walks, selected)
         log.h2d_bytes += other.h2d_bytes
         log.n_transfers += other.n_transfers
         return log

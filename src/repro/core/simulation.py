@@ -16,6 +16,7 @@ histograms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -25,7 +26,7 @@ from repro import obs
 from repro.core.plans.base import Plan, PlanConfig, StepBreakdown
 from repro.core.plans.registry import resolve_plan
 from repro.errors import ConfigurationError, StateError
-from repro.nbody.integrators import LeapfrogKDK, block_substep
+from repro.nbody.integrators import block_substep
 from repro.nbody.particles import ParticleSet
 
 __all__ = ["Simulation", "SimulationRecord"]
@@ -137,14 +138,13 @@ class Simulation:
         dt: float = 1e-3,
         plan_config: PlanConfig | None = None,
     ) -> None:
-        if dt <= 0.0:
-            raise ConfigurationError(f"dt must be positive, got {dt}")
+        if not (math.isfinite(dt) and dt > 0.0):
+            raise ConfigurationError(f"dt must be finite and positive, got {dt}")
         self.particles = particles
         self.plan = resolve_plan(plan, plan_config)
         self.dt = dt
         self.time = 0.0
         self.record = SimulationRecord()
-        self._integrator = LeapfrogKDK()
         self._last_acc: np.ndarray | None = None
         #: block-timestep state (rung-driven plans only)
         self._blockstep = bool(getattr(self.plan, "blockstep", False))

@@ -5,7 +5,7 @@ functional tiled-kernel execution (real float32 arithmetic) plus a
 calibrated timing engine (occupancy, divergence, memory, scheduling).
 """
 
-from repro.gpu.device import RADEON_HD_5850, DeviceSpec, scaled_device
+from repro.gpu.device import RADEON_HD_5850, DeviceSpec, multi_device, scaled_device
 from repro.gpu.counters import CostCounters
 from repro.gpu.wavefront import active_wavefronts, divergent_cycles, lane_utilization
 from repro.gpu.memory import (
@@ -42,6 +42,7 @@ __all__ = [
     "RADEON_HD_5850",
     "DeviceSpec",
     "scaled_device",
+    "multi_device",
     "CostCounters",
     "active_wavefronts",
     "divergent_cycles",

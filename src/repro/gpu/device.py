@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 from repro.errors import DeviceError
 
-__all__ = ["DeviceSpec", "RADEON_HD_5850", "scaled_device"]
+__all__ = ["DeviceSpec", "RADEON_HD_5850", "scaled_device", "multi_device"]
 
 
 @dataclass(frozen=True)
@@ -176,4 +176,26 @@ def scaled_device(base: DeviceSpec, *, compute_units: int, name: str | None = No
         base,
         compute_units=compute_units,
         name=name or f"{base.name} x{compute_units}CU",
+    )
+
+
+def multi_device(base: DeviceSpec, n_devices: int) -> DeviceSpec:
+    """A virtual device equivalent to ``n_devices`` copies of ``base``.
+
+    Run the jw plan on it to model several GPUs draining one shared walk
+    queue: CU count, global bandwidth and PCIe bandwidth all scale (each
+    physical device owns its memory and link), while per-CU quantities
+    and the single host's walk generation do not — so scaling saturates
+    at the host ceiling that
+    :func:`repro.perfmodel.analytic.predict_multi_device_scaling` writes
+    down analytically.
+    """
+    if n_devices < 1:
+        raise DeviceError(f"n_devices must be >= 1, got {n_devices}")
+    return replace(
+        base,
+        name=f"{base.name} x{n_devices}",
+        compute_units=base.compute_units * n_devices,
+        global_bandwidth_bytes_s=base.global_bandwidth_bytes_s * n_devices,
+        pcie_bandwidth_bytes_s=base.pcie_bandwidth_bytes_s * n_devices,
     )

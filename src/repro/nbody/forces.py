@@ -49,7 +49,6 @@ from repro.nbody.kernels.numpy_backend import blocked_self, blocked_sources
 
 __all__ = [
     "accelerations_from_sources",
-    "active_forces",
     "direct_forces",
     "direct_forces_naive",
     "pairwise_force",
@@ -249,46 +248,6 @@ def direct_forces(
     if G != 1.0:
         acc *= dtype(G)
     return acc
-
-
-def active_forces(
-    positions: np.ndarray,
-    masses: np.ndarray,
-    active: np.ndarray,
-    *,
-    softening: float = DEFAULT_SOFTENING,
-    G: float = 1.0,
-    block: int = 2048,
-    dtype: np.dtype | type = np.float64,
-    workspace: Workspace | None = None,
-    backend: str | KernelBackend | None = None,
-) -> np.ndarray:
-    """Accelerations on the ``active`` subset from *all* bodies.
-
-    The masked rectangle evaluation used by block timesteps: targets are
-    the compacted active rows, sources are the full set.  Follows the
-    include-self convention of :func:`direct_forces` (the i == i term is
-    identically zero under positive softening), so row ``k`` of the
-    result is **bit-identical** to row ``active[k]`` of the corresponding
-    full evaluation on every backend: the source-side accumulation order
-    depends only on the source set and blocking, never on how targets are
-    grouped.
-
-    ``active`` is an integer index array (``np.flatnonzero`` of a rung
-    mask); an empty selection returns an empty ``(0, 3)`` array without
-    touching the kernel.
-    """
-    active = np.asarray(active)
-    if active.dtype == np.bool_:
-        active = np.flatnonzero(active)
-    if active.size == 0:
-        return np.zeros((0, 3), dtype=dtype)
-    positions = np.asarray(positions, dtype=dtype)
-    return accelerations_from_sources(
-        positions[active], positions, masses,
-        softening=softening, G=G, block=block, dtype=dtype,
-        workspace=workspace, backend=backend,
-    )
 
 
 def direct_forces_naive(

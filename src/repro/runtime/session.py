@@ -20,7 +20,7 @@ velocities **bit-identical** to an uninterrupted run:
 
 Usage::
 
-    sim = Simulation(plummer(4096, seed=1), plan_by_name("jw"), dt=1e-3)
+    sim = Simulation(plummer(4096, seed=1), get_plan("jw"), dt=1e-3)
     session = RunSession(sim, "runs/plummer4k", checkpoint_every=25)
     session.run(1000)
 
@@ -56,7 +56,7 @@ from pathlib import Path
 from typing import Callable
 
 from repro import obs
-from repro.core.plans import Plan, plan_by_name
+from repro.core.plans import Plan, get_plan
 from repro.core.simulation import Simulation, SimulationRecord
 from repro.errors import CheckpointError, ConfigurationError, StateError
 from repro.exec.engine import ExecutionEngine
@@ -104,7 +104,7 @@ class RunSession:
     ----------
     simulation:
         The simulation to drive.  For resumable runs its plan must be a
-        registered plan (``plan_by_name``-constructible), block-timestep
+        registered plan (``get_plan``-constructible), block-timestep
         plans included.
     directory:
         Run directory for the manifest and checkpoints.  Must not already
@@ -462,7 +462,7 @@ class RunSession:
             directory / info.path
         )
         if plan is None or isinstance(plan, str):
-            plan = plan_by_name(
+            plan = get_plan(
                 manifest.plan if plan is None else plan,
                 plan_config_from_dict(manifest.plan_config),
                 engine=engine,

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import sys
 import threading
 import traceback
@@ -102,6 +103,14 @@ class _HTTPError(Exception):
         self.status = status
         self.error_type = error_type
         self.headers = headers or {}
+
+
+def _error_response(exc: _HTTPError) -> bytes:
+    return _json_response(
+        exc.status,
+        {"ok": False, "error": str(exc), "error_type": exc.error_type},
+        exc.headers,
+    )
 
 
 def _json_response(
@@ -321,7 +330,14 @@ class Gateway:
                 break
             name, _, value = line.decode().partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        text = headers.get("content-length", "") or "0"
+        if not (text.isascii() and text.isdigit()):
+            writer.write(_error_response(_HTTPError(
+                400, f"Content-Length must be a non-negative integer, got {text!r}"
+            )))
+            await writer.drain()
+            return
+        length = int(text)
         if length > _MAX_BODY:
             writer.write(_json_response(
                 413, {"ok": False, "error": f"body exceeds {_MAX_BODY} bytes"}
@@ -354,11 +370,7 @@ class Gateway:
             else:
                 raise _HTTPError(404, f"no route for {method} {path}")
         except _HTTPError as exc:
-            writer.write(_json_response(
-                exc.status,
-                {"ok": False, "error": str(exc), "error_type": exc.error_type},
-                exc.headers,
-            ))
+            writer.write(_error_response(exc))
             await writer.drain()
             return
         writer.write(reply)
@@ -438,8 +450,19 @@ class Gateway:
         raise _HTTPError(404, f"no route for {method} /v1/jobs/{rest}")
 
     async def _handle_result(self, spec_hash: str, query: dict[str, str]) -> bytes:
+        timeout = None
+        if "timeout" in query:
+            try:
+                timeout = float(query["timeout"])
+            except ValueError:
+                timeout = math.nan
+            if not (math.isfinite(timeout) and timeout >= 0.0):
+                raise _HTTPError(
+                    400,
+                    "timeout must be a finite number >= 0, "
+                    f"got {query['timeout']!r}",
+                )
         handle = self._get_handle(spec_hash)
-        timeout = float(query["timeout"]) if "timeout" in query else None
         loop = asyncio.get_running_loop()
         waited = 0.0
         while not await loop.run_in_executor(

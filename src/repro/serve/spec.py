@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -89,16 +91,21 @@ class JobSpec:
                 f"unknown workload '{self.workload}'; "
                 f"choose from {sorted(WORKLOADS)}"
             )
-        if self.n < 1:
-            raise ServeError(f"n must be >= 1, got {self.n}")
-        if self.steps < 1:
-            raise ServeError(f"steps must be >= 1, got {self.steps}")
-        if self.dt <= 0.0:
-            raise ServeError(f"dt must be positive, got {self.dt}")
-        if self.checkpoint_every < 0:
-            raise ServeError(
-                f"checkpoint_every must be >= 0, got {self.checkpoint_every}"
-            )
+        for name, low in (("n", 1), ("seed", 0), ("steps", 1), ("checkpoint_every", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ServeError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ServeError(f"{name} must be >= {low}, got {value}")
+            object.__setattr__(self, name, int(value))
+        dt = self.dt
+        if (
+            isinstance(dt, bool)
+            or not isinstance(dt, numbers.Real)
+            or not (math.isfinite(dt) and dt > 0.0)
+        ):
+            raise ServeError(f"dt must be a finite positive number, got {dt!r}")
+        object.__setattr__(self, "dt", float(dt))
         object.__setattr__(self, "plan", plan)
         object.__setattr__(self, "plan_config", config)
 

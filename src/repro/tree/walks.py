@@ -162,6 +162,14 @@ class WalkSet:
         first = sel[:, 0] - (np.cumsum(sizes) - sizes)
         return np.repeat(first, sizes) + np.arange(int(sizes.sum()))
 
+    def holding(self, bodies: np.ndarray) -> np.ndarray:
+        """Ascending indices of the walks whose group holds any of
+        ``bodies`` (indices in the tree's input order)."""
+        mask = np.zeros(self.tree.n_bodies, dtype=bool)
+        mask[bodies] = True
+        hits = np.concatenate([[0], np.cumsum(mask[self.tree.order])])
+        return np.flatnonzero(hits[self.groups[:, 1]] > hits[self.groups[:, 0]])
+
     def load_imbalance(self) -> float:
         """Max over mean of per-walk interactions — 1.0 is perfectly even."""
         work = self.interactions_per_walk()

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.config import SETTINGS, reset
-from repro.core.plans import PlanConfig, plan_by_name
+from repro.core.plans import PlanConfig, get_plan
 from repro.core.simulation import Simulation
 from repro.nbody.ic import plummer, uniform_sphere
 
@@ -41,7 +41,7 @@ def _clean_settings(monkeypatch):
 def make_sim(plan_name="j", n=96, seed=7, engine=None, wg_size=256, dt=1e-3):
     """A small deterministic simulation — the runtime/serve test workhorse."""
     particles = plummer(n, seed=seed)
-    plan = plan_by_name(
+    plan = get_plan(
         plan_name, PlanConfig(softening=EPS, wg_size=wg_size), engine=engine
     )
     return Simulation(particles, plan, dt=dt)

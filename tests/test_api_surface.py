@@ -49,7 +49,6 @@ FACADE_EXPORTS = [
     "JParallelPlan",
     "WParallelPlan",
     "JwParallelPlan",
-    "plan_by_name",
     "available_plans",
     "get_plan",
     "register",
@@ -250,11 +249,11 @@ class TestErrorHierarchy:
 
 class TestPlanRegistryConsistency:
     def test_registry_names_match_descriptors(self):
-        from repro.core.plans import plan_by_name
+        from repro.core.plans import get_plan
         from repro.core.ptpm import PLAN_NAMES, describe
 
         for name in PLAN_NAMES:
-            plan = plan_by_name(name)
+            plan = get_plan(name)
             descriptor = describe(name)
             assert plan.name == descriptor.name
             assert plan.method == descriptor.method

@@ -24,6 +24,7 @@ The contracts under test (PR "block timesteps"):
    ``repro-nbody check`` and names the rung in the JSON report.
 """
 
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -222,6 +223,15 @@ class TestActiveMaskBitMatch:
                 active=np.array([plummer_small.n]),
             )
 
+    def test_boolean_mask_rejected(self, plummer_small):
+        plan = get_plan("block-i", PlanConfig(softening=EPS))
+        mask = np.zeros(plummer_small.n, dtype=bool)
+        mask[[5, 40]] = True
+        with pytest.raises(ConfigurationError, match="flatnonzero"):
+            plan.compute_step(
+                plummer_small.positions, plummer_small.masses, active=mask
+            )
+
     def test_block_plans_registered_with_inner_delegation(self):
         cfg = PlanConfig(softening=EPS)
         bi, bjw = get_plan("block-i", cfg), get_plan("block-jw", cfg)
@@ -229,6 +239,72 @@ class TestActiveMaskBitMatch:
         assert isinstance(bjw, BlockTreePlan) and bjw.blockstep
         assert (bi.method, bjw.method) == ("pp", "bh")
         assert bi.inner.name == "i" and bjw.inner.name == "jw"
+
+
+class TestMaskedPassTiming:
+    """The simulated cost of a masked pass, pinned against the full pass."""
+
+    @pytest.mark.parametrize(
+        "block,fixed,fields",
+        [
+            ("block-i", "i", ("kernel_seconds", "transfer_seconds")),
+            # a masked jw pass also uploads the selected walks' lists
+            ("block-jw", "jw", ("kernel_seconds",)),
+        ],
+        ids=["block-i", "block-jw"],
+    )
+    def test_every_row_active_costs_the_full_pass(
+        self, block, fixed, fields, plummer_small
+    ):
+        cfg = PlanConfig(softening=EPS, wg_size=64)
+        pos, m = plummer_small.positions, plummer_small.masses
+        every = np.arange(plummer_small.n)
+        _, masked = get_plan(block, cfg).compute_step(pos, m, active=every)
+        _, full = get_plan(fixed, cfg).compute_step(pos, m)
+        for name in fields + (
+            "host_seconds", "interactions", "issued_interactions"
+        ):
+            assert getattr(masked, name) == getattr(full, name), name
+
+    @pytest.mark.parametrize("plan_name", ["block-i", "block-jw"])
+    def test_subset_interactions_count_the_evaluated_work(
+        self, plan_name, plummer_small
+    ):
+        plan = get_plan(plan_name, PlanConfig(softening=EPS, wg_size=64))
+        pos, m = plummer_small.positions, plummer_small.masses
+        active = np.arange(3, plummer_small.n, 11)
+        _, bd = plan.compute_step(pos, m, active=active)
+        if plan_name == "block-i":
+            assert bd.interactions == active.size * plummer_small.n
+            return
+        walks = plan.inner.prepare(pos, m)
+        rows = np.flatnonzero(np.isin(walks.tree.order, active))
+        selected = np.unique(
+            np.searchsorted(walks.groups[:, 1], rows, side="right")
+        )
+        assert 0 < selected.size < len(walks)
+        assert bd.meta["n_walks_active"] == selected.size
+        assert bd.interactions == int(
+            walks.interactions_per_walk()[selected].sum()
+        )
+
+    @pytest.mark.parametrize("plan_name", ["block-i", "block-jw"])
+    def test_masked_pass_identical_across_worker_counts(
+        self, plan_name, plummer_small
+    ):
+        from repro.exec import ExecutionEngine
+
+        cfg = PlanConfig(softening=EPS, wg_size=64)
+        pos, m = plummer_small.positions, plummer_small.masses
+        active = np.arange(1, plummer_small.n, 3)
+        runs = []
+        for workers in (1, 2):
+            with ExecutionEngine(workers) as engine:
+                plan = get_plan(plan_name, cfg, engine=engine)
+                runs.append(plan.compute_step(pos, m, active=active))
+        (rows_1, bd_1), (rows_2, bd_2) = runs
+        np.testing.assert_array_equal(rows_1, rows_2)
+        assert dataclasses.asdict(bd_1) == dataclasses.asdict(bd_2)
 
 
 # ---------------------------------------------------------------------------
@@ -568,22 +644,22 @@ class TestBlockstepOracleMatrix:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("kernel_backend", ["numpy", "cext"])
-    def test_active_forces_bit_match_per_dtype(
+    def test_masked_rows_bit_match_per_dtype(
         self, dtype, kernel_backend, plummer_medium
     ):
-        """The masked rectangle primitive bit-matches full-evaluation rows
-        in both precisions on every kernel backend (per-target-row sums
-        are independent of how targets are grouped)."""
-        from repro.nbody.forces import active_forces
+        """The masked rectangle (active targets x all sources) bit-matches
+        full-evaluation rows in both precisions on every kernel backend
+        (per-target-row sums are independent of how targets are grouped)."""
+        from repro.nbody.forces import accelerations_from_sources
         from repro.nbody.kernels import get_backend
 
         if not get_backend(kernel_backend).available:
             pytest.skip(f"kernel backend {kernel_backend} unavailable")
         pos, m = plummer_medium.positions, plummer_medium.masses
         kw = dict(softening=EPS, dtype=dtype, backend=kernel_backend)
-        full = active_forces(pos, m, np.arange(plummer_medium.n), **kw)
+        full = accelerations_from_sources(pos, pos, m, **kw)
         active = np.arange(0, plummer_medium.n, 5)
-        rows = active_forces(pos, m, active, **kw)
+        rows = accelerations_from_sources(pos[active], pos, m, **kw)
         np.testing.assert_array_equal(rows, full[active])
 
     @pytest.mark.parametrize("plan_name", ["block-i", "block-jw"])

@@ -9,7 +9,7 @@ from repro.core.plans import (
     JwParallelPlan,
     PlanConfig,
     WParallelPlan,
-    plan_by_name,
+    get_plan,
 )
 from repro.errors import ConfigurationError
 from repro.nbody.forces import direct_forces
@@ -185,11 +185,11 @@ class TestPaperShapes:
         b = JwParallelPlan(cfg).step_breakdown(p.positions, p.masses)
         assert b.kernel_gflops() > 150
 
-    def test_plan_by_name(self, cfg):
+    def test_get_plan_builds_each_paper_plan(self, cfg):
         for name, cls in zip(("i", "j", "w", "jw"), ALL_PLAN_CLASSES):
-            assert isinstance(plan_by_name(name, cfg), cls)
+            assert isinstance(get_plan(name, cfg), cls)
         with pytest.raises(ConfigurationError, match="unknown plan"):
-            plan_by_name("nope")
+            get_plan("nope")
 
 
 class TestValidation:
@@ -211,6 +211,30 @@ class TestValidation:
             PlanConfig(theta=0.0)
         with pytest.raises(ConfigurationError):
             PlanConfig(leaf_size=0)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("softening", float("nan")),
+            ("softening", float("inf")),
+            ("theta", float("nan")),
+            ("theta", float("inf")),
+            ("G", float("nan")),
+            ("G", float("-inf")),
+            ("step_eta", float("nan")),
+            ("step_eta", float("inf")),
+        ],
+    )
+    def test_config_rejects_non_finite(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            PlanConfig(**{field: value})
+
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf")])
+    def test_simulation_rejects_non_finite_dt(self, dt):
+        from repro.core.simulation import Simulation
+
+        with pytest.raises(ConfigurationError, match="dt must be finite"):
+            Simulation(plummer(8, seed=1), "i", dt=dt)
 
     def test_jw_rejects_bad_batches(self, cfg):
         with pytest.raises(ValueError):

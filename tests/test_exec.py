@@ -19,7 +19,7 @@ import pytest
 
 from repro import obs
 from repro.check import assert_bit_identical
-from repro.core.plans import PlanConfig, plan_by_name
+from repro.core.plans import PlanConfig, get_plan
 from repro.core.simulation import Simulation
 from repro.errors import ConfigurationError
 from repro.exec import (
@@ -194,9 +194,9 @@ class TestBitEquality:
     def test_parallel_matches_serial_bitwise(self, bodies, plan_name, workers):
         pos, mass = bodies
         cfg = PlanConfig(softening=EPS)
-        ref = plan_by_name(plan_name, cfg).accelerations(pos, mass)
+        ref = get_plan(plan_name, cfg).accelerations(pos, mass)
         with ExecutionEngine(workers) as eng:
-            acc = plan_by_name(plan_name, cfg, engine=eng).accelerations(pos, mass)
+            acc = get_plan(plan_name, cfg, engine=eng).accelerations(pos, mass)
         assert acc.dtype == ref.dtype
         assert_bit_identical(
             ref, acc, context=f"plan {plan_name} on {workers} threads"
@@ -205,7 +205,7 @@ class TestBitEquality:
     @pytest.mark.parametrize("plan_name", PLANS)
     def test_workspace_does_not_grow_across_passes(self, bodies, plan_name):
         pos, mass = bodies
-        plan = plan_by_name(plan_name, PlanConfig(softening=EPS))
+        plan = get_plan(plan_name, PlanConfig(softening=EPS))
         plan.accelerations(pos, mass)  # warm the pool
         ws = local_workspace()
         nbytes, allocs = ws.nbytes, ws.allocations
@@ -225,7 +225,7 @@ class TestStepAccounting:
     def _sim(self, n_bodies=64, seed=3):
         return Simulation(
             plummer(n_bodies, seed=seed),
-            plan_by_name("i", PlanConfig(softening=EPS)),
+            get_plan("i", PlanConfig(softening=EPS)),
             dt=1e-3,
         )
 

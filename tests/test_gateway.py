@@ -7,6 +7,7 @@ full HTTP path must be bit-identical to the same spec stepped solo.
 """
 
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -19,6 +20,7 @@ from repro.check.golden import state_digest
 from repro.nbody.particles import ParticleSet
 from repro.serve import Gateway, validate_describe
 from repro.serve.cache import load_result
+from repro.serve.wire import parse_addr
 
 
 def http(base, method, path, body=None, headers=None, timeout=60):
@@ -31,6 +33,17 @@ def http(base, method, path, body=None, headers=None, timeout=60):
             return response.status, json.loads(response.read()), dict(response.headers)
     except urllib.error.HTTPError as exc:
         return exc.code, json.loads(exc.read()), dict(exc.headers)
+
+
+def raw_http(gateway, request):
+    """Send raw request bytes; return (status, JSON body)."""
+    with socket.create_connection(parse_addr(gateway.addr), timeout=30) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
 
 
 def spec_body(spec, **options):
@@ -135,6 +148,36 @@ class TestEndpoints:
     def test_missing_spec_400(self, base):
         status, body, _ = http(base, "POST", "/v1/jobs", {"options": {}})
         assert status == 400 and "spec" in body["error"]
+
+    def test_nan_dt_400(self, base):
+        body = spec_body(small_spec(seed=104))
+        body["spec"]["dt"] = float("nan")  # json.dumps writes NaN
+        status, reply, _ = http(base, "POST", "/v1/jobs", body)
+        assert status == 400
+        assert reply["ok"] is False and "dt" in reply["error"]
+        assert reply["error_type"] == "ServeError"
+
+    @pytest.mark.parametrize("timeout", ["abc", "nan", "inf", "-1"])
+    def test_malformed_result_timeout_400(self, base, timeout):
+        spec = small_spec(seed=105)
+        assert http(base, "POST", "/v1/jobs", spec_body(spec))[0] == 200
+        status, reply, _ = http(
+            base, "GET", f"/v1/jobs/{spec.spec_hash()}/result?timeout={timeout}"
+        )
+        assert status == 400
+        assert reply["ok"] is False and "timeout" in reply["error"]
+        assert reply["error_type"] == "ServeError"
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_malformed_content_length_400(self, gateway, length):
+        status, reply = raw_http(
+            gateway,
+            f"POST /v1/jobs HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Length: {length}\r\n\r\n".encode(),
+        )
+        assert status == 400
+        assert reply["ok"] is False and "Content-Length" in reply["error"]
+        assert reply["error_type"] == "ServeError"
 
     def test_status_document_validates(self, base):
         status, body, _ = http(base, "GET", "/v1/status")

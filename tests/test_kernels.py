@@ -23,7 +23,7 @@ from repro.check import (
     kernel_matrix,
 )
 from repro.config import configure, resolve
-from repro.core.plans import PlanConfig, plan_by_name
+from repro.core.plans import PlanConfig, get_plan
 from repro.errors import ConfigurationError
 from repro.exec.workspace import Workspace
 from repro.gpu.kernel import tile_loop_forces
@@ -548,8 +548,8 @@ class TestPlanPlumbing:
     @pytest.mark.parametrize("plan_name", ["i", "j", "w", "jw"])
     def test_plans_run_on_compiled_backend(self, plummer_small, plan_name, name):
         pos, mass = plummer_small.positions, plummer_small.masses
-        ref_plan = plan_by_name(plan_name, PlanConfig(softening=EPS, wg_size=64))
-        cmp_plan = plan_by_name(
+        ref_plan = get_plan(plan_name, PlanConfig(softening=EPS, wg_size=64))
+        cmp_plan = get_plan(
             plan_name,
             PlanConfig(softening=EPS, wg_size=64, kernel_backend=name),
         )
@@ -565,7 +565,7 @@ class TestPlanPlumbing:
     def test_unavailable_plan_backend_degrades(self):
         stub = register_backend(_UnavailableStub("stub-plan"))
         try:
-            plan = plan_by_name(
+            plan = get_plan(
                 "j", PlanConfig(softening=EPS, kernel_backend="stub-plan")
             )
             with pytest.warns(RuntimeWarning, match="stub-plan"):

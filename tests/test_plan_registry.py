@@ -26,7 +26,6 @@ from repro.core.plans import (
     WParallelPlan,
     available_plans,
     get_plan,
-    plan_by_name,
     resolve_plan,
 )
 from repro.core.plans.registry import register, unregister
@@ -40,7 +39,7 @@ class TestRegistry:
     def test_builtin_plans_registered(self):
         assert available_plans() == ("block-i", "block-jw", "i", "j", "jw", "w")
 
-    def test_get_plan_by_name(self):
+    def test_get_plan_resolves_names(self):
         assert isinstance(get_plan("jw"), JwParallelPlan)
         assert isinstance(get_plan("i"), IParallelPlan)
 
@@ -74,11 +73,6 @@ class TestRegistry:
             resolve_plan(inst, PlanConfig())
         with pytest.raises(ConfigurationError):
             resolve_plan(42)
-
-    def test_plan_by_name_alias(self, config):
-        plan = plan_by_name("jw", config)
-        assert isinstance(plan, JwParallelPlan)
-        assert plan.config.softening == config.softening
 
     def test_register_rejects_duplicates_and_non_plans(self):
         with pytest.raises(ConfigurationError, match="already registered"):

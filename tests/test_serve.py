@@ -20,6 +20,7 @@ Multi-tenant fairness of :class:`~repro.serve.FairJobQueue` is tested in
 
 import threading
 
+import numpy as np
 import pytest
 
 import repro
@@ -101,6 +102,30 @@ class TestJobSpec:
             small_spec(dt=0.0)
         with pytest.raises(ServeError, match="n must be"):
             small_spec(n=0)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("n", "5"),
+            ("n", 64.0),
+            ("n", True),
+            ("seed", 1.5),
+            ("seed", -1),
+            ("steps", 2.5),  # hashed as steps=2, yet ran 3 steps
+            ("checkpoint_every", 1.5),
+            ("dt", float("nan")),
+            ("dt", float("inf")),
+            ("dt", "1e-3"),
+        ],
+    )
+    def test_rejects_non_integral_counts_and_non_finite_dt(self, field, value):
+        with pytest.raises(ServeError, match=field):
+            small_spec(**{field: value})
+
+    def test_numpy_integers_normalise_to_int(self):
+        spec = small_spec(n=np.int64(64), steps=np.int64(2))
+        assert type(spec.n) is int and type(spec.steps) is int
+        assert spec.spec_hash() == small_spec(n=64, steps=2).spec_hash()
 
     def test_partial_plan_config_dict_names_missing_keys(self):
         with pytest.raises(ConfigurationError) as exc_info:
