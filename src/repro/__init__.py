@@ -24,9 +24,9 @@ Package layout
 * :mod:`repro.tree` — Barnes-Hut substrate (Morton keys, octree, MAC,
   traversal, walks).
 * :mod:`repro.gpu` — simulated SIMT GPU device (device specs, kernels,
-  timing engine).
+  timing engine with its work-group dispatcher, host/device event graph).
 * :mod:`repro.core` — the paper's contribution: the PTPM model, the four
-  parallel plans (i/j/w/jw), the host-device pipeline and the high-level
+  parallel plans (i/j/w/jw) and the high-level
   :class:`~repro.core.simulation.Simulation`.
 * :mod:`repro.exec` — CPU execution engine: workspace pool, deterministic
   parallel map, per-task retry.
@@ -57,7 +57,7 @@ _EXPORTS = {
     "JwParallelPlan": "repro.core.plans",
     "available_plans": "repro.core.plans",
     "get_plan": "repro.core.plans",
-    "register": "repro.plans",
+    "register": "repro.core.plans",
     "resolve_plan": "repro.core.plans",
     "RunSession": "repro.runtime",
     "RunLedger": "repro.obs.ledger",

@@ -34,8 +34,8 @@ from repro.bench.tables import fmt_gflops, fmt_ratio, fmt_seconds, format_table
 from repro.bench.workloads import PAPER_N_SWEEP, make_workload
 from repro.core.hostmodel import PENTIUM_E5300
 from repro.core.plans import PlanConfig, get_plan
-from repro.core.scheduler import schedule_walks
 from repro.gpu.device import multi_device
+from repro.gpu.trace import trace_costs
 from repro.nbody.forces import direct_forces
 from repro.tree.bh_force import rms_relative_error
 
@@ -353,17 +353,22 @@ def ablation_queue(
     plan = get_plan("w", cfg)
     walks = plan.prepare(particles.positions, particles.masses)
     costs = walks.interactions_per_walk().astype(float)
+    lpt = costs[np.argsort(costs)[::-1]]
     table_rows = []
     outcomes = {}
-    for policy in ("static", "dynamic", "dynamic-lpt"):
-        out = schedule_walks(costs, cfg.device.compute_units, policy)
+    for policy, items, rule in (
+        ("static", costs, "static"),
+        ("dynamic", costs, "dynamic"),
+        ("dynamic-lpt", lpt, "dynamic"),
+    ):
+        out = trace_costs(items, cfg.device.compute_units, policy=rule)
         outcomes[policy] = out
         table_rows.append(
             [
                 policy,
                 f"{out.makespan:,.0f}",
-                f"{out.balance_efficiency:.3f}",
-                f"{out.idle_fraction * 100:.1f}%",
+                f"{out.utilization:.3f}",
+                f"{(1.0 - out.utilization) * 100:.1f}%",
             ]
         )
     table = format_table(

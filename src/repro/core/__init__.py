@@ -1,13 +1,6 @@
-"""The paper's contribution: PTPM model, plans, pipeline, scheduler, driver."""
+"""The paper's contribution: PTPM model, plans, host model, Simulation."""
 
 from repro.core.hostmodel import PENTIUM_E5300, HostCpuModel
-from repro.core.pipeline import (
-    PipelineResult,
-    overlapped_pipeline,
-    serial_pipeline,
-    split_batches,
-)
-from repro.core.scheduler import POLICIES, ScheduleOutcome, schedule_walks
 from repro.core.ptpm import (
     PLAN_NAMES,
     Mapping,
@@ -34,13 +27,6 @@ from repro.core.simulation import Simulation, SimulationRecord
 __all__ = [
     "PENTIUM_E5300",
     "HostCpuModel",
-    "PipelineResult",
-    "overlapped_pipeline",
-    "serial_pipeline",
-    "split_batches",
-    "POLICIES",
-    "ScheduleOutcome",
-    "schedule_walks",
     "PLAN_NAMES",
     "Mapping",
     "PlanDescriptor",

@@ -1,10 +1,10 @@
 """The four PTPM plans: i-parallel, j-parallel, w-parallel, jw-parallel.
 
 Plans are addressed by short name through the registry
-(:mod:`repro.core.plans.registry`, re-exported at :mod:`repro.plans`):
-the CLI, the benchmarks, checkpoint manifests and the job service all
-resolve ``"i" / "j" / "w" / "jw"`` via :func:`get_plan` instead of
-importing plan classes directly.
+(:mod:`repro.core.plans.registry`, re-exported here): the CLI, the
+benchmarks, checkpoint manifests and the job service all resolve
+``"i" / "j" / "w" / "jw"`` via :func:`get_plan` instead of importing
+plan classes directly.
 """
 
 from repro.core.plans.base import Plan, PlanConfig, RunTiming, StepBreakdown

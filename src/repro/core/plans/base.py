@@ -90,8 +90,10 @@ class StepBreakdown:
     kernel (integration update); ``transfer_seconds`` is PCIe traffic.
     ``overlapped`` states whether the plan hides host work behind the
     kernel (jw) or serialises it (w); ``total_seconds`` composes
-    accordingly.  When ``overlapped``, ``pipeline_total`` (from the batch
-    pipeline model) is used instead of the naive max().
+    accordingly.  An overlapped pass carries ``pipeline_total``, the
+    makespan of its host/DMA/device event graph
+    (:meth:`~repro.gpu.events.EventGraph.pipelined_step`), which replaces
+    host + kernel; a serial pass leaves it ``None``.
     """
 
     plan: str
@@ -110,14 +112,11 @@ class StepBreakdown:
     @property
     def total_seconds(self) -> float:
         """End-to-end time of one force step (the paper's "total time")."""
-        if self.overlapped:
-            core = (
-                self.pipeline_total
-                if self.pipeline_total is not None
-                else max(self.host_seconds, self.kernel_seconds)
-            )
-        else:
-            core = self.host_seconds + self.kernel_seconds
+        core = (
+            self.pipeline_total
+            if self.overlapped
+            else self.host_seconds + self.kernel_seconds
+        )
         return core + self.transfer_seconds + self.serial_seconds
 
     @property

@@ -30,7 +30,7 @@ from repro import obs
 from repro.core.plans.base import StepBreakdown
 from repro.core.plans.tree_base import TreePlanBase, evaluate_walks, segments
 from repro.core.plans.registry import register
-from repro.core.pipeline import overlapped_pipeline3, split_batches
+from repro.gpu.events import EventGraph
 from repro.gpu.kernel import packed_tile_loop_work, reduction_work
 from repro.gpu.launch import KernelLaunch
 from repro.gpu.timing import KernelTiming, time_kernel
@@ -209,7 +209,6 @@ class JwParallelPlan(TreePlanBase):
             force, timings = self._launches(walks, splits)
         kernel_seconds = sum(t.seconds for t in timings)
         tree_s, walk_s = self._host_seconds(walks)
-        list_xfer_s = self._list_transfers(walks).total_time(cfg.device)
         if obs.enabled:
             # Replay the (walk, segment) queue onto compute units so the
             # exported trace shows one lane per CU — the PTPM space axis.
@@ -221,16 +220,19 @@ class JwParallelPlan(TreePlanBase):
         if self.overlap:
             # Tree build precedes all walk generation; walk batches then
             # stream through PCIe into the device's work queue
-            # (CPU -> DMA -> GPU, three overlapping resources).
+            # (CPU -> DMA -> GPU, three overlapping resources).  The list
+            # upload is the pipeline's DMA stage; only bodies stay outside.
             b = min(self.pipeline_batches, len(walks))
-            cpu_batches = split_batches(walk_s, b)
-            cpu_batches[0] += tree_s
-            pcie_batches = split_batches(list_xfer_s, b)
-            gpu_batches = split_batches(kernel_seconds, b)
-            pipe = overlapped_pipeline3(cpu_batches, pcie_batches, gpu_batches)
-            pipeline_total = pipe.total_seconds
+            host = [walk_s / b] * b
+            host[0] += tree_s
+            list_xfer_s = self._list_transfers(walks).total_time(cfg.device)
+            pipeline_total = EventGraph.pipelined_step(
+                host, [list_xfer_s / b] * b, [kernel_seconds / b] * b
+            ).makespan()
+            transfers = self._body_transfers(walks)
         else:
-            pipeline_total = tree_s + walk_s + list_xfer_s + kernel_seconds
+            pipeline_total = None
+            transfers = self._transfers(walks)
 
         meta = self._walk_meta(walks)
         meta["lane_utilization"] = (
@@ -247,7 +249,7 @@ class JwParallelPlan(TreePlanBase):
             n_bodies=walks.tree.n_bodies,
             kernel_seconds=kernel_seconds,
             host_seconds=tree_s + walk_s,
-            transfer_seconds=self._body_transfers(walks).total_time(cfg.device),
+            transfer_seconds=transfers.total_time(cfg.device),
             serial_seconds=cfg.host.integration_seconds(walks.tree.n_bodies),
             overlapped=self.overlap,
             interactions=force.total_interactions,

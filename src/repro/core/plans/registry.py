@@ -17,7 +17,8 @@ benchmark sweeps, checkpoint manifests, job specs — resolves through
   :class:`~repro.core.simulation.Simulation` and the serve layer use);
 * :func:`available_plans` — the sorted registered names.
 
-``repro.plans`` re-exports this module as the stable public import path.
+:mod:`repro.core.plans` re-exports this module, and the ``repro`` facade
+its names (``repro.register``, ``repro.get_plan``, ...).
 """
 
 from __future__ import annotations

@@ -16,7 +16,6 @@ from repro import obs
 from repro.core.plans.base import StepBreakdown
 from repro.core.plans.tree_base import TreePlanBase
 from repro.core.plans.registry import register
-from repro.core.pipeline import serial_pipeline
 from repro.gpu.kernel import tile_loop_work
 from repro.gpu.launch import KernelLaunch
 from repro.gpu.timing import time_kernel
@@ -67,7 +66,6 @@ class WParallelPlan(TreePlanBase):
                 seconds_per_unit=cfg.device.seconds(1.0), kernel=launch.name
             )
         tree_s, walk_s = self._host_seconds(walks)
-        pipe = serial_pipeline(tree_s + walk_s, timing.seconds)
         meta = self._walk_meta(walks)
         meta["lane_utilization"] = (
             launch.total_interactions / launch.total_issued_interactions
@@ -85,6 +83,5 @@ class WParallelPlan(TreePlanBase):
             interactions=launch.total_interactions,
             issued_interactions=launch.total_issued_interactions,
             kernels=[timing],
-            pipeline_total=pipe.total_seconds,
             meta=meta,
         )

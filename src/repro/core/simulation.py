@@ -120,7 +120,7 @@ class Simulation:
 
     ``plan`` is a :class:`Plan` instance or a registered plan name
     (``"i"``, ``"j"``, ``"w"``, ``"jw"``, or anything added through
-    :func:`repro.plans.register`); a name is resolved with
+    :func:`repro.register`); a name is resolved with
     ``plan_config`` (default :class:`PlanConfig`).  Everything after
     ``plan`` is keyword-only.
 

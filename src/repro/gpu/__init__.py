@@ -32,8 +32,8 @@ from repro.gpu.timing import (
     BARRIER_CYCLES,
     WG_DISPATCH_CYCLES,
     KernelTiming,
-    greedy_schedule,
-    round_robin_schedule,
+    dispatch,
+    launch_cycles,
     time_kernel,
     workgroup_cycles,
 )
@@ -76,8 +76,8 @@ __all__ = [
     "BARRIER_CYCLES",
     "WG_DISPATCH_CYCLES",
     "KernelTiming",
-    "greedy_schedule",
-    "round_robin_schedule",
+    "dispatch",
+    "launch_cycles",
     "time_kernel",
     "workgroup_cycles",
 ]

@@ -1,21 +1,21 @@
 """Event-graph simulation of host/DMA/device command streams.
 
-This is the formal version of the PTPM *time axis*: commands (host walk
+This is the one model of the PTPM *time axis*: commands (host walk
 generation, PCIe uploads, kernel launches, downloads) run on named serial
 resources and may depend on each other; :meth:`EventGraph.simulate`
 computes every command's start/end and the makespan.
 
-The closed-form pipeline recurrences in :mod:`repro.core.pipeline` are the
-special case of a three-resource chain — the test suite checks that
-equivalence — while the event graph also expresses schedules the
-recurrences cannot (multi-device fan-out, downloads racing uploads,
-priority inversions), which the what-if examples use.
+The jw plan's overlapped pass is :meth:`EventGraph.pipelined_step`, a
+host -> DMA -> GPU chain per walk batch; the same graph also expresses
+schedules a fixed chain cannot (multi-device fan-out, downloads racing
+uploads, priority inversions), which the what-if examples use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro import obs
 from repro.errors import ConfigurationError
 
 __all__ = ["Command", "CommandRecord", "EventGraph"]
@@ -83,7 +83,10 @@ class EventGraph:
         """Execute the graph; returns per-command records in submission order.
 
         Because dependencies may only point backwards (enforced at
-        submission), a single pass resolves all start times.
+        submission), a single pass resolves all start times.  With
+        :mod:`repro.obs` tracing on, each call also records every command
+        on the simulated timeline from the current simulated clock, one
+        lane (``pipe.<resource>``) per resource.
         """
         records: list[CommandRecord] = []
         resource_free: dict[str, float] = {}
@@ -93,6 +96,15 @@ class EventGraph:
                 ready = max(ready, records[d].end)
             records.append(CommandRecord(cmd, ready, ready + cmd.duration))
             resource_free[cmd.resource] = ready + cmd.duration
+        if obs.enabled:
+            base = obs.sim_now()
+            for r in records:
+                obs.sim_span(
+                    r.command.label or r.command.resource,
+                    base + r.start,
+                    base + r.end,
+                    track=f"pipe.{r.command.resource}",
+                )
         return records
 
     def makespan(self) -> float:
@@ -138,15 +150,4 @@ class EventGraph:
             hid = g.submit("host", h, label=f"walks{i}")
             uid = g.submit(f"dma{dev}", u, label=f"upload{i}", deps=(hid,))
             g.submit(f"gpu{dev}", k, label=f"kernel{i}", deps=(uid,))
-        return g
-
-    @classmethod
-    def serial_step(
-        cls, host_seconds: float, upload_seconds: float, kernel_seconds: float
-    ) -> "EventGraph":
-        """The w step: host, then upload, then kernel, no overlap."""
-        g = cls()
-        hid = g.submit("host", host_seconds, label="walks")
-        uid = g.submit("dma0", upload_seconds, label="upload", deps=(hid,))
-        g.submit("gpu0", kernel_seconds, label="kernel", deps=(uid,))
         return g

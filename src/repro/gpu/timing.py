@@ -1,11 +1,16 @@
 """Timing engine: work-group costs, CU scheduling, kernel makespan.
 
 The engine converts the *actual* per-work-group work recorded in a
-:class:`~repro.gpu.launch.KernelLaunch` into engine cycles, then schedules
-the work-groups onto compute units the way the hardware dispatcher does
-(greedy, earliest-available CU) and reports the makespan.  The occupancy
-model scales compute throughput when too few wavefronts are resident —
-which is the mechanism behind the paper's small-N results.
+:class:`~repro.gpu.launch.KernelLaunch` into engine cycles
+(:func:`launch_cycles`), then schedules the work-groups onto compute units
+the way the hardware dispatcher does (greedy, earliest-available CU) and
+reports the makespan.  The occupancy model scales compute throughput when
+too few wavefronts are resident — which is the mechanism behind the
+paper's small-N results.
+
+:func:`dispatch` is the one model of the PTPM *space* axis: the kernel
+timings, the execution traces and the queue ablation all place their
+items on workers through it.
 """
 
 from __future__ import annotations
@@ -25,8 +30,8 @@ __all__ = [
     "BARRIER_CYCLES",
     "WG_DISPATCH_CYCLES",
     "workgroup_cycles",
-    "greedy_schedule",
-    "round_robin_schedule",
+    "launch_cycles",
+    "dispatch",
     "KernelTiming",
     "time_kernel",
 ]
@@ -62,44 +67,59 @@ def workgroup_cycles(
     return max(compute, mem) + sync + red + WG_DISPATCH_CYCLES
 
 
-def greedy_schedule(costs: np.ndarray, n_workers: int) -> tuple[float, np.ndarray]:
-    """Hardware-style dispatch: each item goes to the earliest-free worker.
+def launch_cycles(
+    device: DeviceSpec, launch: KernelLaunch
+) -> tuple[OccupancyInfo, np.ndarray]:
+    """The launch's occupancy and each work-group's cycles on ``device``."""
+    launch.validate_on(device)
+    occ = kernel_occupancy(
+        device,
+        wg_size=launch.wg_size,
+        n_workgroups=launch.n_workgroups,
+        lds_bytes_per_wg=launch.max_lds_bytes,
+    )
+    costs = np.array(
+        [workgroup_cycles(device, wg, occ.latency_efficiency) for wg in launch.workgroups]
+    )
+    return occ, costs
 
-    Items are dispatched **in submission order** (this is what a GPU block
-    scheduler or a dynamic work queue does).  Returns
-    ``(makespan, per_worker_busy_time)``.
+
+def dispatch(
+    costs: np.ndarray, n_workers: int, policy: str = "dynamic"
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each item's worker and start time, items taken in submission order.
+
+    ``"dynamic"`` gives each item to the earliest-free worker (the lowest
+    index on a tie): the hardware's work-group dispatcher and the jw
+    plan's walk queue.  ``"static"`` pre-assigns item ``k`` to worker
+    ``k % n_workers``: w-parallel's fixed walk-to-block binding, whose
+    skewed work piles onto unlucky workers.  Item ``k`` ends at
+    ``start[k] + costs[k]``; the makespan is the latest end.
     """
     if n_workers < 1:
         raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
     costs = np.asarray(costs, dtype=np.float64)
-    if costs.size == 0:
-        return 0.0, np.zeros(n_workers)
-    heap = [(0.0, w) for w in range(n_workers)]
-    heapq.heapify(heap)
-    busy = np.zeros(n_workers)
-    finish = 0.0
-    for c in costs:
-        t, w = heapq.heappop(heap)
-        t_new = t + float(c)
-        busy[w] += float(c)
-        finish = max(finish, t_new)
-        heapq.heappush(heap, (t_new, w))
-    return finish, busy
-
-
-def round_robin_schedule(costs: np.ndarray, n_workers: int) -> tuple[float, np.ndarray]:
-    """Static pre-assignment: item ``k`` goes to worker ``k % n_workers``.
-
-    The contrast case for the dynamic-queue ablation — skewed work piles
-    onto unlucky workers.
-    """
-    if n_workers < 1:
-        raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
-    costs = np.asarray(costs, dtype=np.float64)
-    busy = np.zeros(n_workers)
-    for k, c in enumerate(costs):
-        busy[k % n_workers] += float(c)
-    return float(busy.max(initial=0.0)), busy
+    if np.any(costs < 0):
+        raise ConfigurationError("costs must be non-negative")
+    workers: list[int] = []
+    starts: list[float] = []
+    if policy == "dynamic":
+        free = [(0.0, w) for w in range(n_workers)]  # already a heap
+        for c in costs.tolist():
+            t, w = free[0]
+            workers.append(w)
+            starts.append(t)
+            heapq.heapreplace(free, (t + c, w))
+    elif policy == "static":
+        free_at = [0.0] * n_workers
+        for k, c in enumerate(costs.tolist()):
+            w = k % n_workers
+            workers.append(w)
+            starts.append(free_at[w])
+            free_at[w] += c
+    else:
+        raise ConfigurationError(f"unknown policy '{policy}'")
+    return np.array(workers, dtype=np.int64), np.array(starts, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -139,18 +159,11 @@ def time_kernel(
     """
     if schedule not in ("hardware", "static"):
         raise ConfigurationError(f"unknown schedule '{schedule}'")
-    launch.validate_on(device)
-    occ = kernel_occupancy(
-        device,
-        wg_size=launch.wg_size,
-        n_workgroups=launch.n_workgroups,
-        lds_bytes_per_wg=launch.max_lds_bytes,
-    )
-    costs = np.array(
-        [workgroup_cycles(device, wg, occ.latency_efficiency) for wg in launch.workgroups]
-    )
-    scheduler = greedy_schedule if schedule == "hardware" else round_robin_schedule
-    makespan, busy = scheduler(costs, device.compute_units)
+    occ, costs = launch_cycles(device, launch)
+    policy = "dynamic" if schedule == "hardware" else "static"
+    cu, start = dispatch(costs, device.compute_units, policy)
+    makespan = float((start + costs).max(initial=0.0))
+    busy = np.bincount(cu, weights=costs, minlength=device.compute_units)
     seconds = device.seconds(makespan)
     if include_launch_overhead:
         seconds += device.kernel_launch_overhead_s

@@ -9,7 +9,6 @@ aggregated into a number.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +17,7 @@ from repro import obs
 from repro.errors import ConfigurationError
 from repro.gpu.device import DeviceSpec
 from repro.gpu.launch import KernelLaunch
-from repro.gpu.occupancy import kernel_occupancy
-from repro.gpu.timing import workgroup_cycles
+from repro.gpu.timing import dispatch, launch_cycles
 
 __all__ = ["Interval", "ExecutionTrace", "trace_costs", "trace_launch"]
 
@@ -128,34 +126,19 @@ def trace_costs(
     """Schedule item costs onto workers, recording the timeline.
 
     ``policy``: ``"dynamic"`` (earliest-free worker, FIFO — hardware
-    dispatch / jw queue) or ``"static"`` (round-robin pre-assignment).
+    dispatch / jw queue) or ``"static"`` (round-robin pre-assignment);
+    see :func:`~repro.gpu.timing.dispatch`.
     """
     costs = np.asarray(costs, dtype=np.float64)
-    if n_workers < 1:
-        raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
-    if np.any(costs < 0):
-        raise ConfigurationError("costs must be non-negative")
     if labels is None:
         labels = [f"item{k}" for k in range(costs.size)]
     if len(labels) != costs.size:
         raise ConfigurationError("labels length must match costs")
-
-    intervals: list[Interval] = []
-    if policy == "dynamic":
-        heap = [(0.0, w) for w in range(n_workers)]
-        heapq.heapify(heap)
-        for c, lab in zip(costs, labels):
-            t, w = heapq.heappop(heap)
-            intervals.append(Interval(w, t, t + float(c), lab))
-            heapq.heappush(heap, (t + float(c), w))
-    elif policy == "static":
-        t_worker = np.zeros(n_workers)
-        for k, (c, lab) in enumerate(zip(costs, labels)):
-            w = k % n_workers
-            intervals.append(Interval(w, t_worker[w], t_worker[w] + float(c), lab))
-            t_worker[w] += float(c)
-    else:
-        raise ConfigurationError(f"unknown policy '{policy}'")
+    workers, starts = dispatch(costs, n_workers, policy)
+    intervals = [
+        Interval(w, t, t + c, lab)
+        for w, t, c, lab in zip(workers.tolist(), starts.tolist(), costs.tolist(), labels)
+    ]
     return ExecutionTrace(intervals, n_workers)
 
 
@@ -165,15 +148,7 @@ def trace_launch(
     """Timeline (in engine cycles) of a kernel launch on ``device``."""
     if schedule not in ("hardware", "static"):
         raise ConfigurationError(f"unknown schedule '{schedule}'")
-    occ = kernel_occupancy(
-        device,
-        wg_size=launch.wg_size,
-        n_workgroups=launch.n_workgroups,
-        lds_bytes_per_wg=launch.max_lds_bytes,
-    )
-    costs = np.array(
-        [workgroup_cycles(device, wg, occ.latency_efficiency) for wg in launch.workgroups]
-    )
+    _, costs = launch_cycles(device, launch)
     labels = [wg.label for wg in launch.workgroups]
     policy = "dynamic" if schedule == "hardware" else "static"
     return trace_costs(costs, device.compute_units, labels=labels, policy=policy)

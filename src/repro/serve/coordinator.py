@@ -44,7 +44,7 @@ from repro.config import resolve
 from repro.errors import JobCancelledError, QuotaError, ServeError
 from repro.obs.ledger import RunLedger, default_ledger
 from repro.serve.cache import ResultCache
-from repro.serve.options import SubmitOptions
+from repro.serve.options import SubmitOptions, check_timeout
 from repro.serve.schema import DESCRIBE_VERSION
 from repro.serve.spec import JobSpec
 from repro.serve.tenancy import DEFAULT_TENANT, FairJobQueue, TenantPolicy
@@ -371,11 +371,7 @@ class Coordinator:
 
     def _op_submit(self, msg: dict[str, Any]) -> dict[str, Any]:
         spec = JobSpec.from_dict(msg["spec"])
-        if "options" in msg and msg["options"] is not None:
-            options = SubmitOptions.from_wire(msg["options"])
-        else:
-            # Pre-SubmitOptions clients send a bare priority field.
-            options = SubmitOptions(priority=int(msg.get("priority", 0)))
+        options = SubmitOptions.from_wire(msg.get("options"))
         tenant = options.tenant or DEFAULT_TENANT
         spec_hash = spec.spec_hash()
         with self._lock:
@@ -430,9 +426,8 @@ class Coordinator:
             return {"ok": True, "job": job.snapshot(), "deduped": False}
 
     def _op_wait(self, msg: dict[str, Any]) -> dict[str, Any]:
+        deadline = check_timeout(msg.get("timeout"))
         job = self._get_job(msg)
-        timeout = msg.get("timeout")
-        deadline = None if timeout is None else float(timeout)
         waited = 0.0
         while True:
             if job._finished.wait(timeout=_WAIT_CHUNK_S):

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import math
 import sys
 import threading
 import traceback
@@ -55,7 +54,7 @@ from urllib.parse import parse_qs, urlsplit
 from repro import obs
 from repro.config import resolve
 from repro.errors import AdmissionError, ReproError, ServeError
-from repro.serve.options import SubmitOptions
+from repro.serve.options import SubmitOptions, check_timeout
 from repro.serve.remote import connect
 from repro.serve.schema import DESCRIBE_VERSION
 from repro.serve.service import JobHandle, JobService
@@ -450,18 +449,10 @@ class Gateway:
         raise _HTTPError(404, f"no route for {method} /v1/jobs/{rest}")
 
     async def _handle_result(self, spec_hash: str, query: dict[str, str]) -> bytes:
-        timeout = None
-        if "timeout" in query:
-            try:
-                timeout = float(query["timeout"])
-            except ValueError:
-                timeout = math.nan
-            if not (math.isfinite(timeout) and timeout >= 0.0):
-                raise _HTTPError(
-                    400,
-                    "timeout must be a finite number >= 0, "
-                    f"got {query['timeout']!r}",
-                )
+        try:
+            timeout = check_timeout(query.get("timeout"))
+        except ServeError as exc:
+            raise _HTTPError(400, str(exc))
         handle = self._get_handle(spec_hash)
         loop = asyncio.get_running_loop()
         waited = 0.0

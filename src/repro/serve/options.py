@@ -18,16 +18,21 @@ boundaries (socket protocol, HTTP gateway, ``--jobs`` batch files).
 in-process-only; :meth:`SubmitOptions.to_wire` raises
 :class:`~repro.errors.ServeError` when they are set, which is the same
 contract the remote client enforced before this class existed.
+
+Waiting on a submission takes one more knob, its ``timeout``;
+:func:`check_timeout` is the one rule every wait surface applies to it.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
 from repro.errors import ServeError
 
-__all__ = ["SubmitOptions"]
+__all__ = ["SubmitOptions", "check_timeout"]
 
 #: Fields that may cross a process boundary (socket / HTTP / batch JSON).
 WIRE_FIELDS = ("priority", "tenant")
@@ -115,3 +120,25 @@ class SubmitOptions:
         if self.tenant is None and tenant is not None:
             return replace(self, tenant=tenant)
         return self
+
+
+def check_timeout(timeout: Any) -> float | None:
+    """A wait's timeout in seconds: ``None`` (no limit) or a finite number >= 0.
+
+    Anything else raises :class:`ServeError`: a NaN deadline is never
+    reached and an infinite one overflows the platform's clock.  Numeric
+    strings (an HTTP query value) are read as their number.  A timeout
+    beyond the longest wait the platform can express
+    (:data:`threading.TIMEOUT_MAX`, centuries) is capped to it.
+    """
+    if timeout is None:
+        return None
+    try:
+        value = float(timeout)
+    except (TypeError, ValueError):
+        value = math.nan
+    if isinstance(timeout, bool) or not (math.isfinite(value) and value >= 0.0):
+        raise ServeError(
+            f"timeout must be None or a finite number >= 0, got {timeout!r}"
+        )
+    return min(value, threading.TIMEOUT_MAX)

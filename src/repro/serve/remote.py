@@ -34,7 +34,7 @@ from typing import Any
 from repro.config import resolve
 from repro.errors import ServeError
 from repro.serve.cache import JobResult, load_result
-from repro.serve.options import SubmitOptions
+from repro.serve.options import SubmitOptions, check_timeout
 from repro.serve.service import Client, JobHandle, JobService
 from repro.serve.spec import JobSpec
 from repro.serve.wire import decode_error, parse_addr, recv_msg, send_msg
@@ -105,6 +105,7 @@ class RemoteHandle(JobHandle):
         return self._done.is_set()
 
     def wait(self, timeout: float | None = None) -> bool:
+        timeout = check_timeout(timeout)
         if self._done.is_set():
             return True
         self._absorb(self._remote._wait(self.spec_hash, timeout))

@@ -78,7 +78,7 @@ from repro.exec.engine import EnginePool, ExecutionEngine
 from repro.obs.ledger import RunLedger, default_ledger
 from repro.runtime.session import RunSession
 from repro.serve.cache import JobResult, ResultCache
-from repro.serve.options import SubmitOptions
+from repro.serve.options import SubmitOptions, check_timeout
 from repro.serve.scheduler import Scheduler
 from repro.serve.schema import DESCRIBE_VERSION
 from repro.serve.spec import JobSpec
@@ -126,11 +126,11 @@ class JobHandle:
         return self._done.is_set()
 
     def wait(self, timeout: float | None = None) -> bool:
-        return self._done.wait(timeout=timeout)
+        return self._done.wait(timeout=check_timeout(timeout))
 
     def result(self, timeout: float | None = None) -> JobResult:
         """Block for the result; re-raises the job's failure if it died."""
-        if not self._done.wait(timeout=timeout):
+        if not self._done.wait(timeout=check_timeout(timeout)):
             raise ServeError(
                 f"job {self.spec_hash[:12]} not finished within {timeout}s"
             )

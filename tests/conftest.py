@@ -82,6 +82,16 @@ def solo_state(spec):
     )
 
 
+def two_stage_recurrence(host, device):
+    """Closed-form total of host batches feeding device batches: the
+    reference the host/device pipeline model is checked against."""
+    host_done = device_done = 0.0
+    for h, d in zip(host, device):
+        host_done += h
+        device_done = max(host_done, device_done) + d
+    return device_done
+
+
 @pytest.fixture(scope="session")
 def plummer_small():
     """A 256-body Plummer sphere (session-scoped; treat as read-only)."""

@@ -28,7 +28,6 @@ PACKAGES = [
     "repro.obs",
     "repro.runtime",
     "repro.serve",
-    "repro.plans",
     "repro.check",
 ]
 

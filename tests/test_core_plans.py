@@ -144,6 +144,20 @@ class TestCostStructure:
         off = JwParallelPlan(cfg, overlap=False).step_breakdown(pos, m)
         assert on.total_seconds < off.total_seconds
 
+    def test_jw_without_overlap_pays_for_the_list_upload(self, bodies, cfg):
+        """With nothing to hide it behind, the interaction-list upload is
+        charged as a transfer, as in the w plan."""
+        pos, m = bodies
+        plan = JwParallelPlan(cfg, overlap=False)
+        walks = plan.prepare(pos, m)
+        b = plan.breakdown_from_walks(walks)
+        transfers = plan._transfers(walks).total_time(cfg.device)
+        assert b.total_seconds == (
+            b.host_seconds + b.kernel_seconds + transfers + b.serial_seconds
+        )
+        assert b.transfer_seconds == transfers
+        assert b.pipeline_total is None
+
     def test_run_timing_scales_linearly(self, bodies, cfg):
         pos, m = bodies
         plan = IParallelPlan(cfg)

@@ -3,50 +3,63 @@
 import numpy as np
 import pytest
 
+from repro.bench.experiments import ablation_queue
 from repro.core.ptpm import (
     PLAN_NAMES,
     Mapping,
     comparison_table,
     describe,
 )
-from repro.core.scheduler import POLICIES, schedule_walks
 from repro.errors import ConfigurationError
+from repro.gpu.timing import dispatch
+from repro.gpu.trace import trace_costs
+
+#: The queue ablation's policies: the dispatcher's two, plus the dynamic
+#: queue fed longest-first.
+POLICIES = ("static", "dynamic", "dynamic-lpt")
+
+
+def schedule_walk_costs(costs, n_workers, policy):
+    """The timeline of one queue-ablation policy."""
+    if policy == "dynamic-lpt":
+        return trace_costs(np.sort(costs)[::-1], n_workers, policy="dynamic")
+    return trace_costs(costs, n_workers, policy=policy)
 
 
 class TestScheduleWalks:
     def test_policies_exist(self):
-        assert set(POLICIES) == {"static", "dynamic", "dynamic-lpt"}
+        outcomes = ablation_queue(n=1024).data["outcomes"]
+        assert set(outcomes) == set(POLICIES)
 
     def test_uniform_work_all_equal(self):
         costs = np.ones(36)
-        outcomes = [schedule_walks(costs, 18, p) for p in POLICIES]
-        for o in outcomes:
-            assert o.makespan == pytest.approx(2.0)
-            assert o.balance_efficiency == pytest.approx(1.0)
+        for p in POLICIES:
+            tr = schedule_walk_costs(costs, 18, p)
+            assert tr.makespan == pytest.approx(2.0)
+            assert tr.utilization == pytest.approx(1.0)
 
     def test_skewed_work_ordering(self, rng):
         costs = rng.pareto(1.5, 500) + 0.1
-        st = schedule_walks(costs, 18, "static")
-        dy = schedule_walks(costs, 18, "dynamic")
-        lpt = schedule_walks(costs, 18, "dynamic-lpt")
+        st = schedule_walk_costs(costs, 18, "static")
+        dy = schedule_walk_costs(costs, 18, "dynamic")
+        lpt = schedule_walk_costs(costs, 18, "dynamic-lpt")
         assert lpt.makespan <= dy.makespan + 1e-9
         assert dy.makespan <= st.makespan + 1e-9
 
     def test_outcome_accounting(self, rng):
         costs = rng.uniform(1, 3, 100)
-        o = schedule_walks(costs, 10, "dynamic")
-        assert o.total_work == pytest.approx(costs.sum())
-        assert o.n_items == 100
-        assert 0.0 <= o.idle_fraction < 1.0
-        assert o.idle_fraction == pytest.approx(1.0 - o.balance_efficiency)
+        tr = schedule_walk_costs(costs, 10, "dynamic")
+        assert tr.worker_busy().sum() == pytest.approx(costs.sum())
+        assert len(tr.intervals) == 100
+        assert 0.0 <= 1.0 - tr.utilization < 1.0
 
     def test_rejects_unknown_policy(self):
         with pytest.raises(ConfigurationError, match="policy"):
-            schedule_walks(np.ones(3), 2, "roulette")
+            dispatch(np.ones(3), 2, "roulette")
 
     def test_rejects_negative_costs(self):
         with pytest.raises(ConfigurationError):
-            schedule_walks(np.array([-1.0]), 2, "dynamic")
+            dispatch(np.array([-1.0]), 2, "dynamic")
 
 
 class TestPtpmDescriptors:

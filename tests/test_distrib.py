@@ -18,6 +18,7 @@ The contracts under test:
 """
 
 import socket
+import threading
 import time
 import warnings
 
@@ -365,6 +366,52 @@ class TestConnect:
         finally:
             remote.close()
             coord.stop()
+
+
+class TestWaitTimeout:
+    """A wait's timeout is ``None`` or a finite number >= 0 on the wire too;
+    each call is bounded here so a wait that never ends fails the test."""
+
+    BAD = [float("nan"), float("inf"), -1.0]
+
+    @staticmethod
+    def _bounded(call, seconds=3.0):
+        outcome = {}
+
+        def run():
+            try:
+                outcome["value"] = call()
+            except Exception as exc:  # noqa: BLE001 - reported below
+                outcome["error"] = exc
+
+        t = threading.Thread(target=run, daemon=True)
+        t.start()
+        t.join(seconds)
+        assert not t.is_alive(), f"still waiting after {seconds}s"
+        return outcome
+
+    @pytest.mark.parametrize("timeout", BAD)
+    def test_remote_handle_rejects_before_any_rpc(self, tmp_path, timeout):
+        # No worker: the job stays queued, so only the timeout can end a wait.
+        with Coordinator(cache_dir=tmp_path, ledger=False) as coord:
+            with connect(coord.addr) as client:
+                handle = client.submit(small_spec(seed=66))
+                for call in (handle.wait, handle.result):
+                    out = self._bounded(lambda: call(timeout=timeout))
+                    assert isinstance(out.get("error"), ServeError), out
+                    assert "timeout must be" in str(out["error"])
+
+    @pytest.mark.parametrize("timeout", BAD)
+    def test_coordinator_wait_op_rejects(self, tmp_path, timeout):
+        with Coordinator(cache_dir=tmp_path, ledger=False) as coord:
+            with connect(coord.addr) as client:
+                spec_hash = client.submit(small_spec(seed=67)).spec_hash
+            with socket.create_connection(parse_addr(coord.addr), timeout=3.0) as sock:
+                send_msg(sock, {"op": "wait", "spec_hash": spec_hash, "timeout": timeout})
+                reply = recv_msg(sock)
+        assert reply["ok"] is False
+        assert reply["error"] == "ServeError"
+        assert "timeout must be" in reply["message"]
 
 
 class TestTokenAuth:

@@ -7,14 +7,17 @@ from repro.errors import ConfigurationError
 from repro.gpu.device import RADEON_HD_5850
 from repro.gpu.kernel import tile_loop_work
 from repro.gpu.launch import KernelLaunch, WorkGroupWork
-from repro.gpu.timing import (
-    greedy_schedule,
-    round_robin_schedule,
-    time_kernel,
-    workgroup_cycles,
-)
+from repro.gpu.timing import dispatch, time_kernel, workgroup_cycles
 
 DEV = RADEON_HD_5850
+
+
+def schedule(costs, n_workers, policy="dynamic"):
+    """``(makespan, per-worker busy time)`` of dispatching ``costs``."""
+    costs = np.asarray(costs, dtype=np.float64)
+    workers, starts = dispatch(costs, n_workers, policy)
+    busy = np.bincount(workers, weights=costs, minlength=n_workers)
+    return float((starts + costs).max(initial=0.0)), busy
 
 
 def _launch(n_wgs, interactions_each=256 * 1024, wg_size=256):
@@ -33,47 +36,48 @@ def _launch(n_wgs, interactions_each=256 * 1024, wg_size=256):
 
 class TestSchedulers:
     def test_greedy_balances(self):
-        makespan, busy = greedy_schedule(np.ones(100), 10)
+        makespan, busy = schedule(np.ones(100), 10)
         assert makespan == pytest.approx(10.0)
         np.testing.assert_allclose(busy, 10.0)
 
     def test_greedy_handles_skew(self):
         costs = np.array([100.0] + [1.0] * 99)
-        makespan, _ = greedy_schedule(costs, 10)
+        makespan, _ = schedule(costs, 10)
         assert makespan == pytest.approx(100.0)  # lower bound = largest item
 
     def test_round_robin_suffers_skew(self):
         # all heavy items land on the same worker under round-robin
         costs = np.array(([10.0] + [1.0] * 9) * 10)
-        ms_rr, _ = round_robin_schedule(costs, 10)
-        ms_gr, _ = greedy_schedule(costs, 10)
+        ms_rr, _ = schedule(costs, 10, "static")
+        ms_gr, _ = schedule(costs, 10)
         assert ms_rr > ms_gr
 
     def test_greedy_beats_round_robin_on_skewed_work(self, rng):
         # not a universal guarantee (greedy FIFO can lose on adversarial
         # inputs), but on heavy-tailed walk-like work it should win
         costs = rng.pareto(1.5, 500) + 0.1
-        ms_gr, _ = greedy_schedule(costs, 18)
-        ms_rr, _ = round_robin_schedule(costs, 18)
+        ms_gr, _ = schedule(costs, 18)
+        ms_rr, _ = schedule(costs, 18, "static")
         assert ms_gr <= ms_rr + 1e-12
 
     def test_makespan_lower_bounds(self, rng):
         costs = rng.uniform(0.5, 2.0, 64)
-        ms, busy = greedy_schedule(costs, 18)
+        ms, busy = schedule(costs, 18)
         assert ms >= costs.sum() / 18 - 1e-12
         assert ms >= costs.max() - 1e-12
         assert busy.sum() == pytest.approx(costs.sum())
 
     def test_empty_costs(self):
-        ms, busy = greedy_schedule(np.array([]), 4)
-        assert ms == 0.0
-        np.testing.assert_array_equal(busy, 0.0)
+        for policy in ("dynamic", "static"):
+            workers, starts = dispatch(np.array([]), 4, policy)
+            assert workers.size == starts.size == 0
+            assert schedule(np.array([]), 4, policy)[0] == 0.0
 
     def test_rejects_bad_workers(self):
         with pytest.raises(ConfigurationError):
-            greedy_schedule(np.ones(3), 0)
+            dispatch(np.ones(3), 0, "dynamic")
         with pytest.raises(ConfigurationError):
-            round_robin_schedule(np.ones(3), 0)
+            dispatch(np.ones(3), 0, "static")
 
 
 class TestWorkgroupCycles:

@@ -279,6 +279,21 @@ class TestExecutionTraceEmission:
         cu = {s.track for s in tr.spans if s.track and s.track.startswith("CU")}
         assert cu, "no per-compute-unit spans emitted"
 
+    @pytest.mark.parametrize("batches", [1, 16])
+    def test_pipeline_lanes_one_span_per_stage_and_batch(self, batches):
+        """The PTPM time axis: host, PCIe and device each get one lane, and
+        each walk batch one span on every lane."""
+        from repro.core.plans import JwParallelPlan, PlanConfig
+
+        plan = JwParallelPlan(PlanConfig(softening=1e-2), pipeline_batches=batches)
+        particles = plummer(2048, seed=11)
+        walks = plan.prepare(particles.positions, particles.masses)
+        with obs.capture() as (tr, _):
+            plan.breakdown_from_walks(walks)
+        pipe = [s for s in tr.spans if s.kind == "sim" and s.track.startswith("pipe.")]
+        assert len({s.track for s in pipe}) == 3
+        assert len(pipe) == 3 * min(batches, len(walks))
+
     def _run(self):
         from repro.core.plans import JwParallelPlan, PlanConfig
         from repro.core.simulation import Simulation

@@ -21,7 +21,6 @@ import repro
 from repro.core.plans import (
     IParallelPlan,
     JwParallelPlan,
-    Plan,
     PlanConfig,
     WParallelPlan,
     available_plans,
@@ -114,10 +113,6 @@ class TestNameResolutionEverywhere:
     def test_facade_exports(self):
         assert repro.get_plan is get_plan
         assert repro.available_plans is available_plans
-        from repro import plans as plans_module
-
-        assert plans_module.get_plan is get_plan
-        assert plans_module.Plan is Plan
 
     def test_resume_accepts_plan_name(self, tmp_path, plummer_small):
         sim = Simulation(plummer_small.copy(), "jw", dt=1e-3)

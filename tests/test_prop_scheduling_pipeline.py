@@ -1,12 +1,29 @@
-"""Property-based tests for schedulers, pipelines, and timing invariants."""
+"""Property-based tests for the two PTPM axes: the work-group dispatcher
+(space) and the host/DMA/device event graph (time)."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.pipeline import overlapped_pipeline, overlapped_pipeline3
-from repro.core.scheduler import schedule_walks
-from repro.gpu.timing import greedy_schedule, round_robin_schedule
+from repro.gpu.events import EventGraph
+from repro.gpu.timing import dispatch
+from tests.conftest import two_stage_recurrence
+
+
+def dynamic_schedule(costs, n_workers):
+    """``(makespan, per-worker busy time)`` under dynamic dispatch."""
+    workers, starts = dispatch(costs, n_workers, "dynamic")
+    busy = np.bincount(workers, weights=costs, minlength=n_workers)
+    return float((starts + costs).max(initial=0.0)), busy
+
+
+def pipeline(*stages):
+    """Makespan of the host -> DMA -> GPU pipeline; two stages get an
+    instant DMA stage."""
+    if len(stages) == 2:
+        stages = (stages[0], [0.0] * len(stages[0]), stages[1])
+    return EventGraph.pipelined_step(*stages).makespan()
+
 
 cost_lists = st.lists(
     st.floats(min_value=0.0, max_value=100.0, allow_nan=False), min_size=1, max_size=200
@@ -19,7 +36,7 @@ class TestSchedulerProperties:
     @settings(max_examples=60, deadline=None)
     def test_makespan_bounds(self, costs, n):
         costs = np.asarray(costs)
-        ms, busy = greedy_schedule(costs, n)
+        ms, busy = dynamic_schedule(costs, n)
         assert ms >= costs.max() - 1e-9
         assert ms >= costs.sum() / n - 1e-9
         assert ms <= costs.sum() + 1e-9
@@ -33,7 +50,7 @@ class TestSchedulerProperties:
         round-robin — hypothesis found the counter-example [1,0,1,2] on 2
         workers — so the guarantee we rely on is the Graham bound.)"""
         costs = np.asarray(costs)
-        ms_g, _ = greedy_schedule(costs, n)
+        ms_g, _ = dynamic_schedule(costs, n)
         opt_lb = max(costs.sum() / n, costs.max())
         assert ms_g <= (2.0 - 1.0 / n) * opt_lb + 1e-9
 
@@ -45,24 +62,38 @@ class TestSchedulerProperties:
         where FIFO gets 7 and LPT gets 8), so the worst-case bound is the
         property to pin."""
         costs = np.asarray(costs)
-        lpt = schedule_walks(costs, n, "dynamic-lpt")
+        lpt, _ = dynamic_schedule(np.sort(costs)[::-1], n)
         # Graham's direct inequality, valid for any list order:
         # makespan <= sum/m + (1 - 1/m) * cmax
         bound = costs.sum() / n + (1.0 - 1.0 / n) * costs.max()
-        assert lpt.makespan <= bound + 1e-9
+        assert lpt <= bound + 1e-9
 
     @given(cost_lists, workers)
     @settings(max_examples=60, deadline=None)
     def test_single_worker_is_serial(self, costs, _n):
         costs = np.asarray(costs)
-        ms, _ = greedy_schedule(costs, 1)
+        ms, _ = dynamic_schedule(costs, 1)
         np.testing.assert_allclose(ms, costs.sum())
+
+    @given(cost_lists, workers, st.sampled_from(["dynamic", "static"]))
+    @settings(max_examples=60, deadline=None)
+    def test_workers_run_their_items_back_to_back(self, costs, n, policy):
+        """Every item is available at time 0, so under either policy each
+        worker runs its items in submission order without idling."""
+        costs = np.asarray(costs)
+        workers, starts = dispatch(costs, n, policy)
+        if policy == "static":
+            np.testing.assert_array_equal(workers, np.arange(costs.size) % n)
+        for w in range(n):
+            mine = np.flatnonzero(workers == w)
+            expected = np.concatenate(([0.0], np.cumsum(costs[mine])[:-1]))
+            np.testing.assert_array_equal(starts[mine], expected[: mine.size])
 
     @given(cost_lists)
     @settings(max_examples=40, deadline=None)
     def test_more_workers_never_hurt(self, costs):
         costs = np.asarray(costs)
-        ms = [greedy_schedule(costs, n)[0] for n in (1, 2, 4, 8, 16)]
+        ms = [dynamic_schedule(costs, n)[0] for n in (1, 2, 4, 8, 16)]
         assert all(a >= b - 1e-9 for a, b in zip(ms, ms[1:]))
 
 
@@ -77,33 +108,31 @@ class TestPipelineProperties:
     def test_two_stage_bounds(self, h, d):
         k = min(len(h), len(d))
         h, d = h[:k], d[:k]
-        r = overlapped_pipeline(h, d)
-        assert r.total_seconds >= max(sum(h), sum(d)) - 1e-9
-        assert r.total_seconds <= sum(h) + sum(d) + 1e-9
+        total = pipeline(h, d)
+        assert total >= max(sum(h), sum(d)) - 1e-9
+        assert total <= sum(h) + sum(d) + 1e-9
 
     @given(batch_lists, batch_lists, batch_lists)
     @settings(max_examples=60, deadline=None)
     def test_three_stage_bounds(self, a, b, c):
         k = min(len(a), len(b), len(c))
         a, b, c = a[:k], b[:k], c[:k]
-        r = overlapped_pipeline3(a, b, c)
-        assert r.total_seconds >= max(sum(a), sum(b), sum(c)) - 1e-9
-        assert r.total_seconds <= sum(a) + sum(b) + sum(c) + 1e-9
+        total = pipeline(a, b, c)
+        assert total >= max(sum(a), sum(b), sum(c)) - 1e-9
+        assert total <= sum(a) + sum(b) + sum(c) + 1e-9
 
     @given(batch_lists, batch_lists)
     @settings(max_examples=40, deadline=None)
     def test_three_stage_with_zero_middle_equals_two_stage(self, h, d):
         k = min(len(h), len(d))
         h, d = h[:k], d[:k]
-        r2 = overlapped_pipeline(h, d)
-        r3 = overlapped_pipeline3(h, [0.0] * k, d)
-        np.testing.assert_allclose(r3.total_seconds, r2.total_seconds)
+        assert pipeline(h, [0.0] * k, d) == two_stage_recurrence(h, d)
 
     @given(batch_lists, batch_lists)
     @settings(max_examples=40, deadline=None)
     def test_overlap_never_worse_than_serial(self, h, d):
         k = min(len(h), len(d))
         h, d = h[:k], d[:k]
-        r = overlapped_pipeline(h, d)
-        assert r.total_seconds <= sum(h) + sum(d) + 1e-9
-        assert r.hidden_seconds >= -1e-9
+        total = pipeline(h, d)
+        assert total <= sum(h) + sum(d) + 1e-9
+        assert sum(h) + sum(d) - total >= -1e-9  # hidden seconds

@@ -34,6 +34,7 @@ from repro.errors import (
 from repro.exec import EnginePool, FaultInjector, RetryPolicy
 from repro.serve import (
     FairJobQueue,
+    JobHandle,
     JobService,
     JobSpec,
     ResultCache,
@@ -42,6 +43,7 @@ from repro.serve import (
     connect,
 )
 from repro.config import resolve
+from repro.serve.options import check_timeout
 from repro.runtime.checkpoint import plan_config_to_dict
 from repro.check import assert_bit_identical
 from tests.conftest import small_spec, solo_state
@@ -521,6 +523,24 @@ class TestJobService:
         assert metrics.get("serve.jobs_completed_total").value == 1
         assert metrics.get("serve.queue_depth") is not None
         assert any(s.name == "serve.job" for s in tracer.spans)
+
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), -1.0])
+    def test_wait_rejects_a_timeout_that_is_not_finite_and_non_negative(
+        self, timeout
+    ):
+        spec = small_spec()
+        handle = JobHandle(spec, spec.spec_hash())  # never resolves
+        with pytest.raises(ServeError, match="timeout must be"):
+            handle.wait(timeout=timeout)
+        with pytest.raises(ServeError, match="timeout must be"):
+            handle.result(timeout=timeout)
+
+    def test_wait_timeout_is_read_as_seconds_and_capped_to_the_platform(self):
+        # A longer lock timeout raises OverflowError in threading's waits.
+        assert check_timeout(1e300) == threading.TIMEOUT_MAX
+        assert check_timeout("2.5") == 2.5  # an HTTP query value
+        assert check_timeout(0) == 0.0
+        assert check_timeout(None) is None
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 
 from repro.bench.experiments import table2
 from repro.core import JwParallelPlan, PlanConfig, WParallelPlan
-from repro.core.scheduler import schedule_walks
+from repro.gpu.trace import trace_costs
 from repro.nbody.ic import cold_disc, plummer, uniform_sphere
 
 EPS = 1e-2
@@ -64,8 +64,8 @@ class TestImbalanceByWorkload:
     def test_dynamic_queue_helps_on_both(self, walks_uniform, walks_plummer):
         for ws in (walks_uniform, walks_plummer):
             costs = ws.interactions_per_walk().astype(float)
-            st = schedule_walks(costs, 18, "static").makespan
-            dy = schedule_walks(costs, 18, "dynamic").makespan
+            st = trace_costs(costs, 18, policy="static").makespan
+            dy = trace_costs(costs, 18, policy="dynamic").makespan
             assert dy <= st
 
     def test_all_workloads_covered_exactly_once(
