@@ -47,7 +47,9 @@ class GoldenStore:
 
     Case ids are filesystem-safe slugs derived from the physics fields
     (``plummer-n256-s0-jw-dt0.001-steps20``), so a repo can review the
-    golden directory diff case by case.
+    golden directory diff case by case.  A run on a compiled kernel
+    backend adds its name (``...-steps20-cext``), since compiled digests
+    differ from the reference's.
     """
 
     def __init__(self, directory: str | Path) -> None:
@@ -56,9 +58,20 @@ class GoldenStore:
     # ------------------------------------------------------------------
     @staticmethod
     def case_id(
-        *, workload: str, n: int, seed: int, plan: str, dt: float, steps: int
+        *,
+        workload: str,
+        n: int,
+        seed: int,
+        plan: str,
+        dt: float,
+        steps: int,
+        kernel_backend: str | None = None,
     ) -> str:
+        """The id of one case; ``kernel_backend`` names a compiled kernel
+        backend (``None`` for the NumPy reference, whose ids name none)."""
         slug = f"{workload}-n{n}-s{seed}-{plan}-dt{dt!r}-steps{steps}"
+        if kernel_backend is not None:
+            slug += f"-{kernel_backend}"
         if "/" in slug or "\\" in slug:
             raise ConfigurationError(f"unusable golden case id: {slug!r}")
         return slug

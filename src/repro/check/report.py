@@ -103,7 +103,7 @@ def run_check(
     leg.
     """
     from repro.bench.workloads import make_workload
-    from repro.nbody.kernels import compiled_backends, get_backend
+    from repro.nbody.kernels import compiled_backends, get_backend, resolve_backend
 
     config = PlanConfig(softening=CHECK_SOFTENING)
     particles = make_workload(workload, n, seed=seed)
@@ -165,12 +165,16 @@ def run_check(
         golden: list[dict[str, Any]] = []
         if golden_dir is not None:
             store = GoldenStore(golden_dir)
+            # The kernel backend the runs resolved (the setting; a fallback
+            # lands on numpy), named in the id unless it is the reference.
+            kb = resolve_backend(None)
+            compiled = None if kb.kind == "reference" else kb.name
             for plan_name in plans:
                 sim = finished[plan_name]
                 digest = state_digest(sim.particles, sim.time)
                 case = store.case_id(
                     workload=workload, n=n, seed=seed, plan=plan_name,
-                    dt=dt, steps=steps,
+                    dt=dt, steps=steps, kernel_backend=compiled,
                 )
                 if bless:
                     store.bless(
@@ -179,6 +183,7 @@ def run_check(
                         meta={
                             "workload": workload, "n": n, "seed": seed,
                             "plan": plan_name, "dt": dt, "steps": steps,
+                            "kernel_backend": kb.name,
                         },
                     )
                     golden.append(

@@ -30,6 +30,7 @@ from repro import obs
 from repro.core.plans.base import StepBreakdown
 from repro.core.plans.tree_base import TreePlanBase, evaluate_walks, segments
 from repro.core.plans.registry import register
+from repro.errors import ConfigurationError
 from repro.gpu.events import EventGraph
 from repro.gpu.kernel import packed_tile_loop_work, reduction_work
 from repro.gpu.launch import KernelLaunch
@@ -64,8 +65,18 @@ class JwParallelPlan(TreePlanBase):
         engine=None,
     ) -> None:
         super().__init__(config, engine=engine)
-        if pipeline_batches < 1:
-            raise ValueError(f"pipeline_batches must be >= 1, got {pipeline_batches}")
+        if (
+            isinstance(pipeline_batches, bool)
+            or not isinstance(pipeline_batches, int)
+            or pipeline_batches < 1
+        ):
+            raise ConfigurationError(
+                f"pipeline_batches must be an int >= 1, got {pipeline_batches!r}"
+            )
+        if schedule not in ("hardware", "static"):
+            raise ConfigurationError(
+                f"schedule must be 'hardware' or 'static', got {schedule!r}"
+            )
         self.pipeline_batches = pipeline_batches
         self.overlap = overlap
         self.schedule = schedule

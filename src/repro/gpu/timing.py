@@ -135,11 +135,6 @@ class KernelTiming:
     total_issued_interactions: int
     cu_busy_fraction: float
 
-    @property
-    def device_seconds(self) -> float:
-        """Pure device-side time (excludes the host launch overhead)."""
-        return self.seconds
-
 
 def time_kernel(
     device: DeviceSpec,

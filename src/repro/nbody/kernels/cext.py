@@ -1,12 +1,19 @@
 """Compiled C direct-sum kernels, built on demand with the host compiler.
 
-The register-blocked formulation of Elsen et al. / Belleman et al.
-(PAPERS.md) applied to the CPU: one accumulator triple per target body
-held in registers, a single pass over the sources with the compiler
-auto-vectorising the inner loop (``-O3 -march=native -ffast-math``).
-Against the blocked-NumPy reference this trades the ``(nt, block, 3)``
-temporary traffic for pure arithmetic, which is where the order-of-
-magnitude single-thread speedup comes from (see ``BENCH_PR7.json``).
+The float32 ``targets x sources`` kernel, which every simulation force
+pass runs, is the register-blocked direct sum of Elsen et al. /
+Belleman et al. (PAPERS.md) applied to one CPU core: the paper's
+``p x p`` tile.  Where the build has AVX-512 (``__AVX512F__`` under
+``-march=native``), each call stages its sources once as SoA x/y/z/m
+rows in caller scratch, zero-padded to 16 lanes, and sweeps them 16 at a
+time against four targets held in registers; ``rsqrt14`` plus one Newton
+step replaces the divide and square root, and one masked tail chunk
+keeps the padding out of the sums.  Elsewhere the same function is a
+portable loop, one target at a time, that the compiler vectorises.
+Either way a row's sum depends only on its target and the sources, never
+on the other targets of the call, so masked and full passes agree row
+for row and serial and threaded runs agree bit for bit, on one host.
+The float64 and the self-interaction kernels are portable loops.
 
 The shared library is compiled once per source revision into a per-user
 cache directory (``REPRO_KERNEL_CACHE``, else ``~/.cache/repro-kernels``)
@@ -15,7 +22,8 @@ headers.  Hosts without a working C compiler simply report the backend
 unavailable and the force paths stay on the NumPy reference.
 
 Summation is reassociated by vectorisation and ``-ffast-math``, so
-results are *not* bit-identical to the reference; the differential
+results are *not* bit-identical to the reference, and float32 results
+differ between an AVX-512 build and the portable loop; the differential
 oracle admits them under the ``compiled-f64`` / ``compiled-f32``
 tolerances (:mod:`repro.check.oracle`).
 
@@ -123,7 +131,104 @@ int64_t NAME(const T *x, const T *m, int64_t n, T eps2, T G, T *out,         \
 }
 
 SOURCES_KERNEL(repro_sources_f64, double, sqrt)
-SOURCES_KERNEL(repro_sources_f32, float, sqrtf)
+
+#if defined(__AVX512F__)
+#include <immintrin.h>
+
+/* Targets held in registers per sweep of the sources. */
+#define TILE_TARGETS 4
+
+/* One 16-source chunk against one target, lanes outside `lanes` left
+ * untouched.  rsqrt14 plus one Newton step gives u = 2 / r; the 8 in
+ * u^3 = 8 / r^3 is taken out with G. */
+static inline void interact16(__m512 x, __m512 y, __m512 z, __m512 sx,
+                              __m512 sy, __m512 sz, __m512 sm, __m512 eps2,
+                              __mmask16 lanes, __m512 *ax, __m512 *ay,
+                              __m512 *az)
+{
+    const __m512 dx = _mm512_sub_ps(sx, x);
+    const __m512 dy = _mm512_sub_ps(sy, y);
+    const __m512 dz = _mm512_sub_ps(sz, z);
+    const __m512 r2 = _mm512_fmadd_ps(dx, dx,
+        _mm512_fmadd_ps(dy, dy, _mm512_fmadd_ps(dz, dz, eps2)));
+    const __m512 y0 = _mm512_rsqrt14_ps(r2);
+    const __m512 u = _mm512_mul_ps(y0, _mm512_fnmadd_ps(
+        r2, _mm512_mul_ps(y0, y0), _mm512_set1_ps(3.0f)));
+    const __m512 w = _mm512_mul_ps(_mm512_mul_ps(sm, u), _mm512_mul_ps(u, u));
+    *ax = _mm512_mask3_fmadd_ps(w, dx, *ax, lanes);
+    *ay = _mm512_mask3_fmadd_ps(w, dy, *ay, lanes);
+    *az = _mm512_mask3_fmadd_ps(w, dz, *az, lanes);
+}
+
+/* The paper's p x p tile on one core: the sources are staged once as
+ * SoA x/y/z/m rows (64-byte aligned inside `scratch`, which holds at
+ * least 4 * padded + 16 floats; padded is ns rounded up to 16, and the
+ * padding is zero), then swept 16 lanes at a time against TILE_TARGETS
+ * targets held in registers.  A target block past nt repeats the last
+ * target and is not stored, so each row's sum depends only on its
+ * target and the sources; the one masked tail chunk keeps the padding
+ * out of every sum. */
+void repro_sources_f32(const float *tx, int64_t nt, const float *sx,
+                       const float *sm, int64_t ns, float eps2, float G,
+                       float *out, int32_t accumulate, float *scratch)
+{
+    const int64_t padded = (ns + 15) & ~(int64_t)15, full = ns & ~(int64_t)15;
+    float *xs = (float *)(((uintptr_t)scratch + 63) & ~(uintptr_t)63);
+    float *ys = xs + padded, *zs = xs + 2*padded, *ms = xs + 3*padded;
+    for (int64_t j = 0; j < ns; ++j) {
+        xs[j] = sx[3*j]; ys[j] = sx[3*j+1]; zs[j] = sx[3*j+2]; ms[j] = sm[j];
+    }
+    for (int64_t j = ns; j < padded; ++j) xs[j] = ys[j] = zs[j] = ms[j] = 0.0f;
+    const __mmask16 tail = (__mmask16)((1u << (ns & 15)) - 1u);
+    const __m512 e2 = _mm512_set1_ps(eps2);
+    const float g = 0.125f * G;
+    for (int64_t i = 0; i < nt; i += TILE_TARGETS) {
+        __m512 x[TILE_TARGETS], y[TILE_TARGETS], z[TILE_TARGETS];
+        __m512 ax[TILE_TARGETS], ay[TILE_TARGETS], az[TILE_TARGETS];
+        for (int k = 0; k < TILE_TARGETS; ++k) {
+            const int64_t r = i + k < nt ? i + k : nt - 1;
+            x[k] = _mm512_set1_ps(tx[3*r]);
+            y[k] = _mm512_set1_ps(tx[3*r+1]);
+            z[k] = _mm512_set1_ps(tx[3*r+2]);
+            ax[k] = ay[k] = az[k] = _mm512_setzero_ps();
+        }
+        for (int64_t j = 0; j < full; j += 16) {
+            const __m512 sxj = _mm512_load_ps(xs + j), syj = _mm512_load_ps(ys + j);
+            const __m512 szj = _mm512_load_ps(zs + j), smj = _mm512_load_ps(ms + j);
+            for (int k = 0; k < TILE_TARGETS; ++k)
+                interact16(x[k], y[k], z[k], sxj, syj, szj, smj, e2,
+                           (__mmask16)0xFFFF, &ax[k], &ay[k], &az[k]);
+        }
+        if (tail) {
+            const __m512 sxj = _mm512_load_ps(xs + full), syj = _mm512_load_ps(ys + full);
+            const __m512 szj = _mm512_load_ps(zs + full), smj = _mm512_load_ps(ms + full);
+            for (int k = 0; k < TILE_TARGETS; ++k)
+                interact16(x[k], y[k], z[k], sxj, syj, szj, smj, e2,
+                           tail, &ax[k], &ay[k], &az[k]);
+        }
+        for (int k = 0; k < TILE_TARGETS && i + k < nt; ++k) {
+            float *o = out + 3*(i + k);
+            const float fx = g * _mm512_reduce_add_ps(ax[k]);
+            const float fy = g * _mm512_reduce_add_ps(ay[k]);
+            const float fz = g * _mm512_reduce_add_ps(az[k]);
+            if (accumulate) { o[0] += fx; o[1] += fy; o[2] += fz; }
+            else { o[0] = fx; o[1] = fy; o[2] = fz; }
+        }
+    }
+}
+#else
+/* The portable loop; the scratch goes unused. */
+static SOURCES_KERNEL(sources_f32, float, sqrtf)
+
+void repro_sources_f32(const float *tx, int64_t nt, const float *sx,
+                       const float *sm, int64_t ns, float eps2, float G,
+                       float *out, int32_t accumulate, float *scratch)
+{
+    (void)scratch;
+    sources_f32(tx, nt, sx, sm, ns, eps2, G, out, accumulate);
+}
+#endif
+
 SELF_KERNEL(repro_self_f64, double, sqrt)
 SELF_KERNEL(repro_self_f32, float, sqrtf)
 """
@@ -353,6 +458,13 @@ def _contiguous(dtype: type, *arrays: np.ndarray) -> list[np.ndarray]:
     return [np.ascontiguousarray(a, dtype=dtype) for a in arrays]
 
 
+def _soa_scratch(ns: int) -> np.ndarray:
+    """Scratch for ``repro_sources_f32``: room for four SoA rows (x, y, z,
+    m) of ``ns`` rounded up to 16 lanes, plus the 64 bytes the kernel may
+    skip to align them."""
+    return np.empty(4 * (-(-ns // 16) * 16) + 16, dtype=np.float32)
+
+
 def _cache_dir() -> Path:
     configured = os.environ.get(ENV_CACHE_DIR)
     if configured:
@@ -425,7 +537,7 @@ class CExtensionBackend(KernelBackend):
             lib.repro_sources_f64.restype = None
             lib.repro_sources_f64.argtypes = [p, c_i64, p, p, c_i64, c_f64, c_f64, p, c_i32]
             lib.repro_sources_f32.restype = None
-            lib.repro_sources_f32.argtypes = [p, c_i64, p, p, c_i64, c_f32, c_f32, p, c_i32]
+            lib.repro_sources_f32.argtypes = [p, c_i64, p, p, c_i64, c_f32, c_f32, p, c_i32, p]
             lib.repro_self_f64.restype = c_i64
             lib.repro_self_f64.argtypes = [p, p, c_i64, c_f64, c_f64, p, p, c_i64]
             lib.repro_self_f32.restype = c_i64
@@ -475,13 +587,17 @@ class CExtensionBackend(KernelBackend):
     ) -> np.ndarray:
         lib = self._load()
         assert lib is not None, "backend unavailable; resolve_backend gates this"
-        fn = lib.repro_sources_f64 if out.dtype == np.float64 else lib.repro_sources_f32
         scalar = float(np.dtype(out.dtype).type(eps2))
-        fn(
+        args = (
             self._ptr(targets), targets.shape[0],
             self._ptr(src_pos), self._ptr(src_mass), src_pos.shape[0],
             scalar, G, self._ptr(out), int(accumulate),
         )
+        if out.dtype == np.float64:
+            lib.repro_sources_f64(*args)
+        else:
+            scratch = _soa_scratch(src_pos.shape[0])
+            lib.repro_sources_f32(*args, self._ptr(scratch))
         return out
 
     def self_forces(

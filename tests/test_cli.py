@@ -352,6 +352,43 @@ class TestCheckCommand:
         assert exc.value.code == 1
         assert "missing" in capsys.readouterr().out  # different case ids
 
+    def test_check_golden_ids_name_the_kernel_backend(self, tmp_path):
+        from repro.nbody.kernels import get_backend
+
+        if not get_backend("cext").available:
+            pytest.skip("cext backend unavailable")
+        golden = tmp_path / "golden"
+
+        def check(backend, *extra):
+            path = tmp_path / "report.json"
+            try:
+                self._run_check(
+                    "--workers", "1", "--kernel-backends", "",
+                    "--kernel-backend", backend, "--golden", str(golden),
+                    "--json", str(path), *extra,
+                )
+            except SystemExit as exc:
+                assert exc.code == 1
+            return json.loads(path.read_text())["golden"]
+
+        check("numpy", "--bless")
+        # numpy digests are not cext's: a cext run finds no case, not a
+        # mismatching one.
+        assert [g["status"] for g in check("cext")] == ["missing"] * 2
+        blessed = check("cext", "--bless")
+        assert [g["case"] for g in blessed] == [
+            "plummer-n48-s0-i-dt0.001-steps4-cext",
+            "plummer-n48-s0-jw-dt0.001-steps4-cext",
+        ]
+        assert [g["status"] for g in check("cext")] == ["match"] * 2
+        assert [g["status"] for g in check("numpy")] == ["match"] * 2
+        assert [g["case"] for g in check("numpy")] == [
+            "plummer-n48-s0-i-dt0.001-steps4",
+            "plummer-n48-s0-jw-dt0.001-steps4",
+        ]
+        meta = json.loads((golden / f"{blessed[0]['case']}.json").read_text())
+        assert meta["kernel_backend"] == "cext"
+
     def test_unknown_plan_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["check", "--plans", "i,nope"])

@@ -250,6 +250,16 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="dt must be finite"):
             Simulation(plummer(8, seed=1), "i", dt=dt)
 
-    def test_jw_rejects_bad_batches(self, cfg):
-        with pytest.raises(ValueError):
-            JwParallelPlan(cfg, pipeline_batches=0)
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"pipeline_batches": 0},
+            {"pipeline_batches": 2.5},
+            {"pipeline_batches": True},
+            {"schedule": "magic"},
+        ],
+        ids=["batches-0", "batches-2.5", "batches-True", "schedule-magic"],
+    )
+    def test_jw_rejects_bad_batches(self, cfg, kwargs):
+        with pytest.raises(ConfigurationError):
+            JwParallelPlan(cfg, **kwargs)

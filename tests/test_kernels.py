@@ -9,7 +9,10 @@ and the plan/config/CLI plumbing that selects a backend.
 
 from __future__ import annotations
 
+import ctypes
 import json
+import platform
+import subprocess
 import warnings
 
 import numpy as np
@@ -33,6 +36,7 @@ from repro.nbody.forces import (
     direct_forces_naive,
 )
 from repro.nbody.ic import plummer
+from repro.nbody.kernels import cext as cext_module
 from repro.nbody.kernels import (
     CoincidentPairError,
     KernelBackend,
@@ -388,22 +392,102 @@ class TestCoincidentPairs:
 # Compiled backends vs the reference (the oracle matrix)
 # ---------------------------------------------------------------------------
 
+#: Float32 ``(nt, ns)`` shapes around the tiled kernel's 4-target blocks
+#: and 16-lane source chunks: partial blocks, an exact chunk, short and
+#: one-lane tails, and no sources at all.
+EDGE_SHAPES = [(1, 1), (3, 15), (4, 16), (5, 17), (7, 33), (5, 0)]
+
+
+def _sources_case(case, plummer_small, dtype):
+    """``(targets, src_pos, src_mass, softening)`` of one tolerance case."""
+    if case == "plummer":
+        pos = np.asarray(plummer_small.positions, dtype=dtype)
+        return pos, pos, np.asarray(plummer_small.masses, dtype=dtype), EPS
+    rng = np.random.default_rng(5)
+    if case == "eps0-origin":
+        # Unsoftened, with the target where the zero-padded lanes sit:
+        # a padded lane there has r2 == 0, which must not reach the sum.
+        src = rng.uniform(0.5, 1.0, (17, 3)) * rng.choice([-1.0, 1.0], (17, 3))
+        return np.zeros((1, 3), dtype), src.astype(dtype), np.ones(17, dtype), 0.0
+    nt, ns = (5, 37) if case == "rows" else case
+    return (
+        rng.standard_normal((nt, 3)).astype(dtype),
+        rng.standard_normal((ns, 3)).astype(dtype),
+        rng.uniform(0.5, 1.5, ns).astype(dtype),
+        EPS,
+    )
+
+
 class TestCompiledBackends:
     @pytest.mark.parametrize("name", LIVE_COMPILED)
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_sources_within_tolerance(self, plummer_small, name, dtype):
-        pos = np.asarray(plummer_small.positions, dtype=dtype)
-        mass = np.asarray(plummer_small.masses, dtype=dtype)
+    @pytest.mark.parametrize(
+        "dtype, case",
+        [(np.float64, "plummer"), (np.float32, "plummer")]
+        + [(np.float32, shape) for shape in EDGE_SHAPES]
+        + [(np.float32, "eps0-origin"), (np.float32, "rows")],
+        ids=["float64", "float32"]
+        + [f"float32-{nt}x{ns}" for nt, ns in EDGE_SHAPES]
+        + ["float32-eps0-origin", "float32-rows"],
+    )
+    def test_sources_within_tolerance(self, plummer_small, name, dtype, case):
+        targets, src, mass, eps = _sources_case(case, plummer_small, dtype)
         got = accelerations_from_sources(
-            pos, pos, mass, softening=EPS, dtype=dtype, backend=name
+            targets, src, mass, softening=eps, dtype=dtype, backend=name
         )
         ref = accelerations_from_sources(
-            pos, pos, mass, softening=EPS, dtype=dtype, backend="numpy"
+            targets, src, mass, softening=eps, dtype=dtype, backend="numpy"
         )
         tol = compiled_tolerance(dtype)
+        assert np.isfinite(got).all()
         np.testing.assert_allclose(
             got, ref, rtol=tol.max_rel, atol=tol.max_rel * np.abs(ref).max()
         )
+        if case == "rows":
+            # A row never depends on the other targets of its call.
+            for i in range(targets.shape[0]):
+                alone = accelerations_from_sources(
+                    targets[i : i + 1], src, mass, softening=eps, dtype=dtype,
+                    backend=name,
+                )
+                assert np.array_equal(alone[0], got[i])
+
+    def test_portable_f32_branch_within_tolerance(self, tmp_path):
+        """The kernel source's non-AVX-512 ``repro_sources_f32``, built here
+        with AVX-512 off: an AVX-512 host never runs it otherwise."""
+        cc = cext_module._find_compiler()
+        if cc is None:
+            pytest.skip("no C compiler found")
+        if platform.machine().lower() not in ("x86_64", "amd64"):
+            pytest.skip("-mno-avx512f is an x86 option")
+        src, obj, lib = (tmp_path / f for f in ("k.c", "k.o", "k.so"))
+        src.write_text(cext_module._SOURCE)
+        # Linked plain, like the backend's library: see _LDFLAGS.
+        for cmd in (
+            [cc, *cext_module._CFLAGS, "-mno-avx512f", "-c", "-o", str(obj), str(src)],
+            [cc, *cext_module._LDFLAGS, "-o", str(lib), str(obj), "-lm"],
+        ):
+            subprocess.run(cmd, check=True, capture_output=True)
+        fn = ctypes.CDLL(str(lib)).repro_sources_f32
+        p, f32 = ctypes.c_void_p, ctypes.c_float
+        fn.restype = None
+        fn.argtypes = [p, ctypes.c_int64, p, p, ctypes.c_int64, f32, f32, p, ctypes.c_int32, p]
+        for nt, ns in EDGE_SHAPES:
+            targets, src_pos, mass, eps = _sources_case((nt, ns), None, np.float32)
+            got = np.empty((nt, 3), dtype=np.float32)
+            scratch = cext_module._soa_scratch(ns)
+            fn(
+                targets.ctypes.data, nt, src_pos.ctypes.data, mass.ctypes.data, ns,
+                float(np.float32(eps * eps)), 1.0, got.ctypes.data, 0,
+                scratch.ctypes.data,
+            )
+            ref = accelerations_from_sources(
+                targets, src_pos, mass, softening=eps, dtype=np.float32,
+                backend="numpy",
+            )
+            np.testing.assert_allclose(
+                got, ref, rtol=COMPILED_F32.max_rel,
+                atol=COMPILED_F32.max_rel * np.abs(ref).max(),
+            )
 
     @pytest.mark.parametrize("name", LIVE_COMPILED)
     def test_kernel_matrix_all_green(self, plummer_small, name):
