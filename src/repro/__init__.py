@@ -20,14 +20,16 @@ circular-import-free; subpackages remain importable directly.
 Package layout
 --------------
 * :mod:`repro.nbody` — particle/physics substrate (ParticleSet, forces,
-  integrators, initial conditions, flop accounting, snapshot I/O).
+  energy diagnostics, the block-rung timestep, initial conditions, flop
+  accounting, snapshot I/O).
 * :mod:`repro.tree` — Barnes-Hut substrate (Morton keys, octree, MAC,
   traversal, walks).
 * :mod:`repro.gpu` — simulated SIMT GPU device (device specs, kernels,
   timing engine with its work-group dispatcher, host/device event graph).
 * :mod:`repro.core` — the paper's contribution: the PTPM model, the four
   parallel plans (i/j/w/jw) and the high-level
-  :class:`~repro.core.simulation.Simulation`.
+  :class:`~repro.core.simulation.Simulation`, the one way to advance a
+  system (fixed-step leapfrog, or block rungs under a block plan).
 * :mod:`repro.exec` — CPU execution engine: workspace pool, deterministic
   parallel map, per-task retry.
 * :mod:`repro.runtime` — fault-tolerant run sessions: checkpointing and
@@ -36,7 +38,9 @@ Package layout
   oracle behind cross-plan/cross-backend equivalence, runtime guards,
   golden snapshots.
 * :mod:`repro.obs` — tracing, metrics, and the durable run ledger.
-* :mod:`repro.perfmodel` — analytic performance model and metrics.
+* :mod:`repro.perfmodel` — GFLOPS/speedup metrics and the device
+  calibration (the cost model itself is the simulated device in
+  :mod:`repro.gpu`).
 * :mod:`repro.bench` — benchmark harness regenerating the paper's tables
   and figures.
 """

@@ -65,8 +65,12 @@ class PlanConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ConfigurationError(f"{name} must be finite, got {value}")
-        if self.softening < 0.0:
-            raise ConfigurationError(f"softening must be >= 0, got {self.softening}")
+        if self.softening <= 0.0:
+            # Every pass includes each body's self-pair; unsoftened it
+            # is 0 * inf = NaN, and every row would come out NaN.
+            raise ConfigurationError(
+                f"softening must be positive, got {self.softening}"
+            )
         if self.theta <= 0.0:
             raise ConfigurationError(f"theta must be positive, got {self.theta}")
         if self.leaf_size < 1:
@@ -227,12 +231,6 @@ class Plan(ABC):
         )
 
     # -- conveniences ----------------------------------------------------
-    def accel_fn(self, masses: np.ndarray):
-        """An ``accel(positions)`` closure for :func:`repro.nbody.integrate`."""
-        def accel(positions: np.ndarray) -> np.ndarray:
-            return self.accelerations(positions, masses)
-        return accel
-
     def run_timing(
         self, positions: np.ndarray, masses: np.ndarray, n_steps: int = 100
     ) -> RunTiming:

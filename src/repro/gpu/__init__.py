@@ -26,7 +26,6 @@ from repro.gpu.kernel import (
     tile_loop_work,
 )
 from repro.gpu.events import Command, CommandRecord, EventGraph
-from repro.gpu.roofline import RooflinePoint, ridge_intensity, roofline_point
 from repro.gpu.trace import ExecutionTrace, Interval, trace_costs, trace_launch
 from repro.gpu.timing import (
     BARRIER_CYCLES,
@@ -66,9 +65,6 @@ __all__ = [
     "Command",
     "CommandRecord",
     "EventGraph",
-    "RooflinePoint",
-    "ridge_intensity",
-    "roofline_point",
     "ExecutionTrace",
     "Interval",
     "trace_costs",

@@ -186,9 +186,7 @@ def multi_device(base: DeviceSpec, n_devices: int) -> DeviceSpec:
     queue: CU count, global bandwidth and PCIe bandwidth all scale (each
     physical device owns its memory and link), while per-CU quantities
     and the single host's walk generation do not — so scaling saturates
-    at the host ceiling that
-    :func:`repro.perfmodel.analytic.predict_multi_device_scaling` writes
-    down analytically.
+    at the host ceiling.  The ``ext-multigpu`` experiment sweeps it.
     """
     if n_devices < 1:
         raise DeviceError(f"n_devices must be >= 1, got {n_devices}")

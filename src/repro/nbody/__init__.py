@@ -1,4 +1,4 @@
-"""N-body physics substrate: particles, workloads, forces, integration.
+"""N-body physics substrate: particles, workloads, forces, time steps.
 
 This subpackage is the ground-truth physics layer every higher level
 (treecode, simulated GPU plans, benchmarks) builds on and is validated
@@ -14,20 +14,12 @@ from repro.nbody.forces import (
     pairwise_force,
 )
 from repro.nbody.energy import (
-    EnergyTracker,
     angular_momentum,
     kinetic_energy,
     momentum,
     potential_energy,
     total_energy,
     virial_ratio,
-)
-from repro.nbody.integrators import (
-    ExplicitEuler,
-    LeapfrogKDK,
-    SymplecticEuler,
-    VelocityVerlet,
-    integrate,
 )
 from repro.nbody.ic import cold_disc, plummer, two_clusters, uniform_cube, uniform_sphere
 from repro.nbody.flops import (
@@ -38,9 +30,8 @@ from repro.nbody.flops import (
     interaction_flops,
     pp_step_interactions,
 )
-from repro.nbody.io import SnapshotSeries, load_snapshot, save_snapshot
-from repro.nbody.timestep import AdaptiveLeapfrog, acceleration_timestep, suggest_timestep
-from repro.nbody.units import HENON, G_NBODY, G_SI, UnitSystem
+from repro.nbody.io import load_snapshot, save_snapshot
+from repro.nbody.timestep import acceleration_timestep
 
 __all__ = [
     "ParticleSet",
@@ -49,18 +40,12 @@ __all__ = [
     "direct_forces",
     "direct_forces_naive",
     "pairwise_force",
-    "EnergyTracker",
     "angular_momentum",
     "kinetic_energy",
     "momentum",
     "potential_energy",
     "total_energy",
     "virial_ratio",
-    "ExplicitEuler",
-    "LeapfrogKDK",
-    "SymplecticEuler",
-    "VelocityVerlet",
-    "integrate",
     "cold_disc",
     "plummer",
     "two_clusters",
@@ -72,14 +57,7 @@ __all__ = [
     "gflops",
     "interaction_flops",
     "pp_step_interactions",
-    "AdaptiveLeapfrog",
     "acceleration_timestep",
-    "suggest_timestep",
-    "SnapshotSeries",
     "load_snapshot",
     "save_snapshot",
-    "HENON",
-    "G_NBODY",
-    "G_SI",
-    "UnitSystem",
 ]

@@ -8,8 +8,6 @@ system satisfies the virial relation ``2K + U ~ 0``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.nbody.particles import ParticleSet
@@ -21,7 +19,6 @@ __all__ = [
     "momentum",
     "angular_momentum",
     "virial_ratio",
-    "EnergyTracker",
 ]
 
 
@@ -83,42 +80,3 @@ def virial_ratio(p: ParticleSet, *, softening: float = 0.0, G: float = 1.0) -> f
     if u == 0.0:
         raise ValueError("potential energy is zero; virial ratio undefined")
     return -2.0 * kinetic_energy(p) / u
-
-
-@dataclass
-class EnergyTracker:
-    """Records energy over a run and reports the relative drift.
-
-    Use as an integration callback::
-
-        tracker = EnergyTracker(softening=eps)
-        integrate(..., callback=tracker)
-        assert tracker.max_relative_drift() < 1e-3
-    """
-
-    softening: float = 0.0
-    G: float = 1.0
-    times: list[float] = field(default_factory=list)
-    energies: list[float] = field(default_factory=list)
-
-    def __call__(self, t: float, p: ParticleSet) -> None:
-        self.times.append(float(t))
-        self.energies.append(total_energy(p, softening=self.softening, G=self.G))
-
-    @property
-    def initial_energy(self) -> float:
-        if not self.energies:
-            raise ValueError("tracker has recorded no samples")
-        return self.energies[0]
-
-    def relative_drift(self) -> np.ndarray:
-        """``|E(t) - E(0)| / |E(0)|`` for every recorded sample."""
-        e = np.asarray(self.energies)
-        e0 = self.initial_energy
-        if e0 == 0.0:
-            raise ValueError("initial energy is zero; relative drift undefined")
-        return np.abs(e - e0) / abs(e0)
-
-    def max_relative_drift(self) -> float:
-        """Worst relative energy drift seen over the run."""
-        return float(self.relative_drift().max())

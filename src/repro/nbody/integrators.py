@@ -1,19 +1,19 @@
-"""Time integrators for the N-body system.
+"""The hierarchical block-timestep advance.
 
-The paper integrates with the standard fixed-step leapfrog used by
-essentially all collisionless treecodes; the 100-step timing convention of
-Tables 1-3 corresponds to 100 force evaluations + drift/kick updates.
-Several integrators are provided so tests can cross-check orders of
-accuracy and symplectic behaviour.
-
-An *acceleration function* has signature ``accel(positions) -> (n, 3)``
-array; any force backend (direct CPU, Barnes-Hut, or a simulated GPU plan)
-can be plugged in.
+The paper integrates with a fixed-step kick-drift-kick leapfrog, which
+:meth:`repro.core.simulation.Simulation.step` performs; the 100-step
+timing convention of Tables 1-3 is 100 of those steps.  The one
+adaptive scheme beside it is the power-of-two block-rung leapfrog of
+GOTHIC-style treecodes: :func:`block_substep` advances every body by one
+finest-rung substep and re-evaluates forces only for the bodies whose
+own step closes there.  ``Simulation`` drives it for the block plans
+(``block-i``, ``block-jw``), with the rung bookkeeping in
+:class:`~repro.nbody.timestep.BlockTimestepSchedule`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Protocol, TYPE_CHECKING
+from typing import Any, Callable, TYPE_CHECKING
 
 import numpy as np
 
@@ -22,95 +22,7 @@ from repro.nbody.particles import ParticleSet
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.nbody.timestep import BlockTimestepSchedule
 
-__all__ = [
-    "AccelFn",
-    "Integrator",
-    "ExplicitEuler",
-    "SymplecticEuler",
-    "LeapfrogKDK",
-    "VelocityVerlet",
-    "integrate",
-    "block_substep",
-]
-
-AccelFn = Callable[[np.ndarray], np.ndarray]
-
-
-class Integrator(Protocol):
-    """A fixed-step integrator advancing a ParticleSet in place."""
-
-    #: formal order of accuracy (used by convergence tests)
-    order: int
-
-    def step(self, p: ParticleSet, dt: float, accel: AccelFn) -> None:
-        """Advance ``p`` by one step of size ``dt`` using ``accel``."""
-        ...  # pragma: no cover
-
-
-class ExplicitEuler:
-    """First-order explicit Euler — test baseline, not for production runs."""
-
-    order = 1
-
-    def step(self, p: ParticleSet, dt: float, accel: AccelFn) -> None:
-        a = accel(p.positions)
-        p.positions += dt * p.velocities
-        p.velocities += dt * a
-
-
-class SymplecticEuler:
-    """First-order symplectic (semi-implicit) Euler: kick then drift."""
-
-    order = 1
-
-    def step(self, p: ParticleSet, dt: float, accel: AccelFn) -> None:
-        p.velocities += dt * accel(p.positions)
-        p.positions += dt * p.velocities
-
-
-class LeapfrogKDK:
-    """Second-order kick-drift-kick leapfrog (the production integrator).
-
-    Symplectic and time-reversible; performs two half-kicks per step.  The
-    second half-kick's acceleration is cached and reused as the first
-    half-kick of the next step when positions have not been perturbed in
-    between, so one step costs one force evaluation in a plain loop.
-    """
-
-    order = 2
-
-    def __init__(self) -> None:
-        self._cached_accel: np.ndarray | None = None
-        self._cached_pos_version: bytes | None = None
-
-    def _accel_at(self, p: ParticleSet, accel: AccelFn) -> np.ndarray:
-        # Cheap content check: reuse the cached acceleration only when the
-        # positions are byte-identical to those it was computed for.
-        tag = p.positions.tobytes()
-        if self._cached_accel is not None and self._cached_pos_version == tag:
-            return self._cached_accel
-        return accel(p.positions)
-
-    def step(self, p: ParticleSet, dt: float, accel: AccelFn) -> None:
-        a0 = self._accel_at(p, accel)
-        p.velocities += 0.5 * dt * a0
-        p.positions += dt * p.velocities
-        a1 = accel(p.positions)
-        p.velocities += 0.5 * dt * a1
-        self._cached_accel = a1
-        self._cached_pos_version = p.positions.tobytes()
-
-
-class VelocityVerlet:
-    """Second-order velocity Verlet (algebraically identical to KDK leapfrog)."""
-
-    order = 2
-
-    def step(self, p: ParticleSet, dt: float, accel: AccelFn) -> None:
-        a0 = accel(p.positions)
-        p.positions += dt * p.velocities + 0.5 * dt * dt * a0
-        a1 = accel(p.positions)
-        p.velocities += 0.5 * dt * (a0 + a1)
+__all__ = ["block_substep"]
 
 
 def block_substep(
@@ -156,42 +68,3 @@ def block_substep(
     next_substep = boundary % schedule.n_substeps
     new_rungs = schedule.update(rungs, acc_rows, active, next_substep)
     return new_rungs, next_substep, payload
-
-
-def integrate(
-    p: ParticleSet,
-    accel: AccelFn,
-    *,
-    dt: float,
-    n_steps: int,
-    integrator: Integrator | None = None,
-    callback: Callable[[float, ParticleSet], None] | None = None,
-    callback_every: int = 1,
-) -> ParticleSet:
-    """Advance ``p`` in place for ``n_steps`` steps of size ``dt``.
-
-    Parameters
-    ----------
-    callback:
-        Invoked as ``callback(t, p)`` before the first step and after every
-        ``callback_every``-th step (and always after the final step).
-
-    Returns the same ``ParticleSet`` for chaining.
-    """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-    if callback_every <= 0:
-        raise ValueError(f"callback_every must be positive, got {callback_every}")
-    if integrator is None:
-        integrator = LeapfrogKDK()
-    t = 0.0
-    if callback is not None:
-        callback(t, p)
-    for k in range(1, n_steps + 1):
-        integrator.step(p, dt, accel)
-        t = k * dt
-        if callback is not None and (k % callback_every == 0 or k == n_steps):
-            callback(t, p)
-    return p

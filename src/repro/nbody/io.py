@@ -1,23 +1,22 @@
-"""Snapshot I/O: persist particle states and simulation series.
+"""Snapshot I/O: persist particle states.
 
 Snapshots are NumPy ``.npz`` archives (portable, compressed, versioned by
-a format tag) holding positions, velocities, masses and metadata; a
-:class:`SnapshotSeries` appends numbered snapshots for time-series output
-from long runs — the standard workflow of any production N-body code.
+a format tag) holding positions, velocities, masses and metadata.  The
+checkpoints of :mod:`repro.runtime` are written with them.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
 from repro.errors import WorkloadError
 from repro.nbody.particles import ParticleSet
 
-__all__ = ["save_snapshot", "load_snapshot", "snapshot_extras", "SnapshotSeries"]
+__all__ = ["save_snapshot", "load_snapshot", "snapshot_extras"]
 
 #: Format tag embedded in every snapshot for forward compatibility.
 FORMAT_VERSION = 1
@@ -98,54 +97,3 @@ def snapshot_extras(path: str | Path) -> dict[str, np.ndarray]:
             if key.startswith("extra_"):
                 out[key[len("extra_"):]] = np.array(data[key])
     return out
-
-
-class SnapshotSeries:
-    """Numbered snapshot output for a simulation run.
-
-    Usable directly as a :class:`~repro.core.simulation.Simulation`
-    callback::
-
-        series = SnapshotSeries(outdir / "run")
-        sim.run(1000, callback=series.from_simulation, callback_every=50)
-    """
-
-    def __init__(self, prefix: str | Path) -> None:
-        self.prefix = Path(prefix)
-        self.count = 0
-        self.paths: list[Path] = []
-
-    def write(self, particles: ParticleSet, *, time: float = 0.0,
-              metadata: dict[str, Any] | None = None) -> Path:
-        """Append one snapshot (``<prefix>_NNNN.npz``)."""
-        path = self.prefix.parent / f"{self.prefix.name}_{self.count:04d}"
-        out = save_snapshot(path, particles, time=time, metadata=metadata)
-        self.paths.append(out)
-        self.count += 1
-        return out
-
-    def from_simulation(self, sim) -> None:
-        """Simulation-callback adapter: snapshots the current state.
-
-        Metadata records both sides of the steps/force-passes split plus
-        the simulated-hardware seconds accumulated so far, so a series is
-        self-describing about where in the run each snapshot was taken.
-        """
-        self.write(
-            sim.particles,
-            time=sim.time,
-            metadata={
-                "plan": sim.plan.name,
-                "steps": sim.record.steps,
-                "force_passes": sim.record.force_passes,
-                "simulated_seconds": sim.record.simulated_seconds,
-            },
-        )
-
-    def __iter__(self) -> Iterator[tuple[ParticleSet, float, dict[str, Any]]]:
-        """Iterate ``(particles, time, metadata)`` over written snapshots."""
-        for p in self.paths:
-            yield load_snapshot(p)
-
-    def __len__(self) -> int:
-        return self.count

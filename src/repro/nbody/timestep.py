@@ -1,37 +1,28 @@
-"""Time-step control: acceleration criteria, adaptive and block drivers.
+"""Time-step control: the acceleration criterion and block rungs.
 
-Fixed-step leapfrog (the paper's convention) is fine for collisionless
-sweeps, but long production runs use an adaptive step.  This module
-provides the standard softened-gravity criterion
+This module provides the standard softened-gravity criterion
 
     dt_i = eta * sqrt(eps / |a_i|)
 
 (the dimensionally natural time for a body to cross the softening length
-under its current acceleration), :class:`AdaptiveLeapfrog`, a
-synchronised adaptive KDK driver, and :class:`BlockTimestepSchedule` —
+under its current acceleration) and :class:`BlockTimestepSchedule` —
 the hierarchical power-of-two *block* timestep system (Aarseth-style
 individual steps quantised to rungs, as in GADGET/GOTHIC): every body
 sits on a rung ``r`` stepping at ``dt_max / 2**r``, rungs advance
 together in blocks, and only the rungs whose step ends at a given
-substep boundary pay for a force evaluation there.
+substep boundary pay for a force evaluation there.  The paper's own
+runs use one fixed step, which is the one-rung case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.nbody.particles import ParticleSet
 
-__all__ = [
-    "acceleration_timestep",
-    "suggest_timestep",
-    "AdaptiveLeapfrog",
-    "BlockTimestepSchedule",
-]
+__all__ = ["acceleration_timestep", "BlockTimestepSchedule"]
 
 
 def acceleration_timestep(
@@ -51,82 +42,6 @@ def acceleration_timestep(
     with np.errstate(divide="ignore"):
         dt = eta * np.sqrt(softening / a)
     return dt
-
-
-def suggest_timestep(
-    accelerations: np.ndarray,
-    *,
-    softening: float,
-    eta: float = 0.025,
-    dt_max: float = np.inf,
-) -> float:
-    """The synchronised (global) step: the tightest per-body constraint."""
-    dt = float(np.min(acceleration_timestep(accelerations, softening=softening, eta=eta)))
-    return min(dt, dt_max)
-
-
-@dataclass
-class AdaptiveLeapfrog:
-    """Synchronised adaptive kick-drift-kick leapfrog.
-
-    Each step uses the current global suggestion, limited to grow by at
-    most ``growth_limit`` per step (shrinking is unrestricted, so close
-    encounters are resolved promptly).  Not strictly symplectic — no
-    adaptive scheme is — but the clamped, acceleration-symmetric choice
-    keeps energy drift bounded in practice, which the tests check.
-    """
-
-    softening: float
-    eta: float = 0.025
-    dt_max: float = np.inf
-    growth_limit: float = 1.3
-    #: history of steps actually taken
-    history: list[float] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.growth_limit <= 1.0:
-            raise ConfigurationError(
-                f"growth_limit must be > 1, got {self.growth_limit}"
-            )
-
-    def run(
-        self,
-        particles: ParticleSet,
-        accel: Callable[[np.ndarray], np.ndarray],
-        *,
-        t_end: float,
-    ) -> float:
-        """Advance ``particles`` to ``t_end``; returns the final time.
-
-        The last step is shortened to land exactly on ``t_end``.
-        """
-        if t_end <= 0.0:
-            raise ConfigurationError(f"t_end must be positive, got {t_end}")
-        t = 0.0
-        a = accel(particles.positions)
-        dt_prev = None
-        while t < t_end:
-            dt = suggest_timestep(
-                a, softening=self.softening, eta=self.eta, dt_max=self.dt_max
-            )
-            if dt_prev is not None:
-                dt = min(dt, dt_prev * self.growth_limit)
-            dt = min(dt, t_end - t)
-            if dt <= 0.0 or not np.isfinite(dt):  # pragma: no cover - guard
-                raise ConfigurationError(f"degenerate time step {dt}")
-            particles.velocities += 0.5 * dt * a
-            particles.positions += dt * particles.velocities
-            a = accel(particles.positions)
-            particles.velocities += 0.5 * dt * a
-            t += dt
-            dt_prev = dt
-            self.history.append(dt)
-        return t
-
-    @property
-    def n_steps(self) -> int:
-        """Steps taken so far."""
-        return len(self.history)
 
 
 @dataclass(frozen=True)

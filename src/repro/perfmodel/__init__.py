@@ -1,21 +1,12 @@
-"""Analytic performance model, metrics, and calibration."""
+"""Throughput metrics and the device calibration.
 
-from repro.perfmodel.metrics import (
-    RateSummary,
-    both_conventions,
-    crossover_n,
-    gflops_rate,
-    parallel_efficiency,
-    speedup,
-)
-from repro.perfmodel.analytic import (
-    AnalyticInputs,
-    predict_i_parallel,
-    predict_j_parallel,
-    predict_jw_parallel,
-    predict_multi_device_scaling,
-    predict_w_parallel,
-)
+The one cost model is the simulated HD 5850 (:mod:`repro.gpu.timing`,
+:mod:`repro.gpu.events`); this package turns its seconds into the
+paper's GFLOPS and speedup figures and records how the device's
+``interaction_cycles`` was fitted to the paper's sustained rate.
+"""
+
+from repro.perfmodel.metrics import gflops_rate, speedup
 from repro.perfmodel.calibration import (
     PAPER_CPU_SPEEDUP,
     PAPER_GPU_SPEEDUP_RANGE,
@@ -27,18 +18,8 @@ from repro.perfmodel.calibration import (
 )
 
 __all__ = [
-    "RateSummary",
-    "both_conventions",
-    "crossover_n",
     "gflops_rate",
-    "parallel_efficiency",
     "speedup",
-    "AnalyticInputs",
-    "predict_i_parallel",
-    "predict_j_parallel",
-    "predict_jw_parallel",
-    "predict_multi_device_scaling",
-    "predict_w_parallel",
     "PAPER_CPU_SPEEDUP",
     "PAPER_GPU_SPEEDUP_RANGE",
     "PAPER_PEAK_GFLOPS_RSQRT",

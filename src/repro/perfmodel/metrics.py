@@ -1,31 +1,18 @@
-"""Performance metrics: throughput, speedup, efficiency, crossovers.
+"""Performance metrics: throughput and speedup.
 
 All throughput numbers state their flops-per-interaction convention
 explicitly (see :mod:`repro.nbody.flops`) so both of the paper's headline
 figures — ~300 GFLOPS sustained under the 20-flop convention and the
 431 GFLOPS peak under the expanded-rsqrt convention — can be produced
-from the same measurements.
+from the same measurements (:class:`repro.bench.runner.SweepRow` reports
+both).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro.nbody.flops import DEFAULT_FLOPS_PER_INTERACTION
 
-import numpy as np
-
-from repro.nbody.flops import (
-    DEFAULT_FLOPS_PER_INTERACTION,
-    FLOPS_PER_INTERACTION_RSQRT,
-)
-
-__all__ = [
-    "gflops_rate",
-    "both_conventions",
-    "speedup",
-    "parallel_efficiency",
-    "crossover_n",
-    "RateSummary",
-]
+__all__ = ["gflops_rate", "speedup"]
 
 
 def gflops_rate(
@@ -41,81 +28,8 @@ def gflops_rate(
     return n_interactions * flops_per_interaction / seconds / 1e9
 
 
-def both_conventions(n_interactions: int | float, seconds: float) -> tuple[float, float]:
-    """(20-flop GFLOPS, 38-flop GFLOPS) — the paper's two quoted axes."""
-    return (
-        gflops_rate(n_interactions, seconds, DEFAULT_FLOPS_PER_INTERACTION),
-        gflops_rate(n_interactions, seconds, FLOPS_PER_INTERACTION_RSQRT),
-    )
-
-
 def speedup(baseline_seconds: float, seconds: float) -> float:
     """How many times faster than the baseline (>1 means faster)."""
     if baseline_seconds <= 0.0 or seconds <= 0.0:
         raise ValueError("times must be positive")
     return baseline_seconds / seconds
-
-
-def parallel_efficiency(sustained_flops: float, peak_flops: float) -> float:
-    """Fraction of device peak achieved."""
-    if peak_flops <= 0.0:
-        raise ValueError(f"peak_flops must be positive, got {peak_flops}")
-    if sustained_flops < 0.0:
-        raise ValueError(f"sustained_flops must be >= 0, got {sustained_flops}")
-    return sustained_flops / peak_flops
-
-
-def crossover_n(
-    n_values: np.ndarray, times_a: np.ndarray, times_b: np.ndarray
-) -> float | None:
-    """Smallest N (log-interpolated) where method B becomes faster than A.
-
-    Returns ``None`` when B never overtakes A on the sweep, or the first
-    grid point when B already wins everywhere.
-    """
-    n_values = np.asarray(n_values, dtype=np.float64)
-    times_a = np.asarray(times_a, dtype=np.float64)
-    times_b = np.asarray(times_b, dtype=np.float64)
-    if not (n_values.shape == times_a.shape == times_b.shape):
-        raise ValueError("inputs must have the same shape")
-    if n_values.size == 0:
-        return None
-    diff = times_a - times_b  # positive where B wins
-    if diff[0] > 0:
-        return float(n_values[0])
-    for k in range(1, diff.size):
-        if diff[k] > 0:
-            # log-linear interpolation of the zero crossing
-            x0, x1 = np.log(n_values[k - 1]), np.log(n_values[k])
-            y0, y1 = diff[k - 1], diff[k]
-            t = -y0 / (y1 - y0)
-            return float(np.exp(x0 + t * (x1 - x0)))
-    return None
-
-
-@dataclass(frozen=True)
-class RateSummary:
-    """GFLOPS summary of one (plan, N) measurement."""
-
-    plan: str
-    n_bodies: int
-    interactions: int
-    kernel_seconds: float
-    total_seconds: float
-
-    @property
-    def kernel_gflops(self) -> float:
-        """Device-kernel throughput (Fig. 4/5 axis)."""
-        return gflops_rate(self.interactions, self.kernel_seconds)
-
-    @property
-    def kernel_gflops_rsqrt(self) -> float:
-        """Throughput under the expanded-rsqrt convention (the 431-style figure)."""
-        return gflops_rate(
-            self.interactions, self.kernel_seconds, FLOPS_PER_INTERACTION_RSQRT
-        )
-
-    @property
-    def effective_gflops(self) -> float:
-        """Throughput over the full step (host + transfers included)."""
-        return gflops_rate(self.interactions, self.total_seconds)

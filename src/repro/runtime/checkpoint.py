@@ -24,6 +24,7 @@ totals in the JSON files round-trip exactly (Python's ``json`` emits
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -124,15 +125,30 @@ def plan_config_from_dict(data: dict[str, Any]) -> PlanConfig:
     return PlanConfig(
         device=device,
         host=host,
-        wg_size=int(data["wg_size"]),
-        softening=float(data["softening"]),
-        G=float(data["G"]),
-        theta=float(data["theta"]),
-        leaf_size=int(data["leaf_size"]),
+        wg_size=_integer(data["wg_size"], "wg_size"),
+        softening=_real(data["softening"], "softening"),
+        G=_real(data["G"], "G"),
+        theta=_real(data["theta"], "theta"),
+        leaf_size=_integer(data["leaf_size"], "leaf_size"),
         kernel_backend=None if kernel_backend is None else str(kernel_backend),
-        n_rungs=None if n_rungs is None else int(n_rungs),
-        step_eta=None if step_eta is None else float(step_eta),
+        n_rungs=None if n_rungs is None else _integer(n_rungs, "n_rungs"),
+        step_eta=None if step_eta is None else _real(step_eta, "step_eta"),
     )
+
+
+# A bare int() would truncate ``leaf_size: 2.5`` to 2, and the spec would
+# then hash and run as a config it was not submitted with; bools are ints
+# to Python but never a count or a length here.
+def _integer(value: Any, key: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value: Any, key: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{key} must be a number, got {value!r}")
+    return float(value)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ fairness, never a different answer.
 
 Jobs are anything exposing the small protocol the runner drives:
 ``begin()``, ``advance(k) -> bool`` (True when finished), ``finish()``,
-``fail(exc)`` — see ``repro.serve.service._Job`` for the real one.
+``fail(exc)`` — see ``repro.serve.service._Job`` for the real one.  An
+exception from ``begin``, ``advance`` or ``finish`` goes to ``fail``;
+the runner thread survives it.
 
 ``slice_hook`` is the scheduler's verification seam: called after every
 successful slice with ``(job, done)``, and a raising hook fails the job
@@ -207,7 +209,13 @@ class Scheduler:
                 else:
                     self._ready.append(job)
             if done:
-                job.finish()
+                try:
+                    job.finish()
+                except Exception as exc:
+                    # Already off the live count; a raising finish (say, a
+                    # result that fails to reload) fails the job instead
+                    # of killing this runner with its handle unresolved.
+                    job.fail(exc)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -710,12 +710,16 @@ class JobService:
     ) -> None:
         tenant = job.tenant
         with self._lock:
-            self._inflight.pop(job.handle.spec_hash, None)
-            remaining = self._tenant_inflight.get(tenant, 0) - 1
-            if remaining > 0:
-                self._tenant_inflight[tenant] = remaining
-            else:
-                self._tenant_inflight.pop(tenant, None)
+            # A finish() that raises after this point (a failed ledger
+            # write) reports the job again, as failed: release its
+            # in-flight slot only the first time.
+            if self._inflight.get(job.handle.spec_hash) is job.handle:
+                del self._inflight[job.handle.spec_hash]
+                remaining = self._tenant_inflight.get(tenant, 0) - 1
+                if remaining > 0:
+                    self._tenant_inflight[tenant] = remaining
+                else:
+                    self._tenant_inflight.pop(tenant, None)
             obs.set_gauge("serve.queue_depth", len(self.queue))
         if error is not None:
             obs.inc("serve.jobs_failed_total")
@@ -745,7 +749,7 @@ class JobService:
         result: JobResult | None = None,
         error: BaseException | None = None,
     ) -> None:
-        """Finalise the job's ledger row (observer: never raises upward)."""
+        """Finalise the job's ledger row (a failed write raises)."""
         if self.ledger is None or job.run_id is None:
             return
         fields: dict[str, Any] = {

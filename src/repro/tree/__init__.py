@@ -7,7 +7,7 @@ consume the :class:`~repro.tree.walks.WalkSet` produced here.
 
 from repro.tree.morton import MAX_DEPTH, decode, encode, grid_coordinates, key_octant
 from repro.tree.octree import Octree, build_octree
-from repro.tree.mac import GroupMAC, PointMAC, SizeLimitedMAC, aabb_distance
+from repro.tree.mac import GroupMAC, PointMAC, aabb_distance
 from repro.tree.traversal import TraversalStats, bh_accelerations
 from repro.tree.walks import (
     Walk,
@@ -35,7 +35,6 @@ __all__ = [
     "build_octree",
     "GroupMAC",
     "PointMAC",
-    "SizeLimitedMAC",
     "aabb_distance",
     "TraversalStats",
     "bh_accelerations",

@@ -15,9 +15,6 @@ length ``l`` at distance ``D`` may be replaced by its monopole when
   mass.  Because every body in the group is at least that far away, group
   acceptance is conservative: whenever the group accepts a cell, each
   member body would have accepted it individually.
-
-An absolute-size extension (:class:`SizeLimitedMAC`) is provided as the
-ablation knob for accuracy studies beyond the paper.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PointMAC", "GroupMAC", "SizeLimitedMAC", "aabb_distance"]
+__all__ = ["PointMAC", "GroupMAC", "aabb_distance"]
 
 #: Guard distance so a zero-distance cell is never accepted.
 _TINY = 1e-300
@@ -90,27 +87,3 @@ class GroupMAC:
         """Acceptance mask for cells (``sizes``, ``coms``) vs the group box."""
         d = aabb_distance(box_lo, box_hi, coms)
         return np.asarray(sizes) < self.theta * np.maximum(d, _TINY)
-
-
-@dataclass(frozen=True)
-class SizeLimitedMAC:
-    """BH criterion with an additional absolute cell-size cap (ablation knob).
-
-    Accept when ``l / D < theta`` **and** ``l < max_size``; forcing small
-    maximum cell sizes trades accuracy for longer interaction lists, which
-    stresses the plans' load-balancing differently from varying theta.
-    """
-
-    theta: float = 0.6
-    max_size: float = np.inf
-
-    def __post_init__(self) -> None:
-        if self.theta <= 0.0:
-            raise ValueError(f"theta must be positive, got {self.theta}")
-        if self.max_size <= 0.0:
-            raise ValueError(f"max_size must be positive, got {self.max_size}")
-
-    def accept(self, sizes: np.ndarray, distances: np.ndarray) -> np.ndarray:
-        sizes = np.asarray(sizes)
-        base = sizes < self.theta * np.maximum(np.asarray(distances), _TINY)
-        return base & (sizes < self.max_size)

@@ -221,6 +221,8 @@ class TestValidation:
             PlanConfig(wg_size=512)  # exceeds device max
         with pytest.raises(ConfigurationError):
             PlanConfig(softening=-1.0)
+        with pytest.raises(ConfigurationError, match="softening"):
+            PlanConfig(softening=0.0)  # the self-pair would be 0 * inf = NaN
         with pytest.raises(ConfigurationError):
             PlanConfig(theta=0.0)
         with pytest.raises(ConfigurationError):

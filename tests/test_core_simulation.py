@@ -9,7 +9,7 @@ from repro.errors import ConfigurationError, ReproError, StateError
 from repro.nbody.energy import total_energy
 from repro.nbody.forces import direct_forces
 from repro.nbody.ic import plummer
-from repro.nbody.integrators import LeapfrogKDK, integrate
+from repro.nbody.particles import ParticleSet
 
 EPS = 1e-2
 
@@ -40,20 +40,6 @@ class TestStepping:
             sim.record.simulated_seconds / 3
         )
 
-    def test_matches_plain_integrate(self):
-        """The driver reproduces the generic leapfrog trajectory."""
-        cfg = PlanConfig(softening=EPS)
-        p1 = plummer(128, seed=32)
-        p2 = p1.copy()
-        sim = Simulation(p1, IParallelPlan(cfg), dt=1e-3)
-        sim.run(5)
-
-        plan = IParallelPlan(cfg)
-        integrate(
-            p2, plan.accel_fn(p2.masses), dt=1e-3, n_steps=5, integrator=LeapfrogKDK()
-        )
-        np.testing.assert_allclose(p1.positions, p2.positions, rtol=1e-10, atol=1e-12)
-
     def test_energy_conservation_short_run(self):
         particles = plummer(256, seed=33)
         e0 = total_energy(particles, softening=EPS)
@@ -80,6 +66,60 @@ class TestStepping:
         acc = sim._last_acc
         err = np.linalg.norm(acc - ref, axis=1) / np.linalg.norm(ref, axis=1)
         assert err.max() < 1e-3
+
+
+#: Softening small enough that the Kepler pair (separation 1) orbits as
+#: an unsoftened binary, yet positive so the plan's self-pair is zero.
+KEPLER_EPS = 1e-4
+#: Period of the equal-mass circular binary below (2 pi r^1.5 / sqrt(M)).
+KEPLER_PERIOD = 2 * np.pi * 0.5 / np.sqrt(0.5)
+
+
+def _kepler_pair():
+    """Equal-mass binary on a circular orbit of separation 1."""
+    pos = np.array([[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]])
+    # each body circles the centre of mass at radius 0.5: v^2 / 0.5 = G m / 1^2
+    v = np.sqrt(0.5)
+    vel = np.array([[0.0, v, 0.0], [0.0, -v, 0.0]])
+    return ParticleSet(pos, vel, np.array([1.0, 1.0]))
+
+
+def _kepler_sim(particles, dt):
+    return Simulation(
+        particles, IParallelPlan(PlanConfig(softening=KEPLER_EPS)), dt=dt
+    )
+
+
+class TestKeplerLeapfrog:
+    """The fixed-step leapfrog's physics, on a two-body orbit."""
+
+    @staticmethod
+    def _orbit_error(n_steps):
+        p = _kepler_pair()
+        start = p.positions.copy()
+        _kepler_sim(p, KEPLER_PERIOD / n_steps).run(n_steps)
+        return np.linalg.norm(p.positions - start)
+
+    def test_second_order_convergence(self):
+        # halving dt cuts the one-period position error ~4x
+        ratio = self._orbit_error(200) / self._orbit_error(400)
+        assert 3.0 < ratio < 5.5
+
+    def test_energy_conservation_on_orbit(self):
+        p = _kepler_pair()
+        e0 = total_energy(p, softening=KEPLER_EPS)
+        _kepler_sim(p, 0.01).run(2000)
+        e1 = total_energy(p, softening=KEPLER_EPS)
+        assert abs(e1 - e0) / abs(e0) < 1e-3
+
+    def test_time_reversibility(self):
+        p = _kepler_pair()
+        start = p.positions.copy()
+        sim = _kepler_sim(p, 0.01)
+        sim.run(100)
+        p.velocities *= -1.0
+        sim.run(100)
+        np.testing.assert_allclose(p.positions, start, atol=1e-9)
 
 
 class TestCallbacks:

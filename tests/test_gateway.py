@@ -157,6 +157,14 @@ class TestEndpoints:
         assert reply["ok"] is False and "dt" in reply["error"]
         assert reply["error_type"] == "ServeError"
 
+    def test_zero_softening_400(self, base):
+        body = spec_body(small_spec(seed=106))
+        body["spec"]["plan_config"]["softening"] = 0.0
+        status, reply, _ = http(base, "POST", "/v1/jobs", body)
+        assert status == 400
+        assert reply["ok"] is False and "softening" in reply["error"]
+        assert reply["error_type"] == "ConfigurationError"
+
     @pytest.mark.parametrize("timeout", ["abc", "nan", "inf", "-1"])
     def test_malformed_result_timeout_400(self, base, timeout):
         spec = small_spec(seed=105)

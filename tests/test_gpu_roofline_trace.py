@@ -1,4 +1,4 @@
-"""Tests for the roofline model and execution traces."""
+"""Tests for execution traces of kernel launches."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from repro.errors import ConfigurationError
 from repro.gpu.device import RADEON_HD_5850
 from repro.gpu.kernel import reduction_work, tile_loop_work
 from repro.gpu.launch import KernelLaunch
-from repro.gpu.roofline import ridge_intensity, roofline_point
 from repro.gpu.trace import trace_costs, trace_launch
 from repro.gpu.timing import time_kernel
 
@@ -30,37 +29,6 @@ def _reduce_launch(n_wgs=32):
         for i in range(n_wgs)
     ]
     return KernelLaunch("reduce", 256, wgs)
-
-
-class TestRoofline:
-    def test_force_kernel_compute_bound(self):
-        pt = roofline_point(DEV, _force_launch())
-        assert pt.compute_bound
-        assert pt.efficiency_ceiling == 1.0
-        assert pt.arithmetic_intensity > ridge_intensity(DEV)
-
-    def test_reduction_kernel_memory_bound(self):
-        pt = roofline_point(DEV, _reduce_launch())
-        assert not pt.compute_bound
-        assert pt.efficiency_ceiling < 1.0
-        # zero interactions -> zero intensity
-        assert pt.arithmetic_intensity == 0.0
-
-    def test_ridge_point_value(self):
-        # sustained ~298 GFLOPS over 128 GB/s -> ~2.3 flops/byte
-        r = ridge_intensity(DEV)
-        assert 1.0 < r < 5.0
-
-    def test_attainable_below_peak_for_low_intensity(self):
-        pt = roofline_point(DEV, _reduce_launch())
-        assert pt.attainable_flops_s < pt.peak_flops_s
-
-    def test_zero_bytes_infinite_intensity(self):
-        wg = tile_loop_work("x", active_threads=64, n_sources=0, wg_size=64,
-                            wavefront_size=64)
-        wg.global_bytes = 0
-        pt = roofline_point(DEV, KernelLaunch("k", 64, [wg]))
-        assert pt.arithmetic_intensity in (0.0, float("inf"))  # 0 flops / 0 bytes
 
 
 class TestTraceCosts:

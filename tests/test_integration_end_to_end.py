@@ -17,7 +17,7 @@ from repro.core.plans import (
 )
 from repro.core.ptpm import describe
 from repro.core.simulation import Simulation
-from repro.nbody.energy import EnergyTracker, angular_momentum, momentum, total_energy
+from repro.nbody.energy import angular_momentum, momentum, total_energy
 from repro.nbody.forces import direct_forces
 from repro.nbody.ic import plummer, two_clusters
 from repro.tree.bh_force import rms_relative_error
@@ -47,14 +47,6 @@ class TestFullSimulations:
         l1 = angular_momentum(particles)
         np.testing.assert_allclose(l1, l0, atol=0.05 * np.linalg.norm(l0) + 1e-3)
         assert sim.record.simulated_seconds > 0
-
-    def test_tracker_with_simulation(self):
-        particles = plummer(256, seed=53)
-        tracker = EnergyTracker(softening=EPS)
-        sim = Simulation(particles, IParallelPlan(PlanConfig(softening=EPS)), dt=1e-3)
-        tracker(0.0, particles)
-        sim.run(10, callback=lambda s: tracker(s.time, s.particles))
-        assert tracker.max_relative_drift() < 5e-3
 
     def test_plans_produce_same_trajectory_within_method_error(self):
         """Evolving with PP vs BH forces stays close over a short run."""

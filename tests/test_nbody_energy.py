@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.nbody.energy import (
-    EnergyTracker,
     angular_momentum,
     kinetic_energy,
     momentum,
@@ -85,26 +84,3 @@ class TestVirial:
         p = ParticleSet(np.zeros((1, 3)), np.ones((1, 3)), np.ones(1))
         with pytest.raises(ValueError, match="virial"):
             virial_ratio(p)
-
-
-class TestEnergyTracker:
-    def test_records_and_drift(self):
-        p = _two_body()
-        t = EnergyTracker()
-        t(0.0, p)
-        t(1.0, p)
-        assert t.max_relative_drift() == 0.0
-        assert len(t.energies) == 2
-
-    def test_drift_detects_change(self):
-        p = _two_body()
-        t = EnergyTracker()
-        t(0.0, p)
-        p.velocities *= 2.0
-        t(1.0, p)
-        assert t.max_relative_drift() > 0.0
-
-    def test_empty_tracker_raises(self):
-        t = EnergyTracker()
-        with pytest.raises(ValueError, match="no samples"):
-            _ = t.initial_energy

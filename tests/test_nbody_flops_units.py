@@ -1,6 +1,5 @@
-"""Unit tests for flop accounting and unit systems."""
+"""Unit tests for flop accounting."""
 
-import numpy as np
 import pytest
 
 from repro.nbody.flops import (
@@ -11,7 +10,6 @@ from repro.nbody.flops import (
     interaction_flops,
     pp_step_interactions,
 )
-from repro.nbody.units import G_NBODY, G_SI, HENON, UnitSystem
 
 
 class TestFlops:
@@ -43,31 +41,3 @@ class TestFlops:
     def test_gflops_rejects_nonpositive_time(self):
         with pytest.raises(ValueError):
             gflops(10, 0.0)
-
-
-class TestUnits:
-    def test_henon_default(self):
-        assert HENON.G == G_NBODY == 1.0
-
-    def test_time_unit_roundtrip(self):
-        # t^2 = G_sim l^3 / (G_SI m) by construction
-        u = UnitSystem()
-        t = u.time_s
-        assert t**2 == pytest.approx(u.G * u.length_m**3 / (G_SI * u.mass_kg))
-
-    def test_velocity_consistency(self):
-        u = UnitSystem()
-        assert u.velocity_m_s == pytest.approx(u.length_m / u.time_s)
-
-    def test_energy_consistency(self):
-        u = UnitSystem()
-        assert u.energy_j == pytest.approx(u.mass_kg * u.velocity_m_s**2)
-
-    def test_one_msun_at_one_pc_timescale_plausible(self):
-        # the N-body time unit for (1 Msun, 1 pc) is ~ 10^7 years
-        years = HENON.time_in_years(1.0)
-        assert 1e6 < years < 1e9
-
-    def test_units_are_frozen(self):
-        with pytest.raises(AttributeError):
-            HENON.G = 2.0  # type: ignore[misc]

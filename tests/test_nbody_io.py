@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
-from repro.nbody.io import SnapshotSeries, load_snapshot, save_snapshot
-from repro.nbody.ic import plummer
+from repro.nbody.io import load_snapshot, save_snapshot
 
 
 class TestSnapshotRoundtrip:
@@ -52,52 +51,3 @@ class TestSnapshotRoundtrip:
         np.savez(path, **data)
         with pytest.raises(WorkloadError, match="newer"):
             load_snapshot(path)
-
-
-class TestSnapshotSeries:
-    def test_numbered_files(self, tmp_path, plummer_small):
-        series = SnapshotSeries(tmp_path / "run")
-        series.write(plummer_small, time=0.0)
-        series.write(plummer_small, time=0.1)
-        assert len(series) == 2
-        assert series.paths[0].name == "run_0000.npz"
-        assert series.paths[1].name == "run_0001.npz"
-
-    def test_iteration(self, tmp_path, plummer_small):
-        series = SnapshotSeries(tmp_path / "run")
-        series.write(plummer_small, time=0.0, metadata={"k": 0})
-        series.write(plummer_small, time=0.5, metadata={"k": 1})
-        out = list(series)
-        assert [t for _, t, _ in out] == [0.0, 0.5]
-        assert [m["k"] for _, _, m in out] == [0, 1]
-
-    def test_simulation_callback(self, tmp_path):
-        from repro.core import IParallelPlan, PlanConfig, Simulation
-
-        particles = plummer(64, seed=61)
-        sim = Simulation(particles, IParallelPlan(PlanConfig(softening=1e-2)), dt=1e-3)
-        series = SnapshotSeries(tmp_path / "traj")
-        sim.run(4, callback=series.from_simulation, callback_every=2)
-        assert len(series) == 2
-        _, t_last, meta = list(series)[-1]
-        assert t_last == pytest.approx(4e-3)
-        assert meta["plan"] == "i"
-
-    def test_simulation_callback_metadata_round_trip(self, tmp_path):
-        """from_simulation records the steps/force-passes split and the
-        simulated time, and all of it survives the .npz round trip."""
-        from repro.core import IParallelPlan, PlanConfig, Simulation
-
-        particles = plummer(64, seed=62)
-        sim = Simulation(particles, IParallelPlan(PlanConfig(softening=1e-2)), dt=1e-3)
-        series = SnapshotSeries(tmp_path / "traj")
-        sim.run(3, callback=series.from_simulation, callback_every=3)
-        assert len(series) == 1
-        loaded, t_last, meta = next(iter(series))
-        assert t_last == sim.time
-        assert meta["steps"] == 3
-        # first step bootstraps the force cache: one extra pass
-        assert meta["force_passes"] == 4
-        assert meta["force_passes"] == sim.record.force_passes
-        assert meta["simulated_seconds"] == sim.record.simulated_seconds
-        assert np.array_equal(loaded.positions, sim.particles.positions)

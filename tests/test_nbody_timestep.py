@@ -1,25 +1,10 @@
-"""Tests for time-step criteria and the adaptive leapfrog driver."""
+"""Tests for the acceleration time-step criterion."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.nbody.energy import total_energy
-from repro.nbody.forces import direct_forces
-from repro.nbody.ic import plummer, two_clusters
-from repro.nbody.timestep import (
-    AdaptiveLeapfrog,
-    acceleration_timestep,
-    suggest_timestep,
-)
-
-EPS = 1e-2
-
-
-def _accel(masses):
-    def fn(x):
-        return direct_forces(x, masses, softening=EPS, include_self=False)
-    return fn
+from repro.nbody.timestep import acceleration_timestep
 
 
 class TestCriterion:
@@ -37,68 +22,8 @@ class TestCriterion:
         dt = acceleration_timestep(acc, softening=0.05)
         assert dt[1] < dt[0]
 
-    def test_suggest_takes_minimum(self):
-        acc = np.array([[1.0, 0.0, 0.0], [100.0, 0.0, 0.0]])
-        dt = suggest_timestep(acc, softening=0.05)
-        assert dt == pytest.approx(acceleration_timestep(acc, softening=0.05).min())
-
-    def test_dt_max_clamp(self):
-        acc = np.full((2, 3), 1e-12)
-        assert suggest_timestep(acc, softening=0.05, dt_max=0.5) == 0.5
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             acceleration_timestep(np.ones((1, 3)), softening=0.0)
         with pytest.raises(ConfigurationError):
             acceleration_timestep(np.ones((1, 3)), softening=0.1, eta=0.0)
-
-
-class TestAdaptiveLeapfrog:
-    def test_reaches_t_end_exactly(self):
-        p = plummer(64, seed=81)
-        driver = AdaptiveLeapfrog(softening=EPS, eta=0.05, dt_max=0.01)
-        t = driver.run(p, _accel(p.masses), t_end=0.05)
-        assert t == pytest.approx(0.05)
-        assert driver.n_steps >= 5
-
-    def test_energy_bounded(self):
-        p = plummer(128, seed=82)
-        e0 = total_energy(p, softening=EPS)
-        driver = AdaptiveLeapfrog(softening=EPS, eta=0.02, dt_max=5e-3)
-        driver.run(p, _accel(p.masses), t_end=0.1)
-        e1 = total_energy(p, softening=EPS)
-        assert abs(e1 - e0) / abs(e0) < 0.01
-
-    def test_steps_shrink_in_dense_regions(self):
-        # colliding clusters develop tighter constraints than a relaxed one
-        relaxed = plummer(128, seed=83)
-        colliding = two_clusters(128, separation=0.5, approach_speed=2.0, seed=83)
-        dr = AdaptiveLeapfrog(softening=EPS, eta=0.02, dt_max=1.0)
-        dc = AdaptiveLeapfrog(softening=EPS, eta=0.02, dt_max=1.0)
-        dr.run(relaxed, _accel(relaxed.masses), t_end=0.02)
-        dc.run(colliding, _accel(colliding.masses), t_end=0.02)
-        assert min(dc.history) < min(dr.history)
-
-    def test_growth_limited(self):
-        p = plummer(64, seed=84)
-        driver = AdaptiveLeapfrog(softening=EPS, eta=0.05, dt_max=0.05, growth_limit=1.2)
-        driver.run(p, _accel(p.masses), t_end=0.05)
-        h = driver.history
-        for a, b in zip(h, h[1:-1]):  # last step may be truncated to t_end
-            assert b <= a * 1.2 + 1e-15
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            AdaptiveLeapfrog(softening=EPS, growth_limit=1.0)
-        p = plummer(8, seed=85)
-        with pytest.raises(ConfigurationError):
-            AdaptiveLeapfrog(softening=EPS).run(p, _accel(p.masses), t_end=0.0)
-
-    def test_works_with_plan_forces(self):
-        from repro.core import JwParallelPlan, PlanConfig
-
-        p = plummer(256, seed=86)
-        plan = JwParallelPlan(PlanConfig(softening=EPS))
-        driver = AdaptiveLeapfrog(softening=EPS, eta=0.05, dt_max=2e-3)
-        t = driver.run(p, plan.accel_fn(p.masses), t_end=6e-3)
-        assert t == pytest.approx(6e-3)

@@ -1,75 +1,32 @@
-"""Tests for metrics, analytic predictions, and calibration."""
+"""Tests for the throughput metrics and the device calibration."""
 
-import numpy as np
 import pytest
 
 from repro.core.hostmodel import PENTIUM_E5300
-from repro.core.plans import IParallelPlan, JParallelPlan, JwParallelPlan, PlanConfig, WParallelPlan
 from repro.gpu.device import RADEON_HD_5850
-from repro.nbody.ic import plummer
-from repro.perfmodel.analytic import (
-    AnalyticInputs,
-    predict_i_parallel,
-    predict_j_parallel,
-    predict_jw_parallel,
-    predict_multi_device_scaling,
-    predict_w_parallel,
-)
 from repro.perfmodel.calibration import (
     PAPER_SUSTAINED_GFLOPS,
     calibrate_interaction_cycles,
     expected_cpu_speedup,
     sustained_gflops,
 )
-from repro.perfmodel.metrics import (
-    both_conventions,
-    crossover_n,
-    gflops_rate,
-    parallel_efficiency,
-    speedup,
-)
+from repro.perfmodel.metrics import gflops_rate, speedup
 
 DEV = RADEON_HD_5850
-EPS = 1e-2
 
 
 class TestMetrics:
     def test_gflops_rate(self):
         assert gflops_rate(1e9, 1.0) == pytest.approx(20.0)
 
-    def test_both_conventions_ratio(self):
-        g20, g38 = both_conventions(1e9, 1.0)
-        assert g38 / g20 == pytest.approx(38 / 20)
-
     def test_speedup(self):
         assert speedup(10.0, 2.0) == pytest.approx(5.0)
-
-    def test_parallel_efficiency(self):
-        assert parallel_efficiency(1e12, 2e12) == pytest.approx(0.5)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             gflops_rate(1, 0.0)
         with pytest.raises(ValueError):
             speedup(0.0, 1.0)
-        with pytest.raises(ValueError):
-            parallel_efficiency(1.0, 0.0)
-
-    def test_crossover_detection(self):
-        n = np.array([1e3, 1e4, 1e5])
-        a = np.array([1.0, 10.0, 100.0])
-        b = np.array([5.0, 8.0, 20.0])  # b overtakes between 1e3 and 1e4
-        x = crossover_n(n, a, b)
-        assert 1e3 < x < 1e4
-
-    def test_crossover_none(self):
-        n = np.array([1e3, 1e4])
-        assert crossover_n(n, np.array([1.0, 2.0]), np.array([3.0, 4.0])) is None
-
-    def test_crossover_immediate(self):
-        n = np.array([1e3, 1e4])
-        assert crossover_n(n, np.array([3.0, 4.0]), np.array([1.0, 2.0])) == 1e3
-
 
 class TestCalibration:
     def test_shipped_device_matches_paper_sustained(self):
@@ -86,73 +43,3 @@ class TestCalibration:
     def test_expected_cpu_speedup_near_paper(self):
         s = expected_cpu_speedup(DEV, PENTIUM_E5300)
         assert 300 < s < 900  # "about 400x" at rate level
-
-
-class TestAnalytic:
-    def test_i_parallel_tracks_simulator(self):
-        for n in (1024, 16384):
-            p = plummer(n, seed=41)
-            sim = IParallelPlan(PlanConfig(softening=EPS)).step_breakdown(
-                p.positions, p.masses
-            )
-            pred = predict_i_parallel(DEV, AnalyticInputs(n_bodies=n))
-            assert pred == pytest.approx(sim.kernel_seconds, rel=0.6)
-
-    def test_j_parallel_tracks_simulator(self):
-        n = 4096
-        p = plummer(n, seed=42)
-        sim = JParallelPlan(PlanConfig(softening=EPS)).step_breakdown(
-            p.positions, p.masses
-        )
-        pred = predict_j_parallel(DEV, AnalyticInputs(n_bodies=n))
-        assert pred == pytest.approx(sim.kernel_seconds, rel=0.6)
-
-    def test_tree_predictions_track_simulator(self):
-        n = 8192
-        p = plummer(n, seed=43)
-        cfg = PlanConfig(softening=EPS)
-        bw = WParallelPlan(cfg).step_breakdown(p.positions, p.masses)
-        inp = AnalyticInputs(
-            n_bodies=n,
-            n_walks=int(bw.meta["n_walks"]),
-            mean_group_size=bw.meta["mean_group_size"],
-            mean_list_length=bw.meta["mean_list_length"],
-            lane_utilization=bw.meta["lane_utilization"],
-        )
-        pred_w = predict_w_parallel(DEV, inp)
-        assert pred_w == pytest.approx(bw.kernel_seconds, rel=0.6)
-
-        bjw = JwParallelPlan(cfg).step_breakdown(p.positions, p.masses)
-        pred_jw = predict_jw_parallel(DEV, inp)
-        assert pred_jw == pytest.approx(bjw.kernel_seconds, rel=0.6)
-
-    def test_jw_prediction_below_w(self):
-        inp = AnalyticInputs(
-            n_bodies=8192, n_walks=200, mean_group_size=40.0,
-            mean_list_length=1500.0, lane_utilization=0.6,
-        )
-        assert predict_jw_parallel(DEV, inp) < predict_w_parallel(DEV, inp)
-
-    def test_tree_prediction_requires_stats(self):
-        with pytest.raises(ValueError):
-            predict_w_parallel(DEV, AnalyticInputs(n_bodies=100))
-
-    def test_multi_device_scaling_saturates(self):
-        inp = AnalyticInputs(
-            n_bodies=65536, n_walks=1000, mean_group_size=64.0,
-            mean_list_length=2700.0, lane_utilization=0.7,
-        )
-        t1 = predict_multi_device_scaling(DEV, PENTIUM_E5300, inp, 1)
-        t4 = predict_multi_device_scaling(DEV, PENTIUM_E5300, inp, 4)
-        t64 = predict_multi_device_scaling(DEV, PENTIUM_E5300, inp, 64)
-        assert t4 <= t1
-        # eventually host-bound: more devices stop helping
-        assert t64 == pytest.approx(
-            PENTIUM_E5300.tree_build_seconds(65536)
-            + PENTIUM_E5300.walk_generation_seconds(1000, int(1000 * 2700.0))
-        )
-
-    def test_multi_device_rejects_zero(self):
-        inp = AnalyticInputs(n_bodies=10, n_walks=1, mean_group_size=1, mean_list_length=1)
-        with pytest.raises(ValueError):
-            predict_multi_device_scaling(DEV, PENTIUM_E5300, inp, 0)

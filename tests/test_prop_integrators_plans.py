@@ -1,16 +1,21 @@
-"""Property-based tests for integrators and plan-level invariants."""
+"""Property-based tests for the leapfrog and plan-level invariants."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.plans import IParallelPlan, JParallelPlan, JwParallelPlan, PlanConfig, WParallelPlan
+from repro.core.simulation import Simulation
 from repro.nbody.energy import total_energy
 from repro.nbody.forces import direct_forces
 from repro.nbody.ic import plummer
-from repro.nbody.integrators import LeapfrogKDK, integrate
 
 EPS = 5e-2
+
+
+def _leapfrog(particles, dt):
+    """The fixed-step leapfrog under all-pairs forces."""
+    return Simulation(particles, IParallelPlan(PlanConfig(softening=EPS)), dt=dt)
 
 
 class TestIntegratorProperties:
@@ -23,11 +28,7 @@ class TestIntegratorProperties:
     def test_leapfrog_energy_bounded(self, n, seed, dt):
         p = plummer(n, seed=seed)
         e0 = total_energy(p, softening=EPS)
-
-        def accel(x):
-            return direct_forces(x, p.masses, softening=EPS, include_self=False)
-
-        integrate(p, accel, dt=dt, n_steps=20, integrator=LeapfrogKDK())
+        _leapfrog(p, dt).run(20)
         e1 = total_energy(p, softening=EPS)
         assert abs(e1 - e0) / abs(e0) < 0.05
 
@@ -39,13 +40,10 @@ class TestIntegratorProperties:
     def test_leapfrog_reversibility(self, n, seed):
         p = plummer(n, seed=seed)
         start = p.positions.copy()
-
-        def accel(x):
-            return direct_forces(x, p.masses, softening=EPS, include_self=False)
-
-        integrate(p, accel, dt=1e-3, n_steps=15, integrator=LeapfrogKDK())
+        sim = _leapfrog(p, 1e-3)
+        sim.run(15)
         p.velocities *= -1.0
-        integrate(p, accel, dt=1e-3, n_steps=15, integrator=LeapfrogKDK())
+        sim.run(15)
         np.testing.assert_allclose(p.positions, start, atol=1e-8)
 
 

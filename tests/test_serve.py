@@ -28,6 +28,7 @@ from repro import obs
 from repro.core.plans import PlanConfig, get_plan
 from repro.errors import (
     AdmissionError,
+    CheckpointError,
     ConfigurationError,
     ServeError,
 )
@@ -123,6 +124,25 @@ class TestJobSpec:
     def test_rejects_non_integral_counts_and_non_finite_dt(self, field, value):
         with pytest.raises(ServeError, match=field):
             small_spec(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("leaf_size", 2.5),  # hashed and run as leaf_size=2
+            ("leaf_size", True),
+            ("n_rungs", 2.5),
+            ("wg_size", 64.0),
+            ("wg_size", "64"),
+            ("softening", True),
+            ("theta", "0.6"),
+            ("step_eta", True),
+            ("softening", 0.0),  # every row of every plan would be NaN
+        ],
+    )
+    def test_rejects_malformed_plan_config_values(self, field, value):
+        config = {**plan_config_to_dict(PlanConfig()), field: value}
+        with pytest.raises(ConfigurationError, match=field):
+            JobSpec.from_dict({**small_spec().to_dict(), "plan_config": config})
 
     def test_numpy_integers_normalise_to_int(self):
         spec = small_spec(n=np.int64(64), steps=np.int64(2))
@@ -488,6 +508,36 @@ class TestJobService:
         assert not result.from_cache
         pos, _, _ = solo_state(spec)
         assert_bit_identical(pos, result.positions)
+
+    def test_raising_finish_fails_the_job_not_the_runner(
+        self, tmp_path, monkeypatch
+    ):
+        """A result that fails to reload resolves its handle with the
+        typed error, and both runner threads live on to run the next job."""
+        real_load = ResultCache.load
+        loads = []
+
+        def load_broken_once(cache, spec, *, from_cache):
+            loads.append(spec)
+            if len(loads) == 1:
+                raise CheckpointError("stored result is unreadable")
+            return real_load(cache, spec, from_cache=from_cache)
+
+        monkeypatch.setattr(ResultCache, "load", load_broken_once)
+        svc = JobService(
+            cache_dir=tmp_path, max_concurrent_jobs=2, runner_threads=2
+        )
+        try:
+            bad = svc.submit(small_spec(seed=41))
+            with pytest.raises(CheckpointError, match="unreadable"):
+                bad.result(timeout=30)
+            assert bad.status == "failed"
+            threads = svc.scheduler._threads
+            assert len(threads) == 2 and all(t.is_alive() for t in threads)
+            good = svc.submit(small_spec(seed=42)).result(timeout=30)
+        finally:
+            svc.close()
+        assert good.steps == small_spec().steps
 
     def test_shared_pool_injection_left_open(self, tmp_path):
         with EnginePool(workers=2) as pool:

@@ -16,9 +16,11 @@ import numpy as np
 from repro.errors import (
     AdmissionError,
     JobCancelledError,
+    LedgerError,
     QuotaError,
     ServeError,
 )
+from repro.obs.ledger import RunLedger
 from repro.serve import DEFAULT_TENANT, FairJobQueue, TenantPolicy, connect
 from repro.serve.options import SubmitOptions
 
@@ -186,6 +188,38 @@ class TestQuotas:
             client.submit(specs[1], options=SubmitOptions(tenant="capped"))
             with pytest.raises(QuotaError, match="max_inflight"):
                 client.submit(specs[2], options=SubmitOptions(tenant="capped"))
+
+    def test_failed_completion_releases_its_inflight_slot_once(
+        self, tmp_path, monkeypatch
+    ):
+        """A ledger write that fails as a job completes fails that job; its
+        max_inflight slot is released once, so the cap still holds."""
+        real_finished = RunLedger.record_finished
+        raised = []
+
+        def fail_first_completion(ledger, run_id, *, status, **fields):
+            if status == "complete" and not raised:
+                raised.append(run_id)
+                raise LedgerError("database is locked")
+            return real_finished(ledger, run_id, status=status, **fields)
+
+        monkeypatch.setattr(RunLedger, "record_finished", fail_first_completion)
+        capped = SubmitOptions(tenant="capped")
+        with connect(
+            None,
+            max_concurrent_jobs=2,
+            cache_dir=tmp_path / "cache",
+            ledger=RunLedger(tmp_path / "ledger.sqlite"),
+            tenants={"capped": {"max_inflight": 2}},
+        ) as client:
+            client.submit(small_spec(seed=1, steps=300), options=capped)
+            short = client.submit(small_spec(seed=2, steps=1), options=capped)
+            with pytest.raises(LedgerError, match="locked"):
+                short.result(timeout=30)
+            # the long job still holds one of the two slots
+            client.submit(small_spec(seed=3, steps=300), options=capped)
+            with pytest.raises(QuotaError, match="max_inflight"):
+                client.submit(small_spec(seed=4), options=capped)
 
 
 class TestRemove:

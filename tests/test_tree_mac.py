@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.tree.mac import GroupMAC, PointMAC, SizeLimitedMAC, aabb_distance
+from repro.tree.mac import GroupMAC, PointMAC, aabb_distance
 
 
 class TestAabbDistance:
@@ -91,24 +91,3 @@ class TestGroupMAC:
     def test_rejects_bad_theta(self):
         with pytest.raises(ValueError, match="theta"):
             GroupMAC(theta=-0.1)
-
-
-class TestSizeLimitedMAC:
-    def test_behaves_like_point_mac_without_cap(self):
-        a = SizeLimitedMAC(theta=0.6)
-        b = PointMAC(theta=0.6)
-        sizes = np.array([0.5, 1.0, 2.0])
-        d = np.array([10.0, 1.0, 5.0])
-        np.testing.assert_array_equal(a.accept(sizes, d), b.accept(sizes, d))
-
-    def test_cap_rejects_large_cells(self):
-        mac = SizeLimitedMAC(theta=0.6, max_size=0.8)
-        # distant but too large
-        assert not mac.accept(np.array([1.0]), np.array([100.0]))[0]
-        assert mac.accept(np.array([0.5]), np.array([100.0]))[0]
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            SizeLimitedMAC(theta=0.0)
-        with pytest.raises(ValueError):
-            SizeLimitedMAC(theta=0.5, max_size=0.0)
