@@ -47,7 +47,7 @@ def main() -> None:
     def report(s: Simulation) -> None:
         e = total_energy(s.particles, softening=SOFTENING)
         l = angular_momentum(s.particles)
-        b = s.record.breakdowns[-1]
+        b = s.record.last_breakdown
         print(
             f"{s.time:6.3f} {abs(e - e0) / abs(e0):9.2e} "
             f"{np.linalg.norm(l - l0) / np.linalg.norm(l0):9.2e} "

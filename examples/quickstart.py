@@ -37,7 +37,7 @@ def main() -> None:
     print(f"  total energy : {e1:+.4f}  (relative drift {drift:.2e})")
 
     # 5. performance: what this run would have cost on the modelled GPU
-    step = record.breakdowns[-1]
+    step = record.last_breakdown
     print("\nsimulated device accounting (per step):")
     print(f"  kernel time    : {step.kernel_seconds * 1e3:8.3f} ms")
     print(f"  host (tree+walks): {step.host_seconds * 1e3:6.3f} ms (overlapped)")

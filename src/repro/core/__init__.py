@@ -14,7 +14,6 @@ from repro.core.plans import (
     JwParallelPlan,
     Plan,
     PlanConfig,
-    RunTiming,
     StepBreakdown,
     TreePlanBase,
     WParallelPlan,
@@ -37,7 +36,6 @@ __all__ = [
     "JwParallelPlan",
     "Plan",
     "PlanConfig",
-    "RunTiming",
     "StepBreakdown",
     "TreePlanBase",
     "WParallelPlan",

@@ -7,7 +7,7 @@ benchmarks, checkpoint manifests and the job service all resolve
 plan classes directly.
 """
 
-from repro.core.plans.base import Plan, PlanConfig, RunTiming, StepBreakdown
+from repro.core.plans.base import Plan, PlanConfig, StepBreakdown
 from repro.core.plans.registry import (
     available_plans,
     get_plan,
@@ -29,7 +29,6 @@ from repro.core.plans.blockstep import (
 __all__ = [
     "Plan",
     "PlanConfig",
-    "RunTiming",
     "StepBreakdown",
     "IParallelPlan",
     "JParallelPlan",

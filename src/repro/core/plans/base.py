@@ -31,7 +31,7 @@ from repro.core.hostmodel import PENTIUM_E5300, HostCpuModel
 from repro.nbody.flops import DEFAULT_FLOPS_PER_INTERACTION
 from repro.nbody.forces import DEFAULT_SOFTENING
 
-__all__ = ["PlanConfig", "StepBreakdown", "RunTiming", "Plan"]
+__all__ = ["PlanConfig", "StepBreakdown", "Plan"]
 
 
 @dataclass(frozen=True)
@@ -145,31 +145,6 @@ class StepBreakdown:
         return self.interactions * flops_per_interaction / self.total_seconds / 1e9
 
 
-@dataclass(frozen=True)
-class RunTiming:
-    """Timing of a multi-step run (the paper's 100-step convention)."""
-
-    plan: str
-    n_bodies: int
-    n_steps: int
-    step: StepBreakdown
-
-    @property
-    def total_seconds(self) -> float:
-        """Total wall time for the run."""
-        return self.n_steps * self.step.total_seconds
-
-    @property
-    def running_seconds(self) -> float:
-        """Device kernel time for the run."""
-        return self.n_steps * self.step.running_seconds
-
-    @property
-    def interactions(self) -> int:
-        """Body-source interactions over the whole run."""
-        return self.n_steps * self.step.interactions
-
-
 class Plan(ABC):
     """Base class for the four PTPM plans."""
 
@@ -229,20 +204,6 @@ class Plan(ABC):
         return self.accelerations(positions, masses), self.step_breakdown(
             positions, masses
         )
-
-    # -- conveniences ----------------------------------------------------
-    def run_timing(
-        self, positions: np.ndarray, masses: np.ndarray, n_steps: int = 100
-    ) -> RunTiming:
-        """Timing for an ``n_steps`` run, using the current snapshot's cost.
-
-        The paper times 100 steps; per-step cost drifts only marginally as
-        the distribution evolves, so one snapshot's breakdown is scaled.
-        """
-        if n_steps < 1:
-            raise ConfigurationError(f"n_steps must be >= 1, got {n_steps}")
-        step = self.step_breakdown(positions, masses)
-        return RunTiming(plan=self.name, n_bodies=step.n_bodies, n_steps=n_steps, step=step)
 
     def _validate_bodies(
         self, positions: np.ndarray, masses: np.ndarray

@@ -16,7 +16,7 @@ same work-groups.
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from repro.core.plans.registry import register
 from repro.gpu.counters import CostCounters
 from repro.gpu.device import DeviceSpec
 from repro.gpu.kernel import tile_loop_forces, tile_loop_work
-from repro.gpu.launch import KernelLaunch
+from repro.gpu.launch import KernelLaunch, WorkGroups
 from repro.gpu.memory import BYTES_PER_ACCEL, BYTES_PER_BODY, TransferLog
 from repro.gpu.timing import time_kernel
 
@@ -63,6 +63,22 @@ def _workgroup_task(
     return block, counters
 
 
+@lru_cache(maxsize=32)
+def _rows_work(rows: int, n: int, wg_size: int, wavefront_size: int) -> WorkGroups:
+    """Work of ``rows`` target rows against ``n`` bodies, ``wg_size`` rows
+    per work-group.  Every pass of one shape has the same work, and a
+    launch of a few work-groups costs more to build as columns than to
+    time, so each shape's columns are built once and shared (no one
+    writes to them)."""
+    i0 = np.arange(0, rows, wg_size)
+    return tile_loop_work(
+        active_threads=np.minimum(i0 + wg_size, rows) - i0,
+        n_sources=n,
+        wg_size=wg_size,
+        wavefront_size=wavefront_size,
+    )
+
+
 @register()
 class IParallelPlan(Plan):
     """All-pairs, thread-per-target-body (GPU Gems 3)."""
@@ -78,18 +94,11 @@ class IParallelPlan(Plan):
     def _launch(self, rows: int, n: int, kernel: str) -> KernelLaunch:
         """``rows`` target rows against all ``n`` bodies."""
         p = self.config.wg_size
-        dev = self.config.device
-        wgs = [
-            tile_loop_work(
-                f"i[{i0}:{i1}]",
-                active_threads=i1 - i0,
-                n_sources=n,
-                wg_size=p,
-                wavefront_size=dev.wavefront_size,
-            )
-            for i0, i1 in self._workgroup_ranges(rows)
-        ]
-        return KernelLaunch(kernel, p, wgs)
+        work = _rows_work(rows, n, p, self.config.device.wavefront_size)
+        return KernelLaunch(
+            kernel, p, work,
+            labels=lambda: [f"i[{a}:{min(a + p, rows)}]" for a in range(0, rows, p)],
+        )
 
     def _transfers(self, rows: int, n: int) -> TransferLog:
         log = TransferLog()

@@ -100,41 +100,44 @@ class JParallelPlan(Plan):
         seg = math.ceil(n / s)
         return [(j0, min(j0 + seg, n)) for j0 in range(0, n, seg)]
 
-    def _force_launch(self, n: int) -> tuple[KernelLaunch, int]:
+    def _iblocks(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Start and end rows of the ``p``-row i-blocks."""
         p = self.config.wg_size
-        dev = self.config.device
+        i0 = np.arange(0, n, p)
+        return i0, np.minimum(i0 + p, n)
+
+    def _force_launch(self, n: int) -> tuple[KernelLaunch, int]:
+        """One work-group per (i-block, j-segment), segments fastest."""
+        p = self.config.wg_size
         s = self.split_factor(n)
-        wgs = []
-        for i0 in range(0, n, p):
-            i1 = min(i0 + p, n)
-            for j0, j1 in self._segments(n, s):
-                wgs.append(
-                    tile_loop_work(
-                        f"i[{i0}:{i1}]xj[{j0}:{j1}]",
-                        active_threads=i1 - i0,
-                        n_sources=j1 - j0,
-                        wg_size=p,
-                        wavefront_size=dev.wavefront_size,
-                    )
-                )
-        return KernelLaunch("j_parallel_forces", p, wgs), s
+        i0, i1 = self._iblocks(n)
+        j0, j1 = np.array(self._segments(n, s), dtype=np.int64).T
+        work = tile_loop_work(
+            active_threads=np.repeat(i1 - i0, j0.size),
+            n_sources=np.tile(j1 - j0, i0.size),
+            wg_size=p,
+            wavefront_size=self.config.device.wavefront_size,
+        )
+
+        def labels() -> list[str]:
+            return [
+                f"i[{a}:{b}]xj[{c}:{d}]"
+                for a, b in zip(i0.tolist(), i1.tolist())
+                for c, d in zip(j0.tolist(), j1.tolist())
+            ]
+
+        return KernelLaunch("j_parallel_forces", p, work, labels=labels), s
 
     def _reduction_launch(self, n: int, s: int) -> KernelLaunch | None:
         if s <= 1:
             return None
         p = self.config.wg_size
-        dev = self.config.device
-        wgs = [
-            reduction_work(
-                f"reduce[{i0}:{min(i0 + p, n)}]",
-                n_outputs=min(i0 + p, n) - i0,
-                n_partials_per_output=s,
-                wg_size=p,
-                wavefront_size=dev.wavefront_size,
-            )
-            for i0 in range(0, n, p)
-        ]
-        return KernelLaunch("j_parallel_reduce", p, wgs)
+        i0, i1 = self._iblocks(n)
+        work = reduction_work(n_outputs=i1 - i0, n_partials_per_output=s, wg_size=p)
+        return KernelLaunch(
+            "j_parallel_reduce", p, work,
+            labels=lambda: [f"reduce[{a}:{b}]" for a, b in zip(i0.tolist(), i1.tolist())],
+        )
 
     def _transfers(self, n: int) -> TransferLog:
         log = TransferLog()

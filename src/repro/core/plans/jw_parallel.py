@@ -28,7 +28,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.plans.base import StepBreakdown
-from repro.core.plans.tree_base import TreePlanBase, evaluate_walks, segments
+from repro.core.plans.tree_base import TreePlanBase, evaluate_walks, segment_bounds
 from repro.core.plans.registry import register
 from repro.errors import ConfigurationError
 from repro.gpu.events import EventGraph
@@ -124,37 +124,34 @@ class JwParallelPlan(TreePlanBase):
         more than once adds one reduction work-group.
         """
         cfg = self.config
-        ids = np.arange(len(walks)) if selected is None else selected
-        sizes = walks.group_sizes()
-        lengths = walks.list_lengths()
-        wgs = []
-        rwgs = []
-        for i in ids.tolist():
-            s = int(splits[i])
-            for k, (a, b) in enumerate(segments(int(lengths[i]), s)):
-                wgs.append(
-                    packed_tile_loop_work(
-                        f"walk{i}.seg{k}",
-                        n_targets=int(sizes[i]),
-                        n_sources=b - a,
-                        wg_size=cfg.wg_size,
-                        wavefront_size=cfg.device.wavefront_size,
-                    )
-                )
-            if s > 1:
-                rwgs.append(
-                    reduction_work(
-                        f"reduce.walk{i}",
-                        n_outputs=int(sizes[i]),
-                        n_partials_per_output=s,
-                        wg_size=cfg.wg_size,
-                        wavefront_size=cfg.device.wavefront_size,
-                    )
-                )
-        force = KernelLaunch(f"{kernel}_forces", cfg.wg_size, wgs)
+        ids = np.arange(len(walks)) if selected is None else np.asarray(selected, np.int64)
+        sizes = walks.group_sizes()[ids]
+        s = np.asarray(splits, dtype=np.int64)[ids]
+        owner, rank, a, b = segment_bounds(walks.list_lengths()[ids], s)
+        force = KernelLaunch(
+            f"{kernel}_forces",
+            cfg.wg_size,
+            packed_tile_loop_work(
+                n_targets=sizes[owner],
+                n_sources=b - a,
+                wg_size=cfg.wg_size,
+                wavefront_size=cfg.device.wavefront_size,
+            ),
+            labels=lambda: [
+                f"walk{i}.seg{k}" for i, k in zip(ids[owner].tolist(), rank.tolist())
+            ],
+        )
         timings = [time_kernel(cfg.device, force, schedule=self.schedule)]
-        if rwgs:
-            reduce_launch = KernelLaunch(f"{kernel}_reduce", cfg.wg_size, rwgs)
+        cut = np.flatnonzero(s > 1)
+        if cut.size:
+            reduce_launch = KernelLaunch(
+                f"{kernel}_reduce",
+                cfg.wg_size,
+                reduction_work(
+                    n_outputs=sizes[cut], n_partials_per_output=s[cut], wg_size=cfg.wg_size
+                ),
+                labels=lambda: [f"reduce.walk{i}" for i in ids[cut].tolist()],
+            )
             timings.append(time_kernel(cfg.device, reduce_launch))
         return force, timings
 

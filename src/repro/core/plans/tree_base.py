@@ -43,6 +43,25 @@ def segments(length: int, s: int) -> list[tuple[int, int]]:
     return [(a, min(a + seg, length)) for a in range(0, length, seg)]
 
 
+def segment_bounds(
+    lengths: np.ndarray, splits: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`segments` of many lists at once.
+
+    List ``i`` has ``lengths[i]`` entries and is cut ``splits[i]`` ways.
+    Returns, per segment, the list it belongs to, its rank within that
+    list and its ``[a, b)`` range; a list's segments are consecutive and
+    in order, and an empty list has the one segment ``(0, 0)``.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    seg = -(-lengths // np.asarray(splits, dtype=np.int64))
+    count = np.maximum(1, -(-lengths // np.maximum(seg, 1)))
+    owner = np.repeat(np.arange(lengths.size), count)
+    rank = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
+    a = rank * seg[owner]
+    return owner, rank, a, np.minimum(a + seg[owner], lengths[owner])
+
+
 def _walk_task(
     index: int,
     *,

@@ -37,17 +37,16 @@ class WParallelPlan(TreePlanBase):
 
     def _launch(self, walks: WalkSet) -> KernelLaunch:
         cfg = self.config
-        wgs = [
-            tile_loop_work(
-                f"walk{w.index}",
-                active_threads=w.n_bodies,
-                n_sources=w.list_length,
-                wg_size=cfg.wg_size,
-                wavefront_size=cfg.device.wavefront_size,
-            )
-            for w in walks
-        ]
-        return KernelLaunch("w_parallel_forces", cfg.wg_size, wgs)
+        work = tile_loop_work(
+            active_threads=walks.group_sizes(),
+            n_sources=walks.list_lengths(),
+            wg_size=cfg.wg_size,
+            wavefront_size=cfg.device.wavefront_size,
+        )
+        return KernelLaunch(
+            "w_parallel_forces", cfg.wg_size, work,
+            labels=lambda: [f"walk{i}" for i in range(len(walks))],
+        )
 
     def step_breakdown(self, positions: np.ndarray, masses: np.ndarray) -> StepBreakdown:
         walks = self.prepare(positions, masses)

@@ -17,7 +17,7 @@ histograms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -51,7 +51,10 @@ class SimulationRecord:
     host_seconds: float = 0.0
     transfer_seconds: float = 0.0
     interactions: int = 0
-    breakdowns: list[StepBreakdown] = field(default_factory=list)
+    #: The latest force pass's breakdown (``None`` before the first pass);
+    #: earlier passes live on only in the running totals, so a record's
+    #: size does not grow with the run.
+    last_breakdown: StepBreakdown | None = None
 
     def add(self, b: StepBreakdown) -> None:
         """Fold one *force pass's* breakdown into the record."""
@@ -61,14 +64,14 @@ class SimulationRecord:
         self.host_seconds += b.host_seconds
         self.transfer_seconds += b.transfer_seconds
         self.interactions += b.interactions
-        self.breakdowns.append(b)
+        self.last_breakdown = b
 
     def add_step(self) -> None:
         """Count one completed leapfrog step."""
         self.steps += 1
 
     def to_dict(self) -> dict:
-        """JSON-friendly totals (checkpoint manifests; drops breakdowns).
+        """JSON-friendly totals (checkpoint manifests; drops the last breakdown).
 
         Python's ``json`` round-trips floats bit-exactly (``repr`` based),
         so a record restored via :meth:`from_dict` continues accumulating
@@ -88,8 +91,8 @@ class SimulationRecord:
     def from_dict(cls, data: dict) -> "SimulationRecord":
         """Rebuild a record from :meth:`to_dict` output.
 
-        Per-pass ``breakdowns`` are in-memory only; a restored record
-        starts with an empty list and keeps exact running totals.
+        ``last_breakdown`` is in-memory only; a restored record starts
+        without one and keeps exact running totals.
         """
         return cls(
             steps=int(data["steps"]),

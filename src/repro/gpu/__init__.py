@@ -18,7 +18,7 @@ from repro.gpu.memory import (
     transfer_time,
 )
 from repro.gpu.occupancy import OccupancyInfo, kernel_occupancy
-from repro.gpu.launch import KernelLaunch, NDRange, WorkGroupWork
+from repro.gpu.launch import KernelLaunch, NDRange, WorkGroups
 from repro.gpu.kernel import (
     packed_tile_loop_work,
     reduction_work,
@@ -57,7 +57,7 @@ __all__ = [
     "kernel_occupancy",
     "KernelLaunch",
     "NDRange",
-    "WorkGroupWork",
+    "WorkGroups",
     "packed_tile_loop_work",
     "reduction_work",
     "tile_loop_forces",

@@ -3,9 +3,11 @@
 The simulated kernels are *real*: they evaluate the same arithmetic the
 OpenCL kernels in the paper perform, in ``float32``, staging source tiles
 through an emulated local memory.  For every functional helper there is a
-sibling ``*_work`` helper returning the :class:`WorkGroupWork` record the
+sibling ``*_work`` helper returning the work record the
 timing engine consumes — both derive their counts from the same tile
-geometry, so physics and timing describe one computation.
+geometry, so physics and timing describe one computation.  The ``*_work``
+helpers take one array entry per work-group and return the launch's
+:class:`~repro.gpu.launch.WorkGroups` columns.
 
 Tile structure (section 4.1 / Fig. 1-2 of the paper): a work-group of
 ``p`` threads processes the source dimension in tiles of ``p`` bodies;
@@ -24,7 +26,7 @@ from repro.exec.workspace import Workspace, local_workspace
 from repro.gpu.counters import CostCounters
 from repro.nbody.kernels import KernelBackend, resolve_backend
 from repro.gpu.device import DeviceSpec
-from repro.gpu.launch import WorkGroupWork
+from repro.gpu.launch import WorkGroups
 from repro.gpu.memory import BYTES_PER_ACCEL, BYTES_PER_BODY, check_lds_fit
 from repro.gpu.wavefront import active_wavefronts
 
@@ -154,36 +156,38 @@ def tile_loop_forces(
     return acc
 
 
+def _ceil_div(a: np.ndarray, b: int) -> np.ndarray:
+    """``ceil(a / b)`` of non-negative integers, exactly."""
+    return -(-a // b)
+
+
 def tile_loop_work(
-    label: str,
     *,
-    active_threads: int,
-    n_sources: int,
+    active_threads: np.ndarray,
+    n_sources: np.ndarray | int,
     wg_size: int,
     wavefront_size: int,
-) -> WorkGroupWork:
-    """Work record for a *thread-per-body* tiled loop (i, j and w plans).
+) -> WorkGroups:
+    """Work of *thread-per-body* tiled loops (i, j and w plans), one
+    work-group per entry of ``active_threads``.
 
-    Each of the ``active_threads`` i-threads serially processes all
+    Each of a group's ``active_threads`` i-threads serially processes all
     ``n_sources`` tile entries.  Partially-filled wavefronts issue at full
     width, so idle lanes are charged — this is the w-parallel efficiency
     loss the paper identifies.
     """
-    if active_threads < 1:
-        raise ValueError(f"active_threads must be >= 1, got {active_threads}")
-    if n_sources < 0:
-        raise ValueError(f"n_sources must be >= 0, got {n_sources}")
-    wf = active_wavefronts(active_threads, wavefront_size)
-    tiles = math.ceil(n_sources / wg_size) if n_sources else 0
-    return WorkGroupWork(
-        label=label,
-        interactions=active_threads * n_sources,
-        issued_interactions=wf * wavefront_size * n_sources,
-        active_threads=active_threads,
+    active = np.asarray(active_threads, dtype=np.int64)
+    n_sources = np.asarray(n_sources, dtype=np.int64)
+    # an idle group or a negative source count fails WorkGroups' checks
+    tiles = _ceil_div(n_sources, wg_size)
+    return WorkGroups(
+        interactions=active * n_sources,
+        issued_interactions=_ceil_div(active, wavefront_size) * wavefront_size * n_sources,
+        active_threads=active,
         tiles=tiles,
         global_bytes=(
-            tiles * wg_size * BYTES_PER_BODY
-            + active_threads * (BYTES_PER_BODY + BYTES_PER_ACCEL)
+            tiles * (wg_size * BYTES_PER_BODY)
+            + active * (BYTES_PER_BODY + BYTES_PER_ACCEL)
         ),
         lds_bytes_peak=wg_size * BYTES_PER_BODY,
         barriers=2 * tiles,
@@ -191,73 +195,70 @@ def tile_loop_work(
 
 
 def packed_tile_loop_work(
-    label: str,
     *,
-    n_targets: int,
-    n_sources: int,
+    n_targets: np.ndarray,
+    n_sources: np.ndarray,
     wg_size: int,
     wavefront_size: int,
-) -> WorkGroupWork:
-    """Work record for the jw plan's *packed* (i x j) thread mapping.
+) -> WorkGroups:
+    """Work of the jw plan's *packed* (i x j) thread mapping, one
+    work-group per ``(n_targets, n_sources)`` pair.
 
     The ``n_targets * n_sources`` interaction rectangle is flattened
     across all ``wg_size`` threads, so only the final partial wavefront
     carries padding; the j-direction split requires a local-memory
     reduction of ``n_targets * splits`` partial accelerations.
     """
-    if n_targets < 1:
-        raise ValueError(f"n_targets must be >= 1, got {n_targets}")
-    if n_sources < 0:
-        raise ValueError(f"n_sources must be >= 0, got {n_sources}")
+    n_targets = np.asarray(n_targets, dtype=np.int64)
+    n_sources = np.asarray(n_sources, dtype=np.int64)
+    if (n_targets < 1).any():
+        raise ValueError(f"n_targets must be >= 1, got {n_targets.min()}")
+    if (n_sources < 0).any():
+        raise ValueError(f"n_sources must be >= 0, got {n_sources.min()}")
     total = n_targets * n_sources
-    slots = math.ceil(total / wg_size) if total else 0
-    issued = active_wavefronts(wg_size, wavefront_size) * wavefront_size * slots
-    splits = max(1, wg_size // max(1, n_targets))
-    tiles = math.ceil(n_sources / wg_size) if n_sources else 0
-    return WorkGroupWork(
-        label=label,
+    lanes = active_wavefronts(wg_size, wavefront_size) * wavefront_size
+    splits = np.maximum(1, wg_size // n_targets)
+    tiles = _ceil_div(n_sources, wg_size)
+    # floor(log2(splits)) for splits >= 2, exactly: frexp's exponent is the bit length
+    log2_splits = np.frexp(np.maximum(2, splits).astype(np.float64))[1] - 1
+    return WorkGroups(
         interactions=total,
-        issued_interactions=issued,
-        active_threads=min(wg_size, max(1, total)),
+        issued_interactions=lanes * _ceil_div(total, wg_size),
+        active_threads=np.minimum(wg_size, np.maximum(1, total)),
         tiles=tiles,
         global_bytes=(
-            tiles * wg_size * BYTES_PER_BODY
+            tiles * (wg_size * BYTES_PER_BODY)
             + n_targets * (BYTES_PER_BODY + BYTES_PER_ACCEL)
         ),
         lds_bytes_peak=wg_size * BYTES_PER_BODY + n_targets * splits * BYTES_PER_ACCEL,
-        barriers=2 * tiles + int(math.log2(max(2, splits))),
+        barriers=2 * tiles + log2_splits,
         reduction_ops=n_targets * splits,
     )
 
 
 def reduction_work(
-    label: str,
     *,
-    n_outputs: int,
-    n_partials_per_output: int,
+    n_outputs: np.ndarray,
+    n_partials_per_output: np.ndarray | int,
     wg_size: int,
-    wavefront_size: int,
-) -> WorkGroupWork:
-    """Work record for a j-parallel partial-force reduction work-group.
+) -> WorkGroups:
+    """Work of j-parallel partial-force reduction work-groups, one per
+    entry of ``n_outputs``.
 
-    Memory-bound: reads ``n_outputs * n_partials_per_output`` partial
-    accelerations from global memory and writes ``n_outputs`` results.
+    Memory-bound: each reads ``n_outputs * n_partials_per_output``
+    partial accelerations from global memory and writes ``n_outputs``
+    results.
     """
-    if n_outputs < 1:
-        raise ValueError(f"n_outputs must be >= 1, got {n_outputs}")
-    if n_partials_per_output < 1:
-        raise ValueError(
-            f"n_partials_per_output must be >= 1, got {n_partials_per_output}"
-        )
-    wf = active_wavefronts(min(n_outputs, wg_size), wavefront_size)
-    return WorkGroupWork(
-        label=label,
+    n_outputs = np.asarray(n_outputs, dtype=np.int64)
+    partials = np.asarray(n_partials_per_output, dtype=np.int64)
+    if (n_outputs < 1).any():
+        raise ValueError(f"n_outputs must be >= 1, got {n_outputs.min()}")
+    if (partials < 1).any():
+        raise ValueError(f"n_partials_per_output must be >= 1, got {partials.min()}")
+    return WorkGroups(
         interactions=0,
         issued_interactions=0,
-        active_threads=min(n_outputs, wg_size),
-        tiles=0,
-        global_bytes=n_outputs * (n_partials_per_output + 1) * BYTES_PER_ACCEL,
-        lds_bytes_peak=0,
-        barriers=0,
-        reduction_ops=n_outputs * n_partials_per_output,
+        active_threads=np.minimum(n_outputs, wg_size),
+        global_bytes=n_outputs * (partials + 1) * BYTES_PER_ACCEL,
+        reduction_ops=n_outputs * partials,
     )

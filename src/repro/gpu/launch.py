@@ -2,20 +2,26 @@
 
 A :class:`KernelLaunch` is the interface between the plans (which know how
 to enumerate work) and the timing engine (which knows how long work takes).
-Each :class:`WorkGroupWork` records the *actual* work one work-group
-performs — derived from the same interaction lists the functional kernels
-evaluate, so timing and physics always describe the same computation.
+Its :class:`WorkGroups` record the *actual* work each work-group performs,
+one int64 column per quantity — derived from the same interaction lists
+the functional kernels evaluate, so timing and physics always describe the
+same computation, and a launch of a thousand work-groups is a handful of
+array expressions rather than a thousand records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
+
+import numpy as np
 
 from repro import obs
 from repro.errors import LaunchError
 from repro.gpu.device import DeviceSpec
 
-__all__ = ["NDRange", "WorkGroupWork", "KernelLaunch"]
+__all__ = ["NDRange", "WorkGroups", "KernelLaunch"]
 
 
 @dataclass(frozen=True)
@@ -46,96 +52,152 @@ class NDRange:
         device.validate_workgroup(self.local_size)
 
 
-@dataclass
-class WorkGroupWork:
-    """Work performed by a single work-group.
+#: The int64 columns of :class:`WorkGroups`, one value per work-group.
+_FIELDS = (
+    "interactions",
+    "issued_interactions",
+    "active_threads",
+    "tiles",
+    "global_bytes",
+    "lds_bytes_peak",
+    "barriers",
+    "reduction_ops",
+)
 
-    ``interactions`` counts useful body-source evaluations;
-    ``issued_interactions`` additionally includes SIMT padding (idle lanes
-    in partially-filled wavefronts, divergence serialisation) and is what
-    compute time is charged on.  ``issued_interactions >= interactions``.
+
+class WorkGroups:
+    """Work performed by each work-group of a launch, as int64 columns.
+
+    Row ``k`` of every column describes work-group ``k``; there is one
+    work-group per entry of ``active_threads``, and a column given as a
+    scalar holds that value for every group.  ``interactions`` counts
+    useful body-source evaluations; ``issued_interactions`` additionally
+    includes SIMT padding (idle lanes in partially-filled wavefronts,
+    divergence serialisation) and is what compute time is charged on.
+    ``issued_interactions >= interactions``.
     """
 
-    label: str
-    interactions: int
-    issued_interactions: int
-    active_threads: int
-    tiles: int = 0
-    global_bytes: int = 0
-    lds_bytes_peak: int = 0
-    barriers: int = 0
-    reduction_ops: int = 0
+    __slots__ = _FIELDS
 
-    def __post_init__(self) -> None:
-        if self.interactions < 0 or self.issued_interactions < self.interactions:
+    def __init__(
+        self,
+        *,
+        interactions,
+        issued_interactions,
+        active_threads,
+        tiles=0,
+        global_bytes=0,
+        lds_bytes_peak=0,
+        barriers=0,
+        reduction_ops=0,
+    ) -> None:
+        active = np.asarray(active_threads, dtype=np.int64)
+        if active.ndim != 1:
+            raise LaunchError("active_threads must hold one entry per work-group")
+        n = active.shape[0]
+        values = (
+            interactions, issued_interactions, active, tiles,
+            global_bytes, lds_bytes_peak, barriers, reduction_ops,
+        )
+        for name, value in zip(_FIELDS, values):
+            column = np.asarray(value, dtype=np.int64)
+            if column.ndim == 0:
+                column = np.full(n, column)
+            elif column.shape != (n,):
+                raise LaunchError(f"{name} has {column.shape} entries for {n} work-groups")
+            setattr(self, name, column)
+        if n and (self.interactions.min() < 0 or (self.issued_interactions < self.interactions).any()):
+            k = int(np.flatnonzero(
+                (self.interactions < 0) | (self.issued_interactions < self.interactions)
+            )[0])
             raise LaunchError(
-                f"issued_interactions ({self.issued_interactions}) must be >= "
-                f"interactions ({self.interactions}) >= 0"
+                f"work-group {k}: issued_interactions ({self.issued_interactions[k]}) "
+                f"must be >= interactions ({self.interactions[k]}) >= 0"
             )
-        if self.active_threads < 1:
+        if n and active.min() < 1:
             raise LaunchError("a work-group must have at least one active thread")
 
-    @property
-    def padding_fraction(self) -> float:
-        """Fraction of issued work that is SIMT padding (0 = perfectly packed)."""
-        if self.issued_interactions == 0:
-            return 0.0
-        return 1.0 - self.interactions / self.issued_interactions
+    def __len__(self) -> int:
+        return self.interactions.shape[0]
+
+    def padding_fraction(self) -> np.ndarray:
+        """Fraction of each group's issued work that is SIMT padding (0 = perfectly packed)."""
+        issued = self.issued_interactions
+        frac = np.zeros(issued.shape)
+        busy = issued > 0
+        frac[busy] = 1.0 - self.interactions[busy] / issued[busy]
+        return frac
 
 
-@dataclass
 class KernelLaunch:
-    """One kernel dispatch: geometry plus per-work-group work records."""
+    """One kernel dispatch: geometry plus its work-groups' work.
 
-    name: str
-    wg_size: int
-    workgroups: list[WorkGroupWork] = field(default_factory=list)
+    ``labels``, when given, makes the work-groups' trace labels on
+    demand (:func:`~repro.gpu.trace.trace_launch` is the one reader);
+    by default work-group ``k`` is ``wg{k}``.
+    """
 
-    def __post_init__(self) -> None:
-        if self.wg_size < 1:
-            raise LaunchError(f"wg_size must be >= 1, got {self.wg_size}")
-        if not self.workgroups:
-            raise LaunchError(f"kernel '{self.name}' has no work-groups")
-        for wg in self.workgroups:
-            if wg.active_threads > self.wg_size:
-                raise LaunchError(
-                    f"work-group '{wg.label}' has {wg.active_threads} active "
-                    f"threads but wg_size is {self.wg_size}"
-                )
+    def __init__(
+        self,
+        name: str,
+        wg_size: int,
+        workgroups: WorkGroups,
+        labels: Callable[[], list[str]] | None = None,
+    ) -> None:
+        self.name = name
+        self.wg_size = wg_size
+        self.workgroups = workgroups
+        self._labels = labels
+        if wg_size < 1:
+            raise LaunchError(f"wg_size must be >= 1, got {wg_size}")
+        if not len(workgroups):
+            raise LaunchError(f"kernel '{name}' has no work-groups")
+        if workgroups.active_threads.max() > wg_size:
+            k = int(np.flatnonzero(workgroups.active_threads > wg_size)[0])
+            raise LaunchError(
+                f"work-group '{self.labels()[k]}' has "
+                f"{workgroups.active_threads[k]} active threads but wg_size is {wg_size}"
+            )
         if obs.enabled:
             obs.instant(
                 "kernel_launch",
-                kernel=self.name,
-                wg_size=self.wg_size,
+                kernel=name,
+                wg_size=wg_size,
                 n_workgroups=self.n_workgroups,
                 interactions=self.total_interactions,
                 issued_interactions=self.total_issued_interactions,
             )
+
+    def labels(self) -> list[str]:
+        """One trace label per work-group, in order."""
+        if self._labels is None:
+            return [f"wg{k}" for k in range(self.n_workgroups)]
+        return self._labels()
 
     @property
     def n_workgroups(self) -> int:
         """Number of work-groups in this launch."""
         return len(self.workgroups)
 
-    @property
+    @cached_property
     def total_interactions(self) -> int:
         """Useful interactions across all work-groups."""
-        return sum(w.interactions for w in self.workgroups)
+        return int(self.workgroups.interactions.sum())
 
-    @property
+    @cached_property
     def total_issued_interactions(self) -> int:
         """Issued (padding-inclusive) interactions across all work-groups."""
-        return sum(w.issued_interactions for w in self.workgroups)
+        return int(self.workgroups.issued_interactions.sum())
 
-    @property
+    @cached_property
     def total_global_bytes(self) -> int:
         """Global-memory traffic across all work-groups."""
-        return sum(w.global_bytes for w in self.workgroups)
+        return int(self.workgroups.global_bytes.sum())
 
-    @property
+    @cached_property
     def max_lds_bytes(self) -> int:
         """Peak per-work-group LDS usage (occupancy input)."""
-        return max(w.lds_bytes_peak for w in self.workgroups)
+        return int(self.workgroups.lds_bytes_peak.max())
 
     def validate_on(self, device: DeviceSpec) -> None:
         """Check geometry and LDS usage against device limits."""

@@ -2,7 +2,8 @@
 
 The engine converts the *actual* per-work-group work recorded in a
 :class:`~repro.gpu.launch.KernelLaunch` into engine cycles
-(:func:`launch_cycles`), then schedules the work-groups onto compute units
+(:func:`launch_cycles`, one array expression over the launch's
+work-group columns), then schedules the work-groups onto compute units
 the way the hardware dispatcher does (greedy, earliest-available CU) and
 reports the makespan.  The occupancy model scales compute throughput when
 too few wavefronts are resident — which is the mechanism behind the
@@ -23,7 +24,7 @@ import numpy as np
 from repro import obs
 from repro.errors import ConfigurationError
 from repro.gpu.device import DeviceSpec
-from repro.gpu.launch import KernelLaunch, WorkGroupWork
+from repro.gpu.launch import KernelLaunch, WorkGroups
 from repro.gpu.occupancy import OccupancyInfo, kernel_occupancy
 
 __all__ = [
@@ -44,18 +45,22 @@ WG_DISPATCH_CYCLES = 600.0
 
 
 def workgroup_cycles(
-    device: DeviceSpec, wg: WorkGroupWork, latency_efficiency: float
-) -> float:
-    """Engine cycles one work-group occupies its compute unit for.
+    device: DeviceSpec, workgroups: WorkGroups, latency_efficiency: float
+) -> np.ndarray:
+    """Engine cycles each work-group occupies its compute unit for.
 
     Compute and global-memory streams overlap (the CU hides whichever is
     shorter), barriers and reductions serialise, and every group pays a
-    fixed dispatch cost.
+    fixed dispatch cost: ``max(compute, mem) + sync + red +
+    WG_DISPATCH_CYCLES``, each term an array expression in which the
+    int64 columns convert exactly to float64, as the scalar formula's
+    Python ints did.
     """
     if not 0.0 < latency_efficiency <= 1.0:
         raise ConfigurationError(
             f"latency_efficiency must be in (0, 1], got {latency_efficiency}"
         )
+    wg = workgroups
     compute = wg.issued_interactions / device.interactions_per_cycle_per_cu
     compute /= latency_efficiency
     mem = wg.global_bytes / device.global_bytes_per_cycle_per_cu
@@ -64,7 +69,7 @@ def workgroup_cycles(
     red = (
         wg.reduction_ops * device.interaction_cycles / device.stream_cores_per_cu / 4.0
     )
-    return max(compute, mem) + sync + red + WG_DISPATCH_CYCLES
+    return np.maximum(compute, mem) + sync + red + WG_DISPATCH_CYCLES
 
 
 def launch_cycles(
@@ -78,10 +83,7 @@ def launch_cycles(
         n_workgroups=launch.n_workgroups,
         lds_bytes_per_wg=launch.max_lds_bytes,
     )
-    costs = np.array(
-        [workgroup_cycles(device, wg, occ.latency_efficiency) for wg in launch.workgroups]
-    )
-    return occ, costs
+    return occ, workgroup_cycles(device, launch.workgroups, occ.latency_efficiency)
 
 
 def dispatch(

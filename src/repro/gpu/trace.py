@@ -145,10 +145,11 @@ def trace_costs(
 def trace_launch(
     device: DeviceSpec, launch: KernelLaunch, *, schedule: str = "hardware"
 ) -> ExecutionTrace:
-    """Timeline (in engine cycles) of a kernel launch on ``device``."""
+    """Timeline (in engine cycles) of a kernel launch on ``device``, each
+    interval named by the launch's work-group labels."""
     if schedule not in ("hardware", "static"):
         raise ConfigurationError(f"unknown schedule '{schedule}'")
     _, costs = launch_cycles(device, launch)
-    labels = [wg.label for wg in launch.workgroups]
+    labels = launch.labels()
     policy = "dynamic" if schedule == "hardware" else "static"
     return trace_costs(costs, device.compute_units, labels=labels, policy=policy)

@@ -13,6 +13,7 @@ portable loop, one target at a time, that the compiler vectorises.
 Either way a row's sum depends only on its target and the sources, never
 on the other targets of the call, so masked and full passes agree row
 for row and serial and threaded runs agree bit for bit, on one host.
+The SoA scratch is one grow-only buffer per thread.
 The float64 and the self-interaction kernels are portable loops.
 
 The shared library is compiled once per source revision into a per-user
@@ -29,11 +30,12 @@ tolerances (:mod:`repro.check.oracle`).
 
 The same library holds the tree plans' host-side tree machinery,
 compiled as a second translation unit *without* fast-math and with FMA
-contraction off, so its node geometry and MAC decisions match the NumPy
-reference's exactly:
+contraction off, so its arithmetic rounds as the NumPy reference's does:
 
-* :meth:`CExtensionBackend.octree_nodes` — the node loop of
-  :func:`repro.tree.octree.build_octree`, emitting the NumPy loop's node
+* :meth:`CExtensionBackend.octree_build` — the whole of
+  :func:`repro.tree.octree.build_octree` after validation in one call
+  (bounds, Morton keys, a stable LSD radix sort, the gathers, prefix
+  sums, the node loop and the monopoles), emitting the NumPy build's
   arrays value for value;
 * :meth:`CExtensionBackend.walk_lists` — the group traversal of
   :func:`repro.tree.walks.generate_walks`, emitting the NumPy loop's
@@ -52,6 +54,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -236,6 +239,7 @@ SELF_KERNEL(repro_self_f32, float, sqrtf)
 _WALKS_SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 
 /* GroupMAC.accept term for term: the distance from the box [lo, hi] to
  * the centre of mass is summed (dx*dx + dy*dy) + dz*dz, as in
@@ -350,37 +354,158 @@ int32_t repro_walk_gather_f32(
     return 0;
 }
 
-/* Node loop of repro.tree.octree.build_octree over sorted Morton keys.
- * A LIFO stack pops a node; one with more than leaf_size bodies, above
- * MORTON_DEPTH, is split on its key digit at its depth (child boundaries
- * are lower bounds on the digit, as numpy.searchsorted finds them).  Its
- * non-empty octants become children with consecutive indices in octant
- * order, centred at centre + half * (+-1) per axis (x is the digit's
- * high bit), and are pushed in that order.  Nodes past the capacity are
- * counted but not stored, so *n_nodes is always the true total.  Returns
- * 0, 1 when the nodes overflowed (retry with *n_nodes), or -1 on n < 1,
- * leaf_size < 1 or decreasing keys. */
+/* The whole of repro.tree.octree.build_octree, operation for operation
+ * (no FMA contraction in this unit), so every array equals the NumPy
+ * reference's.
+ *
+ * 1. Bounds: unless find_bounds is 0, center = 0.5 * (lo + hi) per axis
+ *    and half_width = max(hi - lo) * 0.5 * (1 + 1e-9) + 1e-12, written
+ *    back through center / half_width.
+ * 2. Morton keys as repro.tree.morton.encode computes them (x is a
+ *    digit's high bit), then a stable LSD radix sort of (key, body) in
+ *    11-bit digits: ties keep body order, as numpy's stable argsort
+ *    does.  A digit that every key shares is skipped.
+ * 3. Positions and masses gathered into key order, and sequential prefix
+ *    sums of m and m * x per axis, the first element taken as is, as
+ *    numpy.cumsum does.
+ * 4. The node loop: a LIFO stack pops a node; one with more than
+ *    leaf_size bodies, above MORTON_DEPTH, is split on its key digit at
+ *    its depth (child boundaries are lower bounds on the digit, as
+ *    numpy.searchsorted finds them).  Its non-empty octants become
+ *    children with consecutive indices in octant order, centred at
+ *    centre + half * (+-1) per axis, and are pushed in that order.
+ * 5. Monopoles: node mass and centre of mass from the prefix sums.
+ *
+ * Nodes past the capacity are counted but not stored, so *n_nodes is
+ * always the true total.  Returns 0, 1 when the nodes overflowed (retry
+ * with *n_nodes), -1 on n < 1, leaf_size < 1 or a given cube that is
+ * not finite with a positive half width, or -2 when scratch memory
+ * cannot be allocated. */
 
 /* Octree levels in a 63-bit key: repro.tree.morton.MAX_DEPTH. */
 #define MORTON_DEPTH 21
 /* A depth-first stack holds at most 1 + 7 * MORTON_DEPTH entries. */
 #define OCTREE_STACK (8 * (MORTON_DEPTH + 1))
+#define RADIX_BITS 11
+#define RADIX_PASSES 6
+#define RADIX_SIZE (1 << RADIX_BITS)
 
-int32_t repro_octree_nodes(
-    const uint64_t *keys, int64_t n, int64_t leaf_size, const double *center,
-    double half_width, int64_t cap, double *centers, double *half_widths,
-    int64_t *starts, int64_t *ends, int64_t *children, uint8_t *is_leaf,
-    int64_t *depths, int64_t *n_nodes)
+static uint64_t spread_bits(uint64_t x)
 {
-    /* Stack entries are (node, start, end, depth). */
+    x &= 0x1FFFFFull;
+    x = (x | (x << 32)) & 0x1F00000000FFFFull;
+    x = (x | (x << 16)) & 0x1F0000FF0000FFull;
+    x = (x | (x << 8)) & 0x100F00F00F00F00Full;
+    x = (x | (x << 4)) & 0x10C30C30C30C30C3ull;
+    x = (x | (x << 2)) & 0x1249249249249249ull;
+    return x;
+}
+
+int32_t repro_octree_build(
+    const double *pos, const double *mass, int64_t n, int64_t leaf_size,
+    double *center, double *half_width, int32_t find_bounds, uint64_t *keys,
+    int64_t *order, double *pos_s, double *mass_s, int64_t cap,
+    double *centers, double *half_widths, int64_t *starts, int64_t *ends,
+    int64_t *children, uint8_t *is_leaf, int64_t *depths, double *coms,
+    double *node_masses, int64_t *n_nodes)
+{
+    if (n < 1 || leaf_size < 1) return -1;
+    if (find_bounds) {
+        double lo[3], hi[3];
+        for (int k = 0; k < 3; ++k) lo[k] = hi[k] = pos[k];
+        for (int64_t i = 1; i < n; ++i) {
+            for (int k = 0; k < 3; ++k) {
+                const double v = pos[3*i + k];
+                if (v < lo[k]) lo[k] = v;
+                if (v > hi[k]) hi[k] = v;
+            }
+        }
+        double extent = hi[0] - lo[0];
+        for (int k = 0; k < 3; ++k) {
+            center[k] = 0.5 * (lo[k] + hi[k]);
+            if (hi[k] - lo[k] > extent) extent = hi[k] - lo[k];
+        }
+        *half_width = extent * 0.5 * (1.0 + 1e-9) + 1e-12;
+    }
+    if (!(isfinite(*half_width) && *half_width > 0.0)) return -1;
+    for (int k = 0; k < 3; ++k)
+        if (!isfinite(center[k])) return -1;
+
+    /* Scratch: the sort's second (key, body) buffer, the digit counts
+     * and the prefix sums, four doubles (m, mx, my, mz) per entry. */
+    uint64_t *key_tmp = malloc((size_t)n * sizeof *key_tmp);
+    int64_t *order_tmp = malloc((size_t)n * sizeof *order_tmp);
+    int64_t *counts = malloc((size_t)RADIX_PASSES * RADIX_SIZE * sizeof *counts);
+    double *csum = malloc((size_t)(n + 1) * 4 * sizeof *csum);
+    if (!key_tmp || !order_tmp || !counts || !csum) {
+        free(key_tmp); free(order_tmp); free(counts); free(csum);
+        return -2;
+    }
+
+    /* 2. Keys, with every digit's histogram in the same sweep. */
+    const double width = 2.0 * *half_width, grid = (double)(1 << MORTON_DEPTH);
+    const int64_t last_cell = ((int64_t)1 << MORTON_DEPTH) - 1;
+    for (int64_t b = 0; b < RADIX_PASSES * RADIX_SIZE; ++b) counts[b] = 0;
+    for (int64_t i = 0; i < n; ++i) {
+        uint64_t key = 0;
+        for (int k = 0; k < 3; ++k) {
+            const double rel = (pos[3*i + k] - center[k]) / width + 0.5;
+            int64_t cell = (int64_t)floor(rel * grid);
+            cell = cell < 0 ? 0 : (cell > last_cell ? last_cell : cell);
+            key |= spread_bits((uint64_t)cell) << (2 - k);
+        }
+        key_tmp[i] = key;
+        order_tmp[i] = i;
+        for (int p = 0; p < RADIX_PASSES; ++p)
+            ++counts[p * RADIX_SIZE + ((key >> (RADIX_BITS * p)) & (RADIX_SIZE - 1))];
+    }
+    uint64_t *src_k = key_tmp, *dst_k = keys;
+    int64_t *src_o = order_tmp, *dst_o = order;
+    for (int p = 0; p < RADIX_PASSES; ++p) {
+        int64_t *c = counts + p * RADIX_SIZE, sum = 0;
+        const unsigned shift = RADIX_BITS * p;
+        if (c[(src_k[0] >> shift) & (RADIX_SIZE - 1)] == n) continue;
+        for (int b = 0; b < RADIX_SIZE; ++b) {
+            const int64_t t = c[b];
+            c[b] = sum;
+            sum += t;
+        }
+        for (int64_t i = 0; i < n; ++i) {
+            const int64_t at = c[(src_k[i] >> shift) & (RADIX_SIZE - 1)]++;
+            dst_k[at] = src_k[i];
+            dst_o[at] = src_o[i];
+        }
+        uint64_t *tk = src_k; src_k = dst_k; dst_k = tk;
+        int64_t *to = src_o; src_o = dst_o; dst_o = to;
+    }
+    if (src_k != keys) {
+        for (int64_t i = 0; i < n; ++i) {
+            keys[i] = src_k[i];
+            order[i] = src_o[i];
+        }
+    }
+
+    /* 3. Gathers and prefix sums. */
+    csum[0] = csum[1] = csum[2] = csum[3] = 0.0;
+    for (int64_t i = 0; i < n; ++i) {
+        const int64_t b = order[i];
+        const double m = mass[b];
+        double *prev = csum + 4*i, *next = csum + 4*(i + 1);
+        mass_s[i] = m;
+        next[0] = i ? prev[0] + m : m;
+        for (int k = 0; k < 3; ++k) {
+            const double x = pos[3*b + k], mx = m * x;
+            pos_s[3*i + k] = x;
+            next[1 + k] = i ? prev[1 + k] + mx : mx;
+        }
+    }
+
+    /* 4. The node loop; stack entries are (node, start, end, depth). */
     int64_t stack[4 * OCTREE_STACK] = {0, 0, n, 0};
     int64_t top = 1, count = 1;
-    if (n < 1 || leaf_size < 1) return -1;
-    for (int64_t i = 1; i < n; ++i)
-        if (keys[i] < keys[i-1]) return -1;
     if (cap >= 1) {
         for (int k = 0; k < 3; ++k) centers[k] = center[k];
-        half_widths[0] = half_width;
+        half_widths[0] = *half_width;
         starts[0] = 0;
         ends[0] = n;
         for (int o = 0; o < 8; ++o) children[o] = -1;
@@ -425,12 +550,21 @@ int32_t repro_octree_nodes(
                 is_leaf[k] = 1;
                 depths[k] = d + 1;
             }
-            if (top >= OCTREE_STACK) return -1;
             stack[4*top] = k; stack[4*top+1] = cs;
             stack[4*top+2] = ce; stack[4*top+3] = d + 1;
             ++top;
         }
     }
+
+    /* 5. Monopoles of the stored nodes. */
+    const int64_t stored = count < cap ? count : cap;
+    for (int64_t k = 0; k < stored; ++k) {
+        const double *a = csum + 4*starts[k], *b = csum + 4*ends[k];
+        const double m = b[0] - a[0];
+        node_masses[k] = m;
+        for (int c = 0; c < 3; ++c) coms[3*k + c] = (b[1 + c] - a[1 + c]) / m;
+    }
+    free(key_tmp); free(order_tmp); free(counts); free(csum);
     *n_nodes = count;
     return count > cap ? 1 : 0;
 }
@@ -456,13 +590,6 @@ _LDFLAGS = ["-shared"]
 def _contiguous(dtype: type, *arrays: np.ndarray) -> list[np.ndarray]:
     """C-contiguous ``dtype`` copies (or the arrays themselves) for ctypes."""
     return [np.ascontiguousarray(a, dtype=dtype) for a in arrays]
-
-
-def _soa_scratch(ns: int) -> np.ndarray:
-    """Scratch for ``repro_sources_f32``: room for four SoA rows (x, y, z,
-    m) of ``ns`` rounded up to 16 lanes, plus the 64 bytes the kernel may
-    skip to align them."""
-    return np.empty(4 * (-(-ns // 16) * 16) + 16, dtype=np.float32)
 
 
 def _cache_dir() -> Path:
@@ -525,6 +652,7 @@ class CExtensionBackend(KernelBackend):
     def __init__(self) -> None:
         self._lib: ctypes.CDLL | None = None
         self._error: str | None = None
+        self._local = threading.local()
 
     # -- lazy build ------------------------------------------------------
     def _load(self) -> ctypes.CDLL | None:
@@ -551,9 +679,10 @@ class CExtensionBackend(KernelBackend):
             lib.repro_walk_gather_f32.argtypes = [
                 p, p, c_i64, p, p, c_i64, p, c_i64, p, c_i64, c_i64, p, p,
             ]
-            lib.repro_octree_nodes.restype = c_i32
-            lib.repro_octree_nodes.argtypes = [
-                p, c_i64, c_i64, p, c_f64, c_i64, p, p, p, p, p, p, p, p,
+            lib.repro_octree_build.restype = c_i32
+            lib.repro_octree_build.argtypes = [
+                p, p, c_i64, c_i64, p, p, c_i32, p, p, p, p, c_i64,
+                p, p, p, p, p, p, p, p, p, p,
             ]
             self._lib = lib
         except (RuntimeError, OSError) as exc:
@@ -574,6 +703,18 @@ class CExtensionBackend(KernelBackend):
     def _ptr(arr: np.ndarray) -> ctypes.c_void_p:
         return ctypes.c_void_p(arr.ctypes.data)
 
+    def _soa_scratch(self, ns: int) -> int:
+        """Address of this thread's scratch for ``repro_sources_f32``: room
+        for four SoA rows (x, y, z, m) of ``ns`` rounded up to 16 lanes,
+        plus the 64 bytes the kernel may skip to align them.  The buffer
+        only grows, so its address is read once per growth."""
+        local = self._local
+        need = 4 * (-(-ns // 16) * 16) + 16
+        if need > getattr(local, "scratch_size", 0):
+            local.scratch = np.empty(need, dtype=np.float32)
+            local.scratch_size, local.scratch_at = need, local.scratch.ctypes.data
+        return local.scratch_at
+
     def sources(
         self,
         targets: np.ndarray,
@@ -587,17 +728,16 @@ class CExtensionBackend(KernelBackend):
     ) -> np.ndarray:
         lib = self._load()
         assert lib is not None, "backend unavailable; resolve_backend gates this"
-        scalar = float(np.dtype(out.dtype).type(eps2))
+        ns = src_pos.shape[0]
         args = (
-            self._ptr(targets), targets.shape[0],
-            self._ptr(src_pos), self._ptr(src_mass), src_pos.shape[0],
-            scalar, G, self._ptr(out), int(accumulate),
+            targets.ctypes.data, targets.shape[0],
+            src_pos.ctypes.data, src_mass.ctypes.data, ns,
+            float(np.dtype(out.dtype).type(eps2)), G, out.ctypes.data, int(accumulate),
         )
         if out.dtype == np.float64:
             lib.repro_sources_f64(*args)
         else:
-            scratch = _soa_scratch(src_pos.shape[0])
-            lib.repro_sources_f32(*args, self._ptr(scratch))
+            lib.repro_sources_f32(*args, self._soa_scratch(ns))
         return out
 
     def self_forces(
@@ -624,48 +764,66 @@ class CExtensionBackend(KernelBackend):
         return out
 
     # -- tree --------------------------------------------------------------
-    def octree_nodes(
+    def octree_build(
         self,
         *,
-        keys: np.ndarray,
+        positions: np.ndarray,
+        masses: np.ndarray,
         leaf_size: int,
-        center: np.ndarray,
-        half_width: float,
-    ) -> tuple[np.ndarray, ...]:
-        """Nodes of the octree over sorted Morton ``keys``: the compiled build loop.
+        center: np.ndarray | None = None,
+        half_width: float | None = None,
+    ) -> dict[str, np.ndarray]:
+        """The octree over ``positions`` and ``masses``: the whole build in one call.
 
-        Returns ``(centers, half_widths, starts, ends, children, is_leaf,
-        depths)``, array-equal in values and dtypes to the NumPy loop of
-        :func:`repro.tree.octree._numpy_octree_nodes`.
+        Computes the bounding cube unless both ``center`` and
+        ``half_width`` are given, then the Morton keys, a stable radix
+        sort, the sorted bodies, the nodes and their monopoles.  Returns
+        the :class:`~repro.tree.octree.Octree` arrays by attribute name,
+        array-equal in values and dtypes to the NumPy build of
+        :func:`repro.tree.octree.build_octree`.  Validating the bodies is
+        the caller's job; a body outside a given cube lands in its
+        boundary cell.
         """
         lib = self._load()
         assert lib is not None, "backend unavailable; callers check .available"
-        keys = np.ascontiguousarray(keys, dtype=np.uint64)
-        center = np.ascontiguousarray(center, dtype=np.float64)
-        if keys.ndim != 1 or center.shape != (3,):
-            raise ValueError("keys must be (n,) and center (3,)")
+        positions, masses = _contiguous(np.float64, positions, masses)
+        n = positions.shape[0]
+        find_bounds = center is None or half_width is None
+        center = np.zeros(3) if find_bounds else np.asarray(center, dtype=np.float64)
+        if positions.shape != (n, 3) or masses.shape != (n,) or center.shape != (3,):
+            raise ValueError("positions must be (n, 3), masses (n,) and center (3,)")
+        cube = np.append(center, 0.0 if find_bounds else float(half_width))
+        body = dict(
+            keys=np.empty(n, dtype=np.uint64), order=np.empty(n, dtype=np.int64),
+            positions=np.empty((n, 3)), masses=np.empty(n),
+        )
         n_nodes = np.empty(1, dtype=np.int64)
         # First guess at the node count (Plummer spheres need 1.5 nodes
         # per body at leaf_size 1 and under 6 per leaf_size bodies above);
-        # an overflow reports the exact total and the loop runs once more.
-        cap = 8 * keys.shape[0] // max(int(leaf_size), 1) + 64
+        # an overflow reports the exact total and the build runs once more.
+        cap = 8 * n // max(int(leaf_size), 1) + 64
         while True:
-            nodes = (
-                np.empty((cap, 3)), np.empty(cap),
-                np.empty(cap, dtype=np.int64), np.empty(cap, dtype=np.int64),
-                np.empty((cap, 8), dtype=np.int64), np.empty(cap, dtype=np.bool_),
-                np.empty(cap, dtype=np.int64),
+            nodes = dict(
+                centers=np.empty((cap, 3)), half_widths=np.empty(cap),
+                starts=np.empty(cap, dtype=np.int64), ends=np.empty(cap, dtype=np.int64),
+                children=np.empty((cap, 8), dtype=np.int64),
+                is_leaf=np.empty(cap, dtype=np.bool_),
+                depths=np.empty(cap, dtype=np.int64),
+                coms=np.empty((cap, 3)), node_masses=np.empty(cap),
             )
-            status = lib.repro_octree_nodes(
-                self._ptr(keys), keys.shape[0], int(leaf_size),
-                self._ptr(center), float(half_width), cap,
-                *(self._ptr(a) for a in nodes), self._ptr(n_nodes),
+            status = lib.repro_octree_build(
+                self._ptr(positions), self._ptr(masses), n, int(leaf_size),
+                self._ptr(cube), self._ptr(cube[3:]), int(find_bounds),
+                *(self._ptr(a) for a in body.values()), cap,
+                *(self._ptr(a) for a in nodes.values()), self._ptr(n_nodes),
             )
+            if status == -2:
+                raise MemoryError("no scratch memory for the octree build")
             if status < 0:
-                raise ValueError("malformed keys or parameters passed to the octree build")
+                raise ValueError("malformed bodies or parameters passed to the octree build")
             m = int(n_nodes[0])
             if status == 0:
-                return tuple(a[:m] for a in nodes)
+                return {**body, **{name: a[:m] for name, a in nodes.items()}}
             cap = m
 
     # -- walks -------------------------------------------------------------
@@ -794,7 +952,9 @@ class CExtensionBackend(KernelBackend):
         if ids.size == 0:
             return out, 0
         seg = int((-(-lengths // splits[ids])).max())
-        tgt = np.empty((int(nt.max()), 3), dtype=np.float32)
+        # the targets of every walk, cast once: walk rows are views of it
+        lo = int(gs.min())
+        pos32 = positions[lo : int(ge.max())].astype(np.float32)
         src_pos = np.empty((seg, 3), dtype=np.float32)
         src_mass = np.empty(seg, dtype=np.float32)
         eps2 = float(np.float32(eps2))
@@ -809,8 +969,7 @@ class CExtensionBackend(KernelBackend):
             gs.tolist(), nt.tolist(), cell_offsets[ids].tolist(), nc.tolist(),
             part_offsets[ids].tolist(), lengths.tolist(), splits[ids].tolist(),
         ):
-            targets = tgt[:n]
-            targets[...] = positions[g0 : g0 + n]
+            targets = pos32[g0 - lo : g0 - lo + n]
             acc = out[row : row + n]
             step = -(-length // s)
             for a in range(0, max(length, 1), max(step, 1)):

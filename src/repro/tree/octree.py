@@ -1,14 +1,17 @@
 """Array-based octree built over Morton-sorted bodies.
 
 Construction follows the standard GPU-treecode recipe (Hamada et al. 2009;
-Bonsai): bodies are sorted by Morton key once, after which every node of
-the octree covers a contiguous slice ``[start, end)`` of the sorted body
-array.  Node child boundaries are found by binary search on the key array,
-and centre-of-mass moments come from prefix sums, so the build is
-O(M log N) for M nodes.  The key encode, the sort and the prefix sums are
-vectorised NumPy.  The node loop visits every node once; it runs in the
-compiled ``cext`` library when that loads, because as a Python loop it
-was most of the build, and the Python loop stays as its reference.
+Bonsai, and the sparse octree of Bédorf, Gaburov & Portegies Zwart):
+bodies are sorted by Morton key once, after which every node of the
+octree covers a contiguous slice ``[start, end)`` of the sorted body
+array.  Node child boundaries are found by binary search on the key
+array, and centre-of-mass moments come from prefix sums, so the build is
+O(N + M log N) for M nodes.  The whole build — bounds, key encode, a
+stable LSD radix sort, the gathers, the prefix sums, the node loop and
+the moments — is one call into the compiled ``cext`` library when that
+loads.  The NumPy build (vectorised encode, a stable ``argsort`` and a
+Python node loop) is its reference and the path used without a C
+compiler.
 
 The resulting :class:`Octree` stores all node attributes as flat NumPy
 arrays (structure-of-arrays), which is what the traversal kernels and the
@@ -200,10 +203,12 @@ def build_octree(
         omitted.  An explicit cube must be finite, with a positive half
         width, and contain every body.
 
-    Positions must be finite and masses finite and positive.  The node
-    loop runs in the compiled ``cext`` library whenever it loads, and
-    otherwise in :func:`_numpy_octree_nodes`, the reference it is tested
-    against: both emit the same nodes in the same order.
+    Positions must be finite and masses finite and positive.  After this
+    validation the whole build — bounds, keys, sort, nodes and moments —
+    is one call into the compiled ``cext`` library whenever it loads,
+    and otherwise :func:`_numpy_build`, the reference it is tested
+    against: both give array-equal trees, ties in the sort broken by body
+    index.
     """
     positions = np.ascontiguousarray(positions, dtype=np.float64)
     masses = np.ascontiguousarray(masses, dtype=np.float64)
@@ -225,48 +230,28 @@ def build_octree(
         i = np.flatnonzero(~good)[0]
         raise TreeError(f"body {i} has mass {masses[i]}; masses must be finite and positive")
 
-    explicit = center is not None or half_width is not None
-    if center is None or half_width is None:
-        lo = positions.min(axis=0)
-        hi = positions.max(axis=0)
-        auto_center = 0.5 * (lo + hi)
-        auto_half = float(np.max(hi - lo)) * 0.5
-        auto_half = auto_half * (1.0 + 1e-9) + 1e-12
-        if center is None:
-            center = auto_center
-        if half_width is None:
-            half_width = auto_half
-    center = np.asarray(center, dtype=np.float64)
-    half_width = float(half_width)
-    if explicit:
+    if center is not None or half_width is not None:
+        if center is None or half_width is None:
+            auto_center, auto_half = _bounding_cube(positions)
+            center = auto_center if center is None else center
+            half_width = auto_half if half_width is None else half_width
+        center = np.asarray(center, dtype=np.float64)
+        half_width = float(half_width)
         _check_cube(positions, center, half_width)
-
-    keys = morton.encode(positions, center, half_width)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    pos_s = positions[order]
-    mass_s = masses[order]
-
-    # prefix sums for O(1) monopole moments per node
-    csum_m = np.concatenate([[0.0], np.cumsum(mass_s)])
-    csum_mx = np.vstack([np.zeros(3), np.cumsum(mass_s[:, np.newaxis] * pos_s, axis=0)])
 
     cext = get_backend("cext")
     if cext.available:
-        nodes = cext.octree_nodes(
-            keys=keys, leaf_size=leaf_size, center=center, half_width=half_width
+        arrays = cext.octree_build(
+            positions=positions, masses=masses, leaf_size=leaf_size,
+            center=center, half_width=half_width,
         )
     else:
-        nodes = _numpy_octree_nodes(keys, leaf_size, center, half_width)
-    centers, half_widths, starts, ends, children, is_leaf, depths = nodes
-
-    node_masses = csum_m[ends] - csum_m[starts]
-    if np.any(node_masses <= 0.0):
+        arrays = _numpy_build(positions, masses, leaf_size, center, half_width)
+    if np.any(arrays["node_masses"] <= 0.0):
         raise TreeError("node with non-positive mass (prefix-sum cancellation?)")
-    coms = (csum_mx[ends] - csum_mx[starts]) / node_masses[:, np.newaxis]
 
     if obs.enabled:
-        n_nodes, max_depth = centers.shape[0], int(depths.max())
+        n_nodes, max_depth = arrays["centers"].shape[0], int(arrays["depths"].max())
         obs.inc("octree_builds_total")
         obs.set_gauge("tree_depth", max_depth)
         obs.set_gauge("tree_nodes", n_nodes)
@@ -277,8 +262,50 @@ def build_octree(
             max_depth=max_depth,
             leaf_size=leaf_size,
         )
+    return Octree(**arrays, leaf_size=leaf_size)
 
-    return Octree(
+
+def _bounding_cube(positions: np.ndarray) -> tuple[np.ndarray, float]:
+    """Centre and half width of the cube around ``positions``, padded so
+    no body sits on its upper faces."""
+    lo = positions.min(axis=0)
+    hi = positions.max(axis=0)
+    half = float(np.max(hi - lo)) * 0.5
+    return 0.5 * (lo + hi), half * (1.0 + 1e-9) + 1e-12
+
+
+def _numpy_build(
+    positions: np.ndarray,
+    masses: np.ndarray,
+    leaf_size: int,
+    center: np.ndarray | None,
+    half_width: float | None,
+) -> dict[str, np.ndarray]:
+    """The reference build over validated bodies, as :class:`Octree` arrays
+    by attribute name.
+
+    Bodies are sorted by Morton key (stable, so ties keep body order);
+    :func:`_numpy_octree_nodes` splits the key range into nodes, and each
+    node's monopole comes from prefix sums over the sorted bodies.
+    """
+    if center is None or half_width is None:
+        center, half_width = _bounding_cube(positions)
+    keys = morton.encode(positions, center, half_width)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    pos_s = positions[order]
+    mass_s = masses[order]
+
+    # prefix sums for O(1) monopole moments per node
+    csum_m = np.concatenate([[0.0], np.cumsum(mass_s)])
+    csum_mx = np.vstack([np.zeros(3), np.cumsum(mass_s[:, np.newaxis] * pos_s, axis=0)])
+
+    nodes = _numpy_octree_nodes(keys, leaf_size, center, half_width)
+    centers, half_widths, starts, ends, children, is_leaf, depths = nodes
+    node_masses = csum_m[ends] - csum_m[starts]
+    with np.errstate(divide="ignore", invalid="ignore"):  # build_octree rejects m <= 0
+        coms = (csum_mx[ends] - csum_mx[starts]) / node_masses[:, np.newaxis]
+    return dict(
         centers=centers,
         half_widths=half_widths,
         starts=starts,
@@ -292,7 +319,6 @@ def build_octree(
         masses=mass_s,
         keys=keys,
         order=np.asarray(order, dtype=np.int64),
-        leaf_size=leaf_size,
     )
 
 

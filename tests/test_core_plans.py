@@ -158,19 +158,6 @@ class TestCostStructure:
         assert b.transfer_seconds == transfers
         assert b.pipeline_total is None
 
-    def test_run_timing_scales_linearly(self, bodies, cfg):
-        pos, m = bodies
-        plan = IParallelPlan(cfg)
-        r100 = plan.run_timing(pos, m, n_steps=100)
-        r10 = plan.run_timing(pos, m, n_steps=10)
-        assert r100.total_seconds == pytest.approx(10 * r10.total_seconds)
-        assert r100.interactions == 10 * r10.interactions
-
-    def test_run_timing_rejects_bad_steps(self, bodies, cfg):
-        pos, m = bodies
-        with pytest.raises(ConfigurationError):
-            IParallelPlan(cfg).run_timing(pos, m, n_steps=0)
-
 
 class TestPaperShapes:
     """The headline qualitative claims, checked at moderate N."""

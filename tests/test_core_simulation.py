@@ -1,5 +1,8 @@
 """Tests for the high-level Simulation driver."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -54,7 +57,26 @@ class TestStepping:
         rec = sim.run(2)
         assert rec.steps == 2
         assert rec.force_passes == 3
-        assert all(b.plan == "jw" for b in rec.breakdowns)
+        assert rec.last_breakdown.plan == "jw"
+        assert rec.last_breakdown.n_bodies == 512
+
+    def test_record_memory_does_not_grow_with_the_run(self):
+        """The record keeps the last breakdown only: from step 200 to step
+        2,000 of an n=64 run, traced memory grows by under 64 KB."""
+        sim = Simulation(plummer(64, seed=36), IParallelPlan(PlanConfig(softening=EPS)), dt=1e-4)
+        assert sim.record.last_breakdown is None
+        tracemalloc.start()
+        try:
+            sim.run(200)
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            sim.run(1800)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert sim.record.steps == 2000
+        assert grown < 64 * 1024, f"record grew {grown} B over 1,800 steps"
 
     def test_forces_consistent_with_direct(self):
         particles = plummer(256, seed=35)

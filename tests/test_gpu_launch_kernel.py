@@ -12,7 +12,7 @@ from repro.gpu.kernel import (
     tile_loop_forces,
     tile_loop_work,
 )
-from repro.gpu.launch import KernelLaunch, NDRange, WorkGroupWork
+from repro.gpu.launch import KernelLaunch, NDRange, WorkGroups
 from repro.nbody.forces import accelerations_from_sources
 
 DEV = RADEON_HD_5850
@@ -39,48 +39,81 @@ class TestNDRange:
             NDRange(1024, 512).validate_on(DEV)
 
 
+def _work(interactions, issued, active, **kw):
+    return WorkGroups(
+        interactions=interactions, issued_interactions=issued, active_threads=active, **kw
+    )
+
+
 class TestWorkGroupWork:
+    """The work-group columns a launch carries."""
+
     def test_padding_fraction(self):
-        wg = WorkGroupWork("x", interactions=80, issued_interactions=100, active_threads=10)
-        assert wg.padding_fraction == pytest.approx(0.2)
+        wg = _work([80, 50], [100, 50], [10, 10])
+        np.testing.assert_allclose(wg.padding_fraction(), [0.2, 0.0])
 
     def test_zero_issued_padding(self):
-        wg = WorkGroupWork("x", interactions=0, issued_interactions=0, active_threads=1)
-        assert wg.padding_fraction == 0.0
+        assert _work([0], [0], [1]).padding_fraction().tolist() == [0.0]
 
     def test_rejects_issued_below_useful(self):
+        with pytest.raises(LaunchError, match="work-group 1"):
+            _work([1, 10], [1, 5], [1, 1])
         with pytest.raises(LaunchError):
-            WorkGroupWork("x", interactions=10, issued_interactions=5, active_threads=1)
+            _work([-1], [0], [1])
 
     def test_rejects_no_threads(self):
         with pytest.raises(LaunchError):
-            WorkGroupWork("x", interactions=0, issued_interactions=0, active_threads=0)
+            _work([0, 0], [0, 0], [1, 0])
+
+    def test_scalars_broadcast_to_int64_columns(self):
+        wg = _work([1, 2, 3], 6, [7, 7, 7], lds_bytes_peak=64)
+        assert len(wg) == 3
+        for name in ("issued_interactions", "active_threads", "lds_bytes_peak", "barriers"):
+            column = getattr(wg, name)
+            assert column.dtype == np.int64 and column.shape == (3,)
+        assert wg.lds_bytes_peak.tolist() == [64, 64, 64]
+        with pytest.raises(LaunchError, match="one entry per work-group"):
+            _work([1], [1], 7)
+        with pytest.raises(LaunchError, match="for 3 work-groups"):
+            _work([1, 2], [4, 5, 6], [7, 7, 7])
 
 
 class TestKernelLaunch:
-    def _wg(self, n=100):
-        return WorkGroupWork("wg", interactions=n, issued_interactions=n, active_threads=1)
+    def _wg(self, *n):
+        return _work(list(n), list(n), [1] * len(n))
 
     def test_totals(self):
-        kl = KernelLaunch("k", 256, [self._wg(10), self._wg(20)])
+        kl = KernelLaunch("k", 256, self._wg(10, 20))
         assert kl.total_interactions == 30
+        assert type(kl.total_interactions) is int
         assert kl.n_workgroups == 2
 
     def test_rejects_empty(self):
         with pytest.raises(LaunchError, match="no work-groups"):
-            KernelLaunch("k", 256, [])
+            KernelLaunch("k", 256, self._wg())
 
     def test_rejects_overfull_workgroup(self):
-        wg = WorkGroupWork("wg", interactions=1, issued_interactions=1, active_threads=300)
-        with pytest.raises(LaunchError, match="active"):
-            KernelLaunch("k", 256, [wg])
+        wg = _work([1, 1], [1, 1], [1, 300])
+        with pytest.raises(LaunchError, match="'wg1' has 300 active"):
+            KernelLaunch("k", 256, wg)
+        with pytest.raises(LaunchError, match="'b' has 300 active"):
+            KernelLaunch("k", 256, wg, labels=lambda: ["a", "b"])
+
+    def test_labels_are_made_on_demand(self):
+        made = []
+
+        def labels():
+            made.append(True)
+            return ["a", "b"]
+
+        kl = KernelLaunch("k", 256, self._wg(1, 2), labels=labels)
+        assert not made
+        assert kl.labels() == ["a", "b"] and made
+        assert KernelLaunch("k", 256, self._wg(1, 2)).labels() == ["wg0", "wg1"]
 
     def test_validate_on_checks_lds(self):
-        wg = WorkGroupWork(
-            "wg", interactions=1, issued_interactions=1, active_threads=1,
-            lds_bytes_peak=DEV.lds_bytes_per_cu + 1,
-        )
-        kl = KernelLaunch("k", 256, [wg])
+        wg = _work([1], [1], [1], lds_bytes_peak=DEV.lds_bytes_per_cu + 1)
+        kl = KernelLaunch("k", 256, wg)
         with pytest.raises(LaunchError, match="LDS"):
             kl.validate_on(DEV)
 
@@ -131,41 +164,55 @@ class TestTileLoopForces:
             tile_loop_forces(pos[:4], pos, m, wg_size=0, softening=EPS)
 
 
+def _tile(active, n_sources, wg_size=256):
+    return tile_loop_work(
+        active_threads=[active], n_sources=[n_sources], wg_size=wg_size, wavefront_size=64
+    )
+
+
+def _packed(n_targets, n_sources, wg_size=256):
+    return packed_tile_loop_work(
+        n_targets=[n_targets], n_sources=[n_sources], wg_size=wg_size, wavefront_size=64
+    )
+
+
 class TestWorkRecords:
     def test_tile_loop_work_counts(self):
-        wg = tile_loop_work("x", active_threads=100, n_sources=1000, wg_size=256, wavefront_size=64)
-        assert wg.interactions == 100 * 1000
+        wg = _tile(100, 1000)
+        assert wg.interactions.tolist() == [100 * 1000]
         # 100 threads -> 2 wavefronts -> 128 issued lanes
-        assert wg.issued_interactions == 128 * 1000
-        assert wg.tiles == 4  # ceil(1000/256)
-        assert wg.barriers == 8
+        assert wg.issued_interactions.tolist() == [128 * 1000]
+        assert wg.tiles.tolist() == [4]  # ceil(1000/256)
+        assert wg.barriers.tolist() == [8]
 
     def test_tile_loop_full_group_no_padding(self):
-        wg = tile_loop_work("x", active_threads=256, n_sources=512, wg_size=256, wavefront_size=64)
-        assert wg.padding_fraction == 0.0
+        assert _tile(256, 512).padding_fraction().tolist() == [0.0]
 
     def test_packed_work_fills_lanes(self):
-        wg = packed_tile_loop_work("x", n_targets=50, n_sources=1000, wg_size=256, wavefront_size=64)
+        wg = _packed(50, 1000)
         # packed mapping: padding only from the final partial slot
-        assert wg.padding_fraction < 0.01
-        assert wg.interactions == 50 * 1000
-        assert wg.reduction_ops > 0
+        assert wg.padding_fraction()[0] < 0.01
+        assert wg.interactions.tolist() == [50 * 1000]
+        assert wg.reduction_ops[0] > 0
 
     def test_packed_beats_thread_per_body_on_small_groups(self):
-        small_w = tile_loop_work("w", active_threads=50, n_sources=1000, wg_size=256, wavefront_size=64)
-        small_jw = packed_tile_loop_work("jw", n_targets=50, n_sources=1000, wg_size=256, wavefront_size=64)
-        assert small_jw.issued_interactions < small_w.issued_interactions
+        small_w, small_jw = _tile(50, 1000), _packed(50, 1000)
+        assert small_jw.issued_interactions[0] < small_w.issued_interactions[0]
 
     def test_reduction_work_is_memory_only(self):
-        wg = reduction_work("r", n_outputs=256, n_partials_per_output=4, wg_size=256, wavefront_size=64)
-        assert wg.interactions == 0
-        assert wg.global_bytes == 256 * 5 * 16
-        assert wg.reduction_ops == 1024
+        wg = reduction_work(n_outputs=[256], n_partials_per_output=4, wg_size=256)
+        assert wg.interactions.tolist() == [0]
+        assert wg.global_bytes.tolist() == [256 * 5 * 16]
+        assert wg.reduction_ops.tolist() == [1024]
 
     def test_work_records_reject_bad_args(self):
+        with pytest.raises(LaunchError, match="active thread"):
+            tile_loop_work(active_threads=[4, 0], n_sources=1, wg_size=64, wavefront_size=64)
+        with pytest.raises(LaunchError, match="work-group 0"):
+            tile_loop_work(active_threads=[4], n_sources=[-1], wg_size=64, wavefront_size=64)
         with pytest.raises(ValueError):
-            tile_loop_work("x", active_threads=0, n_sources=1, wg_size=64, wavefront_size=64)
+            packed_tile_loop_work(n_targets=[0], n_sources=[1], wg_size=64, wavefront_size=64)
         with pytest.raises(ValueError):
-            packed_tile_loop_work("x", n_targets=0, n_sources=1, wg_size=64, wavefront_size=64)
+            reduction_work(n_outputs=[0], n_partials_per_output=1, wg_size=64)
         with pytest.raises(ValueError):
-            reduction_work("x", n_outputs=0, n_partials_per_output=1, wg_size=64, wavefront_size=64)
+            reduction_work(n_outputs=[1], n_partials_per_output=[0], wg_size=64)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.gpu.device import RADEON_HD_5850
-from repro.gpu.kernel import reduction_work, tile_loop_work
+from repro.gpu.kernel import tile_loop_work
 from repro.gpu.launch import KernelLaunch
 from repro.gpu.trace import trace_costs, trace_launch
 from repro.gpu.timing import time_kernel
@@ -14,21 +14,9 @@ DEV = RADEON_HD_5850
 
 
 def _force_launch(n_wgs=32):
-    wgs = [
-        tile_loop_work(f"wg{i}", active_threads=256, n_sources=4096,
-                       wg_size=256, wavefront_size=64)
-        for i in range(n_wgs)
-    ]
-    return KernelLaunch("force", 256, wgs)
-
-
-def _reduce_launch(n_wgs=32):
-    wgs = [
-        reduction_work(f"r{i}", n_outputs=256, n_partials_per_output=8,
-                       wg_size=256, wavefront_size=64)
-        for i in range(n_wgs)
-    ]
-    return KernelLaunch("reduce", 256, wgs)
+    work = tile_loop_work(active_threads=np.full(n_wgs, 256), n_sources=4096,
+                          wg_size=256, wavefront_size=64)
+    return KernelLaunch("force", 256, work)
 
 
 class TestTraceCosts:

@@ -6,7 +6,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.gpu.device import RADEON_HD_5850
 from repro.gpu.kernel import tile_loop_work
-from repro.gpu.launch import KernelLaunch, WorkGroupWork
+from repro.gpu.launch import KernelLaunch, WorkGroups
 from repro.gpu.timing import dispatch, time_kernel, workgroup_cycles
 
 DEV = RADEON_HD_5850
@@ -21,17 +21,17 @@ def schedule(costs, n_workers, policy="dynamic"):
 
 
 def _launch(n_wgs, interactions_each=256 * 1024, wg_size=256):
-    wgs = [
-        tile_loop_work(
-            f"wg{i}",
-            active_threads=wg_size,
-            n_sources=interactions_each // wg_size,
-            wg_size=wg_size,
-            wavefront_size=64,
-        )
-        for i in range(n_wgs)
-    ]
-    return KernelLaunch("k", wg_size, wgs)
+    work = tile_loop_work(
+        active_threads=np.full(n_wgs, wg_size),
+        n_sources=interactions_each // wg_size,
+        wg_size=wg_size,
+        wavefront_size=64,
+    )
+    return KernelLaunch("k", wg_size, work)
+
+
+def _work(**kw):
+    return WorkGroups(**{"interactions": [0], "issued_interactions": [0], **kw})
 
 
 class TestSchedulers:
@@ -82,27 +82,24 @@ class TestSchedulers:
 
 class TestWorkgroupCycles:
     def test_compute_bound_workgroup(self):
-        wg = tile_loop_work("x", active_threads=256, n_sources=4096, wg_size=256, wavefront_size=64)
+        wg = tile_loop_work(active_threads=[256], n_sources=4096, wg_size=256, wavefront_size=64)
         cycles = workgroup_cycles(DEV, wg, 1.0)
         compute = wg.issued_interactions / DEV.interactions_per_cycle_per_cu
-        assert cycles >= compute  # plus barriers and dispatch
+        assert (cycles >= compute).all()  # plus barriers and dispatch
 
     def test_latency_efficiency_scales_compute(self):
-        wg = tile_loop_work("x", active_threads=256, n_sources=4096, wg_size=256, wavefront_size=64)
+        wg = tile_loop_work(active_threads=[256], n_sources=4096, wg_size=256, wavefront_size=64)
         fast = workgroup_cycles(DEV, wg, 1.0)
         slow = workgroup_cycles(DEV, wg, 0.5)
-        assert slow > fast
+        assert (slow > fast).all()
 
     def test_memory_bound_workgroup(self):
-        wg = WorkGroupWork(
-            "mem", interactions=0, issued_interactions=0, active_threads=256,
-            global_bytes=10**6,
-        )
+        wg = _work(active_threads=[256], global_bytes=[10**6])
         cycles = workgroup_cycles(DEV, wg, 1.0)
-        assert cycles >= 10**6 / DEV.global_bytes_per_cycle_per_cu
+        assert cycles[0] >= 10**6 / DEV.global_bytes_per_cycle_per_cu
 
     def test_rejects_bad_efficiency(self):
-        wg = WorkGroupWork("x", interactions=0, issued_interactions=0, active_threads=1)
+        wg = _work(active_threads=[1])
         with pytest.raises(ConfigurationError):
             workgroup_cycles(DEV, wg, 0.0)
         with pytest.raises(ConfigurationError):
@@ -138,14 +135,10 @@ class TestTimeKernel:
         assert rate == pytest.approx(DEV.sustained_interaction_rate, rel=0.1)
 
     def test_static_schedule_slower_on_skew(self):
-        wgs = []
-        for i in range(90):
-            n_src = 4096 if i % 18 == 0 else 256
-            wgs.append(
-                tile_loop_work(f"wg{i}", active_threads=256, n_sources=n_src,
-                               wg_size=256, wavefront_size=64)
-            )
-        kl = KernelLaunch("k", 256, wgs)
+        n_src = np.where(np.arange(90) % 18 == 0, 4096, 256)
+        work = tile_loop_work(active_threads=np.full(90, 256), n_sources=n_src,
+                              wg_size=256, wavefront_size=64)
+        kl = KernelLaunch("k", 256, work)
         t_hw = time_kernel(DEV, kl, schedule="hardware")
         t_st = time_kernel(DEV, kl, schedule="static")
         assert t_st.seconds >= t_hw.seconds

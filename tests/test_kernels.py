@@ -451,6 +451,7 @@ class TestCompiledBackends:
                 )
                 assert np.array_equal(alone[0], got[i])
 
+    @needs_cext  # a compiler that builds the library, not just one on PATH
     def test_portable_f32_branch_within_tolerance(self, tmp_path):
         """The kernel source's non-AVX-512 ``repro_sources_f32``, built here
         with AVX-512 off: an AVX-512 host never runs it otherwise."""
@@ -471,14 +472,14 @@ class TestCompiledBackends:
         p, f32 = ctypes.c_void_p, ctypes.c_float
         fn.restype = None
         fn.argtypes = [p, ctypes.c_int64, p, p, ctypes.c_int64, f32, f32, p, ctypes.c_int32, p]
+        backend = cext_module.CExtensionBackend()  # owns the scratch
         for nt, ns in EDGE_SHAPES:
             targets, src_pos, mass, eps = _sources_case((nt, ns), None, np.float32)
             got = np.empty((nt, 3), dtype=np.float32)
-            scratch = cext_module._soa_scratch(ns)
             fn(
                 targets.ctypes.data, nt, src_pos.ctypes.data, mass.ctypes.data, ns,
                 float(np.float32(eps * eps)), 1.0, got.ctypes.data, 0,
-                scratch.ctypes.data,
+                backend._soa_scratch(ns),
             )
             ref = accelerations_from_sources(
                 targets, src_pos, mass, softening=eps, dtype=np.float32,
@@ -561,6 +562,20 @@ class TestCompiledBackends:
         tol = compiled_tolerance(np.float64)
         np.testing.assert_allclose(out_c, out_n, rtol=1e-10,
                                    atol=tol.max_rel * np.abs(out_n).max())
+
+    @needs_cext
+    def test_reused_f32_scratch_matches_a_fresh_backend(self):
+        """One thread's grow-only SoA scratch leaves no trace in later rows."""
+        rng = np.random.default_rng(5)
+        tgt = rng.standard_normal((7, 3)).astype(np.float32)
+        reused = cext_module.CExtensionBackend()
+        for ns in (16, 4000, 16):
+            src = rng.standard_normal((ns, 3)).astype(np.float32)
+            mass = rng.uniform(0.5, 1.5, ns).astype(np.float32)
+            got, want = np.zeros((7, 3), np.float32), np.zeros((7, 3), np.float32)
+            reused.sources(tgt, src, mass, eps2=EPS * EPS, out=got)
+            cext_module.CExtensionBackend().sources(tgt, src, mass, eps2=EPS * EPS, out=want)
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("name", LIVE_COMPILED)
     def test_noncontiguous_out_is_staged(self, name):

@@ -1,7 +1,7 @@
 """The compiled tree and walk machinery against its references.
 
-* **Octree build** — the ``cext`` node loop gives trees whose every
-  attribute is array-equal, values and dtypes, to the NumPy loop's.
+* **Octree build** — the one-call ``cext`` build gives trees whose every
+  attribute is array-equal, values and dtypes, to the NumPy build's.
 * **Traversal** — the ``cext`` group traversal emits the same CSR lists,
   element for element, as the NumPy frontier loop of
   :mod:`repro.tree.walks`.
@@ -165,23 +165,31 @@ class TestOctreeBuild:
         with _without_cext():
             _assert_trees_equal(tree, build_octree(pos, np.ones(1000), leaf_size=1))
 
+    def test_plummer_65536_array_equal_to_numpy_build(self):
+        """The benchmark's pass size: 65,536 bodies, leaf_size 32."""
+        p = plummer(65536, seed=0)
+        tree = build_octree(p.positions, p.masses, leaf_size=32)
+        with _without_cext():
+            _assert_trees_equal(tree, build_octree(p.positions, p.masses, leaf_size=32))
+
     def test_malformed_input_rejected(self):
         p = plummer(64, seed=1)
-        tree = build_octree(p.positions, p.masses, leaf_size=4)
-        arrays = dict(
-            keys=tree.keys, leaf_size=4, center=tree.centers[0],
-            half_width=tree.half_widths[0],
-        )
+        arrays = dict(positions=p.positions, masses=p.masses, leaf_size=4)
         for case in (
-            dict(keys=tree.keys[:0]),
+            dict(positions=p.positions[:0], masses=p.masses[:0]),
             dict(leaf_size=0),
-            dict(keys=tree.keys[::-1]),
+            dict(center=np.zeros(3), half_width=0.0),
+            dict(center=np.array([0.0, np.nan, 0.0]), half_width=1.0),
         ):
             with pytest.raises(ValueError, match="malformed"):
-                _cext.octree_nodes(**{**arrays, **case})
-        for case in (dict(keys=tree.keys[:, None]), dict(center=np.zeros(2))):
+                _cext.octree_build(**{**arrays, **case})
+        for case in (
+            dict(positions=p.positions[:, None]),
+            dict(masses=p.masses[:-1]),
+            dict(center=np.zeros(2), half_width=1.0),
+        ):
             with pytest.raises(ValueError, match="must be"):
-                _cext.octree_nodes(**{**arrays, **case})
+                _cext.octree_build(**{**arrays, **case})
 
 
 def _lists(tree, groups, theta):
