@@ -179,6 +179,24 @@ class Plan(ABC):
 
         return resolve_backend(self.config.kernel_backend).name
 
+    def _row_ranges(
+        self, rows: int, n_sources: int, backend: str
+    ) -> list[tuple[int, int]]:
+        """The ``[a, b)`` target-row ranges of an all-pairs pass, one
+        engine task each.
+
+        A compiled ``backend`` cuts the pass by its work, each row being
+        ``n_sources`` interactions (:meth:`ExecutionEngine.split`).  The
+        NumPy reference keeps one range per simulated work-group, so its
+        tile temporaries stay ``wg_size`` rows deep.
+        """
+        from repro.nbody.kernels import get_backend
+
+        if get_backend(backend).kind == "reference":
+            p = self.config.wg_size
+            return [(a, min(a + p, rows)) for a in range(0, rows, p)]
+        return self._engine().split(np.full(rows, n_sources))
+
     # -- functional ----------------------------------------------------
     @abstractmethod
     def accelerations(self, positions: np.ndarray, masses: np.ndarray) -> np.ndarray:

@@ -11,6 +11,15 @@ plan.
 A full pass targets every row; the masked pass of a block-timestep run
 (:meth:`IParallelPlan.masked_pass`) compacts the active rows into the
 same work-groups.
+
+The work-groups are the simulated device's: they set the launch the
+timing model prices.  The CPU functional path cuts the target rows by
+their work instead (:meth:`~repro.core.plans.base.Plan._row_ranges`): a
+compiled kernel backend runs at most one engine task per worker, and a
+pass under twice :data:`~repro.exec.engine.MIN_TASK_WORK` runs as one
+task on the calling thread; the NumPy reference keeps one task per
+work-group.  A row's sum depends only on its target and the sources, so
+every cut gives the same bits.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from repro.gpu.timing import time_kernel
 __all__ = ["IParallelPlan"]
 
 
-def _workgroup_task(
+def _rows_task(
     rng: tuple[int, int],
     *,
     targets: np.ndarray,
@@ -45,8 +54,8 @@ def _workgroup_task(
     device: DeviceSpec,
     backend: str | None = None,
 ) -> tuple[np.ndarray, CostCounters]:
-    """Evaluate one work-group's target rows against every body (runs on
-    an engine worker)."""
+    """Evaluate target rows ``[i0, i1)`` against every body (runs on an
+    engine worker)."""
     i0, i1 = rng
     counters = CostCounters()
     block = tile_loop_forces(
@@ -86,11 +95,7 @@ class IParallelPlan(Plan):
     name = "i"
     method = "pp"
 
-    # -- work enumeration (shared by functional and timing paths) --------
-    def _workgroup_ranges(self, rows: int) -> list[tuple[int, int]]:
-        p = self.config.wg_size
-        return [(i0, min(i0 + p, rows)) for i0 in range(0, rows, p)]
-
+    # -- work enumeration -------------------------------------------------
     def _launch(self, rows: int, n: int, kernel: str) -> KernelLaunch:
         """``rows`` target rows against all ``n`` bodies."""
         p = self.config.wg_size
@@ -115,8 +120,9 @@ class IParallelPlan(Plan):
         cfg = self.config
         acc = np.empty((targets.shape[0], 3), dtype=np.float32)
         counters = CostCounters()
+        backend = self._kernel_backend()
         task = partial(
-            _workgroup_task,
+            _rows_task,
             targets=targets,
             positions=positions,
             masses=masses,
@@ -124,10 +130,10 @@ class IParallelPlan(Plan):
             softening=cfg.softening,
             G=cfg.G,
             device=cfg.device,
-            backend=self._kernel_backend(),
+            backend=backend,
         )
-        ranges = self._workgroup_ranges(targets.shape[0])
-        results = self._engine().map(task, ranges, label="i.workgroup")
+        ranges = self._row_ranges(targets.shape[0], positions.shape[0], backend)
+        results = self._engine().map(task, ranges, label="i.rows")
         for (i0, i1), (block, c) in zip(ranges, results):
             acc[i0:i1] = block
             counters.add(c)

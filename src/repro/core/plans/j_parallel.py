@@ -9,6 +9,10 @@ memory-bound kernel reduces the ``s`` partials per target.
 The split factor is chosen adaptively: just enough work-groups to fill
 the machine with latency-hiding concurrency, never more (each extra split
 adds partial-force traffic and reduction work).
+
+As in the i plan, the work-groups set the simulated launch only; the CPU
+functional path cuts the target rows by their work
+(:meth:`~repro.core.plans.base.Plan._row_ranges`).
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ __all__ = ["JParallelPlan"]
 _TARGET_WGS_PER_CU = 4
 
 
-def _iblock_task(
+def _rows_task(
     rng: tuple[int, int],
     *,
     positions: np.ndarray,
@@ -47,12 +51,11 @@ def _iblock_task(
     device: DeviceSpec,
     backend: str | None = None,
 ) -> tuple[np.ndarray, CostCounters]:
-    """One i-block: partial forces per j-segment, then the fixed-order
-    float32 segment reduction (runs on an engine worker).
+    """Target rows ``[i0, i1)``: partial forces per j-segment, then the
+    fixed-order float32 segment reduction (runs on an engine worker).
 
-    Summing over the segment axis per i-block is elementwise identical to
-    the whole-array reduction the serial path used to perform, so the
-    parallel decomposition cannot change a single bit of the result.
+    Summing over the segment axis is elementwise, so a row's result does
+    not depend on which other rows share its task.
     """
     i0, i1 = rng
     counters = CostCounters()
@@ -151,25 +154,25 @@ class JParallelPlan(Plan):
         n = positions.shape[0]
         cfg = self.config
         s = self.split_factor(n)
-        p = cfg.wg_size
         counters = CostCounters()
-        # partial forces per (i-block, j-segment), then a float32 reduction,
-        # matching the two-kernel structure; i-blocks fan out across the
+        backend = self._kernel_backend()
+        # partial forces per (rows, j-segment), then a float32 reduction,
+        # matching the two-kernel structure; row ranges fan out across the
         # engine, each folding its own segments in fixed order
-        ranges = [(i0, min(i0 + p, n)) for i0 in range(0, n, p)]
+        ranges = self._row_ranges(n, n, backend)
         task = partial(
-            _iblock_task,
+            _rows_task,
             positions=positions,
             masses=masses,
             segments=self._segments(n, s),
-            wg_size=p,
+            wg_size=cfg.wg_size,
             softening=cfg.softening,
             G=cfg.G,
             device=cfg.device,
-            backend=self._kernel_backend(),
+            backend=backend,
         )
         with obs.span("force_kernel", plan=self.name, n=n, split_factor=s):
-            results = self._engine().map(task, ranges, label="j.iblock")
+            results = self._engine().map(task, ranges, label="j.rows")
         acc = np.empty((n, 3), dtype=np.float32)
         for (i0, i1), (block, c) in zip(ranges, results):
             acc[i0:i1] = block

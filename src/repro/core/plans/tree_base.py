@@ -117,15 +117,6 @@ def _compiled_walks_task(
     )
 
 
-def _ranges(walks: WalkSet, ids: np.ndarray, n: int) -> list[np.ndarray]:
-    """``ids`` cut into at most ``n`` contiguous runs of similar total work."""
-    if n <= 1 or ids.size <= 1:
-        return [ids]
-    csum = np.cumsum(walks.interactions_per_walk()[ids])
-    cuts = np.searchsorted(csum, csum[-1] * np.arange(1, n) / n)
-    return [run for run in np.split(ids, cuts) if run.size]
-
-
 def evaluate_walks(
     walks: WalkSet,
     splits: np.ndarray,
@@ -143,8 +134,10 @@ def evaluate_walks(
     float32 accelerations (rows of unselected walks are zero) and the
     interactions evaluated.
 
-    On the ``cext`` backend each engine worker takes one contiguous range
-    of walks (a serial engine runs one task per pass) and
+    On the ``cext`` backend the selection is cut by its interactions
+    (:meth:`~repro.exec.engine.ExecutionEngine.split`: at most one
+    contiguous range of walks per worker, one task below twice
+    :data:`~repro.exec.engine.MIN_TASK_WORK`) and
     :meth:`~repro.nbody.kernels.CExtensionBackend.walk_forces` gathers
     every segment in compiled code and hands it to the backend's
     ``sources`` kernel; any other backend maps the per-walk
@@ -157,7 +150,8 @@ def evaluate_walks(
     kb = resolve_backend(backend)
     task_args = dict(walks=walks, splits=splits, config=config, backend=kb.name)
     if isinstance(kb, CExtensionBackend):
-        runs = _ranges(walks, ids, engine.workers)
+        cuts = engine.split(walks.interactions_per_walk()[ids])
+        runs = [ids[a:b] for a, b in cuts]
         task = partial(_compiled_walks_task, **task_args)
         results = engine.map(task, runs, label="walks.compiled")
     else:

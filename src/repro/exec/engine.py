@@ -1,14 +1,30 @@
 """Parallel map: an in-order loop or a thread pool, picked by the worker count.
 
-The PTPM plans enumerate independent units of force work — work-group
-target ranges (i), i-block × j-segment rectangles (j), walks (w / jw).
-:class:`ExecutionEngine` fans those units out across CPU workers the same
-way the simulated device fans work-groups across compute units, subject to
-one hard rule: **parallel output is bit-identical to serial**.  Tasks are
-dispatched and their results reduced in fixed index order, each task's
-arithmetic is self-contained (per-worker workspaces, no shared
+The PTPM plans enumerate independent units of force work — target rows
+(i), target rows against j-segments (j), walks (w / jw).
+:class:`ExecutionEngine` fans those units out across CPU workers, subject
+to one hard rule: **parallel output is bit-identical to serial**.  Tasks
+are dispatched and their results reduced in fixed index order, each
+task's arithmetic is self-contained (per-worker workspaces, no shared
 accumulators), so the only thing the worker count changes is wall-clock
 time.
+
+Cutting a pass into tasks
+-------------------------
+A force pass on a compiled kernel backend is cut by its work, not by the
+simulated device's work-groups (those stay in the timing model):
+:meth:`ExecutionEngine.split` turns per-item work — interactions per
+target row or per walk — into at most ``workers`` contiguous ranges of
+similar total work, none smaller than :data:`MIN_TASK_WORK` interactions
+unless it is the only one.  A pass under twice the minimum is therefore
+one task, and a one-task ``map`` runs inline on the calling thread (still
+through the retry policy and the fault injector), so a small pass pays
+for no thread hand-off.  The minimum is where a second task starts to
+pay on a two-core host (EXPERIMENTS.md "Work-cut dispatch and a WAL
+ledger").  Each row's and each walk's sum depends only on its own target
+and sources, so any cut gives the same bits.  The NumPy reference keeps
+one task per simulated work-group or walk, which bounds its tile
+temporaries.
 
 Workers
 -------
@@ -57,12 +73,15 @@ from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
+import numpy as np
+
 from repro import obs
 from repro.errors import ConfigurationError, ExecutionError
 from repro.exec.faults import FaultInjector, RetryPolicy
 from repro.exec.workspace import total_workspace_bytes
 
 __all__ = [
+    "MIN_TASK_WORK",
     "EnginePool",
     "ExecutionEngine",
     "get_default_engine",
@@ -71,6 +90,12 @@ __all__ = [
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+#: Fewest interactions worth an engine task of their own: on the
+#: two-core reference host two halves of an i pass lose to one task up
+#: to 2.4 M interactions and win from 4.2 M (EXPERIMENTS.md "Work-cut
+#: dispatch and a WAL ledger").
+MIN_TASK_WORK = 1 << 21
 
 
 def _checked_workers(workers: int) -> int:
@@ -201,6 +226,37 @@ class ExecutionEngine:
         self.close()
 
     # ------------------------------------------------------------------
+    def split(self, work: Sequence[int] | np.ndarray) -> list[tuple[int, int]]:
+        """Cut items of the given ``work`` into contiguous ``[a, b)`` ranges.
+
+        The ranges cover every item in order, number at most
+        :attr:`workers`, and have similar total work; none holds less
+        than :data:`MIN_TASK_WORK` unless it is the only one, so a pass
+        under twice the minimum is one range.  No items give the one
+        range ``(0, 0)``.
+        """
+        ends = np.cumsum(np.asarray(work, dtype=np.int64))
+        n = ends.size
+        total = int(ends[-1]) if n else 0
+        parts = min(self._workers, total // MIN_TASK_WORK)
+        if parts <= 1:
+            return [(0, n)]
+        # cut where the work done so far comes nearest each k/parts share;
+        # a cut that would leave either side under the minimum is dropped
+        done = np.concatenate(([0], ends))  # work before item k
+        shares = total * np.arange(1, parts) / parts
+        hi = np.searchsorted(done, shares)
+        cuts = np.where(done[hi] - shares <= shares - done[hi - 1], hi, hi - 1)
+        bounds = [0]
+        for cut in cuts.tolist():
+            if (
+                done[cut] - done[bounds[-1]] >= MIN_TASK_WORK
+                and total - done[cut] >= MIN_TASK_WORK
+            ):
+                bounds.append(cut)
+        bounds.append(n)
+        return list(zip(bounds[:-1], bounds[1:]))
+
     def map(
         self,
         fn: Callable[[T], R],
@@ -213,7 +269,8 @@ class ExecutionEngine:
         The reduction-order guarantee is what makes parallel force passes
         bit-identical to serial: whichever worker finishes first, result
         ``i`` always lands in slot ``i`` and downstream reductions
-        consume slots in ascending order.
+        consume slots in ascending order.  One item runs on the calling
+        thread, whatever the worker count.
         """
         work: Sequence[T] = items if isinstance(items, Sequence) else list(items)
         parallel = self._workers > 1 and len(work) > 1

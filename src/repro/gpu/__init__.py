@@ -7,7 +7,7 @@ calibrated timing engine (occupancy, divergence, memory, scheduling).
 
 from repro.gpu.device import RADEON_HD_5850, DeviceSpec, multi_device, scaled_device
 from repro.gpu.counters import CostCounters
-from repro.gpu.wavefront import active_wavefronts, divergent_cycles, lane_utilization
+from repro.gpu.wavefront import active_wavefronts
 from repro.gpu.memory import (
     BYTES_PER_ACCEL,
     BYTES_PER_BODY,
@@ -44,8 +44,6 @@ __all__ = [
     "multi_device",
     "CostCounters",
     "active_wavefronts",
-    "divergent_cycles",
-    "lane_utilization",
     "BYTES_PER_ACCEL",
     "BYTES_PER_BODY",
     "TransferLog",

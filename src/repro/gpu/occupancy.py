@@ -37,11 +37,6 @@ class OccupancyInfo:
     latency_efficiency: float
     cu_utilization: float
 
-    @property
-    def occupancy(self) -> float:
-        """Resident wavefronts over the architectural maximum (diagnostic)."""
-        return self.resident_wavefronts and min(1.0, self.resident_wavefronts)  # pragma: no cover
-
 
 def kernel_occupancy(
     device: DeviceSpec,

@@ -1,4 +1,4 @@
-"""SIMT wavefront accounting: lane utilisation and divergence.
+"""SIMT wavefront accounting: the wavefronts a work-group issues.
 
 On a SIMT device a work-group executes as ``ceil(T / wavefront)`` lock-step
 wavefronts.  Lanes beyond the active work count still occupy issue slots
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["active_wavefronts", "lane_utilization", "divergent_cycles"]
+__all__ = ["active_wavefronts"]
 
 
 def active_wavefronts(active_items: int, wavefront_size: int) -> int:
@@ -22,30 +22,3 @@ def active_wavefronts(active_items: int, wavefront_size: int) -> int:
     if active_items < 0:
         raise ValueError(f"active_items must be >= 0, got {active_items}")
     return math.ceil(active_items / wavefront_size)
-
-
-def lane_utilization(active_items: int, wavefront_size: int) -> float:
-    """Fraction of issued lanes doing useful work (1.0 when fully packed)."""
-    wf = active_wavefronts(active_items, wavefront_size)
-    if wf == 0:
-        return 0.0
-    return active_items / (wf * wavefront_size)
-
-
-def divergent_cycles(per_lane_work: list[int] | tuple[int, ...], wavefront_size: int,
-                     cycles_per_unit: float) -> float:
-    """Issue cycles for lanes with unequal work, SIMT-style.
-
-    Lanes are packed into wavefronts in order; each wavefront costs the
-    *maximum* of its lanes' work (inactive branches still occupy the
-    wavefront), which is exactly how variable-length interaction lists
-    serialise on real hardware.
-    """
-    if cycles_per_unit <= 0:
-        raise ValueError(f"cycles_per_unit must be positive, got {cycles_per_unit}")
-    total = 0.0
-    work = list(per_lane_work)
-    for w0 in range(0, len(work), wavefront_size):
-        chunk = work[w0 : w0 + wavefront_size]
-        total += max(chunk) * cycles_per_unit
-    return total

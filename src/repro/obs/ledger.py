@@ -26,10 +26,21 @@ determinism gate runs with it on in CI).
 
 Each write is one committed transaction guarded by a process lock; the
 connection is opened with ``check_same_thread=False`` so the serve
-scheduler's runner threads can share it.  Schema identity lives in
-``PRAGMA user_version`` (:data:`LEDGER_VERSION`) — opening a newer or
-unrelated database raises :class:`~repro.errors.LedgerError` instead of
-guessing, which is the drift gate CI asserts on; an *older* supported
+scheduler's runner threads can share it.  The database runs in WAL
+mode (``PRAGMA journal_mode=WAL``) with ``PRAGMA synchronous=FULL``,
+set explicitly because some SQLite builds open WAL connections at
+``NORMAL``: a commit appends to the write-ahead log and fsyncs it once,
+instead of creating, syncing and deleting a rollback journal, and every
+committed write stays durable across a power loss.  A database that
+cannot switch, such as a read-only shard file, keeps its journal mode.
+While a ledger is open its ``-wal`` and ``-shm`` side files are part of
+it (the last connection to close folds them back in), so copy a live
+ledger with :meth:`RunLedger.merge`, not by copying the file.
+
+Schema identity lives in ``PRAGMA user_version`` (:data:`LEDGER_VERSION`)
+— opening a newer or unrelated database raises
+:class:`~repro.errors.LedgerError` instead of guessing, which is the
+drift gate CI asserts on; an *older* supported
 version is migrated forward in place (v1 → v2 adds the ``shard``
 column, v2 → v3 adds ``tenant``).
 
@@ -167,6 +178,11 @@ class RunLedger:
         except sqlite3.Error as exc:  # pragma: no cover - environment
             raise LedgerError(f"cannot open ledger at {path}: {exc}") from exc
         self._conn.row_factory = sqlite3.Row
+        try:
+            self._conn.execute("PRAGMA journal_mode=WAL")
+        except sqlite3.OperationalError:
+            pass  # a read-only or busy database keeps its journal mode
+        self._conn.execute("PRAGMA synchronous=FULL")
         self._init_schema()
 
     def _init_schema(self) -> None:
@@ -514,48 +530,56 @@ class RunLedger:
 
         Run ids are remapped (they are only unique per file); slices and
         events follow their runs, and ``other``'s run-less events are
-        copied as-is.  This is the single-host precursor of the
-        multi-shard database merge (ROADMAP item 1).
+        copied as-is.  Everything is read from ``other`` first and then
+        written in one transaction, so a merge that fails part-way leaves
+        this ledger as it was (:class:`~repro.errors.LedgerError`) and a
+        retried merge copies each run once.
         """
         owned = not isinstance(other, RunLedger)
         src = RunLedger(other) if owned else other
         try:
             runs = src.runs()
-            id_map: dict[int, int] = {}
-            for row in runs:
-                old_id = row.pop("run_id")
-                cols = [c for c, v in row.items() if v is not None]
-                vals = [row[c] for c in cols]
-                sql = (
-                    f"INSERT INTO runs ({', '.join(cols)}) "
-                    f"VALUES ({', '.join('?' * len(cols))})"
-                )
-                with self._lock, self._db():
-                    cur = self._conn.execute(sql, vals)
-                    id_map[old_id] = int(cur.lastrowid)
-            for old_id, new_id in id_map.items():
-                for s in src.slices(old_id):
-                    with self._lock, self._db():
-                        self._conn.execute(
-                            "INSERT INTO slices (run_id, seq, steps, wall_s, "
-                            "at_s) VALUES (?, ?, ?, ?, ?)",
-                            (new_id, s["seq"], s["steps"], s["wall_s"],
-                             s["at_s"]),
-                        )
-            for ev in src.events():
-                mapped = id_map.get(ev["run_id"]) if ev["run_id"] else None
-                if ev["run_id"] and mapped is None:
-                    continue  # event of a run we did not copy (filtered)
-                with self._lock, self._db():
-                    self._conn.execute(
-                        "INSERT INTO events (run_id, at_s, kind, detail) "
-                        "VALUES (?, ?, ?, ?)",
-                        (mapped, ev["at_s"], ev["kind"], ev["detail"]),
-                    )
-            return len(id_map)
+            slices = src._rows("SELECT * FROM slices ORDER BY run_id, slice_id")
+            events = src.events()
         finally:
             if owned:
                 src.close()
+        try:
+            with self._lock, self._db():
+                id_map: dict[int, int] = {}
+                for row in runs:
+                    old_id = row.pop("run_id")
+                    cols = [c for c, v in row.items() if v is not None]
+                    cur = self._conn.execute(
+                        f"INSERT INTO runs ({', '.join(cols)}) "
+                        f"VALUES ({', '.join('?' * len(cols))})",
+                        [row[c] for c in cols],
+                    )
+                    id_map[old_id] = int(cur.lastrowid)
+                self._conn.executemany(
+                    "INSERT INTO slices (run_id, seq, steps, wall_s, at_s) "
+                    "VALUES (?, ?, ?, ?, ?)",
+                    [
+                        (id_map[s["run_id"]], s["seq"], s["steps"],
+                         s["wall_s"], s["at_s"])
+                        for s in slices if s["run_id"] in id_map
+                    ],
+                )
+                # run-less events are copied; those of uncopied runs are not
+                self._conn.executemany(
+                    "INSERT INTO events (run_id, at_s, kind, detail) "
+                    "VALUES (?, ?, ?, ?)",
+                    [
+                        (id_map.get(e["run_id"]), e["at_s"], e["kind"], e["detail"])
+                        for e in events
+                        if e["run_id"] is None or e["run_id"] in id_map
+                    ],
+                )
+        except sqlite3.Error as exc:
+            raise LedgerError(
+                f"merge into {self.path} rolled back: {exc}"
+            ) from exc
+        return len(id_map)
 
     def __len__(self) -> int:
         with self._lock:

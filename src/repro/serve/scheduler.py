@@ -3,9 +3,12 @@
 The paper's time-axis insight — overlap independent work along time so
 the hardware never idles — applied to whole *runs*: instead of executing
 jobs back-to-back, the scheduler keeps up to ``max_live`` sessions in
-flight and round-robins them in ``steps_per_slice``-step slices.  While
-one job's force pass waits on the shared :class:`~repro.exec.EnginePool`,
-another job's slice can occupy it.
+flight and round-robins them in ``steps_per_slice``-step slices, one
+runner thread each, so one job's slice runs while another's waits on the
+host.  A force pass small enough to be one engine task (under twice
+:data:`~repro.exec.engine.MIN_TASK_WORK` on a compiled backend, such as
+an n=1,024 all-pairs pass) runs on its runner thread; only a larger pass
+fans out into the shared :class:`~repro.exec.EnginePool`.
 
 Correctness does not depend on scheduling order: each session's steps
 are strictly sequential, forces are deterministic on every backend, and

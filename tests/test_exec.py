@@ -7,7 +7,9 @@ Covers the three contracts the execution layer makes:
 2. ``ExecutionEngine.map`` returns results in fixed index order for any
    worker count, so parallel force passes are **bit-identical** to serial;
 3. dispatches are observable (``exec.dispatch`` / ``exec.worker`` spans,
-   ``tasks_total`` counter, ``workspace_bytes`` gauge).
+   ``tasks_total`` counter, ``workspace_bytes`` gauge);
+4. a pass is cut by its work (``ExecutionEngine.split``), and any cut
+   gives the rows one task per simulated work-group gives.
 
 Plus regression tests for the PR's bugfixes: step/force-pass accounting,
 coincident-body detection in ``direct_forces``, and ``out=`` validation
@@ -16,6 +18,8 @@ in ``accelerations_from_sources``.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.check import assert_bit_identical
@@ -30,11 +34,21 @@ from repro.exec import (
     local_workspace,
     total_workspace_bytes,
 )
+from repro.exec import engine as engine_module
+from repro.exec.engine import MIN_TASK_WORK
+from repro.gpu.kernel import tile_loop_forces
 from repro.nbody.forces import accelerations_from_sources, direct_forces
 from repro.nbody.ic import plummer
+from repro.nbody.kernels import get_backend
 
 PLANS = ["i", "j", "w", "jw"]
 EPS = 1e-2
+
+needs_cext = pytest.mark.skipif(
+    not get_backend("cext").available,
+    reason=f"cext backend unavailable: {get_backend('cext').unavailable_reason}",
+)
+BACKENDS = ["numpy", pytest.param("cext", marks=needs_cext)]
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +227,137 @@ class TestBitEquality:
             plan.accelerations(pos, mass)
         assert ws.nbytes == nbytes
         assert ws.allocations == allocs
+
+
+# ---------------------------------------------------------------------------
+# Cutting a pass by its work
+# ---------------------------------------------------------------------------
+
+def _work(ranges, work):
+    return [int(np.sum(work[a:b])) for a, b in ranges]
+
+
+class TestSplit:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        work=st.lists(st.integers(0, 3 * MIN_TASK_WORK), max_size=40),
+        workers=st.integers(1, 4),
+    )
+    def test_ranges_cover_in_order_and_respect_the_minimum(self, work, workers):
+        ranges = ExecutionEngine(workers).split(work)
+        assert 1 <= len(ranges) <= workers
+        assert ranges[0][0] == 0 and ranges[-1][1] == len(work)
+        assert all(a1 == b0 for (_, a1), (b0, _) in zip(ranges, ranges[1:]))
+        if len(ranges) > 1:
+            assert all(a < b for a, b in ranges)
+            assert min(_work(ranges, np.array(work))) >= MIN_TASK_WORK
+        if sum(work) < 2 * MIN_TASK_WORK:
+            assert len(ranges) == 1
+
+    def test_edge_cases(self):
+        engine = ExecutionEngine(4)
+        assert engine.split([]) == [(0, 0)]
+        assert engine.split([10 * MIN_TASK_WORK]) == [(0, 1)]
+        assert engine.split([MIN_TASK_WORK] * 8) == [(0, 2), (2, 4), (4, 6), (6, 8)]
+        assert ExecutionEngine(1).split([MIN_TASK_WORK] * 8) == [(0, 8)]
+
+    def test_rows_of_a_pass_split_at_twice_the_minimum(self):
+        # one row of an all-pairs pass is n interactions
+        n = int(np.sqrt(2 * MIN_TASK_WORK))
+        engine = ExecutionEngine(2)
+        assert engine.split(np.full(n, n)) == [(0, n // 2), (n // 2, n)]
+        assert engine.split(np.full(n - 1, n - 1)) == [(0, n - 1)]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_similar_work_per_range(self, workers):
+        work = np.random.default_rng(5).integers(1, 1000, 5000) * 10
+        ranges = ExecutionEngine(workers).split(work)
+        assert len(ranges) == workers
+        shares = _work(ranges, work)
+        assert max(shares) - min(shares) <= 2 * work.max()
+
+
+def _rows_per_workgroup(targets, pos, mass, segments, cfg, backend):
+    """Float32 rows of ``targets``, one work-group of ``wg_size`` rows at a
+    time, each summing its ``segments`` of the sources in order."""
+    p = cfg.wg_size
+    out = np.empty((targets.shape[0], 3), np.float32)
+    for a in range(0, targets.shape[0], p):
+        b = min(a + p, targets.shape[0])
+        partials = np.zeros((len(segments), b - a, 3), np.float32)
+        for k, (j0, j1) in enumerate(segments):
+            tile_loop_forces(
+                targets[a:b], pos[j0:j1], mass[j0:j1], wg_size=p,
+                softening=cfg.softening, out=partials[k], backend=backend,
+            )
+        out[a:b] = partials.sum(axis=0, dtype=np.float32)
+    return out.astype(np.float64)
+
+
+class TestWorkCut:
+    """Any cut of a pass gives the rows one task per work-group gives."""
+
+    N = 1000
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        p = plummer(self.N, seed=21)
+        return p.positions, p.masses
+
+    def _case(self, plan_name, backend, system):
+        """(config, per-work-group reference rows, the pass, target rows)."""
+        pos, mass = system
+        n = self.N
+        cfg = PlanConfig(softening=EPS, wg_size=64, kernel_backend=backend)
+        active = np.arange(1, n, 3) if plan_name == "block-i" else None
+        targets = pos if active is None else pos[active]
+        segments = [(0, n)]
+        if plan_name == "j":
+            plan = get_plan("j", cfg)
+            segments = plan._segments(n, plan.split_factor(n))
+            assert len(segments) > 1
+
+        def run(plan):
+            if active is None:
+                return plan.accelerations(pos, mass)
+            return plan.compute_step(pos, mass, active=active)[0]
+
+        ref = _rows_per_workgroup(targets, pos, mass, segments, cfg, backend)
+        return cfg, ref, run, targets.shape[0]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("plan_name", ["i", "j", "block-i"])
+    def test_rows_equal_one_task_per_workgroup(
+        self, plan_name, backend, system, monkeypatch
+    ):
+        monkeypatch.setattr(engine_module, "MIN_TASK_WORK", 1 << 12)
+        cfg, ref, run, rows = self._case(plan_name, backend, system)
+        workgroups = -(-rows // cfg.wg_size)
+        for workers in (1, 2, 3):
+            with ExecutionEngine(workers) as engine:
+                acc = run(get_plan(plan_name, cfg, engine=engine))
+                tasks = engine.tasks_total
+            assert tasks == (workgroups if backend == "numpy" else workers)
+            assert_bit_identical(
+                ref, acc, context=f"{plan_name} on {backend}, {workers} workers"
+            )
+
+    @needs_cext
+    def test_small_pass_is_one_task_on_the_calling_thread(self, bodies):
+        pos, mass = bodies  # 1,024 bodies: 1.05 M interactions
+        obs.enable(reset=True)
+        try:
+            with ExecutionEngine(2) as engine:
+                plan = get_plan("i", PlanConfig(softening=EPS, kernel_backend="cext"),
+                                engine=engine)
+                plan.accelerations(pos, mass)
+                assert engine.tasks_total == 1
+            dispatch = next(
+                s for s in obs.tracer().spans if s.name == "exec.dispatch"
+            )
+            assert dispatch.attrs["backend"] == "serial"
+        finally:
+            obs.disable()
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.gpu.counters import CostCounters
-from repro.gpu.wavefront import active_wavefronts, divergent_cycles, lane_utilization
+from repro.gpu.wavefront import active_wavefronts
 
 
 class TestActiveWavefronts:
@@ -18,38 +18,6 @@ class TestActiveWavefronts:
             active_wavefronts(-1, 64)
         with pytest.raises(ValueError):
             active_wavefronts(1, 0)
-
-
-class TestLaneUtilization:
-    def test_full_wavefront(self):
-        assert lane_utilization(64, 64) == 1.0
-
-    def test_half_wavefront(self):
-        assert lane_utilization(32, 64) == 0.5
-
-    def test_partial_second_wavefront(self):
-        assert lane_utilization(96, 64) == pytest.approx(0.75)
-
-    def test_zero_items(self):
-        assert lane_utilization(0, 64) == 0.0
-
-
-class TestDivergentCycles:
-    def test_uniform_work(self):
-        # 64 lanes, 10 units each, 2 cycles/unit -> one wavefront of max 10
-        assert divergent_cycles([10] * 64, 64, 2.0) == 20.0
-
-    def test_max_dominates(self):
-        work = [1] * 63 + [100]
-        assert divergent_cycles(work, 64, 1.0) == 100.0
-
-    def test_multiple_wavefronts(self):
-        work = [10] * 64 + [20] * 64
-        assert divergent_cycles(work, 64, 1.0) == 30.0
-
-    def test_rejects_bad_cycles(self):
-        with pytest.raises(ValueError):
-            divergent_cycles([1], 64, 0.0)
 
 
 class TestCostCounters:

@@ -259,6 +259,112 @@ class TestMerge:
             assert a.merge(tmp_path / "b") == 1
             assert a.runs(plan="w")
 
+    @staticmethod
+    def _three_runs(path):
+        """A ledger of three runs with one slice and one event each."""
+        led = RunLedger(path)
+        for k in range(3):
+            run_id = led.record_submitted(plan="i", spec_hash=f"h{k}")
+            led.record_slice(run_id, seq=1, steps=2, wall_s=0.1)
+            led.record_event("checkpoint", run_id=run_id)
+        return led
+
+    def test_interrupted_read_leaves_target_unchanged(self, tmp_path):
+        src = self._three_runs(tmp_path / "src")
+        with RunLedger(tmp_path / "dst") as dst:
+            dst.record_submitted(plan="j")
+            before = dst.counts()
+            reads = []
+            rows = src._rows
+
+            def failing_third_read(*args):
+                reads.append(args)
+                if len(reads) == 3:  # the second run's slices, read one by one
+                    raise Interrupt("killed mid-merge")
+                return rows(*args)
+
+            src._rows = failing_third_read
+            with pytest.raises(Interrupt):
+                dst.merge(src)
+            assert dst.counts() == before
+            src._rows = rows
+            assert dst.merge(src) == 3
+            assert dst.counts() == {"runs": 4, "slices": 3, "events": 3}
+            assert sorted(r["spec_hash"] for r in dst.runs(plan="i")) == [
+                "h0", "h1", "h2",
+            ]
+        src.close()
+
+    def test_failed_write_rolls_back_and_retry_copies_once(self, tmp_path):
+        self._three_runs(tmp_path / "src").close()
+        with RunLedger(tmp_path / "dst") as dst:
+            before = dst.counts()
+            dst._db().execute(
+                "CREATE TEMP TRIGGER fail_second_slice AFTER INSERT ON slices "
+                "WHEN (SELECT COUNT(*) FROM slices) > 1 "
+                "BEGIN SELECT RAISE(ABORT, 'disk gone'); END"
+            )
+            with pytest.raises(LedgerError, match="rolled back"):
+                dst.merge(tmp_path / "src")
+            assert dst.counts() == before
+            dst._db().execute("DROP TRIGGER fail_second_slice")
+            assert dst.merge(tmp_path / "src") == 3
+            assert dst.counts() == {"runs": 3, "slices": 3, "events": 3}
+            for run in dst.runs():
+                assert [s["seq"] for s in dst.slices(run["run_id"])] == [1]
+
+
+class TestWriteAheadLog:
+    def test_fresh_ledger_is_wal_with_full_sync(self, tmp_path):
+        with RunLedger(tmp_path / "led") as led:
+            db = led._db()
+            assert db.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
+            assert db.execute("PRAGMA synchronous").fetchone()[0] == 2
+
+    def test_rollback_journal_database_reopens_in_wal(self, tmp_path):
+        with RunLedger(tmp_path / "led") as led:
+            run_id = led.record_submitted(plan="i")
+            path = led.path
+        conn = sqlite3.connect(path)
+        assert conn.execute("PRAGMA journal_mode=DELETE").fetchone()[0] == "delete"
+        conn.close()
+        with RunLedger(path) as led:
+            assert led._db().execute("PRAGMA journal_mode").fetchone()[0] == "wal"
+            assert led.run(run_id)["plan"] == "i"
+            assert led.user_version == LEDGER_VERSION
+
+    def test_read_only_database_keeps_its_journal_and_reads(
+        self, tmp_path, monkeypatch
+    ):
+        with RunLedger(tmp_path / "led") as led:
+            run_id = led.record_submitted(plan="j")
+            path = led.path
+        conn = sqlite3.connect(path)
+        conn.execute("PRAGMA journal_mode=DELETE")
+        conn.close()
+        connect = sqlite3.connect
+        monkeypatch.setattr(
+            sqlite3, "connect",
+            lambda db, **kw: connect(f"file:{db}?mode=ro", uri=True, **kw),
+        )
+        with RunLedger(path) as led:  # e.g. a shard database on a read-only mount
+            assert led._db().execute("PRAGMA journal_mode").fetchone()[0] == "delete"
+            assert led.run(run_id)["plan"] == "j"
+
+    def test_committed_write_is_visible_to_another_connection(self, tmp_path):
+        with RunLedger(tmp_path / "led") as led:
+            run_id = led.record_submitted(plan="w")
+            led.record_finished(run_id, status="complete", wall_s=0.5)
+            # a second process-level connection sees each commit at once
+            other = sqlite3.connect(led.path)
+            try:
+                status, wall = other.execute(
+                    "SELECT status, wall_s FROM runs WHERE run_id = ?", (run_id,)
+                ).fetchone()
+            finally:
+                other.close()
+        assert (status, wall) == ("complete", 0.5)
+
 
 # ---------------------------------------------------------------------------
 # Settings precedence

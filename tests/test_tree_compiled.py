@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 
 from repro.core.plans import PlanConfig, get_plan
 from repro.core.plans.tree_base import evaluate_walks, segments
+from repro.exec import engine as engine_module
 from repro.exec.engine import ExecutionEngine
 from repro.gpu.kernel import tile_loop_forces
 from repro.nbody.ic import plummer
@@ -336,7 +337,10 @@ class TestEvaluator:
         assert np.array_equal(acc, _per_walk_reference(walks, splits, cfg, selected))
         assert interactions == int(walks.interactions_per_walk()[selected].sum())
 
-    def test_serial_equals_two_threads(self, walks):
+    def test_serial_equals_two_threads(self, walks, monkeypatch):
+        # the 1,024-body pass is under twice the minimum task: lower it so
+        # the pass still runs as two tasks on two threads
+        monkeypatch.setattr(engine_module, "MIN_TASK_WORK", 1 << 16)
         cfg = PlanConfig(softening=EPS, kernel_backend="cext")
         splits = get_plan("jw", cfg).split_counts(walks)
         serial, _ = evaluate_walks(
