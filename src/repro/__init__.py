@@ -67,7 +67,6 @@ _EXPORTS = {
     "RunLedger": "repro.obs.ledger",
     "ExecutionEngine": "repro.exec",
     "EnginePool": "repro.exec",
-    "Client": "repro.serve",
     "Coordinator": "repro.serve",
     "Gateway": "repro.serve",
     "JobHandle": "repro.serve",

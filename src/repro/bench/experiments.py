@@ -31,7 +31,7 @@ import numpy as np
 from repro.bench.figures import ascii_chart
 from repro.bench.runner import PAPER_N_STEPS, SweepRow, run_plan_point, run_sweep
 from repro.bench.tables import fmt_gflops, fmt_ratio, fmt_seconds, format_table
-from repro.bench.workloads import PAPER_N_SWEEP, make_workload
+from repro.bench.workloads import PAPER_N_SWEEP, QUICK_N_SWEEP, make_workload
 from repro.core.hostmodel import PENTIUM_E5300
 from repro.core.plans import PlanConfig, get_plan
 from repro.gpu.device import multi_device
@@ -39,7 +39,16 @@ from repro.gpu.trace import trace_costs
 from repro.nbody.forces import direct_forces
 from repro.tree.bh_force import rms_relative_error
 
-__all__ = ["ExperimentResult", "EXPERIMENTS", "run_experiment", "ALL_PLANS"]
+__all__ = [
+    "ExperimentResult",
+    "EXPERIMENTS",
+    "SWEEP_EXPERIMENTS",
+    "STEPS_EXPERIMENTS",
+    "WORKLOAD_EXPERIMENTS",
+    "experiment_kwargs",
+    "run_experiment",
+    "ALL_PLANS",
+]
 
 ALL_PLANS = ("i", "j", "w", "jw")
 
@@ -537,6 +546,45 @@ EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
     "ext-multigpu": extension_multigpu,
     "val-accuracy": validation_accuracy,
 }
+
+#: Experiments that take an ``n_values`` sweep (``quick`` picks the short one).
+SWEEP_EXPERIMENTS = frozenset({"fig4", "fig5", "table1", "table2", "table3"})
+
+#: Experiments that take ``n_steps`` (the paper's timed tables).
+STEPS_EXPERIMENTS = frozenset({"table1", "table2", "table3"})
+
+#: Experiments that take a ``workload``.
+WORKLOAD_EXPERIMENTS = SWEEP_EXPERIMENTS | {
+    "abl-tile",
+    "abl-theta",
+    "abl-queue",
+    "abl-overlap",
+    "abl-quad",
+    "ext-multigpu",
+}
+
+
+def experiment_kwargs(
+    exp_id: str,
+    *,
+    quick: bool = False,
+    workload: str | None = None,
+    steps: int | None = None,
+) -> dict[str, Any]:
+    """The keywords an experiment gets from the common bench options.
+
+    The one builder behind ``bench <id>``, ``bench all``, ``profile`` and
+    ``bench report``: each option reaches only the experiments that take
+    it, and ``workload`` defaults to ``"plummer"``.
+    """
+    kwargs: dict[str, Any] = {}
+    if exp_id in WORKLOAD_EXPERIMENTS:
+        kwargs["workload"] = workload or "plummer"
+    if quick and exp_id in SWEEP_EXPERIMENTS:
+        kwargs["n_values"] = QUICK_N_SWEEP
+    if steps is not None and exp_id in STEPS_EXPERIMENTS:
+        kwargs["n_steps"] = steps
+    return kwargs
 
 
 def run_experiment(exp_id: str, **kwargs: Any) -> ExperimentResult:

@@ -12,15 +12,12 @@ from pathlib import Path
 from typing import Sequence
 
 from repro._version import __version__
-from repro.bench.experiments import EXPERIMENTS, run_experiment
+from repro.bench.experiments import EXPERIMENTS, experiment_kwargs, run_experiment
 from repro.bench.workloads import PAPER_N_SWEEP, QUICK_N_SWEEP
 
 __all__ = ["generate_report", "DEFAULT_REPORT_PATH"]
 
 DEFAULT_REPORT_PATH = "repro_report.md"
-
-#: Experiments that take an ``n_values`` sweep argument.
-_SWEEP_EXPERIMENTS = {"fig4", "fig5", "table1", "table2", "table3"}
 
 
 def generate_report(
@@ -28,14 +25,22 @@ def generate_report(
     *,
     quick: bool = False,
     workload: str = "plummer",
+    steps: int | None = None,
     experiments: Sequence[str] | None = None,
 ) -> Path:
     """Run experiments and write the consolidated markdown report.
+
+    Each experiment gets the keywords ``bench <id>`` would give it with
+    the same options (:func:`~repro.bench.experiments.experiment_kwargs`).
 
     Parameters
     ----------
     quick:
         Use the short N sweep for the sweep-style experiments.
+    workload:
+        Workload of every experiment that takes one.
+    steps:
+        Timed steps of the paper's tables (``None``: their default).
     experiments:
         Subset of experiment ids to include (default: all, in registry
         order).
@@ -63,11 +68,10 @@ def generate_report(
         "",
     ]
     for exp_id in exp_ids:
-        kwargs: dict = {}
-        if exp_id in _SWEEP_EXPERIMENTS:
-            kwargs["n_values"] = sweep
-            kwargs["workload"] = workload
-        result = run_experiment(exp_id, **kwargs)
+        result = run_experiment(
+            exp_id,
+            **experiment_kwargs(exp_id, quick=quick, workload=workload, steps=steps),
+        )
         lines.append(f"## {exp_id} — {result.title}")
         lines.append("")
         lines.append("```text")

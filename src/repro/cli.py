@@ -55,28 +55,20 @@ from typing import Sequence
 
 from repro import obs
 from repro._version import __version__
-from repro.bench.experiments import EXPERIMENTS, run_experiment
+from repro.bench.experiments import (
+    EXPERIMENTS,
+    STEPS_EXPERIMENTS,
+    SWEEP_EXPERIMENTS,
+    WORKLOAD_EXPERIMENTS,
+    experiment_kwargs,
+    run_experiment,
+)
 from repro.bench.workloads import PAPER_N_SWEEP, QUICK_N_SWEEP, WORKLOADS
 from repro.config import SETTINGS, configure, resolve
 from repro.errors import ConfigurationError
 
 __all__ = ["main", "build_parser"]
 
-#: Experiments that accept sweep-style options (``--quick``).
-_SWEEP_EXPERIMENTS = {"fig4", "fig5", "table1", "table2", "table3"}
-
-#: Experiments that accept ``--steps`` (the paper's timed tables).
-_STEPS_EXPERIMENTS = {"table1", "table2", "table3"}
-
-#: Experiments that accept a ``workload`` keyword.
-_WORKLOAD_EXPERIMENTS = _SWEEP_EXPERIMENTS | {
-    "abl-tile",
-    "abl-theta",
-    "abl-queue",
-    "abl-overlap",
-    "abl-quad",
-    "ext-multigpu",
-}
 
 #: Default trace path for ``--trace`` without an explicit ``--trace-out``.
 DEFAULT_TRACE_PATH = "trace.json"
@@ -625,9 +617,7 @@ def _validate_bench_args(
     (``parser.error``, exit code 2) for flags that would otherwise be
     silently dropped; warnings on stderr for soft mismatches.
     """
-    if args.experiment == "report":
-        exp_ids: list[str] = []
-    elif args.experiment == "all":
+    if args.experiment in ("all", "report"):
         exp_ids = sorted(EXPERIMENTS)
     else:
         exp_ids = [args.experiment]
@@ -637,37 +627,24 @@ def _validate_bench_args(
             f"--output only applies to the 'report' command, "
             f"not '{args.experiment}'"
         )
-    if args.steps is not None and args.experiment != "report":
-        if not any(e in _STEPS_EXPERIMENTS for e in exp_ids):
-            parser.error(
-                f"--steps does not apply to '{exp_ids[0] if exp_ids else args.experiment}' "
-                f"(only to {sorted(_STEPS_EXPERIMENTS)})"
-            )
+    if args.steps is not None and not any(e in STEPS_EXPERIMENTS for e in exp_ids):
+        parser.error(
+            f"--steps does not apply to '{exp_ids[0]}' "
+            f"(only to {sorted(STEPS_EXPERIMENTS)})"
+        )
     if args.quick and args.experiment not in ("all", "report"):
-        if not any(e in _SWEEP_EXPERIMENTS for e in exp_ids):
+        if not any(e in SWEEP_EXPERIMENTS for e in exp_ids):
             print(
                 f"warning: --quick has no effect on '{exp_ids[0]}'",
                 file=sys.stderr,
             )
     if args.workload is not None and args.experiment not in ("all", "report"):
-        if not any(e in _WORKLOAD_EXPERIMENTS for e in exp_ids):
+        if not any(e in WORKLOAD_EXPERIMENTS for e in exp_ids):
             print(
                 f"warning: --workload has no effect on '{exp_ids[0]}'",
                 file=sys.stderr,
             )
     return exp_ids
-
-
-def _experiment_kwargs(exp_id: str, args: argparse.Namespace) -> dict:
-    kwargs: dict = {}
-    workload = args.workload or "plummer"
-    if exp_id in _WORKLOAD_EXPERIMENTS:
-        kwargs["workload"] = workload
-    if exp_id in _SWEEP_EXPERIMENTS and args.quick:
-        kwargs["n_values"] = QUICK_N_SWEEP
-    if args.steps is not None and exp_id in _STEPS_EXPERIMENTS:
-        kwargs["n_steps"] = args.steps
-    return kwargs
 
 
 def _write_trace_outputs(args: argparse.Namespace) -> None:
@@ -695,25 +672,30 @@ def _cmd_bench(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Non
             args.output or DEFAULT_REPORT_PATH,
             quick=args.quick,
             workload=args.workload or "plummer",
+            steps=args.steps,
         )
         print(f"report written to {out}")
         return
     for exp_id in exp_ids:
-        result = run_experiment(exp_id, **_experiment_kwargs(exp_id, args))
+        result = run_experiment(exp_id, **experiment_kwargs(
+            exp_id, quick=args.quick, workload=args.workload, steps=args.steps
+        ))
         print(result.render())
         print()
 
 
 def _cmd_profile(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    if args.steps is not None and args.target not in _STEPS_EXPERIMENTS:
+    if args.steps is not None and args.target not in STEPS_EXPERIMENTS:
         parser.error(
             f"--steps does not apply to '{args.target}' "
-            f"(only to {sorted(_STEPS_EXPERIMENTS)})"
+            f"(only to {sorted(STEPS_EXPERIMENTS)})"
         )
-    if args.quick and args.target not in _SWEEP_EXPERIMENTS:
+    if args.quick and args.target not in SWEEP_EXPERIMENTS:
         print(f"warning: --quick has no effect on '{args.target}'", file=sys.stderr)
     t0 = time.perf_counter()
-    result = run_experiment(args.target, **_experiment_kwargs(args.target, args))
+    result = run_experiment(args.target, **experiment_kwargs(
+        args.target, quick=args.quick, workload=args.workload, steps=args.steps
+    ))
     print(result.render())
     print()
     wall = time.perf_counter() - t0
@@ -770,8 +752,9 @@ def _resolve_cli_addr(args: argparse.Namespace) -> str | None:
     return resolve("serve_addr")
 
 
-def _make_client(args: argparse.Namespace):
-    """A :class:`repro.serve.Client` on whichever transport ``args`` picks."""
+def _connect(args: argparse.Namespace):
+    """The serve service on whichever transport ``args`` picks: a
+    :class:`repro.serve.JobService` or a :class:`repro.serve.RemoteService`."""
     from repro.serve import connect
 
     addr = _resolve_cli_addr(args)
@@ -835,7 +818,7 @@ def _cmd_serve_batch(
     if not isinstance(entries, list) or not entries:
         parser.error(f"{args.jobs} must hold a non-empty JSON list of job specs")
     t0 = time.perf_counter()
-    client = _make_client(args)
+    service = _connect(args)
     handles = []
     try:
         for i, entry in enumerate(entries):
@@ -849,7 +832,7 @@ def _cmd_serve_batch(
             except ServeError as exc:
                 parser.error(f"job {i} in {args.jobs}: {exc}")
             try:
-                handles.append(client.submit(spec, options=options))
+                handles.append(service.submit(spec, options=options))
             except AdmissionError as exc:
                 print(
                     f"job {i} in {args.jobs} rejected: {exc}\n"
@@ -859,9 +842,9 @@ def _cmd_serve_batch(
                 raise SystemExit(3) from None
         for h in handles:
             h.wait()
-        described = client.describe()
+        described = service.describe()
     finally:
-        client.close()
+        service.close()
     wall = time.perf_counter() - t0
     rows = [_job_row(h, wall) for h in handles]
     _print_job_rows(rows)
@@ -899,13 +882,13 @@ def _cmd_serve_submit(
         checkpoint_every=args.checkpoint_every,
     )
     options = SubmitOptions(priority=args.priority, tenant=args.tenant)
-    client = _make_client(args)
+    service = _connect(args)
     try:
         t0 = time.perf_counter()
-        result = client.run(spec, options=options)
+        result = service.run(spec, options=options)
         wall = time.perf_counter() - t0
     finally:
-        client.close()
+        service.close()
     source = "cache" if result.from_cache else "fresh run"
     print(
         f"job {result.spec_hash[:12]} complete from {source}: "
@@ -1022,11 +1005,10 @@ def _cmd_serve_shutdown(
 ) -> None:
     from repro.serve import RemoteService
 
-    remote = RemoteService(args.addr, token=resolve("serve_token", args.token))
-    try:
+    with RemoteService(
+        args.addr, token=resolve("serve_token", args.token)
+    ) as remote:
         remote.shutdown()
-    finally:
-        remote.close()
     print(f"coordinator at {args.addr} stopping")
 
 

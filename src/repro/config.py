@@ -212,9 +212,10 @@ def reset() -> None:
     dropped = set_default_engine(None)
     if dropped is not None:
         dropped.close()
-    for shared in obs.ledger._default_ledgers.values():
-        shared.close()
-    obs.ledger._default_ledgers.clear()
+    with obs.ledger._default_lock:
+        for shared in obs.ledger._default_ledgers.values():
+            shared.close()
+        obs.ledger._default_ledgers.clear()
 
 
 def configure(

@@ -3,11 +3,18 @@
 Snapshots are NumPy ``.npz`` archives (portable, compressed, versioned by
 a format tag) holding positions, velocities, masses and metadata.  The
 checkpoints of :mod:`repro.runtime` are written with them.
+
+Every archive read holds one process-wide lock: ``np.load`` parses a
+``.npy`` header with ``ast.literal_eval``, and on CPython 3.11 two
+threads parsing at once can raise ``SystemError: AST constructor
+recursion depth mismatch``.  An ``.npz`` parses a member's header when
+the member is read, so the lock spans the whole archive, not the open.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from pathlib import Path
 from typing import Any
 
@@ -16,10 +23,13 @@ import numpy as np
 from repro.errors import WorkloadError
 from repro.nbody.particles import ParticleSet
 
-__all__ = ["save_snapshot", "load_snapshot", "snapshot_extras"]
+__all__ = ["save_snapshot", "load_snapshot", "snapshot_extras", "load_array"]
 
 #: Format tag embedded in every snapshot for forward compatibility.
 FORMAT_VERSION = 1
+
+#: Serialises NumPy archive reads (see the module docstring).
+_READ_LOCK = threading.Lock()
 
 
 def save_snapshot(
@@ -70,7 +80,7 @@ def load_snapshot(path: str | Path) -> tuple[ParticleSet, float, dict[str, Any]]
     path = Path(path)
     if not path.exists():
         raise WorkloadError(f"snapshot not found: {path}")
-    with np.load(path) as data:
+    with _READ_LOCK, np.load(path) as data:
         if "format_version" not in data:
             raise WorkloadError(f"{path} is not a repro snapshot")
         version = int(data["format_version"])
@@ -90,10 +100,16 @@ def snapshot_extras(path: str | Path) -> dict[str, np.ndarray]:
     if not path.exists():
         raise WorkloadError(f"snapshot not found: {path}")
     out: dict[str, np.ndarray] = {}
-    with np.load(path) as data:
+    with _READ_LOCK, np.load(path) as data:
         if "format_version" not in data:
             raise WorkloadError(f"{path} is not a repro snapshot")
         for key in data.files:
             if key.startswith("extra_"):
                 out[key[len("extra_"):]] = np.array(data[key])
     return out
+
+
+def load_array(path: str | Path) -> np.ndarray:
+    """Read one ``.npy`` array under the archive read lock."""
+    with _READ_LOCK:
+        return np.load(path)

@@ -65,7 +65,7 @@ import time
 from pathlib import Path
 from typing import Any, Mapping
 
-from repro.errors import LedgerError
+from repro.errors import ConfigurationError, LedgerError
 from repro.obs.metrics import percentile
 
 __all__ = [
@@ -73,6 +73,7 @@ __all__ = [
     "LEDGER_VERSION",
     "RunLedger",
     "default_ledger",
+    "resolve_ledger",
 ]
 
 #: File name used when a ledger is opened on a directory.
@@ -155,6 +156,16 @@ def _now() -> float:
     return time.time()
 
 
+def _database_path(path: str | Path) -> Path:
+    """The database file a ledger opened on ``path`` uses: a directory
+    (or a path with no suffix) holds ``LEDGER_NAME``, anything else is
+    the file itself."""
+    path = Path(path)
+    if path.is_dir() or not path.suffix:
+        return path / LEDGER_NAME
+    return path
+
+
 class RunLedger:
     """A durable, thread-safe SQLite ledger of simulation runs.
 
@@ -165,12 +176,8 @@ class RunLedger:
     """
 
     def __init__(self, path: str | Path) -> None:
-        path = Path(path)
-        if path.is_dir() or not path.suffix:
-            path.mkdir(parents=True, exist_ok=True)
-            path = path / LEDGER_NAME
-        else:
-            path.parent.mkdir(parents=True, exist_ok=True)
+        path = _database_path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
         self.path = path
         self._lock = threading.Lock()
         try:
@@ -593,6 +600,7 @@ class RunLedger:
 
 #: Open default ledgers, keyed by database path.
 _default_ledgers: dict[Path, RunLedger] = {}
+_default_lock = threading.Lock()
 
 
 def default_ledger() -> RunLedger | None:
@@ -601,17 +609,37 @@ def default_ledger() -> RunLedger | None:
 
     One :class:`RunLedger` is kept open per resolved path, so concurrent
     sessions and services append to the same database through one
-    thread-safe connection.
+    thread-safe connection; a ledger is opened only the first time its
+    path is asked for.
     """
     from repro.config import resolve
 
     directory = resolve("ledger_dir")
     if directory is None:
         return None
-    ledger = RunLedger(directory)
-    cached = _default_ledgers.get(ledger.path)
-    if cached is not None:
-        ledger.close()
-        return cached
-    _default_ledgers[ledger.path] = ledger
+    path = _database_path(directory)
+    with _default_lock:
+        ledger = _default_ledgers.get(path)
+        if ledger is None:
+            ledger = _default_ledgers[path] = RunLedger(path)
     return ledger
+
+
+def resolve_ledger(ledger: "RunLedger | bool | None") -> RunLedger | None:
+    """The one ``ledger=`` rule of sessions, services and coordinators.
+
+    ``None`` gives the shared ledger of the ``ledger_dir`` setting
+    (:func:`default_ledger`, itself ``None`` when the setting is unset),
+    ``False`` gives no ledger, and a :class:`RunLedger` is used as given.
+    Anything else raises :class:`~repro.errors.ConfigurationError`.
+    """
+    if ledger is None:
+        return default_ledger()
+    if ledger is False:
+        return None
+    if isinstance(ledger, RunLedger):
+        return ledger
+    raise ConfigurationError(
+        f"ledger must be a RunLedger, False or None, got "
+        f"{type(ledger).__name__} (open a path with RunLedger(path))"
+    )

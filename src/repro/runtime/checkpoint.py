@@ -36,7 +36,7 @@ from repro.core.hostmodel import PENTIUM_E5300, HostCpuModel
 from repro.core.plans.base import PlanConfig
 from repro.errors import CheckpointError, ConfigurationError
 from repro.gpu.device import RADEON_HD_5850, DeviceSpec
-from repro.nbody.io import load_snapshot, save_snapshot, snapshot_extras
+from repro.nbody.io import load_array, load_snapshot, save_snapshot, snapshot_extras
 from repro.nbody.particles import ParticleSet
 
 __all__ = [
@@ -312,7 +312,7 @@ def read_checkpoint(
     particles, time, _meta = load_snapshot(state)
     record = json.loads(record_path.read_text())
     acc_path = directory / "last_acc.npy"
-    last_acc = np.load(acc_path) if acc_path.exists() else None
+    last_acc = load_array(acc_path) if acc_path.exists() else None
     return particles, time, record, last_acc
 
 

@@ -60,6 +60,7 @@ from repro.core.plans import Plan, get_plan
 from repro.core.simulation import Simulation, SimulationRecord
 from repro.errors import CheckpointError, ConfigurationError, StateError
 from repro.exec.engine import ExecutionEngine
+from repro.obs.ledger import resolve_ledger
 from repro.runtime.checkpoint import (
     CheckpointInfo,
     RunManifest,
@@ -124,7 +125,8 @@ class RunSession:
         run accounting to, ``False`` to opt out even when a ledger
         directory is globally configured, or ``None`` (default) to
         resolve through ``repro.configure(ledger_dir=...)`` /
-        ``REPRO_LEDGER_DIR``.
+        ``REPRO_LEDGER_DIR``; anything else raises
+        :class:`~repro.errors.ConfigurationError`.
     """
 
     def __init__(
@@ -156,14 +158,8 @@ class RunSession:
             guard = RunGuard()
         #: invariant watchdog evaluated at every checkpoint (may be None)
         self.guard = guard
-        if ledger is None:
-            from repro.obs.ledger import default_ledger
-
-            ledger = default_ledger()
-        elif ledger is False:
-            ledger = None
         #: durable run ledger this session appends to (may be None)
-        self.ledger = ledger
+        self.ledger = resolve_ledger(ledger)
         self._ledger_run_id: int | None = None
         self._ledger_done = False
         self._ledger_slices = 0

@@ -9,19 +9,21 @@ batched against siblings, sharded across workers, or is served from
 cache.
 
 Quick start — :func:`connect` is the one entry point for both
-transports::
+transports, and it returns the service itself (a :class:`JobService`
+in-process, a :class:`RemoteService` against a coordinator)::
 
     from repro.serve import JobSpec, connect
 
-    with connect(max_concurrent_jobs=4, cache_dir="cache") as client:
+    with connect(max_concurrent_jobs=4, cache_dir="cache") as service:
         specs = [JobSpec(workload="plummer", n=2048, plan=p, steps=50)
                  for p in ("i", "j", "w", "jw")]
-        results = client.map(specs)
+        handles = [service.submit(spec) for spec in specs]
+        results = [handle.result() for handle in handles]
 
     # resubmitting any of those specs is now a cache hit
 
-    with connect("127.0.0.1:7321") as client:   # same verbs, remote
-        result = client.run(specs[0])
+    with connect("127.0.0.1:7321") as service:   # same verbs, remote
+        result = service.run(specs[0])
 
 Layers (each importable on its own):
 
@@ -31,8 +33,8 @@ Layers (each importable on its own):
   spec-hash → completed run directory.
 * :mod:`~repro.serve.scheduler` — :class:`Scheduler`: round-robin step
   slicing of live sessions.
-* :mod:`~repro.serve.service` — :class:`JobService`, :class:`JobHandle`,
-  :class:`Client` (obtained through :func:`connect`).
+* :mod:`~repro.serve.service` — :class:`JobService` and its
+  :class:`JobHandle` futures.
 
 Service knobs (concurrency, queue bound, cache root, address, token,
 tenant) resolve through the settings table in :mod:`repro.config`.
@@ -46,7 +48,8 @@ Distributed tier:
   :class:`JobService` fed by the coordinator, resuming orphans left by
   killed siblings.
 * :mod:`~repro.serve.remote` — :func:`connect`, :class:`RemoteService`,
-  :class:`RemoteHandle`: the transport-agnostic client surface.
+  :class:`RemoteHandle`: the coordinator transport behind the same
+  service verbs.
 
 Multi-tenant tier:
 
@@ -55,7 +58,8 @@ Multi-tenant tier:
   verify) shared by every submit path.
 * :mod:`~repro.serve.tenancy` — :class:`TenantPolicy` /
   :class:`FairJobQueue`: the bounded job queue — weighted fair
-  scheduling, priority aging, per-tenant quotas and
+  scheduling, priority aging, and admission: every per-tenant quota
+  (``max_inflight``, ``max_queued``) and the capacity, with
   :class:`~repro.errors.AdmissionError` backpressure.
 * :mod:`~repro.serve.schema` — the versioned describe-document contract
   shared by ``describe()`` surfaces and the gateway's ``/v1/status``.
@@ -71,13 +75,12 @@ from repro.serve.options import SubmitOptions
 from repro.serve.remote import RemoteHandle, RemoteService, connect
 from repro.serve.scheduler import Scheduler
 from repro.serve.schema import DESCRIBE_VERSION, validate_describe
-from repro.serve.service import Client, JobHandle, JobService
+from repro.serve.service import JobHandle, JobService
 from repro.serve.spec import JobSpec
 from repro.serve.tenancy import DEFAULT_TENANT, FairJobQueue, TenantPolicy
 from repro.serve.worker import Worker
 
 __all__ = [
-    "Client",
     "Coordinator",
     "DEFAULT_TENANT",
     "DESCRIBE_VERSION",

@@ -22,7 +22,9 @@ directory (shared filesystem), which is also how results travel:
 ``done`` messages carry only the run directory path, and clients load
 the checkpoint themselves — particle arrays never cross the socket, so
 sharded results are bit-identical to solo runs by construction (same
-files, same loader).
+files, same loader).  Admission is the same rule as well: the
+coordinator's :class:`~repro.serve.FairJobQueue` checks every tenant
+quota and the capacity.
 
 The coordinator's optional ledger records coordinator-*level* events
 (submissions, assignments, requeues, worker lifecycle) with no run rows
@@ -41,8 +43,8 @@ from typing import Any
 
 from repro import obs
 from repro.config import resolve
-from repro.errors import JobCancelledError, QuotaError, ServeError
-from repro.obs.ledger import RunLedger, default_ledger
+from repro.errors import JobCancelledError, ServeError
+from repro.obs.ledger import RunLedger, resolve_ledger
 from repro.serve.cache import ResultCache
 from repro.serve.options import SubmitOptions, check_timeout
 from repro.serve.schema import DESCRIBE_VERSION
@@ -98,12 +100,17 @@ class _TrackedJob:
         run_dir: str | None = None,
         error: dict[str, str] | None = None,
         from_cache: bool = False,
-    ) -> None:
+    ) -> bool:
+        """Enter the terminal state; ``False`` when the job had already
+        finished (the first outcome stands)."""
+        if self._finished.is_set():
+            return False
         self.status = "failed" if error is not None else "done"
         self.run_dir = run_dir
         self.error = error
         self.from_cache = from_cache
         self._finished.set()
+        return True
 
     def snapshot(self) -> dict[str, Any]:
         return {
@@ -136,7 +143,8 @@ class Coordinator:
     ledger:
         A :class:`~repro.obs.ledger.RunLedger` for coordinator events,
         ``False`` to opt out, ``None`` to resolve via
-        ``repro.configure(ledger_dir=...)`` / ``REPRO_LEDGER_DIR``.
+        ``repro.configure(ledger_dir=...)`` / ``REPRO_LEDGER_DIR``;
+        anything else raises :class:`~repro.errors.ConfigurationError`.
     token:
         Shared-secret every RPC must carry (``connect(addr, token=)``);
         resolves through ``configure(serve_token=)`` /
@@ -145,8 +153,12 @@ class Coordinator:
     tenants:
         Tenant-name → :class:`~repro.serve.TenantPolicy` (or dict)
         mapping: fair-scheduling weights plus ``max_queued`` /
-        ``max_inflight`` quotas, mirroring
-        :class:`~repro.serve.JobService`.
+        ``max_inflight`` quotas, which the coordinator's
+        :class:`~repro.serve.FairJobQueue` enforces as it does for
+        :class:`~repro.serve.JobService`.  A job holds its
+        ``max_inflight`` slot from admission until it is done, failed,
+        cancelled or failed by :meth:`stop`; a worker loss requeues it
+        with the slot it holds.
     """
 
     def __init__(
@@ -158,8 +170,6 @@ class Coordinator:
         ledger: "RunLedger | bool | None" = None,
         token: str | None = None,
         tenants: "dict[str, TenantPolicy | dict[str, Any]] | None" = None,
-        aging_every: int = 8,
-        age_max_boost: int = 8,
     ) -> None:
         #: queued-but-unassigned jobs before AdmissionError
         self.queue_capacity = resolve("queue_capacity", queue_capacity)
@@ -168,12 +178,7 @@ class Coordinator:
         #: shared-secret RPCs must present (None = auth disabled)
         self.token = resolve("serve_token", token)
         self.cache = ResultCache(self.cache_dir)
-        if ledger is None:
-            self.ledger: RunLedger | None = default_ledger()
-        elif ledger is False:
-            self.ledger = None
-        else:
-            self.ledger = ledger
+        self.ledger = resolve_ledger(ledger)
         host, port = parse_addr(addr)
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -186,12 +191,7 @@ class Coordinator:
         #: every spec this coordinator has seen, by content hash
         self._jobs: dict[str, _TrackedJob] = {}
         #: queued jobs: weighted fair across tenants, aged priority within
-        self._queue = FairJobQueue(
-            self.queue_capacity,
-            tenants=tenants,
-            aging_every=aging_every,
-            age_max_boost=age_max_boost,
-        )
+        self._queue = FairJobQueue(self.queue_capacity, tenants=tenants)
         self._workers_seen: set[str] = set()
         self._stopped = threading.Event()
         self._threads: list[threading.Thread] = []
@@ -230,9 +230,10 @@ class Coordinator:
             # Unblock workers parked in `next` and fail undispatched work
             # so no client waits on a job that can never run.
             for job in self._queue.remove(lambda _job: True):
-                job.finish(error=encode_error(
+                if job.finish(error=encode_error(
                     ServeError("coordinator stopped before job was assigned")
-                ))
+                )):
+                    self._queue.release(job.tenant)
             self._cond.notify_all()
         for conn in conns:
             try:
@@ -400,20 +401,6 @@ class Coordinator:
                 self._jobs[spec_hash] = job
                 self._event("cache_hit", spec_hash[:12])
                 return {"ok": True, "job": job.snapshot(), "deduped": False}
-            policy = self._queue.policy_for(tenant)
-            if policy.max_inflight is not None:
-                inflight = sum(
-                    1 for j in self._jobs.values()
-                    if j.tenant == tenant and j.status in ("queued", "running")
-                )
-                if inflight >= policy.max_inflight:
-                    obs.inc("serve.coord.rejected_total")
-                    raise QuotaError(
-                        f"tenant {tenant!r} at max_inflight "
-                        f"({policy.max_inflight} admitted jobs); retry after "
-                        "some finish",
-                        tenant=tenant,
-                    )
             job = _TrackedJob(spec, spec_hash, options.priority, tenant)
             try:
                 self._queue.push(job, priority=options.priority, tenant=tenant)
@@ -487,11 +474,12 @@ class Coordinator:
         if job is None:
             raise ServeError(f"done for unknown job {spec_hash[:12]}")
         error = msg.get("error")
-        job.finish(
+        if job.finish(
             run_dir=msg.get("run_dir"),
             error=None if error is None else dict(error),
             from_cache=bool(msg.get("from_cache", False)),
-        )
+        ):
+            self._queue.release(job.tenant)
         self._event(
             "failed" if error is not None else "done", spec_hash[:12]
         )
@@ -510,9 +498,10 @@ class Coordinator:
                 return {"ok": True, "cancelled": False, "job": job.snapshot()}
             self.jobs_cancelled += 1
             obs.inc("serve.coord.cancelled_total")
-            job.finish(error=encode_error(JobCancelledError(
+            if job.finish(error=encode_error(JobCancelledError(
                 f"job {job.spec_hash[:12]} cancelled while queued"
-            )))
+            ))):
+                self._queue.release(job.tenant)
             self._event("cancel", job.spec_hash[:12])
             return {"ok": True, "cancelled": True, "job": job.snapshot()}
 
@@ -529,7 +518,8 @@ class Coordinator:
                 job.retries += 1
                 obs.inc("serve.coord.requeues_total")
                 # force=True: a lost worker's claim must never be shed
-                # by capacity/quota checks on its way back in.
+                # by capacity/quota checks on its way back in, and it
+                # keeps the max_inflight slot it already holds.
                 self._queue.push(
                     job, priority=job.priority, tenant=job.tenant, force=True
                 )

@@ -1,13 +1,15 @@
 """Async multi-tenant HTTP gateway over the serve tier.
 
 The gateway is the front door for "many clients, one simulation
-service": a stdlib-``asyncio`` HTTP server that exposes the
-:class:`~repro.serve.Client` verbs — submit, status, result, cancel —
-as JSON endpoints plus a Server-Sent-Events stream of per-slice
-progress, over either an in-process :class:`~repro.serve.JobService`
-or a remote coordinator (``backend="host:port"``).  Fairness, quotas,
-and priority aging live *below* it in :class:`~repro.serve.FairJobQueue`
-— the gateway's job is admission, translation, and streaming:
+service": a stdlib-``asyncio`` HTTP server that exposes the service
+verbs — submit, status, result, cancel — as JSON endpoints plus a
+Server-Sent-Events stream of per-slice progress.  It holds the service
+:func:`~repro.serve.connect` returns: an in-process
+:class:`~repro.serve.JobService`, or a
+:class:`~repro.serve.RemoteService` for a coordinator
+(``backend="host:port"``).  Fairness, quotas, and priority aging live
+*below* it in :class:`~repro.serve.FairJobQueue` — the gateway's job is
+translation, load-shedding replies, and streaming:
 
 * ``POST /v1/jobs`` — body ``{"spec": {...}, "options": {...}}``;
   the tenant rides in ``options`` or the ``X-Repro-Tenant`` header.
@@ -166,7 +168,7 @@ class Gateway:
         self.token = resolve("serve_token", token)
         self.backend = backend
         if backend is None:
-            self._client = connect(None, **service_kwargs)
+            self._service = connect(None, **service_kwargs)
         else:
             if service_kwargs:
                 raise ServeError(
@@ -174,13 +176,9 @@ class Gateway:
                     "service and don't apply when fronting a coordinator "
                     f"({backend}); set them on the coordinator/workers"
                 )
-            self._client = connect(backend, token=self.token)
-        #: the in-process service when there is one (slice-event seam)
-        self._service: JobService | None = (
-            self._client.service
-            if isinstance(self._client.service, JobService)
-            else None
-        )
+            self._service = connect(backend, token=self.token)
+        #: an in-process service has the slice-event seam and a local queue
+        self._in_process = isinstance(self._service, JobService)
         self.addr: str | None = None
         self.requests_total = 0
         self.shed_total = 0
@@ -205,7 +203,7 @@ class Gateway:
         """Bind and serve on a background event loop; returns ``self``."""
         if self._thread is not None:
             return self
-        if self._service is not None:
+        if self._in_process:
             self._remove_listener = self._service.add_slice_listener(
                 self._on_service_event
             )
@@ -221,7 +219,7 @@ class Gateway:
         return self
 
     def stop(self) -> None:
-        """Stop serving and close the backend client."""
+        """Stop serving and close the backend service."""
         if self._stopping.is_set():
             return
         self._stopping.set()
@@ -234,7 +232,7 @@ class Gateway:
         if self._thread is not None:
             self._thread.join(timeout=10.0)
             self._thread = None
-        self._client.close()
+        self._service.close()
 
     def __enter__(self) -> "Gateway":
         return self.start()
@@ -394,7 +392,7 @@ class Gateway:
     async def _handle_status(self) -> bytes:
         loop = asyncio.get_running_loop()
         try:
-            backend = await loop.run_in_executor(None, self._client.describe)
+            backend = await loop.run_in_executor(None, self._service.describe)
         except ReproError as exc:
             backend = {"error": str(exc)}
         return _json_response(200, {"ok": True, "status": self.describe(backend)})
@@ -414,7 +412,7 @@ class Gateway:
         loop = asyncio.get_running_loop()
         try:
             handle = await loop.run_in_executor(
-                None, lambda: self._client.submit(spec, options=opts)
+                None, lambda: self._service.submit(spec, options=opts)
             )
         except AdmissionError as exc:
             self.shed_total += 1
@@ -494,7 +492,7 @@ class Gateway:
         handle = self._get_handle(spec_hash)
         loop = asyncio.get_running_loop()
         cancelled = await loop.run_in_executor(
-            None, lambda: self._client.cancel(spec_hash)
+            None, lambda: self._service.cancel(spec_hash)
         )
         return _json_response(200, {
             "ok": True,
@@ -516,7 +514,7 @@ class Gateway:
         self.streams_open += 1
         obs.set_gauge("serve.gateway.streams_open", self.streams_open)
         try:
-            if self._service is not None:
+            if self._in_process:
                 await self._stream_service_events(spec_hash, handle, writer)
             else:
                 await self._stream_polled_events(spec_hash, handle, writer)
@@ -619,11 +617,11 @@ class Gateway:
         """Back-pressure hint: deeper queue -> longer suggested backoff."""
         depth, drain = 0, 1
         try:
-            if self._service is not None:
+            if self._in_process:
                 depth = len(self._service.queue)
                 drain = self._service.max_concurrent_jobs
             else:
-                described = self._client.describe()
+                described = self._service.describe()
                 depth = int(described.get("queue_depth", 0))
                 drain = max(1, len(described.get("workers", ())))
         except ReproError:

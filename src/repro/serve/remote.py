@@ -1,6 +1,6 @@
-"""One client surface, two transports: ``connect()`` and the remote tier.
+"""One service surface, two transports: ``connect()`` and the remote tier.
 
-:func:`connect` is the single public way to obtain a serve client:
+:func:`connect` is the single public way to obtain a serve service:
 
 * ``connect()`` — resolve the coordinator address through the usual
   settings chain (``repro.configure(serve_addr=...)``, then
@@ -9,20 +9,21 @@
 * ``connect(None)`` — force in-process regardless of configuration;
 * ``connect("host:port")`` — dial that coordinator.
 
-Either way the return value is a :class:`~repro.serve.Client` with the
-same verbs (``submit`` / ``run`` / ``map`` / ``describe`` / ``close``),
-the same :class:`~repro.serve.JobHandle` future semantics, and the same
-errors — a remote :class:`~repro.errors.AdmissionError` is raised
-client-side exactly like an in-process one (:mod:`repro.serve.wire`
-reconstructs the class) — so call sites never branch on transport.
+The return value is the service itself — a
+:class:`~repro.serve.JobService` in-process, a :class:`RemoteService`
+against a coordinator — with the same verbs (``submit`` / ``run`` /
+``cancel`` / ``describe`` / ``close``, and ``with`` closes it), the same
+:class:`~repro.serve.JobHandle` future semantics, and the same errors —
+a remote :class:`~repro.errors.AdmissionError` is raised client-side
+exactly like an in-process one (:mod:`repro.serve.wire` reconstructs the
+class) — so call sites never branch on transport.
 
-:class:`RemoteService` is the transport adapter behind the remote case:
-it speaks the coordinator protocol over one socket and hands back
-:class:`RemoteHandle` futures.  Results never cross the wire — the
-coordinator reports the completed run *directory* and the handle loads
-the final checkpoint from the shared filesystem through the very same
-loader the in-process cache uses, which is what makes remote results
-bit-identical to local ones by construction.
+:class:`RemoteService` speaks the coordinator protocol over one socket
+and hands back :class:`RemoteHandle` futures.  Results never cross the
+wire — the coordinator reports the completed run *directory* and the
+handle loads the final checkpoint from the shared filesystem through the
+very same loader the in-process cache uses, which is what makes remote
+results bit-identical to local ones by construction.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from repro.config import resolve
 from repro.errors import ServeError
 from repro.serve.cache import JobResult, load_result
 from repro.serve.options import SubmitOptions, check_timeout
-from repro.serve.service import Client, JobHandle, JobService
+from repro.serve.service import JobHandle, JobService
 from repro.serve.spec import JobSpec
 from repro.serve.wire import decode_error, parse_addr, recv_msg, send_msg
 
@@ -129,9 +130,10 @@ class RemoteService:
     """Coordinator-backed stand-in for :class:`JobService`.
 
     Speaks one request/response socket (thread-safe: RPCs serialize on
-    an internal lock) and exposes the subset of the service protocol
-    :class:`Client` drives — ``submit``, ``run``, ``describe``,
-    ``close`` — plus :meth:`shutdown` to stop the coordinator itself.
+    an internal lock) and exposes the service verbs — ``submit``,
+    ``run``, ``cancel``, ``describe``, ``close`` — plus :meth:`shutdown`
+    to stop the coordinator itself.  Closing it (or leaving its ``with``
+    block) drops the connection; the coordinator keeps running.
     """
 
     def __init__(
@@ -267,6 +269,12 @@ class RemoteService:
                     pass
                 self._sock = None
 
+    def __enter__(self) -> "RemoteService":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RemoteService(addr={self.addr!r})"
 
@@ -276,8 +284,8 @@ def connect(
     *,
     token: str | None = None,
     **service_kwargs: Any,
-) -> Client:
-    """Open a serve client — in-process or against a coordinator.
+) -> "JobService | RemoteService":
+    """Open a serve service — in-process or against a coordinator.
 
     ``addr`` semantics:
 
@@ -293,8 +301,10 @@ def connect(
     :class:`~repro.errors.ServeError` on the first RPC.  The in-process
     path ignores it (there is no wire to protect).
 
-    The returned :class:`Client` exposes identical verbs and errors on
-    both transports.  ``service_kwargs`` (``max_concurrent_jobs=``,
+    The return value is a new :class:`~repro.serve.JobService` or a
+    :class:`RemoteService`; both have identical verbs and errors, and
+    closing either (``with`` does it) closes only what ``connect``
+    opened.  ``service_kwargs`` (``max_concurrent_jobs=``,
     ``cache_dir=``, ``verify=``, ...) configure the in-process service
     and are rejected for a remote connection — those knobs belong to the
     coordinator and its workers, and silently ignoring them would make
@@ -309,7 +319,5 @@ def connect(
                 f"and don't apply when connecting to a coordinator "
                 f"({addr}); set them on the coordinator/workers instead"
             )
-        return Client(
-            RemoteService(addr, token=resolve("serve_token", token)), own=True
-        )
-    return Client(JobService(**service_kwargs), own=True)
+        return RemoteService(addr, token=resolve("serve_token", token))
+    return JobService(**service_kwargs)

@@ -61,7 +61,6 @@ class Scheduler:
         queue: FairJobQueue,
         *,
         max_live: int = 2,
-        runner_threads: int | None = None,
         steps_per_slice: int = 8,
         slice_hook: Callable[[Any, bool], None] | None = None,
         slice_observer: Callable[[Any, bool, float], None] | None = None,
@@ -72,14 +71,8 @@ class Scheduler:
             raise ServeError(
                 f"steps_per_slice must be >= 1, got {steps_per_slice}"
             )
-        runner_threads = max_live if runner_threads is None else runner_threads
-        if runner_threads < 1:
-            raise ServeError(
-                f"runner_threads must be >= 1, got {runner_threads}"
-            )
         self.queue = queue
         self.max_live = max_live
-        self.runner_threads = runner_threads
         self.steps_per_slice = steps_per_slice
         self.slice_hook = slice_hook
         self.slice_observer = slice_observer
@@ -95,10 +88,10 @@ class Scheduler:
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Launch the runner threads (idempotent)."""
+        """Launch one runner thread per live session (idempotent)."""
         if self._threads:
             return
-        for i in range(self.runner_threads):
+        for i in range(self.max_live):
             t = threading.Thread(
                 target=self._run, name=f"repro-serve-runner-{i}", daemon=True
             )
@@ -223,6 +216,5 @@ class Scheduler:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Scheduler(live={self.live}, max_live={self.max_live}, "
-            f"runners={self.runner_threads}, "
             f"steps_per_slice={self.steps_per_slice})"
         )

@@ -32,14 +32,15 @@ SQLite through the scheduler's ``slice_observer`` seam — pure
 observation, so batched results stay bit-identical to solo runs.  The
 ``repro-nbody top`` and ``report`` commands read that ledger.
 
-:class:`Client` is the ergonomic front end, and
-:func:`repro.serve.connect` is the one public way to obtain one —
-in-process or against a coordinator, same verbs either way::
+:func:`repro.serve.connect` is the one public way to obtain a service:
+it returns a :class:`JobService` in-process, or a
+:class:`~repro.serve.RemoteService` against a coordinator, with the same
+verbs either way::
 
     from repro.serve import JobSpec, connect
 
-    with connect() as client:          # in-process service
-        handles = [client.submit(JobSpec(n=2048, plan=p, steps=50))
+    with connect() as service:          # in-process service
+        handles = [service.submit(JobSpec(n=2048, plan=p, steps=50))
                    for p in ("i", "j", "w", "jw")]
         results = [h.result() for h in handles]
 
@@ -54,11 +55,14 @@ Tenancy: every submission lands in a tenant bucket (from
 :class:`~repro.serve.SubmitOptions`, else the service's default tenant)
 and the queue is a :class:`~repro.serve.FairJobQueue` — weighted fair
 across tenants with deterministic priority aging, so one tenant's bulk
-sweep cannot starve another's interactive probe.  Per-tenant
-``max_queued`` / ``max_inflight`` quotas shed excess load with
-:class:`~repro.errors.QuotaError` before it can crowd the queue, and
-ledger rows carry the tenant for per-tenant accounting.  Submission
-tuning itself is unified in :class:`~repro.serve.SubmitOptions`.
+sweep cannot starve another's interactive probe.  The queue is also
+where admission is decided: per-tenant ``max_inflight`` /
+``max_queued`` quotas and the queue capacity shed excess load with
+:class:`~repro.errors.QuotaError` / :class:`~repro.errors.AdmissionError`,
+and the service releases a job's ``max_inflight`` slot exactly once,
+when the job completes, fails or is cancelled.  Ledger rows carry the
+tenant for per-tenant accounting.  Submission tuning itself is unified
+in :class:`~repro.serve.SubmitOptions`.
 """
 
 from __future__ import annotations
@@ -67,15 +71,15 @@ import threading
 import time
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any
 
 from repro import obs
 from repro.check.guards import RunGuard
 from repro.check.invariants import TolerancePolicy
 from repro.config import resolve
-from repro.errors import JobCancelledError, QuotaError, ServeError
+from repro.errors import JobCancelledError, ServeError
 from repro.exec.engine import EnginePool, ExecutionEngine
-from repro.obs.ledger import RunLedger, default_ledger
+from repro.obs.ledger import RunLedger, resolve_ledger
 from repro.runtime.session import RunSession
 from repro.serve.cache import JobResult, ResultCache
 from repro.serve.options import SubmitOptions, check_timeout
@@ -84,7 +88,7 @@ from repro.serve.schema import DESCRIBE_VERSION
 from repro.serve.spec import JobSpec
 from repro.serve.tenancy import DEFAULT_TENANT, FairJobQueue, TenantPolicy
 
-__all__ = ["Client", "JobHandle", "JobService"]
+__all__ = ["JobHandle", "JobService"]
 
 
 class JobHandle:
@@ -353,12 +357,16 @@ class JobService:
     default.  ``default_tenant`` is the bucket for submissions whose
     :class:`~repro.serve.SubmitOptions` name none (settings chain:
     explicit > ``configure(tenant=)`` > ``REPRO_TENANT`` >
-    ``"default"``).  ``aging_every`` / ``age_max_boost`` tune the
-    deterministic priority aging (see :mod:`repro.serve.tenancy`).
+    ``"default"``).  The scheduler runs one runner thread per live job.
 
-    Applications get a client over a new service from
-    :func:`repro.serve.connect`; the constructor is what ``connect``,
-    :class:`~repro.serve.Worker` and :class:`~repro.serve.Gateway` call.
+    ``ledger`` follows the one ledger rule
+    (:func:`~repro.obs.ledger.resolve_ledger`): ``None`` is the
+    ``ledger_dir`` setting's shared ledger, ``False`` none, and a
+    :class:`~repro.obs.ledger.RunLedger` is used as given.
+
+    Applications get a new service from :func:`repro.serve.connect`;
+    the constructor is what ``connect``, :class:`~repro.serve.Worker`
+    and :class:`~repro.serve.Gateway` call.
     """
 
     def __init__(
@@ -369,7 +377,6 @@ class JobService:
         cache_dir: str | Path | None = None,
         pool: EnginePool | None = None,
         pool_workers: int = 2,
-        runner_threads: int | None = None,
         steps_per_slice: int = 8,
         verify: "bool | TolerancePolicy | None" = None,
         ledger: "RunLedger | bool | None" = None,
@@ -377,8 +384,6 @@ class JobService:
         resume_orphans: bool = False,
         tenants: "dict[str, TenantPolicy | dict[str, Any]] | None" = None,
         default_tenant: str | None = None,
-        aging_every: int = 8,
-        age_max_boost: int = 8,
     ) -> None:
         #: fault-domain name stamped onto this service's ledger rows
         self.shard = shard
@@ -392,42 +397,23 @@ class JobService:
         self.cache_dir = str(resolve("cache_dir", cache_dir))
         #: bucket for submissions that name no tenant
         self.default_tenant = resolve("tenant", default_tenant) or DEFAULT_TENANT
+        #: durable run ledger (None when ledgering is off)
+        self.ledger = resolve_ledger(ledger)
         self.cache = ResultCache(self.cache_dir)
-        self.queue = FairJobQueue(
-            self.queue_capacity,
-            tenants=tenants,
-            aging_every=aging_every,
-            age_max_boost=age_max_boost,
-        )
+        self.queue = FairJobQueue(self.queue_capacity, tenants=tenants)
         self._own_pool = pool is None
         self.pool = pool or EnginePool(workers=pool_workers)
         #: service-wide verification default (per-submit ``verify`` wins)
         self.verify = verify
-        #: durable run ledger (None when ledgering is off); resolved with
-        #: the usual precedence: explicit > configure() > env > off
-        if ledger is None:
-            self.ledger: RunLedger | None = default_ledger()
-        elif ledger is False:
-            self.ledger = None
-        elif isinstance(ledger, RunLedger):
-            self.ledger = ledger
-        else:
-            raise ServeError(
-                f"ledger must be a RunLedger, False or None, "
-                f"got {type(ledger).__name__}"
-            )
         self.scheduler = Scheduler(
             self.queue,
             max_live=self.max_concurrent_jobs,
-            runner_threads=runner_threads,
             steps_per_slice=steps_per_slice,
             slice_hook=lambda job, done: job.verify_slice(done),
             slice_observer=self._observe_slice,
         )
         self._lock = threading.Lock()
         self._inflight: dict[str, JobHandle] = {}
-        #: admitted-but-unfinished jobs per tenant (max_inflight quota)
-        self._tenant_inflight: dict[str, int] = {}
         #: gateway/SSE seam: callables fed slice + completion events
         self._listeners: list[Any] = []
         self._closed = False
@@ -455,9 +441,10 @@ class JobService:
 
         Order of resolution: an identical in-flight spec coalesces onto
         the existing handle; a completed cache entry resolves instantly;
-        otherwise the tenant's quotas and the queue's capacity admit or
-        shed it (:class:`~repro.errors.QuotaError` /
-        :class:`~repro.errors.AdmissionError`).  ``options.priority``
+        otherwise the queue admits it or sheds it on the tenant's quotas
+        or its capacity (:class:`~repro.errors.QuotaError` /
+        :class:`~repro.errors.AdmissionError`; the ledger, when there is
+        one, keeps a ``failed`` row for the rejection).  ``options.priority``
         orders queued jobs within a tenant (higher first, FIFO within,
         deterministic aging across waits); ``options.retry`` /
         ``options.fault_injector`` configure this job's private engine
@@ -516,19 +503,6 @@ class JobService:
                         "cache_hit", spec_hash[:12], run_id=run_id
                     )
                 return handle
-            policy = self.queue.policy_for(tenant)
-            if (
-                policy.max_inflight is not None
-                and self._tenant_inflight.get(tenant, 0) >= policy.max_inflight
-            ):
-                obs.inc("serve.rejected_total")
-                obs.inc("serve.rejected_total", labels={"tenant": tenant})
-                raise QuotaError(
-                    f"tenant {tenant!r} at max_inflight "
-                    f"({policy.max_inflight} admitted jobs); retry after "
-                    "some finish",
-                    tenant=tenant,
-                )
             handle = JobHandle(spec, spec_hash)
             handle.tenant = tenant
             job = _Job(self, spec, handle, options=opts)
@@ -551,9 +525,6 @@ class JobService:
                     )
                 raise
             self._inflight[spec_hash] = handle
-            self._tenant_inflight[tenant] = (
-                self._tenant_inflight.get(tenant, 0) + 1
-            )
             obs.set_gauge("serve.queue_depth", len(self.queue))
             return handle
 
@@ -575,15 +546,6 @@ class JobService:
         if tenant is not None:
             fields["tenant"] = tenant
         return fields
-
-    def submit_many(
-        self,
-        specs: Iterable[JobSpec],
-        *,
-        options: SubmitOptions | None = None,
-    ) -> list[JobHandle]:
-        """Submit a batch; handles come back in submission order."""
-        return [self.submit(s, options=options) for s in specs]
 
     def run(
         self,
@@ -715,11 +677,7 @@ class JobService:
             # in-flight slot only the first time.
             if self._inflight.get(job.handle.spec_hash) is job.handle:
                 del self._inflight[job.handle.spec_hash]
-                remaining = self._tenant_inflight.get(tenant, 0) - 1
-                if remaining > 0:
-                    self._tenant_inflight[tenant] = remaining
-                else:
-                    self._tenant_inflight.pop(tenant, None)
+                self.queue.release(tenant)
             obs.set_gauge("serve.queue_depth", len(self.queue))
         if error is not None:
             obs.inc("serve.jobs_failed_total")
@@ -842,86 +800,3 @@ class JobService:
             f"submitted={self.jobs_submitted}, closed={self._closed})"
         )
 
-
-class Client:
-    """Convenience front end over a service.
-
-    ``service`` is an in-process :class:`JobService` or a
-    :class:`~repro.serve.remote.RemoteService` — anything speaking the
-    service protocol (``submit``/``cancel``/``describe``/``close``) —
-    so call sites never branch on transport.  With ``own=True`` the
-    client's ``close`` also closes the service; a shared service stays
-    open.  :func:`repro.serve.connect` is the way to get a client that
-    owns a new service.
-    """
-
-    def __init__(self, service: Any, *, own: bool = False) -> None:
-        self._own_service = own
-        self.service = service
-
-    # ------------------------------------------------------------------
-    def submit(
-        self,
-        spec: JobSpec | None = None,
-        /,
-        *,
-        options: SubmitOptions | None = None,
-        **spec_kwargs: Any,
-    ) -> JobHandle:
-        """Submit a spec, or build one from keyword arguments.
-
-        ``options=SubmitOptions(...)`` is the submission-tuning surface.
-        The remaining keywords construct the :class:`JobSpec` when no
-        spec object is given.
-        """
-        if spec is None:
-            spec = JobSpec(**spec_kwargs)
-        elif spec_kwargs:
-            raise ServeError(
-                "pass either a JobSpec or spec keyword arguments, not both"
-            )
-        return self.service.submit(spec, options=options)
-
-    def run(
-        self,
-        spec: JobSpec | None = None,
-        /,
-        *,
-        options: SubmitOptions | None = None,
-        timeout: float | None = None,
-        **spec_kwargs: Any,
-    ) -> JobResult:
-        """Submit and block for the result."""
-        return self.submit(spec, options=options, **spec_kwargs).result(
-            timeout=timeout
-        )
-
-    def map(
-        self, specs: Sequence[JobSpec], *,
-        options: SubmitOptions | None = None,
-        timeout: float | None = None,
-    ) -> list[JobResult]:
-        """Submit a batch and wait for every result, in order."""
-        handles = [self.service.submit(s, options=options) for s in specs]
-        return [h.result(timeout=timeout) for h in handles]
-
-    def cancel(self, spec_hash: str) -> bool:
-        """Cancel an in-flight job by spec hash (see :meth:`JobService.cancel`)."""
-        return self.service.cancel(spec_hash)
-
-    def describe(self) -> dict[str, Any]:
-        """The backing service's introspection snapshot."""
-        return self.service.describe()
-
-    def close(self, *, drain: bool = True) -> None:
-        if self._own_service:
-            self.service.close(drain=drain)
-
-    def __enter__(self) -> "Client":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Client({self.service!r})"

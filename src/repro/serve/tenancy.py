@@ -17,20 +17,22 @@ catch-up credit for time it wasn't queued.
 
 **Priority aging within a tenant.**  Inside a tenant, higher ``priority``
 pops first (FIFO on ties), but a queued entry gains +1 effective priority
-every ``aging_every`` *pops* (not wall-clock — pop count is deterministic
-for a fixed submission sequence), capped at ``age_max_boost``.  A
-long-queued bulk job therefore eventually ties an interactive priority
-and runs (FIFO breaks the tie in its favor once), but the cap means it
-can never permanently outrank fresh interactive work.
+every :data:`AGING_EVERY` *pops* (not wall-clock — pop count is
+deterministic for a fixed submission sequence), capped at
+:data:`AGE_MAX_BOOST`.  A long-queued bulk job therefore eventually ties
+an interactive priority and runs (FIFO breaks the tie in its favor
+once), but the cap means it can never permanently outrank fresh
+interactive work.
 
-**Quotas.**  ``TenantPolicy.max_queued`` bounds a tenant's queue
-residency; breaching it raises :class:`~repro.errors.QuotaError` (a
-subclass of :class:`~repro.errors.AdmissionError`, so existing
-backpressure handling — CLI exit 3, gateway 429 — applies unchanged).
-Global ``capacity`` still raises plain ``AdmissionError``.
-``max_inflight`` is enforced by :class:`~repro.serve.JobService`
-(admitted-but-unfinished jobs), not here — the queue only sees the
-queued leg.
+**Quotas.**  Admission is one rule, here: a push checks the tenant's
+``max_inflight`` (admitted jobs not yet finished), then its
+``max_queued`` (jobs waiting in the queue), then the global
+``capacity``.  A breached quota raises :class:`~repro.errors.QuotaError`
+(a subclass of :class:`~repro.errors.AdmissionError`, so existing
+backpressure handling — CLI exit 3, gateway 429 — applies unchanged);
+global capacity raises plain ``AdmissionError``.  An admitted job holds
+its ``max_inflight`` slot until its owner calls :meth:`FairJobQueue.release`
+at the job's terminal state; popping it does not free the slot.
 
 All decisions depend only on the submission/pop sequence, never the
 clock, preserving the repo-wide determinism gate.
@@ -41,7 +43,7 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.errors import AdmissionError, QuotaError, ServeError
 
@@ -54,14 +56,21 @@ DEFAULT_TENANT = "default"
 #: integer-ish weights produce well-separated float strides.
 STRIDE_BASE = 1 << 16
 
+#: Pops between two +1 steps of a queued entry's effective priority.
+AGING_EVERY = 8
+
+#: Most effective priority a queued entry can gain by waiting.
+AGE_MAX_BOOST = 8
+
 
 @dataclass(frozen=True)
 class TenantPolicy:
     """Per-tenant scheduling weight and admission quotas.
 
     ``weight`` — share of pops under contention, relative to other
-    tenants (weight 4 vs 1 → ~4:1 pop ratio).  ``max_queued`` /
-    ``max_inflight`` — ``None`` means unbounded.
+    tenants (weight 4 vs 1 → ~4:1 pop ratio).  ``max_queued`` bounds
+    the tenant's jobs waiting in the queue, ``max_inflight`` its admitted
+    jobs that have not finished; ``None`` means unbounded.
     """
 
     weight: float = 1.0
@@ -75,6 +84,10 @@ class TenantPolicy:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ServeError(f"tenant {name} must be >= 1, got {value}")
+
+
+#: Policy of every tenant the queue was not configured with.
+_DEFAULT_POLICY = TenantPolicy()
 
 
 def coerce_policies(
@@ -113,12 +126,12 @@ class _Entry:
 
 class FairJobQueue:
     """Bounded multi-tenant queue: weighted fair across tenants, aged
-    priority within one.
+    priority within one, and the one place admission quotas are checked.
 
     Admission is reject-not-block: :meth:`push` raises rather than waits
-    when the queue is full, so a submitting client always gets an
-    immediate answer.  With a single tenant and no aging pressure the
-    order is strict priority, FIFO within a priority level.
+    when a quota or the capacity is reached, so a submitting client
+    always gets an immediate answer.  With a single tenant and no aging
+    pressure the order is strict priority, FIFO within a priority level.
     """
 
     def __init__(
@@ -126,22 +139,14 @@ class FairJobQueue:
         capacity: int = 64,
         *,
         tenants: Mapping[str, TenantPolicy | Mapping[str, Any]] | None = None,
-        default_policy: TenantPolicy | None = None,
-        aging_every: int = 8,
-        age_max_boost: int = 8,
     ) -> None:
         if capacity < 1:
             raise ServeError(f"queue capacity must be >= 1, got {capacity}")
-        if aging_every < 1:
-            raise ServeError(f"aging_every must be >= 1, got {aging_every}")
-        if age_max_boost < 0:
-            raise ServeError(f"age_max_boost must be >= 0, got {age_max_boost}")
         self.capacity = capacity
-        self.aging_every = aging_every
-        self.age_max_boost = age_max_boost
         self._policies = coerce_policies(tenants)
-        self._default_policy = default_policy or TenantPolicy()
         self._pending: dict[str, list[_Entry]] = {}
+        #: admitted, not yet released jobs per tenant (max_inflight)
+        self._inflight: dict[str, int] = {}
         self._pass: dict[str, float] = {}
         self._vtime = 0.0
         self._tick = 0  # pops so far; the deterministic clock for aging
@@ -156,11 +161,7 @@ class FairJobQueue:
 
     # ------------------------------------------------------------------
     def policy_for(self, tenant: str) -> TenantPolicy:
-        return self._policies.get(tenant, self._default_policy)
-
-    def set_policy(self, tenant: str, policy: TenantPolicy) -> None:
-        with self._lock:
-            self._policies[tenant] = policy
+        return self._policies.get(tenant, _DEFAULT_POLICY)
 
     @property
     def policies(self) -> dict[str, TenantPolicy]:
@@ -183,36 +184,23 @@ class FairJobQueue:
         tenant: str = DEFAULT_TENANT,
         force: bool = False,
     ) -> None:
-        """Enqueue ``item`` under ``tenant``.
+        """Admit ``item`` under ``tenant`` and enqueue it.
 
-        Raises :class:`QuotaError` when the tenant's ``max_queued`` is
-        reached, :class:`AdmissionError` at global capacity, and
-        :class:`ServeError` after :meth:`close`.  ``force=True`` skips
-        the capacity and quota checks — the coordinator's requeue path
-        uses it so a lost worker's claims are never shed on their way
-        back into the queue.
+        Raises :class:`QuotaError` when the tenant is at ``max_inflight``
+        or ``max_queued``, :class:`AdmissionError` at global capacity,
+        and :class:`ServeError` after :meth:`close`.  An admitted push
+        holds one of the tenant's ``max_inflight`` slots until
+        :meth:`release`.  ``force=True`` is a requeue of an item already
+        admitted (the coordinator's path for a lost worker's claims): it
+        skips every check, so it is never shed, and keeps the slot the
+        item already holds.
         """
         with self._nonempty:
             if self._closed:
                 raise ServeError("queue is closed")
-            policy = self.policy_for(tenant)
             bucket = self._pending.get(tenant)
-            depth = len(bucket) if bucket is not None else 0
             if not force:
-                if policy.max_queued is not None and depth >= policy.max_queued:
-                    self.rejected += 1
-                    raise QuotaError(
-                        f"tenant {tenant!r} at max_queued ({policy.max_queued} "
-                        "pending jobs); retry after the scheduler drains",
-                        tenant=tenant,
-                    )
-                if self._size >= self.capacity:
-                    self.rejected += 1
-                    raise AdmissionError(
-                        f"queue is full ({self.capacity} pending jobs); "
-                        "retry after the scheduler drains or raise "
-                        "queue_capacity"
-                    )
+                self._admit_locked(tenant, len(bucket) if bucket else 0)
             if bucket is None:
                 bucket = self._pending[tenant] = []
             if not bucket:
@@ -226,10 +214,49 @@ class FairJobQueue:
             self.accepted += 1
             self._nonempty.notify()
 
+    def _admit_locked(self, tenant: str, depth: int) -> None:
+        """Check the quotas and capacity, then count the job in flight."""
+        policy = self.policy_for(tenant)
+        inflight = self._inflight.get(tenant, 0)
+        if policy.max_inflight is not None and inflight >= policy.max_inflight:
+            self.rejected += 1
+            raise QuotaError(
+                f"tenant {tenant!r} at max_inflight ({policy.max_inflight} "
+                "admitted jobs); retry after some finish",
+                tenant=tenant,
+            )
+        if policy.max_queued is not None and depth >= policy.max_queued:
+            self.rejected += 1
+            raise QuotaError(
+                f"tenant {tenant!r} at max_queued ({policy.max_queued} "
+                "pending jobs); retry after the scheduler drains",
+                tenant=tenant,
+            )
+        if self._size >= self.capacity:
+            self.rejected += 1
+            raise AdmissionError(
+                f"queue is full ({self.capacity} pending jobs); "
+                "retry after the scheduler drains or raise queue_capacity"
+            )
+        self._inflight[tenant] = inflight + 1
+
+    def release(self, tenant: str) -> None:
+        """Free one of ``tenant``'s ``max_inflight`` slots.
+
+        Call it once per admitted job, when the job reaches a terminal
+        state (done, failed or cancelled).  A count never goes below zero.
+        """
+        with self._lock:
+            remaining = self._inflight.get(tenant, 0) - 1
+            if remaining > 0:
+                self._inflight[tenant] = remaining
+            else:
+                self._inflight.pop(tenant, None)
+
     # ------------------------------------------------------------------
     def _effective_priority(self, entry: _Entry) -> int:
-        boost = (self._tick - entry.enq_tick) // self.aging_every
-        return entry.priority + min(self.age_max_boost, boost)
+        boost = (self._tick - entry.enq_tick) // AGING_EVERY
+        return entry.priority + min(AGE_MAX_BOOST, boost)
 
     def _select_locked(self) -> _Entry:
         """Pick and remove the next entry (caller holds the lock, size > 0)."""
@@ -255,21 +282,17 @@ class FairJobQueue:
 
         Returns ``None`` on timeout or when the queue is closed and empty.
         """
-        entry = self.pop_entry(timeout)
-        return None if entry is None else entry.item
-
-    def pop_entry(self, timeout: float | None = None) -> _Entry | None:
-        """Like :meth:`pop` but returns the entry (exposes ``tenant``)."""
         with self._nonempty:
             while not self._size:
                 if self._closed:
                     return None
                 if not self._nonempty.wait(timeout=timeout):
                     return None
-            return self._select_locked()
+            return self._select_locked().item
 
     def pop_nowait(self) -> _Entry | None:
-        """Non-blocking :meth:`pop_entry`; ``None`` when empty."""
+        """Non-blocking pop of the next entry (exposes ``tenant``);
+        ``None`` when empty."""
         with self._lock:
             if not self._size:
                 return None
@@ -280,7 +303,9 @@ class FairJobQueue:
         """Remove and return every queued item matching ``predicate``.
 
         The cancellation seam: a queued job can be plucked out without
-        disturbing the fair-scheduling state of its neighbors.
+        disturbing the fair-scheduling state of its neighbors.  A removed
+        item keeps its ``max_inflight`` slot until its owner calls
+        :meth:`release`.
         """
         removed: list[Any] = []
         with self._lock:
@@ -294,11 +319,6 @@ class FairJobQueue:
                         keep.append(entry)
                 self._pending[tenant] = keep
         return removed
-
-    def items(self) -> Iterable[Any]:
-        """Snapshot of queued items (diagnostics; no scheduling effect)."""
-        with self._lock:
-            return [e.item for bucket in self._pending.values() for e in bucket]
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -58,7 +58,6 @@ FACADE_EXPORTS = [
     "EnginePool",
     "RetryPolicy",
     "FaultInjector",
-    "Client",
     "Coordinator",
     "Gateway",
     "JobHandle",
@@ -126,6 +125,11 @@ class TestExports:
         assert repro.SubmitOptions is serve.SubmitOptions
         assert repro.TenantPolicy is serve.TenantPolicy
         assert repro.Gateway is serve.Gateway
+        # connect() returns the service itself, so no module exports a Client
+        import repro.serve.service as service
+
+        for module in (repro, serve, service):
+            assert not hasattr(module, "Client")
 
     def test_facade_rejects_unknown_attribute(self):
         with pytest.raises(AttributeError):

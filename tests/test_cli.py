@@ -104,6 +104,26 @@ class TestMain:
     def test_workload_option(self, capsys):
         assert main(["bench", "fig4", "--quick", "--workload", "uniform"]) == 0
 
+    def test_report_sections_equal_bench_with_the_same_flags(
+        self, tmp_path, capsys
+    ):
+        """``bench report`` gives every experiment the keywords ``bench
+        <id>`` gives it: the workload reaches the ablations and
+        ``--steps`` the timed tables."""
+        flags = ["--quick", "--workload", "uniform"]
+        out_path = tmp_path / "report.md"
+        assert main([
+            "bench", "report", *flags, "--steps", "10", "--output", str(out_path),
+        ]) == 0
+        report = out_path.read_text()
+        for exp_id, extra in (("table2", ["--steps", "10"]), ("abl-queue", [])):
+            capsys.readouterr()
+            assert main(["bench", exp_id, *flags, *extra]) == 0
+            printed = capsys.readouterr().out
+            section = report.split(f"## {exp_id} — ", 1)[1]
+            section = section.split("```text\n", 1)[1].split("\n```", 1)[0]
+            assert section.rstrip("\n") == printed.rstrip("\n")
+
 
 class TestFlagValidation:
     """Inapplicable flags are rejected (exit 2), not silently dropped."""
@@ -574,7 +594,7 @@ class TestServeSubcommands:
 
     def test_merge_shards_combines_ledgers(self, tmp_path, capsys):
         from repro.obs.ledger import RunLedger
-        from repro.serve import connect
+        from repro.serve import JobSpec, connect
 
         shards = []
         for shard, seed in (("shard-a", 1), ("shard-b", 2)):
@@ -583,11 +603,11 @@ class TestServeSubcommands:
                 with connect(
                     None, cache_dir=tmp_path / "cache",
                     ledger=ledger, shard=shard,
-                ) as client:
-                    client.run(
+                ) as service:
+                    service.run(JobSpec(
                         workload="plummer", n=64, seed=seed,
                         plan="j", dt=1e-3, steps=3,
-                    )
+                    ))
             shards.append(str(path))
         merged = tmp_path / "merged.sqlite"
         assert main(["serve", "merge-shards", *shards, "--out", str(merged)]) == 0

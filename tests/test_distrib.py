@@ -13,8 +13,9 @@ The contracts under test:
 4. ``RunLedger.merge`` folds per-shard databases into one experiment
    database with remapped (collision-free) run ids and conserved
    run/slice/event counts;
-5. :func:`repro.serve.connect` yields the same ``Client`` surface for
-   both transports and resolves the address through settings/env.
+5. :func:`repro.serve.connect` returns the service itself — a
+   ``JobService`` in-process, a ``RemoteService`` against a coordinator,
+   with the same verbs — and resolves the address through settings/env.
 """
 
 import socket
@@ -29,7 +30,6 @@ from repro.check import assert_bit_identical
 from repro.errors import AdmissionError, CheckpointError, ServeError
 from repro.obs.ledger import RunLedger
 from repro.serve import (
-    Client,
     Coordinator,
     JobService,
     JobSpec,
@@ -141,8 +141,9 @@ class TestDistributedBatch:
                 Worker(coord.addr, "shard-a", cache_dir=tmp_path, ledger=False),
                 Worker(coord.addr, "shard-b", cache_dir=tmp_path, ledger=False),
             ):
-                with connect(coord.addr) as client:
-                    results = client.map(specs, timeout=_WAIT)
+                with connect(coord.addr) as service:
+                    handles = [service.submit(spec) for spec in specs]
+                    results = [h.result(timeout=_WAIT) for h in handles]
             for spec, result in zip(specs, results):
                 pos, vel, sim_time = solo_state(spec)
                 assert_bit_identical(pos, result.positions)
@@ -157,9 +158,9 @@ class TestDistributedBatch:
         spec = small_spec(seed=9)
         with Coordinator(cache_dir=tmp_path, ledger=False) as coord:
             with Worker(coord.addr, "shard-a", cache_dir=tmp_path, ledger=False):
-                with connect(coord.addr) as client:
-                    first = client.run(spec, timeout=_WAIT)
-                    again = client.run(spec, timeout=_WAIT)
+                with connect(coord.addr) as service:
+                    first = service.run(spec, timeout=_WAIT)
+                    again = service.run(spec, timeout=_WAIT)
             assert not first.from_cache
             assert again.from_cache
             assert coord.describe()["cache_hits"] == 1
@@ -168,9 +169,9 @@ class TestDistributedBatch:
     def test_inflight_submissions_coalesce(self, tmp_path):
         spec = small_spec(seed=10, steps=30, checkpoint_every=5)
         with Coordinator(cache_dir=tmp_path, ledger=False) as coord:
-            with connect(coord.addr) as client:
-                h1 = client.submit(spec)
-                h2 = client.submit(spec)
+            with connect(coord.addr) as service:
+                h1 = service.submit(spec)
+                h2 = service.submit(spec)
                 assert h2.dedup_count == 1
                 assert coord.describe()["deduped"] == 1
                 # Only now let a worker pick the (single) queued job up.
@@ -185,18 +186,18 @@ class TestDistributedBatch:
         with Coordinator(
             cache_dir=tmp_path, queue_capacity=1, ledger=False
         ) as coord:
-            with connect(coord.addr) as client:
-                client.submit(small_spec(seed=21))
+            with connect(coord.addr) as service:
+                service.submit(small_spec(seed=21))
                 with pytest.raises(AdmissionError, match="full"):
-                    client.submit(small_spec(seed=22))
+                    service.submit(small_spec(seed=22))
 
     def test_engine_options_rejected_over_the_wire(self, tmp_path):
         from repro.exec import RetryPolicy
 
         with Coordinator(cache_dir=tmp_path, ledger=False) as coord:
-            with connect(coord.addr) as client:
+            with connect(coord.addr) as service:
                 with pytest.raises(ServeError, match="retry"):
-                    client.submit(
+                    service.submit(
                         small_spec(),
                         options=SubmitOptions(retry=RetryPolicy(max_retries=1)),
                     )
@@ -217,8 +218,8 @@ class TestKillWorkerMidRun:
                 coord.addr, "shard-a", cache_dir=tmp_path,
                 ledger=False, steps_per_slice=2,
             ).start()
-            with connect(coord.addr) as client:
-                handle = client.submit(spec)
+            with connect(coord.addr) as service:
+                handle = service.submit(spec)
                 # Wait until shard-a is mid-run with at least one
                 # checkpoint on disk, then crash it.
                 entry = coord.cache.entry_dir(spec)
@@ -244,7 +245,7 @@ class TestKillWorkerMidRun:
                 assert result.time == sim_time
                 assert result.steps == spec.steps
                 # And the finished entry serves future submissions.
-                again = client.run(spec, timeout=_WAIT)
+                again = service.run(spec, timeout=_WAIT)
                 assert again.from_cache
 
 
@@ -265,8 +266,10 @@ class TestMergeShards:
             with RunLedger(path) as ledger:
                 with connect(
                     None, cache_dir=cache, ledger=ledger, shard=shard
-                ) as client:
-                    client.map([small_spec(seed=s) for s in seeds])
+                ) as service:
+                    handles = [service.submit(small_spec(seed=s)) for s in seeds]
+                    for handle in handles:
+                        handle.result(timeout=_WAIT)
         return ledgers
 
     def test_merge_conserves_counts_and_remaps_run_ids(self, tmp_path):
@@ -305,29 +308,29 @@ class TestMergeShards:
 
 
 # ---------------------------------------------------------------------------
-# connect(): one client API, two transports
+# connect(): the service itself, on either transport
 # ---------------------------------------------------------------------------
 
 class TestConnect:
     def test_in_process_by_default(self, tmp_path):
-        with connect(cache_dir=tmp_path) as client:
-            assert isinstance(client, Client)
-            result = client.run(small_spec())
+        with connect(cache_dir=tmp_path) as service:
+            assert isinstance(service, JobService)
+            result = service.run(small_spec())
         pos, _vel, _t = solo_state(small_spec())
         assert_bit_identical(pos, result.positions)
 
     def test_remote_parity_with_in_process(self, tmp_path):
         spec = small_spec(seed=5)
-        with connect(None, cache_dir=tmp_path / "local") as client:
-            local = client.run(spec)
+        with connect(None, cache_dir=tmp_path / "local") as service:
+            local = service.run(spec)
         with Coordinator(cache_dir=tmp_path / "shared", ledger=False) as coord:
             with Worker(
                 coord.addr, "shard-a",
                 cache_dir=tmp_path / "shared", ledger=False,
             ):
-                with connect(coord.addr) as client:
-                    assert isinstance(client, Client)
-                    handle = client.submit(spec)
+                with connect(coord.addr) as service:
+                    assert isinstance(service, RemoteService)
+                    handle = service.submit(spec)
                     assert isinstance(handle, RemoteHandle)
                     remote = handle.result(timeout=_WAIT)
         assert_bit_identical(local.positions, remote.positions)
@@ -344,17 +347,17 @@ class TestConnect:
     ):
         with Coordinator(cache_dir=tmp_path, ledger=False) as coord:
             monkeypatch.setenv("REPRO_SERVE_ADDR", coord.addr)
-            with connect() as client:
-                assert isinstance(client.service, RemoteService)
-                assert client.service.addr == coord.addr
+            with connect() as service:
+                assert isinstance(service, RemoteService)
+                assert service.addr == coord.addr
             # configure() beats the environment...
             repro.configure(serve_addr=coord.addr)
             monkeypatch.setenv("REPRO_SERVE_ADDR", "203.0.113.1:1")
-            with connect() as client:
-                assert client.service.addr == coord.addr
+            with connect() as service:
+                assert service.addr == coord.addr
             # ...and an explicit None beats both (forces in-process).
-            with connect(None, cache_dir=tmp_path) as client:
-                assert isinstance(client.service, JobService)
+            with connect(None, cache_dir=tmp_path) as service:
+                assert isinstance(service, JobService)
 
     def test_shutdown_rpc_stops_coordinator(self, tmp_path):
         coord = Coordinator(cache_dir=tmp_path, ledger=False).start()
@@ -394,8 +397,8 @@ class TestWaitTimeout:
     def test_remote_handle_rejects_before_any_rpc(self, tmp_path, timeout):
         # No worker: the job stays queued, so only the timeout can end a wait.
         with Coordinator(cache_dir=tmp_path, ledger=False) as coord:
-            with connect(coord.addr) as client:
-                handle = client.submit(small_spec(seed=66))
+            with connect(coord.addr) as service:
+                handle = service.submit(small_spec(seed=66))
                 for call in (handle.wait, handle.result):
                     out = self._bounded(lambda: call(timeout=timeout))
                     assert isinstance(out.get("error"), ServeError), out
@@ -404,8 +407,8 @@ class TestWaitTimeout:
     @pytest.mark.parametrize("timeout", BAD)
     def test_coordinator_wait_op_rejects(self, tmp_path, timeout):
         with Coordinator(cache_dir=tmp_path, ledger=False) as coord:
-            with connect(coord.addr) as client:
-                spec_hash = client.submit(small_spec(seed=67)).spec_hash
+            with connect(coord.addr) as service:
+                spec_hash = service.submit(small_spec(seed=67)).spec_hash
             with socket.create_connection(parse_addr(coord.addr), timeout=3.0) as sock:
                 send_msg(sock, {"op": "wait", "spec_hash": spec_hash, "timeout": timeout})
                 reply = recv_msg(sock)
@@ -419,17 +422,17 @@ class TestTokenAuth:
         with Coordinator(
             cache_dir=tmp_path, ledger=False, token="right"
         ) as coord:
-            with connect(coord.addr, token="wrong") as client:
+            with connect(coord.addr, token="wrong") as service:
                 with pytest.raises(ServeError, match="authentication failed"):
-                    client.submit(small_spec(seed=60))
+                    service.submit(small_spec(seed=60))
 
     def test_missing_token_rejected(self, tmp_path):
         with Coordinator(
             cache_dir=tmp_path, ledger=False, token="right"
         ) as coord:
-            with connect(coord.addr) as client:
+            with connect(coord.addr) as service:
                 with pytest.raises(ServeError, match="REPRO_SERVE_TOKEN"):
-                    client.describe()
+                    service.describe()
 
     def test_unauthenticated_shutdown_refused(self, tmp_path):
         with Coordinator(
@@ -452,8 +455,8 @@ class TestTokenAuth:
                 coord.addr, "auth-shard", cache_dir=tmp_path, ledger=False,
                 token="s3cret",
             ):
-                with connect(coord.addr, token="s3cret") as client:
-                    result = client.run(spec, timeout=120)
+                with connect(coord.addr, token="s3cret") as service:
+                    result = service.run(spec, timeout=120)
         pos, _vel, _time = solo_state(spec)
         assert_bit_identical(result.positions, pos)
 
@@ -462,28 +465,28 @@ class TestTokenAuth:
         with Coordinator(cache_dir=tmp_path, ledger=False) as coord:
             assert coord.token == "from-config"
             # connect() with no explicit token picks it up too.
-            with connect(coord.addr) as client:
-                client.describe()  # authenticates successfully
+            with connect(coord.addr) as service:
+                service.describe()  # authenticates successfully
 
     def test_no_token_disables_auth(self, tmp_path):
         with Coordinator(cache_dir=tmp_path, ledger=False) as coord:
-            with connect(coord.addr) as client:
-                client.describe()
+            with connect(coord.addr) as service:
+                service.describe()
 
 
 class TestRemoteCancel:
     def test_cancel_queued_job_over_the_wire(self, tmp_path):
         # No worker connected: everything stays queued and cancellable.
         with Coordinator(cache_dir=tmp_path, ledger=False) as coord:
-            with connect(coord.addr) as client:
-                handle = client.submit(small_spec(seed=62))
-                assert client.cancel(handle.spec_hash) is True
+            with connect(coord.addr) as service:
+                handle = service.submit(small_spec(seed=62))
+                assert service.cancel(handle.spec_hash) is True
                 from repro.errors import JobCancelledError
 
                 with pytest.raises(JobCancelledError):
                     handle.result(timeout=10)
                 assert handle.status == "cancelled"
-                assert client.describe()["cancelled"] == 1
+                assert service.describe()["cancelled"] == 1
 
     def test_cancel_done_job_reports_false(self, tmp_path):
         spec = small_spec(seed=63)
@@ -491,10 +494,10 @@ class TestRemoteCancel:
             with Worker(
                 coord.addr, "cancel-shard", cache_dir=tmp_path, ledger=False
             ):
-                with connect(coord.addr) as client:
-                    handle = client.submit(spec)
+                with connect(coord.addr) as service:
+                    handle = service.submit(spec)
                     handle.result(timeout=120)
-                    assert client.cancel(handle.spec_hash) is False
+                    assert service.cancel(handle.spec_hash) is False
 
 
 class TestTenantOverWire:
@@ -509,8 +512,8 @@ class TestTenantOverWire:
                 coord.addr, "tenant-shard", cache_dir=tmp_path / "cache",
                 ledger=RunLedger(ledger_dir),
             ) as worker:
-                with connect(coord.addr) as client:
-                    handle = client.submit(
+                with connect(coord.addr) as service:
+                    handle = service.submit(
                         spec, options=SubmitOptions(tenant="acme")
                     )
                     handle.result(timeout=120)
@@ -536,14 +539,14 @@ class TestTenantOverWire:
                 cache_dir=tmp_path / "cache", ledger=ledger,
                 tenants={"a": {"weight": 4.0}, "b": {"weight": 1.0}},
             ) as coord:
-                with connect(coord.addr) as client:
+                with connect(coord.addr) as service:
                     for i in range(8):
                         for tenant in ("a", "b"):
                             spec = small_spec(
                                 seed=200 + 2 * i + (tenant == "b"), steps=2
                             )
                             tenant_of[spec.spec_hash()[:12]] = tenant
-                            handles.append(client.submit(
+                            handles.append(service.submit(
                                 spec, options=SubmitOptions(tenant=tenant)
                             ))
                     with Worker(
@@ -569,15 +572,54 @@ class TestTenantOverWire:
             cache_dir=tmp_path, ledger=False,
             tenants={"capped": {"max_queued": 1}},
         ) as coord:
-            with connect(coord.addr) as client:
-                client.submit(
+            with connect(coord.addr) as service:
+                service.submit(
                     small_spec(seed=65), options=SubmitOptions(tenant="capped")
                 )
                 with pytest.raises(QuotaError, match="max_queued"):
-                    client.submit(
+                    service.submit(
                         small_spec(seed=66),
                         options=SubmitOptions(tenant="capped"),
                     )
+
+    def test_coordinator_max_inflight_rejects_and_cancel_frees_the_slot(
+        self, tmp_path
+    ):
+        """No worker: a capped tenant's first job stays queued and holds
+        the tenant's one slot until it is cancelled."""
+        from repro.errors import JobCancelledError, QuotaError
+
+        capped = SubmitOptions(tenant="capped")
+        with Coordinator(
+            cache_dir=tmp_path, ledger=False,
+            tenants={"capped": {"max_inflight": 1}},
+        ) as coord:
+            with connect(coord.addr) as service:
+                first = service.submit(small_spec(seed=68), options=capped)
+                with pytest.raises(QuotaError, match="max_inflight"):
+                    service.submit(small_spec(seed=69), options=capped)
+                service.submit(small_spec(seed=69))  # other tenants admit
+                assert service.cancel(first.spec_hash) is True
+                with pytest.raises(JobCancelledError):
+                    first.result(timeout=10)
+                second = service.submit(small_spec(seed=70), options=capped)
+                assert second.status == "queued"
+                with pytest.raises(QuotaError, match="max_inflight"):
+                    service.submit(small_spec(seed=71), options=capped)
+
+    def test_coordinator_done_job_frees_its_inflight_slot(self, tmp_path):
+        capped = SubmitOptions(tenant="capped")
+        with Coordinator(
+            cache_dir=tmp_path, ledger=False,
+            tenants={"capped": {"max_inflight": 1}},
+        ) as coord:
+            with Worker(coord.addr, "shard-a", cache_dir=tmp_path, ledger=False):
+                with connect(coord.addr) as service:
+                    service.run(small_spec(seed=72), options=capped, timeout=_WAIT)
+                    again = service.run(
+                        small_spec(seed=73), options=capped, timeout=_WAIT
+                    )
+        assert again.steps == small_spec().steps
 
 
 class TestConstruction:
@@ -594,12 +636,15 @@ class TestConstruction:
             w for w in caught if issubclass(w.category, DeprecationWarning)
         ]
 
-    def test_client_over_shared_service_leaves_it_open(self, tmp_path):
-        spec = small_spec(seed=6)
-        with JobService(cache_dir=tmp_path) as svc:
-            with Client(svc) as client:
-                via_client = client.run(spec)
-            assert not svc.describe()["closed"]
-        with connect(None, cache_dir=tmp_path / "fresh") as client:
-            via_connect = client.run(spec)
-        assert_bit_identical(via_client.positions, via_connect.positions)
+    def test_leaving_with_closes_only_what_connect_opened(self, tmp_path):
+        with connect(None, cache_dir=tmp_path / "local") as local:
+            local.run(small_spec(seed=6))
+        assert local.describe()["closed"]
+        with Coordinator(cache_dir=tmp_path, ledger=False) as coord:
+            with connect(coord.addr) as remote:
+                remote.describe()
+            with pytest.raises(ServeError, match="closed"):
+                remote.describe()
+            # The coordinator itself keeps serving other connections.
+            with connect(coord.addr) as again:
+                assert not again.describe()["closed"]

@@ -9,17 +9,19 @@ batched results stay bit-identical to solo runs.
 from __future__ import annotations
 
 import sqlite3
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 import repro
 from repro import obs
-from repro.errors import LedgerError
+from repro.errors import ConfigurationError, LedgerError
 from repro.config import resolve
 from repro.obs.ledger import LEDGER_NAME, LEDGER_VERSION, RunLedger, default_ledger
 from repro.runtime import RunSession
-from repro.serve import JobService
+from repro.serve import Coordinator, JobService
 
 from tests.conftest import Interrupt, interrupt_at, make_sim, small_spec, solo_state
 
@@ -391,6 +393,100 @@ class TestLedgerSettings:
         repro.configure(ledger_dir=str(tmp_path))
         assert default_ledger() is default_ledger()
 
+    def test_default_ledger_opens_each_path_once(self, tmp_path, monkeypatch):
+        """Only the first call for a path opens a ledger, even when four
+        threads ask at once; later calls resolve the path and reuse it."""
+        opened = []
+        real_init = RunLedger.__init__
+
+        def counting_init(ledger, path):
+            opened.append(path)
+            real_init(ledger, path)
+
+        monkeypatch.setattr(RunLedger, "__init__", counting_init)
+        repro.configure(ledger_dir=str(tmp_path))
+        barrier = threading.Barrier(4)
+        got = []
+
+        def ask():
+            barrier.wait()
+            got.append(default_ledger())
+
+        threads = [threading.Thread(target=ask) for _ in range(4)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == 4 and all(led is got[0] for led in got)
+        assert default_ledger() is got[0]
+        assert len(opened) == 1
+
+    def test_default_ledger_follows_the_dir_or_file_rule(self, tmp_path):
+        repro.configure(ledger_dir=str(tmp_path / "runs.sqlite"))
+        assert default_ledger().path == tmp_path / "runs.sqlite"
+        repro.configure(ledger_dir=str(tmp_path / "dir"))
+        assert default_ledger().path == tmp_path / "dir" / LEDGER_NAME
+
+
+def _session(tmp_path, ledger):
+    return RunSession(make_sim(), tmp_path / "run", ledger=ledger)
+
+
+def _service(tmp_path, ledger):
+    return JobService(cache_dir=tmp_path / "cache", ledger=ledger)
+
+
+def _coordinator(tmp_path, ledger):
+    return Coordinator(cache_dir=tmp_path / "cache", ledger=ledger)
+
+
+def _close(owner):
+    if isinstance(owner, JobService):
+        owner.close()
+    elif isinstance(owner, Coordinator):
+        owner.stop()
+
+
+@pytest.mark.parametrize("build", [_session, _service, _coordinator])
+class TestLedgerArgument:
+    """``RunSession``, ``JobService`` and ``Coordinator`` share one
+    ``ledger=`` rule."""
+
+    def test_none_is_the_settings_shared_ledger(self, tmp_path, build):
+        repro.configure(ledger_dir=str(tmp_path / "led"))
+        owner = build(tmp_path, None)
+        try:
+            assert owner.ledger is default_ledger()
+        finally:
+            _close(owner)
+
+    def test_false_is_no_ledger(self, tmp_path, build):
+        repro.configure(ledger_dir=str(tmp_path / "led"))
+        owner = build(tmp_path, False)
+        try:
+            assert owner.ledger is None
+        finally:
+            _close(owner)
+
+    def test_a_ledger_is_used_as_given(self, tmp_path, build):
+        with RunLedger(tmp_path / "mine.sqlite") as ledger:
+            owner = build(tmp_path, ledger)
+            try:
+                assert owner.ledger is ledger
+            finally:
+                _close(owner)
+
+    @pytest.mark.parametrize("bad", ["ledger-dir", True])
+    def test_anything_else_is_a_configuration_error(self, tmp_path, build, bad):
+        with pytest.raises(ConfigurationError, match="RunLedger, False or None"):
+            build(tmp_path, bad)
+
 
 # ---------------------------------------------------------------------------
 # RunSession wiring
@@ -480,7 +576,7 @@ class TestServeLedger:
             cache_dir=tmp_path / "cache", max_concurrent_jobs=2,
             steps_per_slice=2, ledger=led,
         ) as svc:
-            handles = svc.submit_many(specs)
+            handles = [svc.submit(spec) for spec in specs]
             dup = svc.submit(specs[0])          # coalesces
             assert dup is handles[0]
             for h in handles:

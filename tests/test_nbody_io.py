@@ -1,10 +1,14 @@
 """Tests for snapshot I/O."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
-from repro.nbody.io import load_snapshot, save_snapshot
+from repro.nbody.io import load_snapshot, save_snapshot, snapshot_extras
+from repro.runtime.checkpoint import read_checkpoint
 
 
 class TestSnapshotRoundtrip:
@@ -51,3 +55,59 @@ class TestSnapshotRoundtrip:
         np.savez(path, **data)
         with pytest.raises(WorkloadError, match="newer"):
             load_snapshot(path)
+
+
+class TestConcurrentReads:
+    def test_one_reader_at_a_time_inside_the_header_parse(
+        self, tmp_path, plummer_small, monkeypatch
+    ):
+        """NumPy parses a ``.npy`` header with ``ast.literal_eval``, which
+        two threads cannot run at once on CPython 3.11; snapshot, extras
+        and ``last_acc.npy`` reads must never overlap there."""
+        ckpt = tmp_path / "ckpt"
+        save_snapshot(
+            ckpt / "state.npz", plummer_small,
+            extra={"rungs": np.zeros(len(plummer_small), dtype=np.int64)},
+        )
+        (ckpt / "record.json").write_text("{}")
+        np.save(ckpt / "last_acc.npy", np.zeros((len(plummer_small), 3)))
+
+        # the namespace NumPy's array reader looks its header parser up in
+        fmt = np.lib.format.read_array.__globals__
+        real_header = fmt["_read_array_header"]
+        lock = threading.Lock()
+        inside, peak = [0], [0]
+
+        def slow_header(*args, **kwargs):
+            with lock:
+                inside[0] += 1
+                peak[0] = max(peak[0], inside[0])
+            try:
+                time.sleep(0.002)
+                return real_header(*args, **kwargs)
+            finally:
+                with lock:
+                    inside[0] -= 1
+
+        monkeypatch.setitem(fmt, "_read_array_header", slow_header)
+        barrier = threading.Barrier(4)
+        errors = []
+
+        def reader():
+            barrier.wait()
+            try:
+                for _ in range(3):
+                    _, _, _, last_acc = read_checkpoint(ckpt)
+                    assert last_acc is not None
+                    assert set(snapshot_extras(ckpt / "state.npz")) == {"rungs"}
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=reader) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert peak[0] == 1

@@ -221,8 +221,8 @@ class TestResultCache:
         spec = small_spec()
         cache = ResultCache(tmp_path)
         assert cache.lookup(spec) is None
-        with connect(None, cache_dir=tmp_path) as client:
-            fresh = client.run(spec)
+        with connect(None, cache_dir=tmp_path) as service:
+            fresh = service.run(spec)
         assert not fresh.from_cache
         hit = cache.lookup(spec)
         assert hit is not None and hit.from_cache
@@ -240,8 +240,8 @@ class TestResultCache:
 
     def test_claim_refuses_complete_entry(self, tmp_path):
         spec = small_spec()
-        with connect(None, cache_dir=tmp_path) as client:
-            client.run(spec)
+        with connect(None, cache_dir=tmp_path) as service:
+            service.run(spec)
         cache = ResultCache(tmp_path)
         with pytest.raises(ServeError, match="complete"):
             cache.claim(spec)
@@ -321,8 +321,9 @@ class TestJobService:
         ]
         with connect(
             None, cache_dir=tmp_path, max_concurrent_jobs=4, steps_per_slice=2
-        ) as client:
-            results = client.map(specs)
+        ) as service:
+            handles = [service.submit(spec) for spec in specs]
+            results = [handle.result(timeout=120) for handle in handles]
         for spec, result in zip(specs, results):
             pos, vel, time = solo_state(spec)
             assert_bit_identical(pos, result.positions)
@@ -330,18 +331,17 @@ class TestJobService:
             assert result.time == time
             assert result.steps == spec.steps
 
-    def test_single_runner_interleaves_many_live_sessions(self, tmp_path):
-        # One runner thread, four live sessions, 1-step slices: maximal
-        # interleaving, still bit-identical per job.
+    def test_many_live_sessions_interleave_in_one_step_slices(self, tmp_path):
+        # Four live sessions, 1-step slices: maximal interleaving over
+        # the shared ready list, still bit-identical per job.
         specs = [small_spec(seed=s) for s in (1, 2, 3, 4)]
         svc = JobService(
             cache_dir=tmp_path,
             max_concurrent_jobs=4,
-            runner_threads=1,
             steps_per_slice=1,
         )
         try:
-            handles = svc.submit_many(specs)
+            handles = [svc.submit(spec) for spec in specs]
             results = [h.result(timeout=120) for h in handles]
         finally:
             svc.close()
@@ -352,9 +352,9 @@ class TestJobService:
 
     def test_cache_hit_bit_identical_to_fresh(self, tmp_path):
         spec = small_spec()
-        with connect(None, cache_dir=tmp_path) as client:
-            fresh = client.run(spec)
-            cached = client.run(small_spec())  # equal spec, new object
+        with connect(None, cache_dir=tmp_path) as service:
+            fresh = service.run(spec)
+            cached = service.run(small_spec())  # equal spec, new object
         assert not fresh.from_cache and cached.from_cache
         assert_bit_identical(fresh.positions, cached.positions)
         assert_bit_identical(fresh.velocities, cached.velocities)
@@ -363,17 +363,15 @@ class TestJobService:
 
     def test_cache_survives_service_restart(self, tmp_path):
         spec = small_spec()
-        with connect(None, cache_dir=tmp_path) as client:
-            fresh = client.run(spec)
-        with connect(None, cache_dir=tmp_path) as client:
-            again = client.run(spec)
+        with connect(None, cache_dir=tmp_path) as service:
+            fresh = service.run(spec)
+        with connect(None, cache_dir=tmp_path) as service:
+            again = service.run(spec)
         assert again.from_cache
         assert_bit_identical(fresh.positions, again.positions)
 
     def test_inflight_dedup_returns_same_handle(self, tmp_path):
-        svc = JobService(
-            cache_dir=tmp_path, max_concurrent_jobs=1, runner_threads=1
-        )
+        svc = JobService(cache_dir=tmp_path, max_concurrent_jobs=1)
         try:
             first = svc.submit(small_spec(seed=7))
             dup = svc.submit(small_spec(seed=7))
@@ -389,10 +387,7 @@ class TestJobService:
 
     def test_queue_capacity_rejects_submit(self, tmp_path):
         svc = JobService(
-            cache_dir=tmp_path,
-            queue_capacity=1,
-            max_concurrent_jobs=1,
-            runner_threads=1,
+            cache_dir=tmp_path, queue_capacity=1, max_concurrent_jobs=1
         )
         try:
             # Long-running jobs keep the single runner busy so the queue
@@ -443,11 +438,11 @@ class TestJobService:
             small_spec(seed=s, plan=p) for s, p in [(1, "jw"), (2, "i"), (3, "w")]
         ]
         repeats = [unique[0], unique[2], unique[0]]
-        with connect(None, cache_dir=tmp_path, max_concurrent_jobs=2) as client:
-            handles = [client.submit(spec) for spec in unique + repeats]
+        with connect(None, cache_dir=tmp_path, max_concurrent_jobs=2) as service:
+            handles = [service.submit(spec) for spec in unique + repeats]
             for handle in handles:
                 handle.result(timeout=120)
-            described = client.describe()
+            described = service.describe()
         assert described["deduped"] + described["cache_hits"] == len(repeats)
         assert len(stepped) == sum(spec.steps for spec in unique)
 
@@ -455,8 +450,8 @@ class TestJobService:
         good_spec = small_spec(seed=1)
         bad_spec = small_spec(seed=9, plan="i")
         pos, vel, _ = solo_state(good_spec)
-        with connect(None, cache_dir=tmp_path, max_concurrent_jobs=2) as client:
-            bad = client.service.submit(
+        with connect(None, cache_dir=tmp_path, max_concurrent_jobs=2) as service:
+            bad = service.submit(
                 bad_spec,
                 options=SubmitOptions(
                     fault_injector=FaultInjector(
@@ -464,7 +459,7 @@ class TestJobService:
                     ),
                 ),
             )
-            good = client.service.submit(good_spec)
+            good = service.submit(good_spec)
             result = good.result(timeout=120)
             bad.wait(timeout=120)
         assert bad.status == "failed" and bad.error is not None
@@ -476,8 +471,8 @@ class TestJobService:
     def test_faulty_job_with_retries_still_bit_identical(self, tmp_path):
         spec = small_spec(seed=3, plan="j")
         pos, _, _ = solo_state(spec)
-        with connect(None, cache_dir=tmp_path) as client:
-            handle = client.service.submit(
+        with connect(None, cache_dir=tmp_path) as service:
+            handle = service.submit(
                 spec,
                 options=SubmitOptions(
                     fault_injector=FaultInjector(
@@ -492,8 +487,8 @@ class TestJobService:
 
     def test_failed_job_not_cached(self, tmp_path):
         spec = small_spec(seed=9)
-        with connect(None, cache_dir=tmp_path) as client:
-            bad = client.service.submit(
+        with connect(None, cache_dir=tmp_path) as service:
+            bad = service.submit(
                 spec,
                 options=SubmitOptions(
                     fault_injector=FaultInjector(
@@ -504,7 +499,7 @@ class TestJobService:
             bad.wait(timeout=120)
             assert bad.status == "failed"
             # Same spec resubmitted healthy: must re-run, not hit cache.
-            result = client.service.submit(spec).result(timeout=120)
+            result = service.submit(spec).result(timeout=120)
         assert not result.from_cache
         pos, _, _ = solo_state(spec)
         assert_bit_identical(pos, result.positions)
@@ -524,9 +519,7 @@ class TestJobService:
             return real_load(cache, spec, from_cache=from_cache)
 
         monkeypatch.setattr(ResultCache, "load", load_broken_once)
-        svc = JobService(
-            cache_dir=tmp_path, max_concurrent_jobs=2, runner_threads=2
-        )
+        svc = JobService(cache_dir=tmp_path, max_concurrent_jobs=2)
         try:
             bad = svc.submit(small_spec(seed=41))
             with pytest.raises(CheckpointError, match="unreadable"):
@@ -549,9 +542,7 @@ class TestJobService:
             assert engine.map(lambda x: x + 1, [1, 2]) == [2, 3]
 
     def test_close_without_drain_fails_pending(self, tmp_path):
-        svc = JobService(
-            cache_dir=tmp_path, max_concurrent_jobs=1, runner_threads=1
-        )
+        svc = JobService(cache_dir=tmp_path, max_concurrent_jobs=1)
         handles = [
             svc.submit(small_spec(seed=200 + s, n=512, steps=100))
             for s in range(4)
@@ -565,9 +556,9 @@ class TestJobService:
 
     def test_serve_metrics_and_span_emitted(self, tmp_path):
         with obs.capture() as (tracer, metrics):
-            with connect(None, cache_dir=tmp_path) as client:
-                client.run(small_spec(seed=31))
-                client.run(small_spec(seed=31))  # cache hit
+            with connect(None, cache_dir=tmp_path) as service:
+                service.run(small_spec(seed=31))
+                service.run(small_spec(seed=31))  # cache hit
         assert metrics.get("serve.jobs_total").value == 2
         assert metrics.get("serve.cache_hits_total").value == 1
         assert metrics.get("serve.jobs_completed_total").value == 1
@@ -668,7 +659,7 @@ class TestScheduler:
         jobs = [_FakeJob(slices_needed=3) for _ in range(6)]
         for j in jobs:
             q.push(j)
-        sched = Scheduler(q, max_live=2, runner_threads=1, steps_per_slice=1)
+        sched = Scheduler(q, max_live=2, steps_per_slice=1)
         sched.start()
         sched.stop(drain=True, timeout=30)
         assert all(j.events[-1] == "finish" for j in jobs)
@@ -682,7 +673,7 @@ class TestScheduler:
         q = FairJobQueue(capacity=4)
         job = ExplodingJob()
         q.push(job)
-        sched = Scheduler(q, max_live=1, runner_threads=1)
+        sched = Scheduler(q, max_live=1)
         sched.start()
         sched.stop(drain=True, timeout=30)
         assert ("fail", "RuntimeError") in job.events
@@ -692,7 +683,7 @@ class TestScheduler:
         jobs = [_FakeJob(slices_needed=10_000) for _ in range(4)]
         for j in jobs:
             q.push(j)
-        sched = Scheduler(q, max_live=1, runner_threads=1, steps_per_slice=1)
+        sched = Scheduler(q, max_live=1, steps_per_slice=1)
         sched.start()
         sched.stop(drain=False, timeout=30)
         assert any(("fail", "ServeError") in j.events for j in jobs)

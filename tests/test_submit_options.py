@@ -83,10 +83,10 @@ class TestSurfaces:
     def test_service_submit_options_is_warning_free(self, tmp_path):
         with connect(
             None, cache_dir=tmp_path / "cache", ledger=False
-        ) as client:
+        ) as service:
             with warnings.catch_warnings(record=True) as record:
                 warnings.simplefilter("always")
-                handle = client.submit(
+                handle = service.submit(
                     small_spec(seed=31), options=SubmitOptions(priority=1)
                 )
             handle.result(timeout=60)
@@ -97,36 +97,25 @@ class TestSurfaces:
     def test_service_submit_legacy_priority_warns_once(self, tmp_path):
         with connect(
             None, cache_dir=tmp_path / "cache", ledger=False
-        ) as client:
+        ) as service:
             spec = small_spec(seed=32)
-            with pytest.raises(ServeError, match="not both"):
-                client.submit(spec, priority=2)
             with pytest.raises(TypeError):
-                client.service.submit(spec, priority=2)
-            assert client.describe()["jobs_submitted"] == 0
+                service.submit(spec, priority=2)
+            with pytest.raises(TypeError):
+                service.run(spec, priority=2)
+            assert service.describe()["jobs_submitted"] == 0
 
     def test_service_submit_legacy_fault_kwargs_warn_once(self, tmp_path):
         with connect(
             None, cache_dir=tmp_path / "cache", ledger=False
-        ) as client:
+        ) as service:
             with pytest.raises(TypeError):
-                client.service.submit(
+                service.submit(
                     small_spec(seed=33),
                     retry=RetryPolicy(max_retries=1),
                     fault_injector=FaultInjector(seed=7),
                 )
-            assert client.describe()["jobs_submitted"] == 0
-
-    def test_client_map_legacy_priority_warns_once_for_whole_batch(
-        self, tmp_path
-    ):
-        with connect(
-            None, cache_dir=tmp_path / "cache", ledger=False
-        ) as client:
-            specs = [small_spec(seed=34 + i) for i in range(3)]
-            with pytest.raises(TypeError):
-                client.map(specs, priority=1, timeout=120)
-            assert client.describe()["jobs_submitted"] == 0
+            assert service.describe()["jobs_submitted"] == 0
 
     def test_remote_rejects_in_process_only_options(self, tmp_path):
         from repro.serve import Coordinator
@@ -134,9 +123,9 @@ class TestSurfaces:
         with Coordinator(
             "127.0.0.1:0", cache_dir=tmp_path / "cache", ledger=False
         ) as coord:
-            with connect(coord.addr) as client:
+            with connect(coord.addr) as service:
                 with pytest.raises(ServeError, match="worker shards"):
-                    client.submit(
+                    service.submit(
                         small_spec(seed=40),
                         options=SubmitOptions(
                             verify=True, retry=RetryPolicy(max_retries=1)
@@ -154,10 +143,10 @@ class TestSurfaces:
             with Worker(
                 coord.addr, "shard-t", cache_dir=cache, ledger=False
             ) as _worker:
-                with connect(coord.addr) as client:
+                with connect(coord.addr) as service:
                     with warnings.catch_warnings(record=True) as record:
                         warnings.simplefilter("always")
-                        handle = client.submit(
+                        handle = service.submit(
                             small_spec(seed=41),
                             options=SubmitOptions(priority=2, tenant="acme"),
                         )

@@ -13,6 +13,7 @@ from tests.conftest import small_spec, solo_state
 
 import numpy as np
 
+from repro import obs
 from repro.errors import (
     AdmissionError,
     JobCancelledError,
@@ -23,6 +24,7 @@ from repro.errors import (
 from repro.obs.ledger import RunLedger
 from repro.serve import DEFAULT_TENANT, FairJobQueue, TenantPolicy, connect
 from repro.serve.options import SubmitOptions
+from repro.serve.tenancy import AGE_MAX_BOOST, AGING_EVERY
 
 
 def drain(queue, count=None):
@@ -115,29 +117,32 @@ class TestWeightedFairness:
 class TestPriorityAging:
     def test_aged_bulk_job_eventually_runs(self):
         """A priority-0 job overtakes fresh priority-1 work via aging."""
-        q = FairJobQueue(capacity=128, aging_every=2, age_max_boost=8)
+        q = FairJobQueue(capacity=128)
         q.push("old-bulk", priority=0)
-        # Keep feeding fresh priority-1 jobs; after 2 pops the bulk job's
-        # effective priority reaches 1 and FIFO (older seq) breaks the tie.
+        # Keep feeding fresh priority-1 jobs; after AGING_EVERY pops the
+        # bulk job's effective priority reaches 1 and FIFO (older seq)
+        # breaks the tie.
         order = []
-        for i in range(6):
+        for i in range(AGING_EVERY + 2):
             q.push(f"fresh{i}", priority=1)
             order.append(q.pop_nowait().item)
-        assert "old-bulk" in order
+        assert order.index("old-bulk") == AGING_EVERY
 
     def test_age_boost_is_capped(self):
         """Aging can never permanently outrank fresh interactive work."""
-        q = FairJobQueue(capacity=128, aging_every=1, age_max_boost=2)
+        q = FairJobQueue(capacity=128)
         q.push("bulk", priority=0)
-        # Burn pops so bulk's boost saturates at +2.
-        for i in range(10):
-            q.push(f"filler{i}", priority=5)
-            q.pop_nowait()
-        q.push("interactive", priority=5)
+        top = AGE_MAX_BOOST + 1
+        # Burn enough pops that an uncapped boost would lift bulk past
+        # every filler; capped at +AGE_MAX_BOOST it never catches up.
+        for i in range(AGING_EVERY * (top + 1)):
+            q.push(f"filler{i}", priority=top)
+            assert q.pop_nowait().item == f"filler{i}"
+        q.push("interactive", priority=top)
         assert q.pop_nowait().item == "interactive"
 
     def test_aging_clock_is_pop_count_not_time(self):
-        q = FairJobQueue(capacity=16, aging_every=4)
+        q = FairJobQueue(capacity=16)
         q.push("bulk", priority=0)
         # No pops happened: zero boost regardless of elapsed wall time.
         q.push("fresh", priority=1)
@@ -175,6 +180,78 @@ class TestQuotas:
         q.push("requeued", tenant="t", force=True)
         assert len(q) == 2
 
+    def test_push_counts_toward_max_inflight(self):
+        q = FairJobQueue(capacity=64, tenants={"t": {"max_inflight": 2}})
+        q.push("a", tenant="t")
+        q.push("b", tenant="t")
+        drain(q)  # popped jobs are running: they keep their slots
+        with pytest.raises(QuotaError, match="max_inflight") as exc_info:
+            q.push("c", tenant="t")
+        assert exc_info.value.tenant == "t"
+        assert q.rejected == 1
+        q.push("x", tenant="other")  # other tenants are unaffected
+
+    def test_max_inflight_is_checked_before_max_queued(self):
+        q = FairJobQueue(
+            capacity=64, tenants={"t": {"max_inflight": 1, "max_queued": 1}}
+        )
+        q.push("a", tenant="t")
+        with pytest.raises(QuotaError, match="max_inflight"):
+            q.push("b", tenant="t")
+
+    def test_release_frees_one_slot_and_never_goes_below_zero(self):
+        q = FairJobQueue(capacity=64, tenants={"t": {"max_inflight": 2}})
+        for _ in range(3):
+            q.release("t")  # nothing admitted: the count stays at zero
+        q.push("a", tenant="t")
+        q.push("b", tenant="t")
+        with pytest.raises(QuotaError, match="max_inflight"):
+            q.push("c", tenant="t")
+        q.release("t")
+        q.push("c", tenant="t")
+        with pytest.raises(QuotaError, match="max_inflight"):
+            q.push("d", tenant="t")
+
+    def test_forced_push_keeps_its_slot_and_is_never_shed(self):
+        q = FairJobQueue(capacity=1, tenants={"t": {"max_inflight": 1}})
+        q.push("a", tenant="t")
+        assert q.pop_nowait().item == "a"  # assigned to a worker...
+        q.push("x", tenant="other")  # the queue is full again
+        q.push("a", tenant="t", force=True)  # ...which is lost: requeue
+        assert len(q) == 2
+        with pytest.raises(QuotaError, match="max_inflight"):
+            q.push("b", tenant="t")
+        drain(q)
+        q.release("t")  # "a" finishes: one release frees its one slot
+        q.push("b", tenant="t")
+
+    def test_max_inflight_rejection_is_ledgered_like_max_queued(self, tmp_path):
+        """A max_inflight rejection takes the queue's admission path: the
+        rejected counter and a failed "rejected by admission control" row."""
+        capped = SubmitOptions(tenant="capped")
+        with RunLedger(tmp_path / "ledger.sqlite") as ledger, obs.capture() as (
+            _tracer, metrics
+        ):
+            with connect(
+                None,
+                max_concurrent_jobs=1,
+                cache_dir=tmp_path / "cache",
+                ledger=ledger,
+                tenants={"capped": {"max_inflight": 1}},
+            ) as service:
+                service.submit(small_spec(seed=1, steps=20), options=capped)
+                with pytest.raises(QuotaError, match="max_inflight"):
+                    service.submit(small_spec(seed=2), options=capped)
+                assert service.queue.rejected == 1
+            failed = ledger.runs(status="failed")
+            rejected = metrics.get(
+                "serve.rejected_total", labels={"tenant": "capped"}
+            )
+        assert rejected is not None and rejected.value == 1
+        assert [(row["tenant"], row["error"]) for row in failed] == [
+            ("capped", "QuotaError: rejected by admission control")
+        ]
+
     def test_max_inflight_enforced_by_service(self, tmp_path):
         with connect(
             None,
@@ -182,12 +259,12 @@ class TestQuotas:
             cache_dir=tmp_path / "cache",
             ledger=False,
             tenants={"capped": {"max_inflight": 2}},
-        ) as client:
+        ) as service:
             specs = [small_spec(seed=i, steps=20) for i in range(3)]
-            client.submit(specs[0], options=SubmitOptions(tenant="capped"))
-            client.submit(specs[1], options=SubmitOptions(tenant="capped"))
+            service.submit(specs[0], options=SubmitOptions(tenant="capped"))
+            service.submit(specs[1], options=SubmitOptions(tenant="capped"))
             with pytest.raises(QuotaError, match="max_inflight"):
-                client.submit(specs[2], options=SubmitOptions(tenant="capped"))
+                service.submit(specs[2], options=SubmitOptions(tenant="capped"))
 
     def test_failed_completion_releases_its_inflight_slot_once(
         self, tmp_path, monkeypatch
@@ -211,15 +288,15 @@ class TestQuotas:
             cache_dir=tmp_path / "cache",
             ledger=RunLedger(tmp_path / "ledger.sqlite"),
             tenants={"capped": {"max_inflight": 2}},
-        ) as client:
-            client.submit(small_spec(seed=1, steps=300), options=capped)
-            short = client.submit(small_spec(seed=2, steps=1), options=capped)
+        ) as service:
+            service.submit(small_spec(seed=1, steps=300), options=capped)
+            short = service.submit(small_spec(seed=2, steps=1), options=capped)
             with pytest.raises(LedgerError, match="locked"):
                 short.result(timeout=30)
             # the long job still holds one of the two slots
-            client.submit(small_spec(seed=3, steps=300), options=capped)
+            service.submit(small_spec(seed=3, steps=300), options=capped)
             with pytest.raises(QuotaError, match="max_inflight"):
-                client.submit(small_spec(seed=4), options=capped)
+                service.submit(small_spec(seed=4), options=capped)
 
 
 class TestRemove:
@@ -250,10 +327,10 @@ class TestCancellation:
             max_concurrent_jobs=1,
             cache_dir=tmp_path / "cache",
             ledger=False,
-        ) as client:
-            blocker = client.submit(small_spec(seed=1, steps=30))
-            queued = client.submit(small_spec(seed=2, steps=30))
-            assert client.cancel(queued.spec_hash) is True
+        ) as service:
+            blocker = service.submit(small_spec(seed=1, steps=30))
+            queued = service.submit(small_spec(seed=2, steps=30))
+            assert service.cancel(queued.spec_hash) is True
             with pytest.raises(JobCancelledError):
                 queued.result(timeout=10)
             assert queued.status == "cancelled"
@@ -268,16 +345,15 @@ class TestCancellation:
             steps_per_slice=1,
             cache_dir=cache_dir,
             ledger=False,
-        ) as client:
-            service = client.service
+        ) as service:
             spec = small_spec(seed=3, steps=400)
-            handle = client.submit(spec)
+            handle = service.submit(spec)
             # Wait until it is actually running (first slice done).
             import time as _time
             deadline = _time.monotonic() + 30
             while handle.status != "running" and _time.monotonic() < deadline:
                 _time.sleep(0.005)
-            assert client.cancel(handle.spec_hash) is True
+            assert service.cancel(handle.spec_hash) is True
             with pytest.raises(JobCancelledError):
                 handle.result(timeout=30)
             # The cache holds neither a completed entry nor a claim dir.
@@ -287,11 +363,11 @@ class TestCancellation:
     def test_cancel_unknown_or_done_returns_false(self, tmp_path):
         with connect(
             None, cache_dir=tmp_path / "cache", ledger=False
-        ) as client:
-            handle = client.submit(small_spec(seed=4))
+        ) as service:
+            handle = service.submit(small_spec(seed=4))
             handle.result(timeout=60)
-            assert client.cancel(handle.spec_hash) is False
-            assert client.cancel("no-such-hash") is False
+            assert service.cancel(handle.spec_hash) is False
+            assert service.cancel("no-such-hash") is False
 
     def test_cancelled_job_counts_in_describe(self, tmp_path):
         with connect(
@@ -299,11 +375,11 @@ class TestCancellation:
             max_concurrent_jobs=1,
             cache_dir=tmp_path / "cache",
             ledger=False,
-        ) as client:
-            blocker = client.submit(small_spec(seed=5, steps=30))
-            queued = client.submit(small_spec(seed=6, steps=30))
-            client.cancel(queued.spec_hash)
-            assert client.describe()["cancelled"] == 1
+        ) as service:
+            blocker = service.submit(small_spec(seed=5, steps=30))
+            queued = service.submit(small_spec(seed=6, steps=30))
+            service.cancel(queued.spec_hash)
+            assert service.describe()["cancelled"] == 1
             blocker.result(timeout=60)
 
 
@@ -318,9 +394,9 @@ class TestFairServiceIntegration:
             cache_dir=tmp_path / "cache",
             ledger=False,
             tenants={"a": {"weight": 3.0}, "b": {"weight": 1.0}},
-        ) as client:
+        ) as service:
             handles = [
-                client.submit(s, options=SubmitOptions(tenant=t))
+                service.submit(s, options=SubmitOptions(tenant=t))
                 for s, t in zip(specs, tenants)
             ]
             for handle, spec in zip(handles, specs):
@@ -354,9 +430,9 @@ class TestFairServiceIntegration:
             cache_dir=tmp_path / "cache",
             ledger=False,
             tenants={"a": {"weight": 4.0}, "b": {"weight": 1.0}},
-        ) as client:
-            client.service.add_slice_listener(listen)
-            handles = [client.submit(blocker)]
+        ) as service:
+            service.add_slice_listener(listen)
+            handles = [service.submit(blocker)]
             try:
                 assert queued.wait(timeout=60)
                 for i in range(8):
@@ -364,7 +440,7 @@ class TestFairServiceIntegration:
                         spec = small_spec(
                             seed=100 + 2 * i + (tenant == "b"), steps=2
                         )
-                        handles.append(client.submit(
+                        handles.append(service.submit(
                             spec, options=SubmitOptions(tenant=tenant)
                         ))
             finally:
@@ -380,8 +456,8 @@ class TestFairServiceIntegration:
     def test_default_tenant_label_applied(self, tmp_path):
         with connect(
             None, cache_dir=tmp_path / "cache", ledger=False
-        ) as client:
-            handle = client.submit(small_spec(seed=20))
+        ) as service:
+            handle = service.submit(small_spec(seed=20))
             handle.result(timeout=60)
             assert handle.tenant == DEFAULT_TENANT
 
@@ -393,8 +469,8 @@ class TestFairServiceIntegration:
             cache_dir=tmp_path / "cache",
             ledger=False,
             tenants={"vip": {"weight": 2.0, "max_queued": 9}},
-        ) as client:
-            doc = validate_describe(client.describe())
+        ) as service:
+            doc = validate_describe(service.describe())
             assert doc["kind"] == "service"
             assert doc["tenants"]["vip"]["weight"] == 2.0
             assert doc["tenants"]["vip"]["max_queued"] == 9
