@@ -482,10 +482,10 @@ def _kernel_shape_eval(
             include_self=False, dtype=dtype, backend=backend,
         )
     if shape == "blocked":
-        from repro.gpu.kernel import tile_loop_forces
+        from repro.nbody.forces import accelerations_from_sources
 
-        return tile_loop_forces(
-            positions, positions, masses, wg_size=64,
+        return accelerations_from_sources(
+            positions, positions, masses, block=64,
             softening=softening, G=G, dtype=dtype, backend=backend,
         )
     if shape == "bh-leaf":

@@ -808,7 +808,7 @@ def _cmd_serve_batch(
 ) -> None:
     import json
 
-    from repro.errors import AdmissionError, ServeError
+    from repro.errors import AdmissionError, QuotaError, ServeError
     from repro.serve import JobSpec, SubmitOptions
 
     try:
@@ -834,11 +834,12 @@ def _cmd_serve_batch(
             try:
                 handles.append(service.submit(spec, options=options))
             except AdmissionError as exc:
-                print(
-                    f"job {i} in {args.jobs} rejected: {exc}\n"
-                    "(raise --queue-capacity or submit fewer jobs at once)",
-                    file=sys.stderr,
+                # a tenant quota is not lifted by a larger queue
+                hint = (
+                    "" if isinstance(exc, QuotaError)
+                    else "\n(raise --queue-capacity or submit fewer jobs at once)"
                 )
+                print(f"job {i} in {args.jobs} rejected: {exc}{hint}", file=sys.stderr)
                 raise SystemExit(3) from None
         for h in handles:
             h.wait()
@@ -1129,15 +1130,9 @@ def _resolve_ledger(parser: argparse.ArgumentParser, args: argparse.Namespace):
     return RunLedger(directory)
 
 
-def _top_cell(value, *, scale: float = 1.0, digits: int = 3) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, float):
-        return f"{value * scale:.{digits}f}"
-    return str(value)
-
-
 def _render_top(ledger, limit: int) -> str:
+    from repro.obs.export import _cell
+
     rows = ledger.job_table()
     shown = rows[-limit:] if limit > 0 else rows
     lines = [f"ledger {ledger.path} — {len(rows)} runs (showing {len(shown)})"]
@@ -1156,11 +1151,11 @@ def _render_top(ledger, limit: int) -> str:
         )
         lines.append(
             f"{r['run_id']:>4}  {spec:12} {r['source']:6} "
-            f"{_top_cell(r['plan']):4} {_top_cell(r['n']):>7} {steps:>11}  "
-            f"{r['status']:8} {_top_cell(r['queue_wait_s']):>7} "
-            f"{_top_cell(r['wall_s']):>8} "
-            f"{_top_cell(r['slice_p50_s'], scale=1e3):>7} "
-            f"{_top_cell(r['slice_p99_s'], scale=1e3):>7} "
+            f"{_cell(r['plan']):4} {_cell(r['n']):>7} {steps:>11}  "
+            f"{r['status']:8} {_cell(r['queue_wait_s']):>7} "
+            f"{_cell(r['wall_s']):>8} "
+            f"{_cell(r['slice_p50_s'], scale=1e3):>7} "
+            f"{_cell(r['slice_p99_s'], scale=1e3):>7} "
             f"{r['retries']:>3} {r['dedup_count']:>3}"
         )
     return "\n".join(lines)

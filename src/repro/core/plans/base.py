@@ -123,11 +123,6 @@ class StepBreakdown:
         )
         return core + self.transfer_seconds + self.serial_seconds
 
-    @property
-    def running_seconds(self) -> float:
-        """Device kernel time only (the paper's "running time", Table 3)."""
-        return self.kernel_seconds
-
     def kernel_gflops(
         self, flops_per_interaction: int = DEFAULT_FLOPS_PER_INTERACTION
     ) -> float:

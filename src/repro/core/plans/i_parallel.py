@@ -18,7 +18,10 @@ their work instead (:meth:`~repro.core.plans.base.Plan._row_ranges`): a
 compiled kernel backend runs at most one engine task per worker, and a
 pass under twice :data:`~repro.exec.engine.MIN_TASK_WORK` runs as one
 task on the calling thread; the NumPy reference keeps one task per
-work-group.  A row's sum depends only on its target and the sources, so
+work-group.  Each task runs its rows through
+:func:`~repro.nbody.forces.accelerations_from_sources` in float32 with
+``block`` = ``p``, the device's tile width, on the plan's kernel
+backend.  A row's sum depends only on its target and the sources, so
 every cut gives the same bits.
 """
 
@@ -32,12 +35,11 @@ import numpy as np
 from repro import obs
 from repro.core.plans.base import Plan, StepBreakdown
 from repro.core.plans.registry import register
-from repro.gpu.counters import CostCounters
-from repro.gpu.device import DeviceSpec
-from repro.gpu.kernel import tile_loop_forces, tile_loop_work
+from repro.gpu.kernel import tile_loop_work
 from repro.gpu.launch import KernelLaunch, WorkGroups
-from repro.gpu.memory import BYTES_PER_ACCEL, BYTES_PER_BODY, TransferLog
+from repro.gpu.memory import BYTES_PER_ACCEL, BYTES_PER_BODY, TransferLog, check_lds_fit
 from repro.gpu.timing import time_kernel
+from repro.nbody.forces import accelerations_from_sources
 
 __all__ = ["IParallelPlan"]
 
@@ -51,25 +53,17 @@ def _rows_task(
     wg_size: int,
     softening: float,
     G: float,
-    device: DeviceSpec,
-    backend: str | None = None,
-) -> tuple[np.ndarray, CostCounters]:
-    """Evaluate target rows ``[i0, i1)`` against every body (runs on an
-    engine worker)."""
+    backend: str,
+) -> tuple[np.ndarray, int]:
+    """Float32 rows ``[i0, i1)`` against every body in ``wg_size``-wide
+    source tiles, and the interactions evaluated (runs on an engine
+    worker)."""
     i0, i1 = rng
-    counters = CostCounters()
-    block = tile_loop_forces(
-        targets[i0:i1],
-        positions,
-        masses,
-        wg_size=wg_size,
-        softening=softening,
-        G=G,
-        device=device,
-        counters=counters,
-        backend=backend,
+    rows = accelerations_from_sources(
+        targets[i0:i1], positions, masses,
+        softening=softening, G=G, block=wg_size, dtype=np.float32, backend=backend,
     )
-    return block, counters
+    return rows, (i1 - i0) * positions.shape[0]
 
 
 @lru_cache(maxsize=32)
@@ -118,8 +112,8 @@ class IParallelPlan(Plan):
         """Float32 forces on ``targets`` from every body, and the
         interactions evaluated."""
         cfg = self.config
+        check_lds_fit(cfg.device, cfg.wg_size * BYTES_PER_BODY)
         acc = np.empty((targets.shape[0], 3), dtype=np.float32)
-        counters = CostCounters()
         backend = self._kernel_backend()
         task = partial(
             _rows_task,
@@ -129,15 +123,13 @@ class IParallelPlan(Plan):
             wg_size=cfg.wg_size,
             softening=cfg.softening,
             G=cfg.G,
-            device=cfg.device,
             backend=backend,
         )
         ranges = self._row_ranges(targets.shape[0], positions.shape[0], backend)
         results = self._engine().map(task, ranges, label="i.rows")
-        for (i0, i1), (block, c) in zip(ranges, results):
-            acc[i0:i1] = block
-            counters.add(c)
-        return acc, counters.interactions
+        for (i0, i1), (rows, _) in zip(ranges, results):
+            acc[i0:i1] = rows
+        return acc, sum(count for _, count in results)
 
     def accelerations(self, positions: np.ndarray, masses: np.ndarray) -> np.ndarray:
         positions, masses = self._validate_bodies(positions, masses)

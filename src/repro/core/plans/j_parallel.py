@@ -25,13 +25,12 @@ import numpy as np
 from repro import obs
 from repro.core.plans.base import Plan, StepBreakdown
 from repro.core.plans.registry import register
-from repro.gpu.counters import CostCounters
-from repro.gpu.device import DeviceSpec
-from repro.gpu.kernel import reduction_work, tile_loop_forces, tile_loop_work
+from repro.gpu.kernel import reduction_work, tile_loop_work
 from repro.gpu.launch import KernelLaunch
-from repro.gpu.memory import BYTES_PER_ACCEL, BYTES_PER_BODY, TransferLog
+from repro.gpu.memory import BYTES_PER_ACCEL, BYTES_PER_BODY, TransferLog, check_lds_fit
 from repro.gpu.occupancy import MAX_WORKGROUPS_PER_CU
 from repro.gpu.timing import time_kernel
+from repro.nbody.forces import accelerations_from_sources
 
 __all__ = ["JParallelPlan"]
 
@@ -48,32 +47,27 @@ def _rows_task(
     wg_size: int,
     softening: float,
     G: float,
-    device: DeviceSpec,
-    backend: str | None = None,
-) -> tuple[np.ndarray, CostCounters]:
-    """Target rows ``[i0, i1)``: partial forces per j-segment, then the
-    fixed-order float32 segment reduction (runs on an engine worker).
+    backend: str,
+) -> tuple[np.ndarray, int]:
+    """Target rows ``[i0, i1)``: float32 partial forces per j-segment in
+    ``wg_size``-wide source tiles, then the fixed-order float32 segment
+    reduction; returns the rows and the interactions evaluated (runs on
+    an engine worker).
 
     Summing over the segment axis is elementwise, so a row's result does
     not depend on which other rows share its task.
     """
     i0, i1 = rng
-    counters = CostCounters()
     partials = np.zeros((len(segments), i1 - i0, 3), dtype=np.float32)
+    interactions = 0
     for k, (j0, j1) in enumerate(segments):
-        tile_loop_forces(
-            positions[i0:i1],
-            positions[j0:j1],
-            masses[j0:j1],
-            wg_size=wg_size,
-            softening=softening,
-            G=G,
-            device=device,
-            counters=counters,
-            out=partials[k],
-            backend=backend,
+        accelerations_from_sources(
+            positions[i0:i1], positions[j0:j1], masses[j0:j1],
+            softening=softening, G=G, block=wg_size, dtype=np.float32,
+            out=partials[k], backend=backend,
         )
-    return partials.sum(axis=0, dtype=np.float32), counters
+        interactions += (i1 - i0) * (j1 - j0)
+    return partials.sum(axis=0, dtype=np.float32), interactions
 
 
 @register()
@@ -154,7 +148,7 @@ class JParallelPlan(Plan):
         n = positions.shape[0]
         cfg = self.config
         s = self.split_factor(n)
-        counters = CostCounters()
+        check_lds_fit(cfg.device, cfg.wg_size * BYTES_PER_BODY)
         backend = self._kernel_backend()
         # partial forces per (rows, j-segment), then a float32 reduction,
         # matching the two-kernel structure; row ranges fan out across the
@@ -168,17 +162,16 @@ class JParallelPlan(Plan):
             wg_size=cfg.wg_size,
             softening=cfg.softening,
             G=cfg.G,
-            device=cfg.device,
             backend=backend,
         )
         with obs.span("force_kernel", plan=self.name, n=n, split_factor=s):
             results = self._engine().map(task, ranges, label="j.rows")
         acc = np.empty((n, 3), dtype=np.float32)
-        for (i0, i1), (block, c) in zip(ranges, results):
-            acc[i0:i1] = block
-            counters.add(c)
+        for (i0, i1), (rows, _) in zip(ranges, results):
+            acc[i0:i1] = rows
         launch, _ = self._force_launch(n)
-        assert counters.interactions == launch.total_interactions, "functional/timing drift"
+        interactions = sum(count for _, count in results)
+        assert interactions == launch.total_interactions, "functional/timing drift"
         return acc.astype(np.float64)
 
     # -- timing -------------------------------------------------------------

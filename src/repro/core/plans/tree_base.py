@@ -19,14 +19,13 @@ from repro import obs
 from repro.core.plans.base import Plan, PlanConfig
 from repro.exec.engine import ExecutionEngine
 from repro.exec.workspace import local_workspace
-from repro.gpu.counters import CostCounters
-from repro.gpu.kernel import tile_loop_forces
 from repro.gpu.memory import (
     BYTES_PER_ACCEL,
     BYTES_PER_BODY,
     TransferLog,
     check_lds_fit,
 )
+from repro.nbody.forces import accelerations_from_sources
 from repro.nbody.kernels import CExtensionBackend, resolve_backend
 from repro.tree.bh_force import walk_sources
 from repro.tree.octree import Octree, build_octree
@@ -70,31 +69,23 @@ def _walk_task(
     config: PlanConfig,
     backend: str,
 ) -> tuple[np.ndarray, int]:
-    """One walk's segments through :func:`tile_loop_forces`, reduced in
-    segment order — the per-walk reference (runs on an engine worker)."""
+    """One walk's segments through :func:`accelerations_from_sources` in
+    ``wg_size``-wide float32 tiles, accumulated in segment order — the
+    per-walk reference (runs on an engine worker)."""
     tree = walks.tree
     w = walks[index]
-    ws = local_workspace()
-    counters = CostCounters()
-    src_pos, src_mass = walk_sources(tree, w, workspace=ws)
+    src_pos, src_mass = walk_sources(tree, w, workspace=local_workspace())
     targets = tree.positions[w.start : w.end]
     acc = np.zeros((w.n_bodies, 3), dtype=np.float32)
+    interactions = 0
     for a, b in segments(w.list_length, int(splits[index])):
-        tile_loop_forces(
-            targets,
-            src_pos[a:b],
-            src_mass[a:b],
-            wg_size=config.wg_size,
-            softening=config.softening,
-            G=config.G,
-            device=config.device,
-            counters=counters,
-            out=acc,
-            accumulate=True,
-            workspace=ws,
-            backend=backend,
+        accelerations_from_sources(
+            targets, src_pos[a:b], src_mass[a:b],
+            softening=config.softening, G=config.G, block=config.wg_size,
+            dtype=np.float32, out=acc, accumulate=True, backend=backend,
         )
-    return acc, counters.interactions
+        interactions += w.n_bodies * (b - a)
+    return acc, interactions
 
 
 def _compiled_walks_task(
@@ -141,8 +132,9 @@ def evaluate_walks(
     :meth:`~repro.nbody.kernels.CExtensionBackend.walk_forces` gathers
     every segment in compiled code and hands it to the backend's
     ``sources`` kernel; any other backend maps the per-walk
-    :func:`tile_loop_forces` path, the reference, over the walks.  Walks
-    are independent, so every worker count gives bit-identical rows.
+    :func:`~repro.nbody.forces.accelerations_from_sources` path, the
+    reference, over the walks.  Walks are independent, so every worker
+    count gives bit-identical rows.
     """
     check_lds_fit(config.device, config.wg_size * BYTES_PER_BODY)
     ids = np.arange(len(walks)) if selected is None else np.asarray(selected, np.int64)

@@ -1,8 +1,9 @@
 """Preallocated, dtype-keyed scratch buffers for the force hot paths.
 
-The blocked force kernels need the same family of temporaries on every
+The NumPy reference kernels need the same family of temporaries on every
 pass — the ``(nt, block, 3)`` displacement cube ``d``, the ``(nt, block)``
-``r2`` / ``inv_r3`` planes, tile staging arrays, partial-sum accumulators.
+``r2`` / ``inv_r3`` planes, the partial-sum accumulator — and the tree
+plans gather each walk's sources into reused arrays.
 Allocating them fresh each pass (the pre-``repro.exec`` behaviour) puts a
 page-fault-heavy ``malloc``/``free`` cycle inside the innermost loop; a
 :class:`Workspace` instead hands out views into capacity buffers that are
@@ -13,10 +14,10 @@ Buffers are keyed by ``(name, dtype)``: asking for ``("d", float64)`` and
 ``("d", float32)`` yields independent storage, and a request larger than
 the cached capacity grows the buffer (never shrinks).  A workspace is
 **not** thread-safe — it is per-worker state.  :func:`local_workspace`
-returns a thread-local instance, which is what the force kernels use when
-the caller passes ``workspace=None``; every thread (including the pool
-workers of :class:`repro.exec.engine.ExecutionEngine`) therefore gets its
-own buffers without any locking on the hot path.
+returns a thread-local instance, which is the one the force kernels draw
+from (the force entry points take no workspace argument); every thread
+(including the pool workers of :class:`repro.exec.engine.ExecutionEngine`)
+therefore gets its own buffers without any locking on the hot path.
 
 Contract for :meth:`Workspace.take`: the returned view is valid until the
 next ``take`` of the *same key* — callers use distinct keys for buffers

@@ -1,12 +1,14 @@
 """Simulated SIMT GPU substrate.
 
-Replaces the paper's AMD Radeon HD 5850 with a parameterised device model:
-functional tiled-kernel execution (real float32 arithmetic) plus a
+Replaces the paper's AMD Radeon HD 5850 with a parameterised device
+model: per-work-group work accounting (:mod:`repro.gpu.kernel`) and a
 calibrated timing engine (occupancy, divergence, memory, scheduling).
+The device kernels' float32 arithmetic is not here: the plans run it
+through :func:`repro.nbody.forces.accelerations_from_sources` with the
+work-group size as the tile width, on the configured kernel backend.
 """
 
 from repro.gpu.device import RADEON_HD_5850, DeviceSpec, multi_device, scaled_device
-from repro.gpu.counters import CostCounters
 from repro.gpu.wavefront import active_wavefronts
 from repro.gpu.memory import (
     BYTES_PER_ACCEL,
@@ -22,7 +24,6 @@ from repro.gpu.launch import KernelLaunch, NDRange, WorkGroups
 from repro.gpu.kernel import (
     packed_tile_loop_work,
     reduction_work,
-    tile_loop_forces,
     tile_loop_work,
 )
 from repro.gpu.events import Command, CommandRecord, EventGraph
@@ -42,7 +43,6 @@ __all__ = [
     "DeviceSpec",
     "scaled_device",
     "multi_device",
-    "CostCounters",
     "active_wavefronts",
     "BYTES_PER_ACCEL",
     "BYTES_PER_BODY",
@@ -58,7 +58,6 @@ __all__ = [
     "WorkGroups",
     "packed_tile_loop_work",
     "reduction_work",
-    "tile_loop_forces",
     "tile_loop_work",
     "Command",
     "CommandRecord",

@@ -1,13 +1,14 @@
-"""Functional work-group execution and matching work accounting.
+"""Work accounting of the simulated kernels' work-groups.
 
-The simulated kernels are *real*: they evaluate the same arithmetic the
-OpenCL kernels in the paper perform, in ``float32``, staging source tiles
-through an emulated local memory.  For every functional helper there is a
-sibling ``*_work`` helper returning the work record the
-timing engine consumes — both derive their counts from the same tile
-geometry, so physics and timing describe one computation.  The ``*_work``
-helpers take one array entry per work-group and return the launch's
-:class:`~repro.gpu.launch.WorkGroups` columns.
+Each helper returns the :class:`~repro.gpu.launch.WorkGroups` columns of
+one launch — interactions issued and useful, tiles, global and local
+memory bytes, barriers, reductions — taking one array entry per
+work-group.  The timing engine prices these columns; the arithmetic of
+the same tiles runs through
+:func:`repro.nbody.forces.accelerations_from_sources` with ``block``
+equal to the work-group size, and each plan asserts that the
+interactions it evaluated equal its launch's, so physics and timing
+describe one computation.
 
 Tile structure (section 4.1 / Fig. 1-2 of the paper): a work-group of
 ``p`` threads processes the source dimension in tiles of ``p`` bodies;
@@ -18,142 +19,17 @@ precedes the next load.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from repro.exec.workspace import Workspace, local_workspace
-from repro.gpu.counters import CostCounters
-from repro.nbody.kernels import KernelBackend, resolve_backend
-from repro.gpu.device import DeviceSpec
 from repro.gpu.launch import WorkGroups
-from repro.gpu.memory import BYTES_PER_ACCEL, BYTES_PER_BODY, check_lds_fit
+from repro.gpu.memory import BYTES_PER_ACCEL, BYTES_PER_BODY
 from repro.gpu.wavefront import active_wavefronts
 
 __all__ = [
-    "tile_loop_forces",
     "tile_loop_work",
     "packed_tile_loop_work",
     "reduction_work",
 ]
-
-
-def tile_loop_forces(
-    targets: np.ndarray,
-    src_pos: np.ndarray,
-    src_mass: np.ndarray,
-    *,
-    wg_size: int,
-    softening: float,
-    G: float = 1.0,
-    device: DeviceSpec | None = None,
-    counters: CostCounters | None = None,
-    dtype: np.dtype | type = np.float32,
-    out: np.ndarray | None = None,
-    accumulate: bool = False,
-    workspace: Workspace | None = None,
-    backend: str | KernelBackend | None = None,
-) -> np.ndarray:
-    """Functionally execute one work-group's tiled force loop.
-
-    ``targets`` are the work-group's i-bodies (one per active thread for
-    the i/w plans; the whole walk group for jw).  Sources are staged
-    through an emulated LDS tile of ``wg_size`` bodies at a time and the
-    partial accelerations accumulate in ``dtype`` precision, reproducing
-    device rounding behaviour.
-
-    ``out`` (``(nt, 3)`` of ``dtype``) receives the result — added in
-    place when ``accumulate`` is true, overwritten otherwise.  ``G``
-    scales this call's contribution only (each tile's partial before it
-    is added), so accumulated calls compose like one call over all
-    their sources.  Tile temporaries and input casts come from
-    ``workspace`` (the calling thread's local workspace by default), so
-    steady-state evaluation allocates nothing beyond a missing ``out``.
-
-    ``backend`` selects the kernel backend.  On a compiled backend the
-    same interaction rectangle is evaluated in ``dtype`` without staging
-    tiles through the emulated LDS (accumulation order differs, covered
-    by the ``compiled-*`` oracle tolerances); the tile geometry and the
-    work/``counters`` accounting are unchanged, so timing still describes
-    the device the plan models.
-    """
-    if wg_size < 1:
-        raise ValueError(f"wg_size must be >= 1, got {wg_size}")
-    if device is not None:
-        check_lds_fit(device, wg_size * BYTES_PER_BODY)
-    ws = workspace if workspace is not None else local_workspace()
-    targets = ws.cast("kernel.targets", np.asarray(targets), dtype)
-    src_pos = ws.cast("kernel.src_pos", np.asarray(src_pos), dtype)
-    src_mass = ws.cast("kernel.src_mass", np.asarray(src_mass), dtype)
-    nt = targets.shape[0]
-    ns = src_pos.shape[0]
-    if out is None:
-        acc = np.zeros((nt, 3), dtype=dtype)
-    else:
-        if out.shape != (nt, 3) or out.dtype != np.dtype(dtype):
-            raise ValueError(
-                f"out must be ({nt}, 3) of {np.dtype(dtype)}, got "
-                f"{out.shape} of {out.dtype}"
-            )
-        acc = out
-        if not accumulate:
-            acc[:] = 0.0
-    # Squared in float64, rounded to `dtype` once (square-then-cast) — the
-    # float32 device kernels share the float64 definition of the softening.
-    eps2 = dtype(softening * softening)
-
-    kb = resolve_backend(backend)
-    if kb.kind != "reference":
-        targets = np.ascontiguousarray(targets)
-        src_pos = np.ascontiguousarray(src_pos)
-        src_mass = np.ascontiguousarray(src_mass)
-        if acc.flags.c_contiguous:
-            kb.sources(targets, src_pos, src_mass, eps2=float(eps2), G=G,
-                       out=acc, accumulate=True)
-        else:
-            tmp = np.empty((nt, 3), dtype=dtype)
-            kb.sources(targets, src_pos, src_mass, eps2=float(eps2), G=G,
-                       out=tmp, accumulate=False)
-            acc += tmp
-        n_tiles = math.ceil(ns / wg_size) if ns else 0
-    else:
-        lds_pos = ws.take("kernel.lds_pos", (wg_size, 3), dtype)
-        lds_mass = ws.take("kernel.lds_mass", (wg_size,), dtype)
-        tile = min(wg_size, ns)
-        d_buf = ws.take("kernel.d", (nt, tile, 3), dtype)
-        r2_buf = ws.take("kernel.r2", (nt, tile), dtype)
-        acc_buf = ws.take("kernel.acc", (nt, 3), dtype)
-        n_tiles = 0
-        for t0 in range(0, ns, wg_size):
-            t1 = min(t0 + wg_size, ns)
-            k = t1 - t0
-            # cooperative load into local memory (barrier), then the tile loop
-            lds_pos[:k] = src_pos[t0:t1]
-            lds_mass[:k] = src_mass[t0:t1]
-            d = d_buf[:, :k]
-            np.subtract(lds_pos[np.newaxis, :k, :], targets[:, np.newaxis, :], out=d)
-            r2 = r2_buf[:, :k]
-            np.einsum("ijk,ijk->ij", d, d, out=r2)
-            r2 += eps2
-            inv_r3 = r2  # in place: r2 is dead after this point
-            np.power(r2, dtype(-1.5), out=inv_r3)
-            inv_r3 *= lds_mass[np.newaxis, :k]
-            np.einsum("ij,ijk->ik", inv_r3, d, out=acc_buf)
-            if G != 1.0:
-                acc_buf *= dtype(G)
-            acc += acc_buf
-            n_tiles += 1
-
-    if counters is not None:
-        counters.interactions += nt * ns
-        counters.lds_bytes += n_tiles * wg_size * BYTES_PER_BODY
-        counters.global_bytes += (
-            n_tiles * wg_size * BYTES_PER_BODY  # tile loads
-            + nt * BYTES_PER_BODY  # own-body loads
-            + nt * BYTES_PER_ACCEL  # acceleration stores
-        )
-        counters.barriers += 2 * n_tiles
-    return acc
 
 
 def _ceil_div(a: np.ndarray, b: int) -> np.ndarray:

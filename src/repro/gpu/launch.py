@@ -190,11 +190,6 @@ class KernelLaunch:
         return int(self.workgroups.issued_interactions.sum())
 
     @cached_property
-    def total_global_bytes(self) -> int:
-        """Global-memory traffic across all work-groups."""
-        return int(self.workgroups.global_bytes.sum())
-
-    @cached_property
     def max_lds_bytes(self) -> int:
         """Peak per-work-group LDS usage (occupancy input)."""
         return int(self.workgroups.lds_bytes_peak.max())

@@ -6,10 +6,11 @@ Implements eq. (1)/(2) of the paper: softened Newtonian gravity
 
 Three implementations are provided:
 
-* :func:`accelerations_from_sources` — the workhorse: vectorised, blocked
-  targets x sources evaluation.  Every higher-level force path (direct PP,
-  Barnes-Hut list evaluation, the simulated GPU kernels) funnels through
-  the same arithmetic, so correctness is established once.
+* :func:`accelerations_from_sources` — the workhorse: targets x sources
+  evaluation, ``block`` source columns at a time.  Every higher-level
+  force path (direct PP, Barnes-Hut list evaluation, the simulated GPU
+  plans' ``p``-wide tile loops, run with ``block=p`` in float32) funnels
+  through it, so correctness is established once.
 * :func:`direct_forces` — all-pairs forces of a set on itself (the CPU
   reference for the paper's PP method).
 * :func:`direct_forces_naive` — a deliberately scalar, loop-per-pair
@@ -19,18 +20,17 @@ The GPU-kernel convention of including the (softening-neutralised)
 self-interaction is followed by default so flop accounting matches the
 paper; pass ``include_self=False`` for the mathematically minimal sum.
 
-The blocked temporaries (``d``, ``r2``, ``inv_r3``) are drawn from a
-:class:`repro.exec.workspace.Workspace` — the calling thread's local
-workspace by default — so repeated force passes reuse storage instead of
-re-allocating it every blocked pass.
-
-The arithmetic itself runs on a pluggable kernel backend
-(:mod:`repro.nbody.kernels`): ``backend=None`` follows the configured
-selection (``repro.configure(kernel_backend=)`` / ``REPRO_KERNEL_BACKEND``,
-default ``numpy``).  The ``numpy`` reference path is bit-identical to the
-pre-seam implementation; the compiled ``cext`` backend computes
-the same sum with reassociated accumulation and are validated under the
-``compiled-*`` oracle tolerances.
+Both entry points validate their arguments and hand the arithmetic to
+the kernel backend (:mod:`repro.nbody.kernels`) —
+``resolve_backend(backend).sources`` / ``.self_forces`` — for every
+backend; this is the one place a force path chooses its arithmetic.
+``backend=None`` follows the configured selection
+(``repro.configure(kernel_backend=)`` / ``REPRO_KERNEL_BACKEND``,
+default ``numpy``).  The ``numpy`` reference runs the blocked loops
+(temporaries from the calling thread's workspace) and is bit-identical
+to the pre-seam implementation; the compiled ``cext`` backend stages its
+own contiguous buffers and computes the same sum with reassociated
+accumulation, validated under the ``compiled-*`` oracle tolerances.
 
 Softening enters squared: ``eps2 = softening * softening`` is computed in
 float64 and rounded to the arithmetic dtype exactly once (inside the
@@ -43,9 +43,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.exec.workspace import Workspace, local_workspace
 from repro.nbody.kernels import KernelBackend, resolve_backend
-from repro.nbody.kernels.numpy_backend import blocked_self, blocked_sources
 
 __all__ = [
     "accelerations_from_sources",
@@ -71,7 +69,6 @@ def accelerations_from_sources(
     out: np.ndarray | None = None,
     accumulate: bool = False,
     dtype: np.dtype | type = np.float64,
-    workspace: Workspace | None = None,
     backend: str | KernelBackend | None = None,
 ) -> np.ndarray:
     """Accelerations exerted by point sources on target positions.
@@ -90,19 +87,18 @@ def accelerations_from_sources(
     block:
         Number of source columns processed per blocked pass — bounds the
         temporary to ``nt x block`` so large problems stay cache-friendly
-        instead of materialising the full ``nt x ns`` matrix.
+        instead of materialising the full ``nt x ns`` matrix.  The plans
+        pass the work-group size ``p``: the device's tile width.  Compiled
+        backends ignore it.
     out:
         Optional pre-allocated ``(nt, 3)`` output of dtype ``dtype``;
         anything else raises :class:`ValueError` (a mismatched ``out``
         would silently truncate results through the in-place ``+=``).
     accumulate:
-        When true, add into ``out`` instead of overwriting (used by tiled
-        device kernels that stage sources through local memory).
+        When true, add into ``out`` instead of overwriting (the tree
+        plans add a walk's list segments into one accumulator).
     dtype:
         Arithmetic precision; device kernels use ``float32``.
-    workspace:
-        Scratch-buffer pool for the blocked temporaries; defaults to the
-        calling thread's :func:`~repro.exec.workspace.local_workspace`.
     backend:
         Kernel backend (name, instance, or ``None`` for the configured
         selection).  Unavailable backends degrade to ``numpy`` with a
@@ -127,7 +123,6 @@ def accelerations_from_sources(
         raise ValueError(f"block must be positive, got {block}")
 
     nt = targets.shape[0]
-    ns = src_pos.shape[0]
     if out is None:
         out = np.zeros((nt, 3), dtype=dtype)
         accumulate = True  # freshly zeroed: accumulate == overwrite
@@ -150,44 +145,10 @@ def accelerations_from_sources(
     # G scales this call's contribution only — the kernel's partial sums,
     # before they are added to `out` — so accumulate=True composes passes
     # like one call over all their sources.
-    kb = resolve_backend(backend)
-    if kb.kind != "reference":
-        _dispatch_sources(kb, targets, src_pos, src_mass, eps2=eps2, G=G, out=out)
-    else:
-        ws = workspace if workspace is not None else local_workspace()
-        blocked_sources(
-            targets, src_pos, src_mass,
-            eps2=eps2, G=G, dtype=dtype, block=block, out=out, workspace=ws,
-        )
-    return out
-
-
-def _dispatch_sources(
-    kb: KernelBackend,
-    targets: np.ndarray,
-    src_pos: np.ndarray,
-    src_mass: np.ndarray,
-    *,
-    eps2: float,
-    G: float,
-    out: np.ndarray,
-) -> np.ndarray:
-    """Run ``kb.sources`` adding ``G`` times its sum into ``out``.
-
-    Compiled kernels address raw buffers, so inputs are made C-contiguous
-    and a non-contiguous ``out`` is staged through a dense temporary.
-    """
-    targets = np.ascontiguousarray(targets)
-    src_pos = np.ascontiguousarray(src_pos)
-    src_mass = np.ascontiguousarray(src_mass)
-    if out.flags.c_contiguous:
-        kb.sources(
-            targets, src_pos, src_mass, eps2=eps2, G=G, out=out, accumulate=True
-        )
-        return out
-    tmp = np.empty(out.shape, dtype=out.dtype)
-    kb.sources(targets, src_pos, src_mass, eps2=eps2, G=G, out=tmp, accumulate=False)
-    out += tmp
+    resolve_backend(backend).sources(
+        targets, src_pos, src_mass,
+        eps2=eps2, G=G, out=out, accumulate=True, block=block,
+    )
     return out
 
 
@@ -200,7 +161,6 @@ def direct_forces(
     block: int = 2048,
     include_self: bool = True,
     dtype: np.dtype | type = np.float64,
-    workspace: Workspace | None = None,
     backend: str | KernelBackend | None = None,
 ) -> np.ndarray:
     """All-pairs accelerations of a particle set on itself (O(N^2)).
@@ -222,29 +182,15 @@ def direct_forces(
     if include_self:
         return accelerations_from_sources(
             positions, positions, masses,
-            softening=softening, G=G, block=block, dtype=dtype,
-            workspace=workspace, backend=backend,
+            softening=softening, G=G, block=block, dtype=dtype, backend=backend,
         )
     # Exclude the diagonal explicitly: evaluate blocked and mask the i == j
     # slot (its force is identically zero); for softening == 0 any *other*
     # zero distance is a coincident distinct pair — an error, not a nan.
-    n = positions.shape[0]
-    acc = np.zeros((n, 3), dtype=dtype)
-    eps2 = softening * softening
-    kb = resolve_backend(backend)
-    if kb.kind != "reference":
-        kb.self_forces(
-            np.ascontiguousarray(positions),
-            np.ascontiguousarray(masses),
-            eps2=eps2,
-            out=acc,
-        )
-    else:
-        ws = workspace if workspace is not None else local_workspace()
-        blocked_self(
-            positions, masses,
-            eps2=eps2, dtype=dtype, block=block, out=acc, workspace=ws,
-        )
+    acc = np.zeros((positions.shape[0], 3), dtype=dtype)
+    resolve_backend(backend).self_forces(
+        positions, masses, eps2=softening * softening, out=acc, block=block
+    )
     if G != 1.0:
         acc *= dtype(G)
     return acc

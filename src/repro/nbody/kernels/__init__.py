@@ -1,9 +1,12 @@
 """repro.nbody.kernels — the force kernel-backend seam.
 
 Every force path in the library (direct PP, blocked self-interaction,
-Barnes-Hut leaf/walk evaluation) funnels into one of two primitive
-kernels; this package lets those primitives run on interchangeable
-*backends*:
+Barnes-Hut leaf/walk evaluation, the plans' device tile loops) funnels
+into one of two primitive kernels; this package lets those primitives
+run on interchangeable *backends*.  The force entry points of
+:mod:`repro.nbody.forces` call :func:`resolve_backend`'s ``sources`` /
+``self_forces`` for every backend, reference or compiled, so a backend
+added with :func:`register_backend` runs every plan:
 
 =========  =============  =====================================================
 name       kind           notes
@@ -17,6 +20,10 @@ Selection: an explicit ``backend=`` argument or
 (``repro.configure(kernel_backend=)``, the ``--kernel-backend`` CLI
 flag, ``REPRO_KERNEL_BACKEND``; see :mod:`repro.config`), else
 ``"numpy"``.
+
+The ``block`` argument of both kernels is the NumPy backend's tile width
+(the plans pass the work-group size); compiled backends ignore it and
+stage the contiguous buffers their kernels address themselves.
 
 The compiled backend is **not** bit-identical to the reference
 (reassociated summation, fused rsqrt); it is validated by

@@ -2,29 +2,36 @@
 
 A *kernel backend* owns the innermost arithmetic of the force paths —
 the dense ``targets x sources`` rectangle every higher-level schedule
-(direct PP, blocked self-interaction, Barnes-Hut leaf/walk evaluation)
-reduces to.  The NumPy reference backend defines the semantics; compiled
+(direct PP, blocked self-interaction, Barnes-Hut leaf/walk evaluation,
+the simulated device's ``p``-wide tile loop) reduces to.  The force
+entry points in :mod:`repro.nbody.forces` call the resolved backend for
+every backend, so this contract is the one place the arithmetic is
+chosen.  The NumPy reference backend defines the semantics; compiled
 backends (the C extension) may reassociate the summation and use fused
 reciprocal square roots, so they are *not* bit-identical to the
-reference — they are validated
-against it by the :class:`~repro.check.DifferentialOracle` under the
-documented compiled-axis tolerances instead.
+reference — they are validated against it by the
+:class:`~repro.check.DifferentialOracle` under the documented
+compiled-axis tolerances instead.
 
 Two kernels cover every call site:
 
 * :meth:`KernelBackend.sources` — accelerations exerted by a dense
-  source set on a target set (the direct-sum and BH-leaf kernel);
+  source set on a target set (the direct-sum, tile-loop and BH-leaf
+  kernel);
 * :meth:`KernelBackend.self_forces` — all-pairs accelerations of a set
   on itself with the ``i == j`` diagonal excluded (the blocked
   self-interaction kernel), including the zero-softening coincident-pair
   error contract of :func:`repro.nbody.forces.direct_forces`.
 
-Array contract: ``targets``/``src_pos`` are C-contiguous ``(n, 3)``
-arrays of the arithmetic dtype, ``src_mass`` a matching ``(n,)`` array;
-``eps2`` is the softening *already squared in float64* (callers cast to
-the arithmetic dtype exactly once — see the eps2 policy note in
-:mod:`repro.nbody.forces`).  ``out`` is written in place: overwritten,
-or added to when ``accumulate`` is true.
+Array contract: ``targets``/``src_pos`` are ``(n, 3)`` arrays of the
+arithmetic dtype (``out``'s), ``src_mass`` a matching ``(n,)`` array;
+``eps2`` is the softening *already squared in float64* (the backend
+casts it to the arithmetic dtype exactly once — see the eps2 policy note
+in :mod:`repro.nbody.forces`).  ``out`` is written in place: overwritten,
+or added to when ``accumulate`` is true.  ``block`` is the tile width of
+a blocked backend (source columns per pass).  A compiled backend ignores
+it and stages its own buffers: inputs are made C-contiguous, and a
+non-contiguous ``out`` goes through a dense temporary.
 """
 
 from __future__ import annotations
@@ -84,6 +91,7 @@ class KernelBackend(ABC):
         G: float = 1.0,
         out: np.ndarray,
         accumulate: bool = False,
+        block: int = 2048,
     ) -> np.ndarray:
         """Dense ``targets x sources`` accelerations into ``out``."""
 
@@ -96,6 +104,7 @@ class KernelBackend(ABC):
         eps2: float,
         G: float = 1.0,
         out: np.ndarray,
+        block: int = 2048,
     ) -> np.ndarray:
         """All-pairs self accelerations, diagonal excluded, into ``out``.
 

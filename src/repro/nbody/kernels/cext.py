@@ -14,7 +14,10 @@ Either way a row's sum depends only on its target and the sources, never
 on the other targets of the call, so masked and full passes agree row
 for row and serial and threaded runs agree bit for bit, on one host.
 The SoA scratch is one grow-only buffer per thread.
-The float64 and the self-interaction kernels are portable loops.
+The float64 and the self-interaction kernels are portable loops.  Each
+kernel method stages what its C function addresses itself, within the
+one call: inputs are made C-contiguous in the arithmetic dtype, and a
+non-contiguous ``out`` takes the result through a dense temporary.
 
 The shared library is compiled once per source revision into a per-user
 cache directory (``REPRO_KERNEL_CACHE``, else ``~/.cache/repro-kernels``)
@@ -725,19 +728,40 @@ class CExtensionBackend(KernelBackend):
         G: float = 1.0,
         out: np.ndarray,
         accumulate: bool = False,
+        block: int = 2048,
     ) -> np.ndarray:
+        """Dense ``targets x sources`` accelerations into ``out``.
+
+        ``block`` is ignored (the kernel tiles for the host's SIMD width).
+        Inputs are staged C-contiguous in ``out``'s dtype, and a
+        non-contiguous ``out`` receives the sum through a dense temporary,
+        all within this one call.
+        """
         lib = self._load()
         assert lib is not None, "backend unavailable; resolve_backend gates this"
+        dtype = out.dtype
+        # spelled out, not _contiguous(): walk_forces calls this once per
+        # segment, about 1,000 times a tree pass, and the helper costs more
+        targets = np.ascontiguousarray(targets, dtype)
+        src_pos = np.ascontiguousarray(src_pos, dtype)
+        src_mass = np.ascontiguousarray(src_mass, dtype)
+        dense = out if out.flags.c_contiguous else np.empty(out.shape, dtype)
         ns = src_pos.shape[0]
         args = (
             targets.ctypes.data, targets.shape[0],
             src_pos.ctypes.data, src_mass.ctypes.data, ns,
-            float(np.dtype(out.dtype).type(eps2)), G, out.ctypes.data, int(accumulate),
+            float(dtype.type(eps2)), G, dense.ctypes.data,
+            int(accumulate and dense is out),
         )
-        if out.dtype == np.float64:
+        if dtype == np.float64:
             lib.repro_sources_f64(*args)
         else:
             lib.repro_sources_f32(*args, self._soa_scratch(ns))
+        if dense is not out:
+            if accumulate:
+                out += dense
+            else:
+                out[:] = dense
         return out
 
     def self_forces(
@@ -748,19 +772,26 @@ class CExtensionBackend(KernelBackend):
         eps2: float,
         G: float = 1.0,
         out: np.ndarray,
+        block: int = 2048,
     ) -> np.ndarray:
+        """All-pairs self accelerations into ``out``, staged as
+        :meth:`sources` stages them; ``block`` is ignored."""
         lib = self._load()
         assert lib is not None, "backend unavailable; resolve_backend gates this"
+        positions, masses = _contiguous(out.dtype, positions, masses)
+        dense = out if out.flags.c_contiguous else np.empty(out.shape, out.dtype)
         fn = lib.repro_self_f64 if out.dtype == np.float64 else lib.repro_self_f32
         bad = np.empty((_MAX_BAD_PAIRS, 2), dtype=np.int64)
         scalar = float(np.dtype(out.dtype).type(eps2))
         n_bad = fn(
             self._ptr(positions), self._ptr(masses), positions.shape[0],
-            scalar, G, self._ptr(out), self._ptr(bad), _MAX_BAD_PAIRS,
+            scalar, G, self._ptr(dense), self._ptr(bad), _MAX_BAD_PAIRS,
         )
         if n_bad:
             shown = bad[: min(int(n_bad), _MAX_BAD_PAIRS)]
             raise CoincidentPairError([(int(i), int(j)) for i, j in shown])
+        if dense is not out:
+            out[:] = dense
         return out
 
     # -- tree --------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro import obs
 from repro.exec.engine import ExecutionEngine, get_default_engine
-from repro.exec.workspace import Workspace
+from repro.exec.workspace import Workspace, local_workspace
 from repro.nbody.forces import accelerations_from_sources
 from repro.tree.octree import Octree
 from repro.tree.walks import Walk, WalkSet
@@ -69,10 +69,7 @@ def _walk_task(
     """Evaluate one walk's group block (runs on an engine worker)."""
     tree = walks.tree
     w = walks[index]
-    from repro.exec.workspace import local_workspace
-
-    ws = local_workspace()
-    src_pos, src_mass = walk_sources(tree, w, workspace=ws)
+    src_pos, src_mass = walk_sources(tree, w, workspace=local_workspace())
     return accelerations_from_sources(
         tree.positions[w.start : w.end],
         src_pos,
@@ -80,7 +77,6 @@ def _walk_task(
         softening=softening,
         G=G,
         dtype=dtype,
-        workspace=ws,
         backend=backend,
     )
 

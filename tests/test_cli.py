@@ -516,7 +516,30 @@ class TestServeCommand:
                 ]
             )
         assert exc.value.code == 3
-        assert "rejected" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "rejected" in err
+        assert "(raise --queue-capacity" in err
+
+    def test_quota_rejection_exits_3_without_capacity_hint(self, tmp_path, capsys):
+        # No workers: the first job stays queued and holds the tenant's one
+        # in-flight slot, so the second is refused by the quota, which a
+        # larger queue would not lift.
+        from repro.serve import Coordinator
+
+        jobs = self._jobs_file(tmp_path, [self._job(seed=1), self._job(seed=2)])
+        with Coordinator(
+            cache_dir=tmp_path / "cache", ledger=False,
+            tenants={"capped": {"max_inflight": 1}},
+        ) as coord:
+            with pytest.raises(SystemExit) as exc:
+                main([
+                    "serve", "batch", "--jobs", jobs,
+                    "--addr", coord.addr, "--tenant", "capped",
+                ])
+        assert exc.value.code == 3
+        err = capsys.readouterr().err
+        assert "job 1" in err and "max_inflight" in err
+        assert "--queue-capacity" not in err
 
 
 class TestServeSubcommands:

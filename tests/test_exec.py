@@ -36,7 +36,6 @@ from repro.exec import (
 )
 from repro.exec import engine as engine_module
 from repro.exec.engine import MIN_TASK_WORK
-from repro.gpu.kernel import tile_loop_forces
 from repro.nbody.forces import accelerations_from_sources, direct_forces
 from repro.nbody.ic import plummer
 from repro.nbody.kernels import get_backend
@@ -286,8 +285,8 @@ def _rows_per_workgroup(targets, pos, mass, segments, cfg, backend):
         b = min(a + p, targets.shape[0])
         partials = np.zeros((len(segments), b - a, 3), np.float32)
         for k, (j0, j1) in enumerate(segments):
-            tile_loop_forces(
-                targets[a:b], pos[j0:j1], mass[j0:j1], wg_size=p,
+            accelerations_from_sources(
+                targets[a:b], pos[j0:j1], mass[j0:j1], block=p, dtype=np.float32,
                 softening=cfg.softening, out=partials[k], backend=backend,
             )
         out[a:b] = partials.sum(axis=0, dtype=np.float32)

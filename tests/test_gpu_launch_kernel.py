@@ -1,15 +1,18 @@
-"""Unit tests for launch records and functional tiled kernels."""
+"""Unit tests for launch records, work records and the device tile loop
+(:func:`accelerations_from_sources` in float32 with ``block`` = the
+work-group size, as the plans run it)."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.errors import LaunchError
-from repro.gpu.counters import CostCounters
+from repro.core.plans import PlanConfig, get_plan
+from repro.errors import DeviceError, LaunchError
 from repro.gpu.device import RADEON_HD_5850
 from repro.gpu.kernel import (
     packed_tile_loop_work,
     reduction_work,
-    tile_loop_forces,
     tile_loop_work,
 )
 from repro.gpu.launch import KernelLaunch, NDRange, WorkGroups
@@ -118,50 +121,47 @@ class TestKernelLaunch:
             kl.validate_on(DEV)
 
 
+def _tile_loop(targets, src_pos, src_mass, *, wg_size, **kw):
+    """The device tile loop: float32, ``wg_size`` sources per tile."""
+    return accelerations_from_sources(
+        targets, src_pos, src_mass, block=wg_size, dtype=np.float32, **kw
+    )
+
+
 class TestTileLoopForces:
     def test_matches_reference(self, plummer_small, rng):
         pos, m = plummer_small.positions, plummer_small.masses
         targets = pos[:40]
-        acc = tile_loop_forces(
-            targets, pos, m, wg_size=64, softening=EPS, device=DEV,
-        )
+        acc = _tile_loop(targets, pos, m, wg_size=64, softening=EPS)
         ref = accelerations_from_sources(targets, pos, m, softening=EPS)
         err = np.linalg.norm(acc - ref, axis=1) / np.linalg.norm(ref, axis=1)
         assert err.max() < 1e-4  # float32 tiles vs float64
 
     def test_tile_size_does_not_change_result_much(self, plummer_small):
         pos, m = plummer_small.positions, plummer_small.masses
-        a1 = tile_loop_forces(pos[:16], pos, m, wg_size=16, softening=EPS)
-        a2 = tile_loop_forces(pos[:16], pos, m, wg_size=256, softening=EPS)
+        a1 = _tile_loop(pos[:16], pos, m, wg_size=16, softening=EPS)
+        a2 = _tile_loop(pos[:16], pos, m, wg_size=256, softening=EPS)
         np.testing.assert_allclose(a1, a2, rtol=1e-4, atol=1e-6)
 
-    def test_counters(self, plummer_small):
-        pos, m = plummer_small.positions, plummer_small.masses
-        c = CostCounters()
-        tile_loop_forces(pos[:32], pos[:100], m[:100], wg_size=64, softening=EPS, counters=c)
-        assert c.interactions == 32 * 100
-        assert c.barriers == 2 * 2  # ceil(100/64) = 2 tiles
-        assert c.lds_bytes == 2 * 64 * 16
-        assert c.global_bytes > 0
-
     def test_lds_capacity_enforced(self, plummer_small):
-        import dataclasses
-
+        # a 64-body tile needs 1,024 B of LDS; each pass checks it once
         tiny = dataclasses.replace(DEV, lds_bytes_per_cu=256)
         pos, m = plummer_small.positions, plummer_small.masses
-        with pytest.raises(Exception, match="LDS"):
-            tile_loop_forces(pos[:8], pos, m, wg_size=64, softening=EPS, device=tiny)
+        config = PlanConfig(softening=EPS, wg_size=64, device=tiny)
+        for plan in ("i", "j", "w", "jw"):
+            with pytest.raises(DeviceError, match="LDS"):
+                get_plan(plan, config).accelerations(pos, m)
 
     def test_g_scaling(self, plummer_small):
         pos, m = plummer_small.positions, plummer_small.masses
-        a1 = tile_loop_forces(pos[:8], pos, m, wg_size=64, softening=EPS)
-        a2 = tile_loop_forces(pos[:8], pos, m, wg_size=64, softening=EPS, G=2.0)
+        a1 = _tile_loop(pos[:8], pos, m, wg_size=64, softening=EPS)
+        a2 = _tile_loop(pos[:8], pos, m, wg_size=64, softening=EPS, G=2.0)
         np.testing.assert_allclose(a2, 2.0 * a1, rtol=1e-5)
 
     def test_rejects_bad_wg_size(self, plummer_small):
         pos, m = plummer_small.positions, plummer_small.masses
-        with pytest.raises(ValueError):
-            tile_loop_forces(pos[:4], pos, m, wg_size=0, softening=EPS)
+        with pytest.raises(ValueError, match="block must be positive"):
+            _tile_loop(pos[:4], pos, m, wg_size=0, softening=EPS)
 
 
 def _tile(active, n_sources, wg_size=256):

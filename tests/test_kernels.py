@@ -1,10 +1,12 @@
 """Tests for the force kernel-backend seam (:mod:`repro.nbody.kernels`).
 
-Covers the registry/resolution contract, the bit-identity guarantee of
-the numpy reference backend against the pre-seam blocked algorithm, the
-compiled backends under the documented ``compiled-*`` oracle tolerances,
-the eps2 square-then-cast policy, the coincident-pair error contract,
-and the plan/config/CLI plumbing that selects a backend.
+Covers the registry/resolution contract, the one seam (every force path
+calls the resolved backend, a registered reference backend included),
+the bit-identity guarantee of the numpy reference backend against the
+pre-seam blocked and tile loops, the compiled backends under the
+documented ``compiled-*`` oracle tolerances, the eps2 square-then-cast
+policy, the coincident-pair error contract, and the plan/config/CLI
+plumbing that selects a backend.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import ctypes
 import json
 import platform
 import subprocess
+import threading
 import warnings
 
 import numpy as np
@@ -28,8 +31,7 @@ from repro.check import (
 from repro.config import configure, resolve
 from repro.core.plans import PlanConfig, get_plan
 from repro.errors import ConfigurationError
-from repro.exec.workspace import Workspace
-from repro.gpu.kernel import tile_loop_forces
+from repro.exec.workspace import Workspace, local_workspace, reset_local_workspace
 from repro.nbody.forces import (
     accelerations_from_sources,
     direct_forces,
@@ -40,6 +42,7 @@ from repro.nbody.kernels import cext as cext_module
 from repro.nbody.kernels import (
     CoincidentPairError,
     KernelBackend,
+    NumpyBackend,
     available_backends,
     compiled_backends,
     get_backend,
@@ -192,6 +195,69 @@ class TestResolution:
                 _BACKENDS.pop(stub.name, None)
 
 
+class _CountingNumpy(NumpyBackend):
+    """A third-party reference backend: NumPy arithmetic, counted calls."""
+
+    def __init__(self, name):
+        self.name = name
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def _count(self):
+        with self._lock:
+            self.calls += 1
+
+    def sources(self, *args, **kwargs):
+        self._count()
+        return super().sources(*args, **kwargs)
+
+    def self_forces(self, *args, **kwargs):
+        self._count()
+        return super().self_forces(*args, **kwargs)
+
+
+class TestOneSeam:
+    """Every force path reaches the resolved backend, whatever its kind."""
+
+    @pytest.fixture
+    def counting(self):
+        backend = register_backend(_CountingNumpy("counting-numpy"))
+        assert backend.kind == "reference"
+        yield backend
+        from repro.nbody.kernels import _BACKENDS, _LOCK
+
+        with _LOCK:
+            _BACKENDS.pop(backend.name, None)
+
+    @pytest.mark.parametrize("plan_name", ["i", "j", "w", "jw"])
+    def test_plans_call_a_registered_reference_backend(
+        self, plummer_small, counting, plan_name
+    ):
+        pos, mass = plummer_small.positions, plummer_small.masses
+        ref = get_plan(plan_name, PlanConfig(softening=EPS)).accelerations(pos, mass)
+        config = PlanConfig(softening=EPS, kernel_backend=counting.name)
+        got = get_plan(plan_name, config).accelerations(pos, mass)
+        assert counting.calls >= 1
+        assert got.tobytes() == ref.tobytes()
+
+    def test_entry_points_call_a_registered_reference_backend(
+        self, plummer_small, counting
+    ):
+        pos, mass = plummer_small.positions, plummer_small.masses
+        got = accelerations_from_sources(
+            pos[:32], pos, mass, softening=EPS, backend=counting.name
+        )
+        assert counting.calls == 1
+        ref = accelerations_from_sources(pos[:32], pos, mass, softening=EPS, backend="numpy")
+        assert got.tobytes() == ref.tobytes()
+        got = direct_forces(
+            pos, mass, softening=EPS, include_self=False, backend=counting.name
+        )
+        assert counting.calls == 2
+        ref = direct_forces(pos, mass, softening=EPS, include_self=False, backend="numpy")
+        assert got.tobytes() == ref.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # numpy backend: bit-identity against the pre-seam algorithm
 # ---------------------------------------------------------------------------
@@ -217,6 +283,56 @@ def _preseam_blocked_self(positions, masses, *, eps2, dtype, block):
     return out
 
 
+def _preseam_tile_loop(
+    targets, src_pos, src_mass, *, wg_size, softening, G=1.0,
+    dtype=np.float32, out=None, accumulate=False,
+):
+    """Verbatim NumPy branch of the device tile loop the plans ran before
+    their tiles went through ``accelerations_from_sources``: sources
+    staged through an emulated LDS tile of ``wg_size`` bodies, partials
+    accumulated in ``dtype``.  An independent bit-identity oracle for
+    ``accelerations_from_sources(block=wg_size)``.
+    """
+    ws = Workspace(register=False)
+    targets = ws.cast("kernel.targets", np.asarray(targets), dtype)
+    src_pos = ws.cast("kernel.src_pos", np.asarray(src_pos), dtype)
+    src_mass = ws.cast("kernel.src_mass", np.asarray(src_mass), dtype)
+    nt = targets.shape[0]
+    ns = src_pos.shape[0]
+    if out is None:
+        acc = np.zeros((nt, 3), dtype=dtype)
+    else:
+        acc = out
+        if not accumulate:
+            acc[:] = 0.0
+    eps2 = dtype(softening * softening)
+    lds_pos = ws.take("kernel.lds_pos", (wg_size, 3), dtype)
+    lds_mass = ws.take("kernel.lds_mass", (wg_size,), dtype)
+    tile = min(wg_size, ns)
+    d_buf = ws.take("kernel.d", (nt, tile, 3), dtype)
+    r2_buf = ws.take("kernel.r2", (nt, tile), dtype)
+    acc_buf = ws.take("kernel.acc", (nt, 3), dtype)
+    for t0 in range(0, ns, wg_size):
+        t1 = min(t0 + wg_size, ns)
+        k = t1 - t0
+        # cooperative load into local memory (barrier), then the tile loop
+        lds_pos[:k] = src_pos[t0:t1]
+        lds_mass[:k] = src_mass[t0:t1]
+        d = d_buf[:, :k]
+        np.subtract(lds_pos[np.newaxis, :k, :], targets[:, np.newaxis, :], out=d)
+        r2 = r2_buf[:, :k]
+        np.einsum("ijk,ijk->ij", d, d, out=r2)
+        r2 += eps2
+        inv_r3 = r2  # in place: r2 is dead after this point
+        np.power(r2, dtype(-1.5), out=inv_r3)
+        inv_r3 *= lds_mass[np.newaxis, :k]
+        np.einsum("ij,ijk->ik", inv_r3, d, out=acc_buf)
+        if G != 1.0:
+            acc_buf *= dtype(G)
+        acc += acc_buf
+    return acc
+
+
 class TestNumpyBitIdentity:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("block", [7, 64, 2048])
@@ -231,6 +347,33 @@ class TestNumpyBitIdentity:
         )
         assert got.dtype == np.dtype(dtype)
         assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("p", [16, 64])
+    def test_tile_loop_matches_preseam_tile_loop(self, plummer_small, p):
+        """``block=p`` in float32 is the device's p-wide tile loop, bit
+        for bit: full and partial tiles, fewer sources than one tile and
+        none, G != 1, overwriting and accumulating into ``out``."""
+        pos, mass = plummer_small.positions, plummer_small.masses
+        targets = pos[:40]
+        start = np.random.default_rng(3).standard_normal((40, 3)).astype(np.float32)
+        for sources in (slice(None), slice(0, p - 3), slice(0, 0)):
+            for G in (1.0, 2.5):
+                args = (targets, pos[sources], mass[sources])
+                got = accelerations_from_sources(
+                    *args, softening=EPS, G=G, block=p, dtype=np.float32,
+                    backend="numpy",
+                )
+                want = _preseam_tile_loop(*args, wg_size=p, softening=EPS, G=G)
+                assert got.tobytes() == want.tobytes()
+                got, want = start.copy(), start.copy()
+                accelerations_from_sources(
+                    *args, softening=EPS, G=G, block=p, dtype=np.float32,
+                    out=got, accumulate=True, backend="numpy",
+                )
+                _preseam_tile_loop(
+                    *args, wg_size=p, softening=EPS, G=G, out=want, accumulate=True
+                )
+                assert got.tobytes() == want.tobytes()
 
     def test_backend_none_defaults_to_numpy_bitwise(self, plummer_small):
         pos, mass = plummer_small.positions, plummer_small.masses
@@ -289,8 +432,8 @@ class TestEps2Policy:
             [[0.0, 0.0, 0.0], [0.25, 0.0, 0.0], [0.0, 0.5, 0.0]], dtype=dtype
         )
         mass = np.ones(3, dtype=dtype)
-        tiled = tile_loop_forces(
-            pos, pos, mass, wg_size=2, softening=softening, dtype=dtype
+        tiled = accelerations_from_sources(
+            pos, pos, mass, block=2, softening=softening, dtype=dtype
         )
         blocked = direct_forces(pos, mass, softening=softening, dtype=dtype)
         # Same square-then-cast eps2 on both paths; float32 agreement
@@ -592,33 +735,35 @@ class TestCompiledBackends:
             pos, pos, mass, softening=EPS, backend=name
         )
         assert np.array_equal(view, dense)
+        # The backend's own kernels stage a strided `out` too, touching
+        # nothing outside the view.
+        backend = get_backend(name)
+        for kernel in (
+            lambda out: backend.sources(pos, pos, mass, eps2=EPS * EPS, out=out),
+            lambda out: backend.self_forces(pos, mass, eps2=EPS * EPS, out=out),
+        ):
+            board[:] = 0.0
+            kernel(view)
+            assert np.array_equal(view, kernel(np.zeros((24, 3))))
+            assert not board[:, 1::2].any()
 
     @pytest.mark.parametrize("name", LIVE_COMPILED)
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_tile_loop_compiled_matches_reference(self, name, dtype):
-        from repro.gpu.counters import CostCounters
-
         p = plummer(96, seed=5)
         pos = np.asarray(p.positions, dtype=dtype)
         mass = np.asarray(p.masses, dtype=dtype)
-        counters_c, counters_r = CostCounters(), CostCounters()
-        compiled = tile_loop_forces(
-            pos, pos, mass, wg_size=32, softening=EPS, dtype=dtype,
-            counters=counters_c, backend=name,
+        compiled = accelerations_from_sources(
+            pos, pos, mass, block=32, softening=EPS, dtype=dtype, backend=name,
         )
-        ref = tile_loop_forces(
-            pos, pos, mass, wg_size=32, softening=EPS, dtype=dtype,
-            counters=counters_r, backend="numpy",
+        ref = accelerations_from_sources(
+            pos, pos, mass, block=32, softening=EPS, dtype=dtype, backend="numpy",
         )
         tol = compiled_tolerance(dtype)
         np.testing.assert_allclose(
             compiled, ref, rtol=tol.max_rel,
             atol=tol.max_rel * np.abs(ref).max(),
         )
-        # Tile/traffic accounting is schedule-level, not backend-level.
-        assert counters_c.interactions == counters_r.interactions
-        assert counters_c.lds_bytes == counters_r.lds_bytes
-        assert counters_c.barriers == counters_r.barriers
 
 
 # ---------------------------------------------------------------------------
@@ -682,10 +827,16 @@ class TestPlanPlumbing:
 
 class TestWorkspace:
     def test_explicit_workspace_reused(self, plummer_small):
+        """The NumPy backend draws its blocked temporaries from the calling
+        thread's workspace (the force entry points take none): a second
+        pass of one shape allocates nothing."""
         pos, mass = plummer_small.positions, plummer_small.masses
-        ws = Workspace()
-        a = direct_forces(pos, mass, softening=EPS, workspace=ws, block=64)
+        reset_local_workspace()
+        a = direct_forces(pos, mass, softening=EPS, block=64, backend="numpy")
+        ws = local_workspace()
         buffers_after_first = ws.stats()["n_buffers"]
-        b = direct_forces(pos, mass, softening=EPS, workspace=ws, block=64)
-        assert ws.stats()["n_buffers"] == buffers_after_first
+        allocations_after_first = ws.allocations
+        b = direct_forces(pos, mass, softening=EPS, block=64, backend="numpy")
+        assert ws.stats()["n_buffers"] == buffers_after_first > 0
+        assert ws.allocations == allocations_after_first
         assert np.array_equal(a, b)

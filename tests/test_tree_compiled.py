@@ -8,7 +8,8 @@
 * **Evaluator** — the compiled float32 evaluator of the tree plans (one
   engine task per worker, every segment through ``sources``) gives rows
   bit-identical to evaluating every walk segment with
-  ``tile_loop_forces(backend="cext")``, on a serial and a threaded engine.
+  ``accelerations_from_sources(backend="cext")``, on a serial and a
+  threaded engine.
 * **Fallback** — without the C library, trees and walks come from the
   NumPy loops and the plans from the per-walk path, with equal results.
 * **G** — each accumulated contribution is scaled once, so a pass at
@@ -32,7 +33,7 @@ from repro.core.plans import PlanConfig, get_plan
 from repro.core.plans.tree_base import evaluate_walks, segments
 from repro.exec import engine as engine_module
 from repro.exec.engine import ExecutionEngine
-from repro.gpu.kernel import tile_loop_forces
+from repro.nbody.forces import accelerations_from_sources
 from repro.nbody.ic import plummer
 from repro.nbody.kernels import (
     CExtensionBackend,
@@ -285,7 +286,7 @@ class TestTraversal:
 
 
 def _per_walk_reference(walks, splits, cfg, selected):
-    """Every segment through tile_loop_forces(backend="cext")."""
+    """Every segment through accelerations_from_sources(backend="cext")."""
     tree = walks.tree
     acc = np.zeros((tree.n_bodies, 3), dtype=np.float32)
     for i in selected:
@@ -293,10 +294,10 @@ def _per_walk_reference(walks, splits, cfg, selected):
         src_pos, src_mass = walk_sources(tree, w)
         out = np.zeros((w.n_bodies, 3), dtype=np.float32)
         for a, b in segments(w.list_length, int(splits[i])):
-            tile_loop_forces(
+            accelerations_from_sources(
                 tree.positions[w.start : w.end], src_pos[a:b], src_mass[a:b],
-                wg_size=cfg.wg_size, softening=cfg.softening, G=cfg.G,
-                out=out, accumulate=True, backend="cext",
+                block=cfg.wg_size, dtype=np.float32, softening=cfg.softening,
+                G=cfg.G, out=out, accumulate=True, backend="cext",
             )
         acc[w.start : w.end] = out
     return acc
