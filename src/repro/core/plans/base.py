@@ -17,9 +17,11 @@ against device work (time).  Every plan provides
 from __future__ import annotations
 
 import math
+import threading
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Any
+from collections import OrderedDict
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable
 
 import numpy as np
 
@@ -32,6 +34,12 @@ from repro.nbody.flops import DEFAULT_FLOPS_PER_INTERACTION
 from repro.nbody.forces import DEFAULT_SOFTENING
 
 __all__ = ["PlanConfig", "StepBreakdown", "Plan"]
+
+#: Pass shapes whose simulated cost a process keeps (see ``Plan._priced``).
+PRICED_SHAPES = 64
+
+_priced: "OrderedDict[tuple, StepBreakdown]" = OrderedDict()
+_priced_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -173,6 +181,34 @@ class Plan(ABC):
         from repro.nbody.kernels import resolve_backend
 
         return resolve_backend(self.config.kernel_backend).name
+
+    def _priced(
+        self, shape: tuple, price: Callable[[], StepBreakdown]
+    ) -> StepBreakdown:
+        """This pass shape's breakdown, priced by ``price()`` once per
+        process.
+
+        An all-pairs pass's simulated cost follows from its space mapping
+        alone (PAPER.md's PTPM: work-groups x sources), not from the
+        positions, so every pass of one ``shape`` under one plan type and
+        config costs the same.  The last :data:`PRICED_SHAPES` shapes are
+        kept, so the timing model's own telemetry
+        (``kernel_launches_total``, ``kernel_timed``) records a shape once.
+        Callers set ``plan`` and ``meta`` on what they get, so each call
+        returns its own copy; the frozen kernel timings are shared.
+        """
+        key = (type(self), self.config, *shape)
+        with _priced_lock:
+            bd = _priced.get(key)
+            if bd is not None:
+                _priced.move_to_end(key)
+        if bd is None:
+            bd = price()
+            with _priced_lock:
+                _priced[key] = bd
+                if len(_priced) > PRICED_SHAPES:
+                    _priced.popitem(last=False)
+        return replace(bd, kernels=list(bd.kernels), meta=dict(bd.meta))
 
     def _row_ranges(
         self, rows: int, n_sources: int, backend: str

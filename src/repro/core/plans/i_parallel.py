@@ -136,7 +136,7 @@ class IParallelPlan(Plan):
         n = positions.shape[0]
         with obs.span("force_kernel", plan=self.name, n=n):
             acc, interactions = self._forces(positions, positions, masses)
-        expected = self._launch(n, n, "i_parallel_forces").total_interactions
+        expected = self._breakdown(n, n, "i_parallel_forces").interactions
         assert interactions == expected, "functional/timing drift"
         return acc.astype(np.float64)
 
@@ -161,7 +161,13 @@ class IParallelPlan(Plan):
 
     # -- timing -------------------------------------------------------------
     def _breakdown(self, rows: int, n: int, kernel: str) -> StepBreakdown:
-        """Simulated cost of ``rows`` target rows against all ``n`` bodies."""
+        """Simulated cost of ``rows`` target rows against all ``n`` bodies
+        (priced once per shape; a copy per call)."""
+        return self._priced(
+            (rows, n, kernel), lambda: self._price(rows, n, kernel)
+        )
+
+    def _price(self, rows: int, n: int, kernel: str) -> StepBreakdown:
         cfg = self.config
         launch = self._launch(rows, n, kernel)
         timing = time_kernel(cfg.device, launch)

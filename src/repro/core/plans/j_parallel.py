@@ -169,22 +169,30 @@ class JParallelPlan(Plan):
         acc = np.empty((n, 3), dtype=np.float32)
         for (i0, i1), (rows, _) in zip(ranges, results):
             acc[i0:i1] = rows
-        launch, _ = self._force_launch(n)
+        expected = self._breakdown(n).interactions
         interactions = sum(count for _, count in results)
-        assert interactions == launch.total_interactions, "functional/timing drift"
+        assert interactions == expected, "functional/timing drift"
         return acc.astype(np.float64)
 
     # -- timing -------------------------------------------------------------
     def step_breakdown(self, positions: np.ndarray, masses: np.ndarray) -> StepBreakdown:
         positions, masses = self._validate_bodies(positions, masses)
         n = positions.shape[0]
-        cfg = self.config
         with obs.span("plan.breakdown", plan=self.name, n=n):
-            force_launch, s = self._force_launch(n)
-            timings = [time_kernel(cfg.device, force_launch)]
-            reduce_launch = self._reduction_launch(n, s)
-            if reduce_launch is not None:
-                timings.append(time_kernel(cfg.device, reduce_launch))
+            return self._breakdown(n)
+
+    def _breakdown(self, n: int) -> StepBreakdown:
+        """Simulated cost of an ``n``-body pass (priced once per ``n``; a
+        copy per call)."""
+        return self._priced((n,), lambda: self._price(n))
+
+    def _price(self, n: int) -> StepBreakdown:
+        cfg = self.config
+        force_launch, s = self._force_launch(n)
+        timings = [time_kernel(cfg.device, force_launch)]
+        reduce_launch = self._reduction_launch(n, s)
+        if reduce_launch is not None:
+            timings.append(time_kernel(cfg.device, reduce_launch))
         kernel_seconds = sum(t.seconds for t in timings)
         return StepBreakdown(
             plan=self.name,

@@ -28,7 +28,6 @@ from repro.nbody.flops import (
     FLOPS_PER_INTERACTION_RSQRT,
     gflops,
     interaction_flops,
-    pp_step_interactions,
 )
 from repro.nbody.io import load_snapshot, save_snapshot
 from repro.nbody.timestep import acceleration_timestep
@@ -56,7 +55,6 @@ __all__ = [
     "FLOPS_PER_INTERACTION_RSQRT",
     "gflops",
     "interaction_flops",
-    "pp_step_interactions",
     "acceleration_timestep",
     "load_snapshot",
     "save_snapshot",

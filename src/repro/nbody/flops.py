@@ -55,17 +55,6 @@ def interaction_flops(
     return float(n_interactions) * float(flops_per_interaction)
 
 
-def pp_step_interactions(n_bodies: int) -> int:
-    """Interactions per time step for the all-pairs (PP) method.
-
-    GPU PP kernels evaluate the full N x N interaction matrix including the
-    (softened) self term, so the count is ``N**2`` rather than ``N*(N-1)``.
-    """
-    if n_bodies < 0:
-        raise ValueError(f"n_bodies must be >= 0, got {n_bodies}")
-    return n_bodies * n_bodies
-
-
 def gflops(n_interactions: int | float, seconds: float,
            flops_per_interaction: int = DEFAULT_FLOPS_PER_INTERACTION) -> float:
     """Sustained GFLOPS for a run that performed ``n_interactions`` in ``seconds``."""

@@ -24,14 +24,25 @@ checkpoint path *reads* the ledger, so solo vs batched vs resumed runs
 stay bit-identical with the ledger enabled (the ``repro.check``
 determinism gate runs with it on in CI).
 
-Each write is one committed transaction guarded by a process lock; the
-connection is opened with ``check_same_thread=False`` so the serve
-scheduler's runner threads can share it.  The database runs in WAL
-mode (``PRAGMA journal_mode=WAL``) with ``PRAGMA synchronous=FULL``,
-set explicitly because some SQLite builds open WAL connections at
-``NORMAL``: a commit appends to the write-ahead log and fsyncs it once,
-instead of creating, syncing and deleting a rollback journal, and every
-committed write stays durable across a power loss.  A database that
+Each write method is one committed transaction guarded by a process
+lock; the connection is opened with ``check_same_thread=False`` so the
+serve scheduler's runner threads can share it.  A served job commits
+twice: its accepted (``queued``) row at submit, so a crash still shows
+which accepted jobs never finished, and its final row at the end, which
+also carries the started stamp and the slice rows the job buffered
+(:meth:`RunLedger.record_finished`).  A job still running after
+:data:`repro.serve.service.LEDGER_FLUSH_S` writes its buffered rows
+through :meth:`RunLedger.record_started`, at most once per interval, so
+``top`` shows a long job's progress.  A cache hit is one transaction:
+its run row, already ``cached``, and its ``cache_hit`` event
+(:meth:`RunLedger.record_submitted` with ``status="cached"``).
+
+The database runs in WAL mode (``PRAGMA journal_mode=WAL``) with
+``PRAGMA synchronous=FULL``, set explicitly because some SQLite builds
+open WAL connections at ``NORMAL``: a commit appends to the write-ahead
+log and fsyncs it once, instead of creating, syncing and deleting a
+rollback journal, and every committed write stays durable across a
+power loss.  A database that
 cannot switch, such as a read-only shard file, keeps its journal mode.
 While a ledger is open its ``-wal`` and ``-shm`` side files are part of
 it (the last connection to close folds them back in), so copy a live
@@ -63,7 +74,7 @@ import sqlite3
 import threading
 import time
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from repro.errors import ConfigurationError, LedgerError
 from repro.obs.metrics import percentile
@@ -250,59 +261,69 @@ class RunLedger:
             return int(self._db().execute("PRAGMA user_version").fetchone()[0])
 
     # ------------------------------------------------------------------
-    # writes (all observers; each one commits atomically)
+    # writes (all observers; each call is one atomic commit)
     # ------------------------------------------------------------------
-    def record_submitted(self, **fields: Any) -> int:
-        """Insert a ``queued`` run row; returns its ``run_id``.
+    def record_submitted(
+        self, *, status: str = "queued",
+        events: Iterable[tuple[str, str | None]] = (), **fields: Any,
+    ) -> int:
+        """Insert a run row; returns its ``run_id``.
 
         Accepts the :data:`_SUBMIT_COLUMNS` keywords (``spec_hash``,
         ``source``, ``workload``, ``n``, ``seed``, ``plan``, ``dt``,
-        ``steps``, ``backend``, ``checkpoint_dir``).
+        ``steps``, ``backend``, ``checkpoint_dir``).  ``status`` is
+        ``"queued"`` for a run that will execute, or ``"cached"`` for
+        one answered from the result cache, whose row is inserted
+        finished and ``from_cache``.  ``events`` are ``(kind, detail)``
+        pairs attached to the new run in the same transaction.
         """
+        if status not in ("queued", "cached"):
+            raise LedgerError(f"status must be queued/cached, got {status!r}")
         unknown = set(fields) - set(_SUBMIT_COLUMNS)
         if unknown:
             raise LedgerError(f"unknown run fields: {sorted(unknown)}")
+        now = _now()
         cols = ["status", "submitted_s", *fields]
-        vals = ["queued", _now(), *fields.values()]
+        vals = [status, now, *fields.values()]
+        if status == "cached":
+            cols += ["finished_s", "from_cache"]
+            vals += [now, 1]
         sql = (
             f"INSERT INTO runs ({', '.join(cols)}) "
             f"VALUES ({', '.join('?' * len(cols))})"
         )
         with self._lock, self._db():
-            cur = self._conn.execute(sql, vals)
-            return int(cur.lastrowid)
+            run_id = int(self._conn.execute(sql, vals).lastrowid)
+            self._conn.executemany(
+                "INSERT INTO events (run_id, at_s, kind, detail) "
+                "VALUES (?, ?, ?, ?)",
+                [(run_id, now, kind, detail) for kind, detail in events],
+            )
+        return run_id
 
     def record_started(
         self, run_id: int, *, backend: str | None = None,
-        checkpoint_dir: str | None = None,
+        checkpoint_dir: str | None = None, at_s: float | None = None,
+        slices: Iterable[tuple[int, int, float, float]] = (),
     ) -> None:
-        """Mark a run ``running``; derives ``queue_wait_s`` from submit."""
-        now = _now()
-        sets = ["status = 'running'", "started_s = ?",
-                "queue_wait_s = MAX(0.0, ? - COALESCE(submitted_s, ?))"]
-        vals: list[Any] = [now, now, now]
-        if backend is not None:
-            sets.append("backend = ?")
-            vals.append(backend)
-        if checkpoint_dir is not None:
-            sets.append("checkpoint_dir = ?")
-            vals.append(checkpoint_dir)
-        vals.append(run_id)
+        """Mark a run ``running`` as of ``at_s`` (default now), deriving
+        ``queue_wait_s`` from submit, and append ``slices``.
+
+        ``slices`` are ``(seq, steps, wall_s, at_s)`` rows the run has
+        executed and not yet written.  Marking a running run again with
+        the same stamp changes nothing, so a job that buffers its rows
+        writes its progress through this method as often as it likes.
+        """
         with self._lock, self._db():
-            self._conn.execute(
-                f"UPDATE runs SET {', '.join(sets)} WHERE run_id = ?", vals
-            )
+            self._mark_started(run_id, at_s, backend, checkpoint_dir)
+            self._insert_slices(run_id, slices)
 
     def record_slice(
         self, run_id: int, *, seq: int, steps: int, wall_s: float
     ) -> None:
         """Append one executed slice for ``run_id``."""
         with self._lock, self._db():
-            self._conn.execute(
-                "INSERT INTO slices (run_id, seq, steps, wall_s, at_s) "
-                "VALUES (?, ?, ?, ?, ?)",
-                (run_id, seq, steps, wall_s, _now()),
-            )
+            self._insert_slices(run_id, [(seq, steps, wall_s, _now())])
 
     def record_event(
         self, kind: str, detail: str | None = None, *,
@@ -318,12 +339,18 @@ class RunLedger:
 
     def record_finished(
         self, run_id: int, *, status: str,
-        metrics: Mapping[str, Any] | None = None, **fields: Any,
+        metrics: Mapping[str, Any] | None = None,
+        started: Mapping[str, Any] | None = None,
+        slices: Iterable[tuple[int, int, float, float]] = (),
+        **fields: Any,
     ) -> None:
         """Finalise a run row with ``status`` and closing accounting.
 
         Accepts the :data:`_FINISH_COLUMNS` keywords plus ``metrics``
-        (JSON-serialised into ``metrics_json``).
+        (JSON-serialised into ``metrics_json``).  ``started`` (the
+        :meth:`record_started` keywords ``at_s``, ``backend``,
+        ``checkpoint_dir``) and ``slices`` are rows the run buffered;
+        they are written in the same transaction as the final row.
         """
         if status not in ("complete", "failed", "cached"):
             raise LedgerError(
@@ -342,6 +369,9 @@ class RunLedger:
             vals.append(json.dumps(metrics, sort_keys=True))
         vals.append(run_id)
         with self._lock, self._db():
+            if started is not None:
+                self._mark_started(run_id, **started)
+            self._insert_slices(run_id, slices)
             self._conn.execute(
                 f"UPDATE runs SET {', '.join(sets)} WHERE run_id = ?", vals
             )
@@ -353,6 +383,35 @@ class RunLedger:
                 "UPDATE runs SET dedup_count = dedup_count + 1 "
                 "WHERE run_id = ?", (run_id,),
             )
+
+    # -- statements shared by the writes (caller holds the lock) ----------
+    def _mark_started(
+        self, run_id: int, at_s: float | None = None,
+        backend: str | None = None, checkpoint_dir: str | None = None,
+    ) -> None:
+        at = _now() if at_s is None else at_s
+        sets = ["status = 'running'", "started_s = ?",
+                "queue_wait_s = MAX(0.0, ? - COALESCE(submitted_s, ?))"]
+        vals: list[Any] = [at, at, at]
+        if backend is not None:
+            sets.append("backend = ?")
+            vals.append(backend)
+        if checkpoint_dir is not None:
+            sets.append("checkpoint_dir = ?")
+            vals.append(checkpoint_dir)
+        vals.append(run_id)
+        self._conn.execute(
+            f"UPDATE runs SET {', '.join(sets)} WHERE run_id = ?", vals
+        )
+
+    def _insert_slices(
+        self, run_id: int, rows: Iterable[tuple[int, int, float, float]]
+    ) -> None:
+        self._conn.executemany(
+            "INSERT INTO slices (run_id, seq, steps, wall_s, at_s) "
+            "VALUES (?, ?, ?, ?, ?)",
+            [(run_id, *row) for row in rows],
+        )
 
     # ------------------------------------------------------------------
     # queries

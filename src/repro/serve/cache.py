@@ -3,9 +3,13 @@
 A cache entry *is* a :mod:`repro.runtime` run directory — manifest plus
 checkpoints — stored at ``<root>/<spec_hash>``.  The job's final
 checkpoint doubles as the cache payload: nothing is copied or re-encoded
-at publish time, and a cached result loads through the exact same
-``read_checkpoint`` path as a resume, so cached and fresh results are
-bit-identical by construction.
+at publish time.  The job that ran answers from the state its final
+checkpoint has just written byte for byte, without reading it back;
+only hits (:meth:`ResultCache.lookup`) and claims that another shard
+completed first (:meth:`ResultCache.load`) go through
+``read_checkpoint``, the same path as a resume.  A float64 array and the
+JSON totals round-trip that path exactly, so cached and fresh results
+are bit-identical.
 
 Validity is the manifest's own completion protocol: an entry counts as a
 hit only when its manifest reads back with ``status == "complete"`` and
@@ -56,8 +60,10 @@ _RECLAIM_MARK = ".reclaim-"
 class JobResult:
     """The outcome of one job: final state plus run accounting.
 
-    ``particles`` / ``time`` are the final integrator state loaded from
-    the run's last checkpoint; ``record`` is the
+    ``particles`` / ``time`` are the final integrator state: the
+    finished session's own arrays for a run the service stepped, or
+    those loaded from the run's last checkpoint for a stored entry —
+    the same bytes either way.  ``record`` is the
     :class:`~repro.core.simulation.SimulationRecord` totals dict;
     ``from_cache`` tells whether the service replayed a stored entry
     instead of stepping the simulation.

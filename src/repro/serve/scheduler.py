@@ -209,8 +209,8 @@ class Scheduler:
                     job.finish()
                 except Exception as exc:
                     # Already off the live count; a raising finish (say, a
-                    # result that fails to reload) fails the job instead
-                    # of killing this runner with its handle unresolved.
+                    # failed ledger write) fails the job instead of
+                    # killing this runner with its handle unresolved.
                     job.fail(exc)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

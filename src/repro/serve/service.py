@@ -29,8 +29,20 @@ Durability: when a run ledger is configured
 ``ledger=`` keyword), the service records every submission, queue wait,
 executed slice, cache hit, dedup, retry count and final status to
 SQLite through the scheduler's ``slice_observer`` seam — pure
-observation, so batched results stay bit-identical to solo runs.  The
-``repro-nbody top`` and ``report`` commands read that ledger.
+observation, so batched results stay bit-identical to solo runs.  A job
+commits twice: its accepted row at submit, durable before ``submit``
+returns, so after a crash the ledger still shows which accepted jobs
+never finished; and its final row, written in one transaction with the
+started stamp and slice rows the job buffered while it ran.  A job still
+running after :data:`LEDGER_FLUSH_S` writes its buffered rows early, at
+most once per interval, so ``top`` shows its progress; a cache hit is
+one transaction.  The ``repro-nbody top`` and ``report`` commands read
+that ledger.
+
+A job the service stepped answers from its session's final state —
+the arrays its final checkpoint has just written byte for byte — and
+reads nothing back; a hit, or a claim another shard completed first,
+loads the stored checkpoint.
 
 :func:`repro.serve.connect` is the one public way to obtain a service:
 it returns a :class:`JobService` in-process, or a
@@ -88,7 +100,12 @@ from repro.serve.schema import DESCRIBE_VERSION
 from repro.serve.spec import JobSpec
 from repro.serve.tenancy import DEFAULT_TENANT, FairJobQueue, TenantPolicy
 
-__all__ = ["JobHandle", "JobService"]
+__all__ = ["JobHandle", "JobService", "LEDGER_FLUSH_S"]
+
+#: Seconds a running job keeps its started stamp and slice rows in memory
+#: before writing them to the run ledger ahead of its final row; a job
+#: that finishes sooner writes them with that row, in one transaction.
+LEDGER_FLUSH_S = 1.0
 
 
 class JobHandle:
@@ -109,7 +126,8 @@ class JobHandle:
         #: fair-scheduling bucket this submission landed in
         self.tenant: str | None = None
         #: backing _Job while in flight (cancellation seam; None for
-        #: cache-hit handles, which are born resolved)
+        #: cache-hit handles, which are born resolved, and cleared when
+        #: the job finishes so a kept handle does not pin its run)
         self._job: "_Job | None" = None
 
     # -- resolution (service-internal) ---------------------------------
@@ -186,6 +204,11 @@ class _Job:
         self._slice_seq = 0
         self._submitted_at = time.time()
         self._retries = 0
+        #: ledger rows not yet written: the started stamp (keywords of
+        #: RunLedger.record_started) and (seq, steps, wall_s, at_s) slices
+        self._started: dict[str, Any] | None = None
+        self._slices: list[tuple[int, int, float, float]] = []
+        self._flushed_at = 0.0
         #: set when another shard completed the spec before we could run
         self._from_cache = False
 
@@ -245,12 +268,12 @@ class _Job:
             "serve.queue_wait_seconds", queue_wait,
             labels={"plan": self.spec.plan},
         )
-        if self.service.ledger is not None and self.run_id is not None:
-            self.service.ledger.record_started(
-                self.run_id,
-                backend=self.engine.effective_backend,
-                checkpoint_dir=str(run_dir),
-            )
+        self._started = {
+            "at_s": time.time(),
+            "backend": self.engine.effective_backend,
+            "checkpoint_dir": str(run_dir),
+        }
+        self._flushed_at = time.perf_counter()
         self.service._note_dequeued()
 
     def _resolve_guard(self) -> "RunGuard | bool | None":
@@ -299,7 +322,22 @@ class _Job:
             guard.check(self.session.simulation, where="slice")
 
     def finish(self) -> None:
-        result = self.service.cache.load(self.spec, from_cache=self._from_cache)
+        if self._from_cache:
+            result = self.service.cache.load(self.spec, from_cache=True)
+        else:
+            # The final checkpoint has just written this state byte for
+            # byte; answer from memory instead of reading it back.
+            assert self.session is not None
+            sim = self.session.simulation
+            result = JobResult(
+                spec=self.spec,
+                spec_hash=self.handle.spec_hash,
+                run_dir=self.session.directory,
+                particles=sim.particles,
+                time=sim.time,
+                record=sim.record.to_dict(),
+                from_cache=False,
+            )
         self._close_engine()
         obs.complete_span(
             "serve.job",
@@ -321,6 +359,21 @@ class _Job:
             self.session = None
             self.service.cache.evict(self.spec)
         self.service._job_finished(self, error=exc)
+
+    # -- ledger rows ---------------------------------------------------
+    def note_slice(self, wall_s: float) -> None:
+        """Buffer the slice just run; write the buffer once it is
+        :data:`LEDGER_FLUSH_S` old, so ``top`` sees a long job move."""
+        self._slice_seq += 1
+        self._slices.append(
+            (self._slice_seq, self.last_slice_steps, wall_s, time.time())
+        )
+        if time.perf_counter() - self._flushed_at >= LEDGER_FLUSH_S:
+            self.service.ledger.record_started(
+                self.run_id, **self._started, slices=self._slices
+            )
+            self._slices = []
+            self._flushed_at = time.perf_counter()
 
     # -- helpers -------------------------------------------------------
     def _close_engine(self) -> None:
@@ -488,19 +541,12 @@ class JobService:
                 handle.tenant = tenant
                 handle._resolve(cached)
                 if self.ledger is not None:
-                    run_id = self.ledger.record_submitted(
+                    handle.run_id = self.ledger.record_submitted(
                         source="serve",
-                        **self._spec_fields(spec, spec_hash, tenant),
-                    )
-                    handle.run_id = run_id
-                    self.ledger.record_finished(
-                        run_id,
                         status="cached",
-                        from_cache=True,
                         checkpoint_dir=str(cached.run_dir),
-                    )
-                    self.ledger.record_event(
-                        "cache_hit", spec_hash[:12], run_id=run_id
+                        events=[("cache_hit", spec_hash[:12])],
+                        **self._spec_fields(spec, spec_hash, tenant),
                     )
                 return handle
             handle = JobHandle(spec, spec_hash)
@@ -615,13 +661,7 @@ class JobService:
             and job.run_id is not None
             and job.last_slice_steps > 0
         ):
-            job._slice_seq += 1
-            self.ledger.record_slice(
-                job.run_id,
-                seq=job._slice_seq,
-                steps=job.last_slice_steps,
-                wall_s=wall_s,
-            )
+            job.note_slice(wall_s)
         self._emit_event(
             {
                 "type": "slice",
@@ -679,6 +719,9 @@ class JobService:
                 del self._inflight[job.handle.spec_hash]
                 self.queue.release(tenant)
             obs.set_gauge("serve.queue_depth", len(self.queue))
+        # A finished job is no longer cancellable; a kept handle must not
+        # pin its session, simulation and engine.
+        job.handle._job = None
         if error is not None:
             obs.inc("serve.jobs_failed_total")
             obs.inc("serve.jobs_failed_total", labels={"tenant": tenant})
@@ -707,12 +750,18 @@ class JobService:
         result: JobResult | None = None,
         error: BaseException | None = None,
     ) -> None:
-        """Finalise the job's ledger row (a failed write raises)."""
+        """Finalise the job's ledger row (a failed write raises).
+
+        The job's buffered started stamp and slice rows go in the same
+        transaction, so a miss commits twice in all: at submit and here.
+        """
         if self.ledger is None or job.run_id is None:
             return
         fields: dict[str, Any] = {
             "wall_s": time.perf_counter() - job._t0,
             "retries": job._retries,
+            "started": job._started,
+            "slices": job._slices,
         }
         if error is not None:
             fields["error"] = f"{type(error).__name__}: {error}"

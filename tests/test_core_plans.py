@@ -159,6 +159,64 @@ class TestCostStructure:
         assert b.pipeline_total is None
 
 
+class TestPricedOnce:
+    """An all-pairs pass is priced once per shape, and every pass gets
+    its own copy of the breakdown."""
+
+    @staticmethod
+    def _pass(name, cfg):
+        p = plummer(300, seed=5)
+        plan = get_plan(name, cfg)
+        if name == "block-i":
+            active = np.arange(0, 300, 3)
+
+            def run():
+                return plan.compute_step(p.positions, p.masses, active)[1]
+
+            def fresh():
+                return plan.inner._price(active.size, 300, "block_i_forces")
+        else:
+
+            def run():
+                return plan.compute_step(p.positions, p.masses)[1]
+
+            def fresh():
+                if name == "i":
+                    return plan._price(300, 300, "i_parallel_forces")
+                return plan._price(300)
+
+        return plan, run, fresh
+
+    @pytest.mark.parametrize("name", ["i", "j", "block-i"])
+    def test_passes_get_equal_but_distinct_breakdowns(self, name, cfg):
+        plan, run, _ = self._pass(name, cfg)
+        first, second = run(), run()
+        assert first == second and first is not second
+        assert first.meta is not second.meta
+        first.meta["written"] = True
+        first.plan = "elsewhere"
+        third = run()
+        assert "written" not in third.meta and third.plan == plan.name
+        assert third == second
+
+    @pytest.mark.parametrize("name", ["i", "j", "block-i"])
+    def test_simulated_seconds_equal_a_fresh_launch(self, name, cfg):
+        _, run, fresh = self._pass(name, cfg)
+        run()
+        memoized, built = run(), fresh()
+        assert memoized.total_seconds == built.total_seconds
+        assert memoized.kernels == built.kernels
+        assert memoized.interactions == built.interactions
+
+    def test_the_memo_is_bounded(self, cfg):
+        from repro.core.plans import base
+
+        plan = IParallelPlan(cfg)
+        for rows in range(1, base.PRICED_SHAPES + 10):
+            plan._breakdown(rows, 64, "block_i_forces")
+        assert len(base._priced) <= base.PRICED_SHAPES
+
+
 class TestPaperShapes:
     """The headline qualitative claims, checked at moderate N."""
 

@@ -572,12 +572,19 @@ class TestServeLedger:
     def test_batched_jobs_fully_accounted(self, tmp_path):
         led = RunLedger(tmp_path / "led")
         specs = self._specs()
+        release = threading.Event()
         with JobService(
             cache_dir=tmp_path / "cache", max_concurrent_jobs=2,
             steps_per_slice=2, ledger=led,
         ) as svc:
+            # No job finishes before the duplicate is in: a job resolves
+            # only after its slices' listeners return.
+            svc.add_slice_listener(
+                lambda event: event["type"] == "slice" and release.wait(30)
+            )
             handles = [svc.submit(spec) for spec in specs]
             dup = svc.submit(specs[0])          # coalesces
+            release.set()
             assert dup is handles[0]
             for h in handles:
                 h.result(timeout=120)
@@ -605,6 +612,126 @@ class TestServeLedger:
         assert cached_row["from_cache"] == 1
         kinds = [e["kind"] for e in led.events()]
         assert "dedup" in kinds and "cache_hit" in kinds
+        led.close()
+
+    @staticmethod
+    def _commits(led):
+        commits = []
+        led._conn.set_trace_callback(
+            lambda sql: commits.append(sql) if sql == "COMMIT" else None
+        )
+        return commits
+
+    def test_a_miss_commits_twice_and_a_hit_once(self, tmp_path):
+        led = RunLedger(tmp_path / "led")
+        commits = self._commits(led)
+        spec = small_spec(plan="i", seed=21)
+        with JobService(
+            cache_dir=tmp_path / "cache", steps_per_slice=2, ledger=led
+        ) as svc:
+            miss = svc.submit(spec)
+            miss.result(timeout=60)
+            assert len(commits) == 2
+            hit = svc.submit(spec)
+            assert hit.result(timeout=60).from_cache
+            assert len(commits) == 3
+        row = led.run(miss.run_id)
+        assert row["status"] == "complete" and row["started_s"] is not None
+        assert row["submitted_s"] <= row["started_s"] <= row["finished_s"]
+        assert row["backend"] and row["checkpoint_dir"]
+        assert [(s["seq"], s["steps"]) for s in led.slices(miss.run_id)] == [
+            (1, 2), (2, 2), (3, 1),
+        ]
+        cached = led.run(hit.run_id)
+        assert cached["status"] == "cached" and cached["from_cache"] == 1
+        assert cached["finished_s"] is not None and cached["checkpoint_dir"]
+        assert [e["kind"] for e in led.events(hit.run_id)] == ["cache_hit"]
+        led.close()
+
+    def test_a_running_job_is_already_accepted(self, tmp_path):
+        """The accepted row is its own commit: a crash mid-run still
+        leaves it, unfinished, for another connection to see."""
+        led = RunLedger(tmp_path / "led")
+        entered, release = threading.Event(), threading.Event()
+
+        def hold_first_slice(event):
+            if event["type"] == "slice" and event["seq"] == 1:
+                entered.set()
+                release.wait(30)
+
+        with JobService(
+            cache_dir=tmp_path / "cache", steps_per_slice=2, ledger=led
+        ) as svc:
+            svc.add_slice_listener(hold_first_slice)
+            handle = svc.submit(small_spec(plan="i", seed=22))
+            try:
+                assert entered.wait(30)
+                with sqlite3.connect(str(led.path)) as other:
+                    rows = other.execute(
+                        "SELECT run_id, status, finished_s FROM runs"
+                    ).fetchall()
+            finally:
+                release.set()
+            handle.result(timeout=60)
+        assert rows == [(handle.run_id, "queued", None)]
+        assert led.run(handle.run_id)["status"] == "complete"
+        led.close()
+
+    def test_a_long_job_shows_progress_before_it_finishes(self, tmp_path):
+        led = RunLedger(tmp_path / "led")
+        steps = 10
+
+        def slow_slice(event):
+            if event["type"] == "slice":
+                threading.Event().wait(0.25)
+
+        seen = []
+        with JobService(
+            cache_dir=tmp_path / "cache", steps_per_slice=1, ledger=led
+        ) as svc:
+            svc.add_slice_listener(slow_slice)
+            handle = svc.submit(small_spec(plan="i", seed=23, steps=steps))
+            with RunLedger(led.path) as other:
+                while not handle.done():
+                    (row,) = other.job_table()
+                    if not handle.done():
+                        seen.append((row["status"], row["steps_done"]))
+                    handle.wait(0.05)
+            handle.result(timeout=60)
+        assert any(
+            status == "running" and done > 0 for status, done in seen
+        ), seen
+        (row,) = led.job_table()
+        assert row["status"] == "complete" and row["steps_done"] == steps
+        assert [s["seq"] for s in led.slices(handle.run_id)] == list(
+            range(1, steps + 1)
+        )
+        led.close()
+
+    def test_a_job_failing_mid_run_ends_failed(self, tmp_path, monkeypatch):
+        from repro.serve.service import _Job
+
+        real_verify = _Job.verify_slice
+        calls = []
+
+        def fail_second_slice(job, done):
+            calls.append(done)
+            if len(calls) == 2:
+                raise RuntimeError("bad slice")
+            real_verify(job, done)
+
+        monkeypatch.setattr(_Job, "verify_slice", fail_second_slice)
+        led = RunLedger(tmp_path / "led")
+        with JobService(
+            cache_dir=tmp_path / "cache", steps_per_slice=2, ledger=led
+        ) as svc:
+            handle = svc.submit(small_spec(plan="i", seed=24))
+            handle.wait(timeout=60)
+        assert handle.status == "failed"
+        row = led.run(handle.run_id)
+        assert row["status"] == "failed" and "bad slice" in row["error"]
+        assert row["started_s"] is not None
+        assert [s["steps"] for s in led.slices(handle.run_id)] == [2]
         led.close()
 
     def test_failed_job_recorded(self, tmp_path):

@@ -8,7 +8,6 @@ from repro.nbody.flops import (
     FLOPS_PER_INTERACTION_RSQRT,
     gflops,
     interaction_flops,
-    pp_step_interactions,
 )
 
 
@@ -25,14 +24,6 @@ class TestFlops:
     def test_interaction_flops_rejects_negative(self):
         with pytest.raises(ValueError):
             interaction_flops(-1)
-
-    def test_pp_step_interactions_includes_self(self):
-        # GPU kernels evaluate the full N x N matrix
-        assert pp_step_interactions(1024) == 1024 * 1024
-
-    def test_pp_step_rejects_negative(self):
-        with pytest.raises(ValueError):
-            pp_step_interactions(-5)
 
     def test_gflops(self):
         # 1e9 interactions at 20 flops in 1 s = 20 GFLOPS

@@ -2,6 +2,7 @@
 
 import threading
 import time
+import zipfile
 
 import numpy as np
 import pytest
@@ -33,6 +34,23 @@ class TestSnapshotRoundtrip:
     def test_creates_parent_dirs(self, tmp_path, plummer_small):
         path = save_snapshot(tmp_path / "a" / "b" / "snap", plummer_small)
         assert path.exists()
+
+    def test_stored_uncompressed_and_deflated_still_loads(
+        self, tmp_path, plummer_small
+    ):
+        path = save_snapshot(tmp_path / "snap", plummer_small, time=0.25)
+        with zipfile.ZipFile(path) as archive:
+            assert {i.compress_type for i in archive.infolist()} == {
+                zipfile.ZIP_STORED
+            }
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        deflated = tmp_path / "deflated.npz"
+        np.savez_compressed(deflated, **arrays)
+        loaded, t, _ = load_snapshot(deflated)
+        assert loaded.positions.tobytes() == plummer_small.positions.tobytes()
+        assert loaded.velocities.tobytes() == plummer_small.velocities.tobytes()
+        assert t == 0.25
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(WorkloadError, match="not found"):

@@ -14,7 +14,9 @@ The contracts under test:
 """
 
 import json
+import zipfile
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -71,6 +73,40 @@ class TestRunSession:
             context="resumed velocities",
         )
         assert resumed.complete
+
+    def test_deflated_checkpoint_resumes_bit_identical(self, tmp_path):
+        """Checkpoints whose state was written with ``np.savez_compressed``,
+        as snapshots were stored before they went uncompressed, still
+        resume bit for bit."""
+        ref = make_sim()
+        ref.run(12)
+
+        session = RunSession(make_sim(), tmp_path / "run", checkpoint_every=4)
+        with pytest.raises(Interrupt):
+            session.run(12, callback=interrupt_at(6))
+        (state,) = (tmp_path / "run").glob("ckpt_*/state.npz")
+        with np.load(state) as data:
+            arrays = {key: data[key] for key in data.files}
+        np.savez_compressed(state, **arrays)
+        with zipfile.ZipFile(state) as archive:
+            assert {i.compress_type for i in archive.infolist()} == {
+                zipfile.ZIP_DEFLATED
+            }
+
+        resumed = RunSession.resume(tmp_path / "run")
+        record = resumed.run()
+        assert record.simulated_seconds == ref.record.simulated_seconds
+        assert resumed.simulation.time == ref.time
+        assert_bit_identical(
+            ref.particles.positions,
+            resumed.simulation.particles.positions,
+            context="resumed from deflated checkpoint: positions",
+        )
+        assert_bit_identical(
+            ref.particles.velocities,
+            resumed.simulation.particles.velocities,
+            context="resumed from deflated checkpoint: velocities",
+        )
 
     @pytest.mark.parametrize("workers", [2], ids=["thread"])
     def test_resume_onto_parallel_backend_stays_bit_identical(

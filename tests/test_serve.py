@@ -18,7 +18,9 @@ Multi-tenant fairness of :class:`~repro.serve.FairJobQueue` is tested in
 ``tests/test_tenancy.py``.
 """
 
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -44,9 +46,14 @@ from repro.serve import (
     connect,
 )
 from repro.config import resolve
+from repro.obs.ledger import RunLedger
 from repro.serve.options import check_timeout
 from repro.runtime.checkpoint import plan_config_to_dict
 from repro.check import assert_bit_identical
+from repro.check.golden import state_digest
+from repro.nbody.kernels import get_backend
+from repro.runtime import RunManifest, RunSession
+from repro.serve.cache import load_result
 from tests.conftest import small_spec, solo_state
 
 pytestmark = pytest.mark.serve
@@ -507,19 +514,23 @@ class TestJobService:
     def test_raising_finish_fails_the_job_not_the_runner(
         self, tmp_path, monkeypatch
     ):
-        """A result that fails to reload resolves its handle with the
-        typed error, and both runner threads live on to run the next job."""
-        real_load = ResultCache.load
-        loads = []
+        """A finish whose closing write raises (here the ledger's final
+        row) resolves its handle with the typed error, and both runner
+        threads live on to run the next job."""
+        real_finished = RunLedger.record_finished
+        writes = []
 
-        def load_broken_once(cache, spec, *, from_cache):
-            loads.append(spec)
-            if len(loads) == 1:
+        def finished_broken_once(ledger, run_id, **fields):
+            writes.append(run_id)
+            if len(writes) == 1:
                 raise CheckpointError("stored result is unreadable")
-            return real_load(cache, spec, from_cache=from_cache)
+            return real_finished(ledger, run_id, **fields)
 
-        monkeypatch.setattr(ResultCache, "load", load_broken_once)
-        svc = JobService(cache_dir=tmp_path, max_concurrent_jobs=2)
+        monkeypatch.setattr(RunLedger, "record_finished", finished_broken_once)
+        ledger = RunLedger(tmp_path / "ledger")
+        svc = JobService(
+            cache_dir=tmp_path / "cache", max_concurrent_jobs=2, ledger=ledger
+        )
         try:
             bad = svc.submit(small_spec(seed=41))
             with pytest.raises(CheckpointError, match="unreadable"):
@@ -531,6 +542,11 @@ class TestJobService:
         finally:
             svc.close()
         assert good.steps == small_spec().steps
+        # The retried write records the failure with the buffered rows.
+        row = ledger.run(bad.run_id)
+        assert row["status"] == "failed" and row["started_s"] is not None
+        assert sum(s["steps"] for s in ledger.slices(bad.run_id)) == 5
+        ledger.close()
 
     def test_shared_pool_injection_left_open(self, tmp_path):
         with EnginePool(workers=2) as pool:
@@ -587,6 +603,123 @@ class TestJobService:
 # ---------------------------------------------------------------------------
 # Settings precedence
 # ---------------------------------------------------------------------------
+
+_cext = get_backend("cext")
+_BACKENDS = [
+    "numpy",
+    pytest.param(
+        "cext",
+        marks=pytest.mark.skipif(
+            not _cext.available,
+            reason=f"cext backend unavailable: {_cext.unavailable_reason}",
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("backend", _BACKENDS)
+class TestAnswerFromMemory:
+    """A run the service stepped answers from the session's own state,
+    which equals what its cache entry reads back, array for array."""
+
+    @staticmethod
+    def _spec(backend, **kw):
+        config = plan_config_to_dict(
+            PlanConfig(softening=1e-2, kernel_backend=backend)
+        )
+        return small_spec(plan="i", plan_config=config, **kw)
+
+    @staticmethod
+    def _counting_loads(monkeypatch):
+        loads = []
+        real_load = ResultCache.load
+
+        def load(cache, spec, *, from_cache):
+            loads.append(spec.spec_hash())
+            return real_load(cache, spec, from_cache=from_cache)
+
+        monkeypatch.setattr(ResultCache, "load", load)
+        return loads
+
+    @staticmethod
+    def _assert_same_result(result, stored):
+        for name in ("positions", "velocities", "masses"):
+            got = getattr(result.particles, name)
+            want = getattr(stored.particles, name)
+            assert got.dtype == want.dtype
+            assert_bit_identical(want, got, context=name)
+        assert result.time == stored.time
+        assert result.record == stored.record
+        assert result.run_dir == stored.run_dir
+
+    def test_miss_equals_its_cache_entry(self, tmp_path, monkeypatch, backend):
+        loads = self._counting_loads(monkeypatch)
+        spec = self._spec(backend, seed=61)
+        with JobService(cache_dir=tmp_path) as svc:
+            miss = svc.submit(spec).result(timeout=60)
+            assert loads == [] and not miss.from_cache
+            hit = svc.submit(spec).result(timeout=60)
+        assert hit.from_cache and loads == [spec.spec_hash()]
+        self._assert_same_result(
+            miss, load_result(spec, tmp_path / spec.spec_hash(), from_cache=True)
+        )
+        assert state_digest(hit.particles, hit.time) == state_digest(
+            miss.particles, miss.time
+        )
+
+    def test_resumed_orphan_answers_from_memory(
+        self, tmp_path, monkeypatch, backend
+    ):
+        spec = self._spec(backend, seed=62, steps=8)
+        entry = ResultCache(tmp_path).entry_dir(spec)
+        orphan = RunSession(
+            spec.build_simulation(), entry, checkpoint_every=3, ledger=False
+        )
+        orphan.start(spec.steps)
+        orphan.advance(4)  # checkpoint at step 3, then "killed"
+        loads = self._counting_loads(monkeypatch)
+        with JobService(cache_dir=tmp_path, resume_orphans=True) as svc:
+            result = svc.submit(spec).result(timeout=60)
+        assert loads == [] and not result.from_cache
+        # resumed from the orphan's step-3 checkpoint, not re-run
+        steps = [c.step for c in RunManifest.read(entry).checkpoints]
+        assert steps == [3, 6, spec.steps]
+        self._assert_same_result(
+            result, load_result(spec, entry, from_cache=True)
+        )
+        pos, vel, t = solo_state(spec)
+        assert_bit_identical(pos, result.positions, context="positions")
+        assert_bit_identical(vel, result.velocities, context="velocities")
+        assert result.time == t
+
+
+class TestFinishedHandles:
+    def test_finished_handle_releases_its_run(self, tmp_path, monkeypatch):
+        """A kept handle holds its result, not its session, simulation,
+        plan or engine; a finished hash is no longer cancellable."""
+        sims = []
+        real_build = JobSpec.build_simulation
+
+        def build(spec, **kwargs):
+            sim = real_build(spec, **kwargs)
+            sims.append(weakref.ref(sim))
+            return sim
+
+        monkeypatch.setattr(JobSpec, "build_simulation", build)
+        with JobService(cache_dir=tmp_path) as svc:
+            handle = svc.submit(small_spec(seed=63))
+            result = handle.result(timeout=60)
+            assert handle._job is None
+            for _ in range(100):
+                # the runner thread drops its last reference between slices
+                gc.collect()
+                if sims[0]() is None:
+                    break
+                threading.Event().wait(0.02)
+            assert sims[0]() is None
+            assert svc.cancel(handle.spec_hash) is False
+        assert handle.result() is result and result.steps == 5
+
 
 class TestServeSettings:
     def test_defaults(self):
