@@ -121,6 +121,19 @@ class QuotaError(AdmissionError):
         self.tenant = tenant
 
 
+class UnknownJobError(ServeError):
+    """No job with the given spec hash is known to the service.
+
+    Raised by the ``status`` and ``wait`` verbs of
+    :class:`~repro.serve.JobService` and :class:`~repro.serve.RemoteService`
+    (and the coordinator's ops behind the latter) when the hash was never
+    submitted there, or its job finished before the last
+    :data:`~repro.serve.jobs.KEEP_FINISHED` jobs.  Resubmitting a
+    completed spec answers it from the result cache; the gateway replies
+    404.
+    """
+
+
 class JobCancelledError(ServeError):
     """A job was cancelled before it completed.
 

@@ -35,6 +35,10 @@ Layers (each importable on its own):
   slicing of live sessions.
 * :mod:`~repro.serve.service` — :class:`JobService` and its
   :class:`JobHandle` futures.
+* :mod:`~repro.serve.jobs` — the one job table both services keep: a
+  small record per spec hash (status, outcome, ``state_sha256``), the
+  one ``max_inflight`` release, and the last ``KEEP_FINISHED`` finished
+  jobs; ``status``/``wait`` answer from it on either transport.
 
 Service knobs (concurrency, queue bound, cache root, address, token,
 tenant) resolve through the settings table in :mod:`repro.config`.

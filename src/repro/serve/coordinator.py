@@ -14,17 +14,22 @@ drops, every job it had claimed but not reported done is requeued
 failure is failed permanently — jobs are deterministic, so re-running a
 genuinely failing spec on another shard would loop forever.
 
-Dedup and caching mirror the in-process :class:`~repro.serve.JobService`:
-identical specs coalesce onto one tracked job by content hash, and a
-spec already complete in the shared :class:`~repro.serve.ResultCache`
-is answered without touching the queue.  Workers share that cache
-directory (shared filesystem), which is also how results travel:
-``done`` messages carry only the run directory path, and clients load
-the checkpoint themselves — particle arrays never cross the socket, so
-sharded results are bit-identical to solo runs by construction (same
-files, same loader).  Admission is the same rule as well: the
+Jobs are tracked as in the in-process :class:`~repro.serve.JobService`,
+in one :class:`~repro.serve.jobs.JobTable` with the same record and the
+same status vocabulary: identical live specs coalesce onto one record by
+content hash, a spec already complete in the shared
+:class:`~repro.serve.ResultCache` is answered without touching the
+queue, and the table keeps the last ``KEEP_FINISHED`` finished records,
+so memory and :meth:`Coordinator.describe` stay bounded however many
+jobs pass through.  Workers share that cache directory (shared
+filesystem), which is also how results travel: a ``done`` message
+carries the worker's record of the outcome — run directory, steps,
+time and ``state_sha256`` — and clients load the checkpoint themselves
+when they want the arrays, so particle arrays never cross the socket
+and sharded results are bit-identical to solo runs by construction
+(same files, same loader).  Admission is the same rule as well: the
 coordinator's :class:`~repro.serve.FairJobQueue` checks every tenant
-quota and the capacity.
+quota and the capacity, and the table releases a job's slot once.
 
 The coordinator's optional ledger records coordinator-*level* events
 (submissions, assignments, requeues, worker lifecycle) with no run rows
@@ -46,6 +51,7 @@ from repro.config import resolve
 from repro.errors import JobCancelledError, ServeError
 from repro.obs.ledger import RunLedger, resolve_ledger
 from repro.serve.cache import ResultCache
+from repro.serve.jobs import OUTCOME_FIELDS, JobRecord, JobTable, completed, failed
 from repro.serve.options import SubmitOptions, check_timeout
 from repro.serve.schema import DESCRIBE_VERSION
 from repro.serve.spec import JobSpec
@@ -63,67 +69,6 @@ __all__ = ["Coordinator"]
 #: Server-side wait slice — bounds how long a dead client can pin a
 #: handler thread inside one ``wait`` RPC.
 _WAIT_CHUNK_S = 0.25
-
-
-class _TrackedJob:
-    """One spec's lifecycle at the coordinator.
-
-    ``status`` walks ``queued`` → ``running`` → ``done`` | ``failed``,
-    with ``running`` → ``queued`` again on a worker loss.  ``_finished``
-    is the event client ``wait`` RPCs block on.
-    """
-
-    def __init__(
-        self,
-        spec: JobSpec,
-        spec_hash: str,
-        priority: int,
-        tenant: str = DEFAULT_TENANT,
-    ) -> None:
-        self.spec = spec
-        self.spec_hash = spec_hash
-        self.priority = priority
-        self.tenant = tenant
-        self.status = "queued"
-        self.worker: str | None = None
-        self.run_dir: str | None = None
-        self.from_cache = False
-        #: wire-form error payload when status == "failed"
-        self.error: dict[str, str] | None = None
-        self.dedup_count = 0
-        self.retries = 0
-        self._finished = threading.Event()
-
-    def finish(
-        self,
-        *,
-        run_dir: str | None = None,
-        error: dict[str, str] | None = None,
-        from_cache: bool = False,
-    ) -> bool:
-        """Enter the terminal state; ``False`` when the job had already
-        finished (the first outcome stands)."""
-        if self._finished.is_set():
-            return False
-        self.status = "failed" if error is not None else "done"
-        self.run_dir = run_dir
-        self.error = error
-        self.from_cache = from_cache
-        self._finished.set()
-        return True
-
-    def snapshot(self) -> dict[str, Any]:
-        return {
-            "spec_hash": self.spec_hash,
-            "status": self.status,
-            "tenant": self.tenant,
-            "worker": self.worker,
-            "run_dir": self.run_dir,
-            "from_cache": self.from_cache,
-            "error": self.error,
-            "dedup_count": self.dedup_count,
-            "retries": self.retries,
-        }
 
 
 class Coordinator:
@@ -188,13 +133,14 @@ class Coordinator:
         self.addr = format_addr(self._sock.getsockname()[:2])
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
-        #: every spec this coordinator has seen, by content hash
-        self._jobs: dict[str, _TrackedJob] = {}
-        #: queued jobs: weighted fair across tenants, aged priority within
+        #: queued records: weighted fair across tenants, aged priority within
         self._queue = FairJobQueue(self.queue_capacity, tenants=tenants)
+        #: every live job and the last KEEP_FINISHED finished ones
+        self.jobs = JobTable(self._queue)
         self._workers_seen: set[str] = set()
         self._stopped = threading.Event()
-        self._threads: list[threading.Thread] = []
+        #: one thread per open connection
+        self._threads: set[threading.Thread] = set()
         self._conns: set[socket.socket] = set()
         self.jobs_submitted = 0
         self.cache_hits = 0
@@ -229,11 +175,10 @@ class Coordinator:
             conns = list(self._conns)
             # Unblock workers parked in `next` and fail undispatched work
             # so no client waits on a job that can never run.
-            for job in self._queue.remove(lambda _job: True):
-                if job.finish(error=encode_error(
+            for record in self._queue.remove(lambda _record: True):
+                self.jobs.finish(record, **failed(
                     ServeError("coordinator stopped before job was assigned")
-                )):
-                    self._queue.release(job.tenant)
+                ))
             self._cond.notify_all()
         for conn in conns:
             try:
@@ -246,7 +191,9 @@ class Coordinator:
                 pass
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5.0)
-        for t in self._threads:
+        with self._lock:
+            threads = list(self._threads)
+        for t in threads:
             t.join(timeout=5.0)
 
     def join(self, timeout: float | None = None) -> bool:
@@ -269,18 +216,18 @@ class Coordinator:
             except OSError:
                 return  # listener closed by stop()
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            with self._lock:
-                self._conns.add(conn)
             t = threading.Thread(
                 target=self._serve_conn, args=(conn,),
                 name="repro-coordinator-conn", daemon=True,
             )
+            with self._lock:
+                self._conns.add(conn)
+                self._threads.add(t)
             t.start()
-            self._threads.append(t)
 
     def _serve_conn(self, conn: socket.socket) -> None:
-        #: jobs this connection (a worker) has claimed and not finished
-        assigned: dict[str, _TrackedJob] = {}
+        #: records this connection (a worker) has claimed and not finished
+        assigned: dict[str, JobRecord] = {}
         shard: str | None = None
         try:
             while not self._stopped.is_set():
@@ -337,6 +284,8 @@ class Coordinator:
                 self._requeue(assigned, shard)
             if shard is not None:
                 self._event("worker_disconnect", shard)
+            with self._lock:
+                self._threads.discard(threading.current_thread())
 
     # ------------------------------------------------------------------
     # dispatch
@@ -344,7 +293,7 @@ class Coordinator:
     def _dispatch(
         self,
         msg: dict[str, Any],
-        assigned: dict[str, _TrackedJob],
+        assigned: dict[str, JobRecord],
         shard: str | None,
     ) -> tuple[dict[str, Any], str | None]:
         op = msg.get("op")
@@ -381,57 +330,55 @@ class Coordinator:
             self.jobs_submitted += 1
             obs.inc("serve.coord.jobs_total")
             obs.inc("serve.coord.jobs_total", labels={"tenant": tenant})
-            job = self._jobs.get(spec_hash)
-            if job is not None and job.status in ("queued", "running"):
-                # In-flight dedup only — a *done* job falls through to
+            record = self.jobs.live(spec_hash)
+            if record is not None:
+                # In-flight dedup only — a finished job falls through to
                 # the cache lookup below (mirroring JobService, where a
                 # finished spec's resubmission is a cache hit).
-                job.dedup_count += 1
+                record.dedup_count += 1
                 self.deduped += 1
                 obs.inc("serve.coord.dedup_total")
                 self._event("dedup", spec_hash[:12])
-                return {"ok": True, "job": job.snapshot(), "deduped": True}
-            if self.cache.lookup(spec) is not None:
+                return {"ok": True, "job": record.snapshot(), "deduped": True}
+            record = JobRecord(spec_hash, tenant, priority=options.priority)
+            cached = self.cache.lookup(spec)
+            if cached is not None:
                 self.cache_hits += 1
                 obs.inc("serve.coord.cache_hits_total")
-                job = _TrackedJob(spec, spec_hash, options.priority, tenant)
-                job.finish(
-                    run_dir=str(self.cache.entry_dir(spec)), from_cache=True
-                )
-                self._jobs[spec_hash] = job
+                self.jobs.finish(record, **completed(cached))
                 self._event("cache_hit", spec_hash[:12])
-                return {"ok": True, "job": job.snapshot(), "deduped": False}
-            job = _TrackedJob(spec, spec_hash, options.priority, tenant)
+                return {"ok": True, "job": record.snapshot(), "deduped": False}
+            record.work = spec
             try:
-                self._queue.push(job, priority=options.priority, tenant=tenant)
+                self.jobs.admit(record, record)
             except Exception:
                 obs.inc("serve.coord.rejected_total")
                 raise
-            self._jobs[spec_hash] = job
             self._event("submit", spec_hash[:12])
             self._cond.notify()
-            return {"ok": True, "job": job.snapshot(), "deduped": False}
+            return {"ok": True, "job": record.snapshot(), "deduped": False}
 
     def _op_wait(self, msg: dict[str, Any]) -> dict[str, Any]:
         deadline = check_timeout(msg.get("timeout"))
-        job = self._get_job(msg)
+        record = self.jobs.require(str(msg.get("spec_hash", "")))
         waited = 0.0
         while True:
-            if job._finished.wait(timeout=_WAIT_CHUNK_S):
-                return {"ok": True, "job": job.snapshot()}
+            if record.done.wait(timeout=_WAIT_CHUNK_S):
+                return {"ok": True, "job": record.snapshot()}
             waited += _WAIT_CHUNK_S
             if deadline is not None and waited >= deadline:
-                return {"ok": True, "job": job.snapshot(), "timed_out": True}
+                return {"ok": True, "job": record.snapshot(), "timed_out": True}
             if self._stopped.is_set():
                 raise ServeError("coordinator stopped while waiting")
 
     def _op_status(self, msg: dict[str, Any]) -> dict[str, Any]:
-        return {"ok": True, "job": self._get_job(msg).snapshot()}
+        record = self.jobs.require(str(msg.get("spec_hash", "")))
+        return {"ok": True, "job": record.snapshot()}
 
     def _op_next(
         self,
         msg: dict[str, Any],
-        assigned: dict[str, _TrackedJob],
+        assigned: dict[str, JobRecord],
         shard: str | None,
     ) -> dict[str, Any]:
         if shard is None:
@@ -445,96 +392,71 @@ class Coordinator:
             entry = self._queue.pop_nowait()
             if entry is None:
                 return {"ok": True, "job": None}
-            job = entry.item
-            job.status = "running"
-            job.worker = shard
-        assigned[job.spec_hash] = job
-        self._event("assign", f"{job.spec_hash[:12]} -> {shard}")
+            record = entry.item
+            self.jobs.set_status(record, "running")
+            spec = record.work
+        assigned[record.spec_hash] = record
+        self._event("assign", f"{record.spec_hash[:12]} -> {shard}")
         return {
             "ok": True,
             "job": {
-                "spec": job.spec.to_dict(),
-                "spec_hash": job.spec_hash,
-                "priority": job.priority,
-                "retries": job.retries,
+                "spec": spec.to_dict(),
+                "spec_hash": record.spec_hash,
+                "priority": record.priority,
+                "retries": record.retries,
                 # Worker passthrough: the shard resubmits locally with
                 # these so its ledger rows carry the tenant label.
-                "options": {"priority": job.priority, "tenant": job.tenant},
+                "options": {"priority": record.priority, "tenant": record.tenant},
             },
         }
 
     def _op_done(
-        self, msg: dict[str, Any], assigned: dict[str, _TrackedJob]
+        self, msg: dict[str, Any], assigned: dict[str, JobRecord]
     ) -> dict[str, Any]:
+        """A worker's report: its own record's outcome, copied onto ours."""
         spec_hash = str(msg.get("spec_hash", ""))
-        job = assigned.pop(spec_hash, None)
-        if job is None:
-            with self._lock:
-                job = self._jobs.get(spec_hash)
-        if job is None:
-            raise ServeError(f"done for unknown job {spec_hash[:12]}")
-        error = msg.get("error")
-        if job.finish(
-            run_dir=msg.get("run_dir"),
-            error=None if error is None else dict(error),
-            from_cache=bool(msg.get("from_cache", False)),
-        ):
-            self._queue.release(job.tenant)
-        self._event(
-            "failed" if error is not None else "done", spec_hash[:12]
+        record = assigned.pop(spec_hash, None) or self.jobs.require(spec_hash)
+        self.jobs.finish(
+            record, **{name: msg[name] for name in OUTCOME_FIELDS if name in msg}
         )
+        self._event(record.status, spec_hash[:12])
         return {"ok": True}
 
     def _op_cancel(self, msg: dict[str, Any]) -> dict[str, Any]:
-        job = self._get_job(msg)
+        record = self.jobs.require(str(msg.get("spec_hash", "")))
         with self._lock:
-            if job.status != "queued":
-                # Running/done jobs are out of the coordinator's reach —
+            if record.status != "queued" or not self._queue.remove(
+                lambda r: r is record
+            ):
+                # Running/finished jobs are out of the coordinator's reach —
                 # the claim lives on a worker.  Report non-cancellation
                 # rather than guessing.
-                return {"ok": True, "cancelled": False, "job": job.snapshot()}
-            removed = self._queue.remove(lambda j: j is job)
-            if not removed:
-                return {"ok": True, "cancelled": False, "job": job.snapshot()}
+                return {"ok": True, "cancelled": False, "job": record.snapshot()}
             self.jobs_cancelled += 1
             obs.inc("serve.coord.cancelled_total")
-            if job.finish(error=encode_error(JobCancelledError(
-                f"job {job.spec_hash[:12]} cancelled while queued"
-            ))):
-                self._queue.release(job.tenant)
-            self._event("cancel", job.spec_hash[:12])
-            return {"ok": True, "cancelled": True, "job": job.snapshot()}
+            self.jobs.finish(record, **failed(JobCancelledError(
+                f"job {record.spec_hash[:12]} cancelled while queued"
+            )))
+            self._event("cancel", record.spec_hash[:12])
+            return {"ok": True, "cancelled": True, "job": record.snapshot()}
 
     def _requeue(
-        self, assigned: dict[str, _TrackedJob], shard: str | None
+        self, assigned: dict[str, JobRecord], shard: str | None
     ) -> None:
         """Return a lost worker's unfinished claims to the queue."""
         with self._lock:
-            for job in assigned.values():
-                if job.status != "running":
+            for record in assigned.values():
+                if record.status != "running":
                     continue
-                job.status = "queued"
-                job.worker = None
-                job.retries += 1
-                obs.inc("serve.coord.requeues_total")
-                # force=True: a lost worker's claim must never be shed
-                # by capacity/quota checks on its way back in, and it
+                # The push skips the capacity and quota checks: a lost
+                # worker's claim is never shed on its way back in, and it
                 # keeps the max_inflight slot it already holds.
-                self._queue.push(
-                    job, priority=job.priority, tenant=job.tenant, force=True
-                )
+                self.jobs.requeue(record, record)
+                obs.inc("serve.coord.requeues_total")
                 self._event(
-                    "requeue", f"{job.spec_hash[:12]} (lost {shard})"
+                    "requeue", f"{record.spec_hash[:12]} (lost {shard})"
                 )
             self._cond.notify_all()
-
-    def _get_job(self, msg: dict[str, Any]) -> _TrackedJob:
-        spec_hash = str(msg.get("spec_hash", ""))
-        with self._lock:
-            job = self._jobs.get(spec_hash)
-        if job is None:
-            raise ServeError(f"unknown job {spec_hash[:12] or '<missing>'}")
-        return job
 
     # ------------------------------------------------------------------
     def _event(self, kind: str, detail: str | None = None) -> None:
@@ -544,9 +466,6 @@ class Coordinator:
     def describe(self) -> dict[str, Any]:
         """Introspection snapshot (mirrors ``JobService.describe``)."""
         with self._lock:
-            statuses: dict[str, int] = {}
-            for job in self._jobs.values():
-                statuses[job.status] = statuses.get(job.status, 0) + 1
             return {
                 "describe_version": DESCRIBE_VERSION,
                 "kind": "coordinator",
@@ -562,7 +481,7 @@ class Coordinator:
                     name: asdict(policy)
                     for name, policy in sorted(self._queue.policies.items())
                 },
-                "jobs": statuses,
+                "jobs": self.jobs.counts(),
                 "jobs_submitted": self.jobs_submitted,
                 "cache_hits": self.cache_hits,
                 "deduped": self.deduped,
@@ -575,5 +494,5 @@ class Coordinator:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Coordinator(addr={self.addr!r}, queued={len(self._queue)}, "
-            f"jobs={len(self._jobs)})"
+            f"jobs={self.jobs.counts()})"
         )

@@ -8,8 +8,11 @@ Server-Sent-Events stream of per-slice progress.  It holds the service
 :class:`~repro.serve.JobService`, or a
 :class:`~repro.serve.RemoteService` for a coordinator
 (``backend="host:port"``).  Fairness, quotas, and priority aging live
-*below* it in :class:`~repro.serve.FairJobQueue` — the gateway's job is
-translation, load-shedding replies, and streaming:
+*below* it in :class:`~repro.serve.FairJobQueue`, and so does every job:
+the gateway keeps none, and answers each job request from the service's
+job table (:mod:`repro.serve.jobs`) through the ``status`` and ``wait``
+verbs.  Its own work is translation, load-shedding replies, and
+streaming:
 
 * ``POST /v1/jobs`` — body ``{"spec": {...}, "options": {...}}``;
   the tenant rides in ``options`` or the ``X-Repro-Tenant`` header.
@@ -21,7 +24,9 @@ translation, load-shedding replies, and streaming:
 * ``GET /v1/jobs/<hash>/result?timeout=`` — block (server-side, in
   chunks) for the result; replies with run accounting and the
   ``state_sha256`` digest of the final particle state so clients can
-  assert bit-identity without shipping arrays over HTTP;
+  assert bit-identity without shipping arrays over HTTP.  The digest is
+  the service's, computed once where the state was in memory, so the
+  gateway reads no checkpoint, even in front of a coordinator;
 * ``POST /v1/jobs/<hash>/cancel`` — cancel a queued/running job;
 * ``GET /v1/jobs/<hash>/events`` — SSE: per-slice ``slice`` events from
   the scheduler's observer seam (in-process backend) or ``status``
@@ -30,6 +35,11 @@ translation, load-shedding replies, and streaming:
   (:mod:`repro.serve.schema`, ``kind="gateway"``) with the backend's
   own describe nested;
 * ``GET /healthz`` — unauthenticated liveness probe.
+
+A job endpoint for a hash the service does not hold — never submitted,
+or finished before the last ``KEEP_FINISHED`` jobs — replies **404**
+with ``error_type`` ``UnknownJobError``; resubmitting a completed spec
+is answered from the result cache.
 
 Auth reuses the serve-tier shared secret: when a token is configured
 (``token=`` / ``configure(serve_token=)`` / ``REPRO_SERVE_TOKEN``),
@@ -55,11 +65,12 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro import obs
 from repro.config import resolve
-from repro.errors import AdmissionError, ReproError, ServeError
+from repro.errors import AdmissionError, ReproError, ServeError, UnknownJobError
+from repro.serve.jobs import TERMINAL
 from repro.serve.options import SubmitOptions, check_timeout
 from repro.serve.remote import connect
 from repro.serve.schema import DESCRIBE_VERSION
-from repro.serve.service import JobHandle, JobService
+from repro.serve.service import JobService
 from repro.serve.spec import JobSpec
 from repro.serve.wire import format_addr, parse_addr
 
@@ -133,6 +144,17 @@ def _sse_event(event: str, data: dict[str, Any]) -> bytes:
     return f"event: {event}\ndata: {json.dumps(data)}\n\n".encode()
 
 
+def _job_view(snap: dict[str, Any]) -> dict[str, Any]:
+    """The ``job`` object of a reply, from the service's record snapshot."""
+    job = {
+        name: snap[name] for name in ("spec_hash", "status", "tenant", "dedup_count")
+    }
+    if snap["error"] is not None:
+        job["error"] = snap["error"]["message"]
+        job["error_type"] = snap["error"]["error"]
+    return job
+
+
 class Gateway:
     """Asyncio HTTP front end over the job service (see module docs).
 
@@ -184,8 +206,6 @@ class Gateway:
         self.shed_total = 0
         self.auth_failures = 0
         self.streams_open = 0
-        self._handles: dict[str, JobHandle] = {}
-        self._lock = threading.Lock()
         #: spec_hash -> asyncio queues of SSE subscribers (loop thread only)
         self._subscribers: dict[str, list[asyncio.Queue]] = {}
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -424,9 +444,9 @@ class Gateway:
             )
         except ReproError as exc:
             raise _HTTPError(400, str(exc), error_type=type(exc).__name__)
-        with self._lock:
-            self._handles[handle.spec_hash] = handle
-        return _json_response(200, {"ok": True, "job": self._snapshot(handle)})
+        return _json_response(
+            200, {"ok": True, "job": _job_view(handle.record.snapshot())}
+        )
 
     async def _handle_job(
         self, method: str, rest: str, query: dict[str, str]
@@ -438,72 +458,59 @@ class Gateway:
         if rest.endswith("/cancel") and method == "POST":
             return await self._handle_cancel(rest[: -len("/cancel")].rstrip("/"))
         if "/" not in rest and method == "GET":
-            handle = self._get_handle(rest)
-            # Refresh first: a remote handle only learns of completion
-            # through a status RPC, which done() performs.
-            loop = asyncio.get_running_loop()
-            await loop.run_in_executor(None, handle.done)
-            return _json_response(200, {"ok": True, "job": self._snapshot(handle)})
+            snap = await self._ask(self._service.status, rest)
+            return _json_response(200, {"ok": True, "job": _job_view(snap)})
         raise _HTTPError(404, f"no route for {method} /v1/jobs/{rest}")
+
+    async def _ask(self, verb: Any, *args: Any) -> Any:
+        """Run a blocking service verb off the loop; unknown jobs are 404."""
+        loop = asyncio.get_running_loop()
+        try:
+            return await loop.run_in_executor(None, verb, *args)
+        except UnknownJobError as exc:
+            raise _HTTPError(404, str(exc), error_type="UnknownJobError")
 
     async def _handle_result(self, spec_hash: str, query: dict[str, str]) -> bytes:
         try:
             timeout = check_timeout(query.get("timeout"))
         except ServeError as exc:
             raise _HTTPError(400, str(exc))
-        handle = self._get_handle(spec_hash)
-        loop = asyncio.get_running_loop()
         waited = 0.0
-        while not await loop.run_in_executor(
-            None, lambda: handle.wait(timeout=_RESULT_SLICE_S)
-        ):
+        while True:
+            snap = await self._ask(self._service.wait, spec_hash, _RESULT_SLICE_S)
+            if snap["status"] in TERMINAL:
+                break
             waited += _RESULT_SLICE_S
             if timeout is not None and waited >= timeout:
                 raise _HTTPError(
                     408, f"job {spec_hash[:12]} not finished within {timeout}s"
                 )
-        if handle.error is not None:
-            return _json_response(200, {
-                "ok": True,
-                "job": self._snapshot(handle),
-                "result": None,
-            })
-        result = handle.result(timeout=0)
-        digest = await loop.run_in_executor(None, self._digest, result)
-        return _json_response(200, {
-            "ok": True,
-            "job": self._snapshot(handle),
-            "result": {
-                "run_dir": str(result.run_dir),
-                "steps": result.steps,
-                "time": result.time,
-                "from_cache": result.from_cache,
-                "state_sha256": digest,
-            },
-        })
-
-    @staticmethod
-    def _digest(result: Any) -> str:
-        from repro.check.golden import state_digest
-
-        return state_digest(result.particles, result.time)
+        result = None
+        if snap["status"] == "complete":
+            result = {
+                name: snap[name]
+                for name in ("run_dir", "steps", "time", "from_cache", "state_sha256")
+            }
+        return _json_response(
+            200, {"ok": True, "job": _job_view(snap), "result": result}
+        )
 
     async def _handle_cancel(self, spec_hash: str) -> bytes:
-        handle = self._get_handle(spec_hash)
-        loop = asyncio.get_running_loop()
-        cancelled = await loop.run_in_executor(
-            None, lambda: self._service.cancel(spec_hash)
-        )
+        def cancel() -> tuple[bool, dict[str, Any]]:
+            cancelled = self._service.cancel(spec_hash)
+            return cancelled, self._service.status(spec_hash)
+
+        cancelled, snap = await self._ask(cancel)
         return _json_response(200, {
             "ok": True,
             "cancelled": bool(cancelled),
-            "job": self._snapshot(handle),
+            "job": _job_view(snap),
         })
 
     async def _handle_events(
         self, spec_hash: str, writer: asyncio.StreamWriter
     ) -> None:
-        handle = self._get_handle(spec_hash)
+        snap = await self._ask(self._service.status, spec_hash)
         writer.write(
             b"HTTP/1.1 200 OK\r\n"
             b"Content-Type: text/event-stream\r\n"
@@ -515,42 +522,38 @@ class Gateway:
         obs.set_gauge("serve.gateway.streams_open", self.streams_open)
         try:
             if self._in_process:
-                await self._stream_service_events(spec_hash, handle, writer)
+                await self._stream_service_events(spec_hash, writer)
             else:
-                await self._stream_polled_events(spec_hash, handle, writer)
+                await self._stream_polled_events(spec_hash, snap, writer)
         finally:
             self.streams_open -= 1
             obs.set_gauge("serve.gateway.streams_open", self.streams_open)
 
     async def _stream_service_events(
-        self, spec_hash: str, handle: JobHandle, writer: asyncio.StreamWriter
+        self, spec_hash: str, writer: asyncio.StreamWriter
     ) -> None:
         """Real per-slice events off the scheduler's observer seam."""
         q: asyncio.Queue = asyncio.Queue()
         self._subscribers.setdefault(spec_hash, []).append(q)
         try:
-            if handle.done():
-                writer.write(_sse_event("finished", self._snapshot(handle)))
-                await writer.drain()
-                return
             while True:
-                try:
-                    event = await asyncio.wait_for(q.get(), timeout=_SSE_POLL_S)
-                except asyncio.TimeoutError:
-                    if handle.done():
-                        # Finished before we subscribed (or the finished
-                        # event raced the subscription) — close it out.
-                        writer.write(
-                            _sse_event("finished", self._snapshot(handle))
-                        )
-                        await writer.drain()
-                        return
-                    continue
-                kind = event.pop("type", "slice")
-                writer.write(_sse_event(kind, event))
-                await writer.drain()
-                if kind == "finished":
+                snap = await self._ask(self._service.status, spec_hash)
+                if snap["status"] in TERMINAL:
+                    # Finished before we subscribed, or the finished
+                    # event raced the subscription: close it out.
+                    writer.write(_sse_event("finished", _job_view(snap)))
+                    await writer.drain()
                     return
+                try:
+                    while True:
+                        event = await asyncio.wait_for(q.get(), timeout=_SSE_POLL_S)
+                        kind = event.pop("type", "slice")
+                        writer.write(_sse_event(kind, event))
+                        await writer.drain()
+                        if kind == "finished":
+                            return
+                except asyncio.TimeoutError:
+                    continue  # a quiet poll interval: look at the record
         finally:
             queues = self._subscribers.get(spec_hash, [])
             if q in queues:
@@ -559,23 +562,19 @@ class Gateway:
                 self._subscribers.pop(spec_hash, None)
 
     async def _stream_polled_events(
-        self, spec_hash: str, handle: JobHandle, writer: asyncio.StreamWriter
+        self, spec_hash: str, snap: dict[str, Any], writer: asyncio.StreamWriter
     ) -> None:
         """Remote backend: no push seam, so stream status transitions."""
-        loop = asyncio.get_running_loop()
         last_status: str | None = None
-        while True:
-            done = await loop.run_in_executor(None, handle.done)
-            status = handle.status
-            if done:
-                writer.write(_sse_event("finished", self._snapshot(handle)))
+        while snap["status"] not in TERMINAL:
+            if snap["status"] != last_status:
+                writer.write(_sse_event("status", _job_view(snap)))
                 await writer.drain()
-                return
-            if status != last_status:
-                writer.write(_sse_event("status", self._snapshot(handle)))
-                await writer.drain()
-                last_status = status
+                last_status = snap["status"]
             await asyncio.sleep(_SSE_POLL_S)
+            snap = await self._ask(self._service.status, spec_hash)
+        writer.write(_sse_event("finished", _job_view(snap)))
+        await writer.drain()
 
     # ------------------------------------------------------------------
     # helpers
@@ -589,49 +588,21 @@ class Gateway:
             raise _HTTPError(400, "body must be a JSON object")
         return payload
 
-    def _get_handle(self, spec_hash: str) -> JobHandle:
-        with self._lock:
-            handle = self._handles.get(spec_hash)
-        if handle is None:
-            raise _HTTPError(
-                404, f"unknown job {spec_hash[:12] or '<missing>'} "
-                "(jobs are tracked per gateway)",
-            )
-        return handle
-
-    def _snapshot(self, handle: JobHandle) -> dict[str, Any]:
-        snap = {
-            "spec_hash": handle.spec_hash,
-            "status": handle.status,
-            "dedup_count": handle.dedup_count,
-        }
-        tenant = getattr(handle, "tenant", None)
-        if tenant is not None:
-            snap["tenant"] = tenant
-        if handle.error is not None:
-            snap["error"] = str(handle.error)
-            snap["error_type"] = type(handle.error).__name__
-        return snap
-
     def _retry_after(self) -> int:
         """Back-pressure hint: deeper queue -> longer suggested backoff."""
         depth, drain = 0, 1
         try:
-            if self._in_process:
-                depth = len(self._service.queue)
-                drain = self._service.max_concurrent_jobs
-            else:
-                described = self._service.describe()
-                depth = int(described.get("queue_depth", 0))
-                drain = max(1, len(described.get("workers", ())))
+            described = self._service.describe()
+            depth = int(described.get("queue_depth", 0))
+            drain = described["settings"].get("max_concurrent_jobs") or len(
+                described.get("workers", ())
+            )
         except ReproError:
             pass
         return min(_MAX_RETRY_AFTER_S, 1 + depth // max(1, drain))
 
     def describe(self, backend: dict[str, Any] | None = None) -> dict[str, Any]:
         """The gateway's versioned describe document (kind ``gateway``)."""
-        with self._lock:
-            tracked = len(self._handles)
         return {
             "describe_version": DESCRIBE_VERSION,
             "kind": "gateway",
@@ -642,7 +613,6 @@ class Gateway:
             "shed_total": self.shed_total,
             "auth_failures": self.auth_failures,
             "streams_open": self.streams_open,
-            "jobs_tracked": tracked,
             "backend_describe": backend,
         }
 

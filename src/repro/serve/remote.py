@@ -12,18 +12,21 @@
 The return value is the service itself — a
 :class:`~repro.serve.JobService` in-process, a :class:`RemoteService`
 against a coordinator — with the same verbs (``submit`` / ``run`` /
-``cancel`` / ``describe`` / ``close``, and ``with`` closes it), the same
-:class:`~repro.serve.JobHandle` future semantics, and the same errors —
+``status`` / ``wait`` / ``cancel`` / ``describe`` / ``close``, and
+``with`` closes it), the same :class:`~repro.serve.JobHandle` future
+semantics, the same job snapshots, and the same errors —
 a remote :class:`~repro.errors.AdmissionError` is raised client-side
 exactly like an in-process one (:mod:`repro.serve.wire` reconstructs the
 class) — so call sites never branch on transport.
 
 :class:`RemoteService` speaks the coordinator protocol over one socket
 and hands back :class:`RemoteHandle` futures.  Results never cross the
-wire — the coordinator reports the completed run *directory* and the
-handle loads the final checkpoint from the shared filesystem through the
-very same loader the in-process cache uses, which is what makes remote
-results bit-identical to local ones by construction.
+wire — the coordinator's record carries the completed run *directory*,
+steps, time and ``state_sha256``, and :meth:`RemoteHandle.result` loads
+the final checkpoint from the shared filesystem through the very same
+loader the in-process cache uses, which is what makes remote results
+bit-identical to local ones by construction.  Only ``result`` reads a
+checkpoint: ``status``, ``wait``, ``done`` and the gateway never do.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from typing import Any
 from repro.config import resolve
 from repro.errors import ServeError
 from repro.serve.cache import JobResult, load_result
+from repro.serve.jobs import SNAPSHOT_FIELDS, TERMINAL, JobRecord
 from repro.serve.options import SubmitOptions, check_timeout
 from repro.serve.service import JobHandle, JobService
 from repro.serve.spec import JobSpec
@@ -54,76 +58,60 @@ _UNSET: Any = object()
 class RemoteHandle(JobHandle):
     """A :class:`JobHandle` backed by coordinator RPCs.
 
-    Same contract as the in-process handle — ``done``/``wait``/
-    ``result``/``status``/``dedup_count`` — with state refreshed from
-    the coordinator on demand and resolved locally (loading the result
-    from the run directory) once the coordinator reports a terminal
-    state.
+    Same contract as the in-process handle.  Its record is a local copy
+    of the coordinator's, refreshed by ``done`` and ``wait`` until it is
+    terminal; :meth:`result` loads the final state from the shared run
+    directory once, on first call.  A hash the coordinator no longer
+    keeps raises :class:`~repro.errors.UnknownJobError` from a refresh.
     """
 
     def __init__(
         self,
         service: "RemoteService",
         spec: JobSpec,
-        spec_hash: str,
         snapshot: dict[str, Any],
     ) -> None:
-        super().__init__(spec, spec_hash)
+        super().__init__(spec, JobRecord(snapshot["spec_hash"], snapshot["tenant"]))
         self._remote = service
         self._absorb_lock = threading.Lock()
         self._absorb(snapshot)
 
     def _absorb(self, snapshot: dict[str, Any]) -> None:
-        """Fold a coordinator job snapshot into local future state.
+        """Copy a coordinator snapshot into the local record.
 
-        Serialized: concurrent pollers (e.g. gateway status probes on
-        the same handle) must not both load the result or interleave a
-        terminal transition with a stale queued/running update.
+        Serialized, so a stale snapshot from a concurrent poll cannot
+        overwrite a terminal one.
         """
+        record = self.record
         with self._absorb_lock:
-            self.dedup_count = int(snapshot.get("dedup_count", 0) or 0)
-            if snapshot.get("tenant"):
-                self.tenant = snapshot["tenant"]
-            status = snapshot.get("status")
-            if self._done.is_set():
+            if record.done.is_set():
                 return
-            if status == "done":
-                result = load_result(
-                    self.spec,
-                    snapshot["run_dir"],
-                    from_cache=bool(snapshot.get("from_cache", False)),
-                )
-                self._resolve(result)
-            elif status == "failed":
-                self._reject(decode_error(snapshot.get("error") or {}))
-            elif status in ("queued", "running"):
-                self.status = status
+            for name in SNAPSHOT_FIELDS:
+                setattr(record, name, snapshot[name])
+            if record.status in TERMINAL:
+                if record.error is not None:
+                    self._error = decode_error(record.error)
+                record.done.set()
 
     # -- waiting (RPC-backed) ------------------------------------------
     def done(self) -> bool:
-        if not self._done.is_set():
-            self._absorb(self._remote._status(self.spec_hash))
-        return self._done.is_set()
+        if not self.record.done.is_set():
+            self._absorb(self._remote.status(self.spec_hash))
+        return self.record.done.is_set()
 
     def wait(self, timeout: float | None = None) -> bool:
         timeout = check_timeout(timeout)
-        if self._done.is_set():
-            return True
-        self._absorb(self._remote._wait(self.spec_hash, timeout))
-        return self._done.is_set()
+        if not self.record.done.is_set():
+            self._absorb(self._remote.wait(self.spec_hash, timeout))
+        return self.record.done.is_set()
 
     def result(self, timeout: float | None = None) -> JobResult:
-        if not self.wait(timeout=timeout):
-            raise ServeError(
-                f"job {self.spec_hash[:12]} not finished within {timeout}s"
+        super().result(timeout=timeout)  # raises on a timeout or a failure
+        if self._result is None:
+            self._result = load_result(
+                self.spec, self.record.run_dir, from_cache=self.record.from_cache
             )
-        if self._error is not None:
-            raise self._error
-        assert self._result is not None
         return self._result
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"RemoteHandle({self.spec_hash[:12]}, status={self.status})"
 
 
 class RemoteService:
@@ -131,9 +119,10 @@ class RemoteService:
 
     Speaks one request/response socket (thread-safe: RPCs serialize on
     an internal lock) and exposes the service verbs — ``submit``,
-    ``run``, ``cancel``, ``describe``, ``close`` — plus :meth:`shutdown`
-    to stop the coordinator itself.  Closing it (or leaving its ``with``
-    block) drops the connection; the coordinator keeps running.
+    ``run``, ``status``, ``wait``, ``cancel``, ``describe``, ``close`` —
+    plus :meth:`shutdown` to stop the coordinator itself.  Closing it (or
+    leaving its ``with`` block) drops the connection; the coordinator
+    keeps running.
     """
 
     def __init__(
@@ -176,28 +165,6 @@ class RemoteService:
             raise decode_error(reply)
         return reply
 
-    def _status(self, spec_hash: str) -> dict[str, Any]:
-        return self._rpc({"op": "status", "spec_hash": spec_hash})["job"]
-
-    def _wait(self, spec_hash: str, timeout: float | None) -> dict[str, Any]:
-        """Chunked server-side wait so one handle can't starve others."""
-        remaining = timeout
-        while True:
-            slice_s = (
-                _WAIT_SLICE_S if remaining is None
-                else max(0.0, min(_WAIT_SLICE_S, remaining))
-            )
-            reply = self._rpc(
-                {"op": "wait", "spec_hash": spec_hash, "timeout": slice_s}
-            )
-            job = reply["job"]
-            if job["status"] in ("done", "failed"):
-                return job
-            if remaining is not None:
-                remaining -= slice_s
-                if remaining <= 0:
-                    return job
-
     # -- service protocol ----------------------------------------------
     def submit(
         self,
@@ -229,7 +196,38 @@ class RemoteService:
         reply = self._rpc(
             {"op": "submit", "spec": spec.to_dict(), "options": opts.to_wire()}
         )
-        return RemoteHandle(self, spec, spec.spec_hash(), reply["job"])
+        return RemoteHandle(self, spec, reply["job"])
+
+    def status(self, spec_hash: str) -> dict[str, Any]:
+        """The coordinator's record of the job, as a snapshot dict.
+
+        Raises :class:`~repro.errors.UnknownJobError` for a hash the
+        coordinator does not keep, as :meth:`JobService.status` does.
+        """
+        return self._rpc({"op": "status", "spec_hash": spec_hash})["job"]
+
+    def wait(self, spec_hash: str, timeout: float | None = None) -> dict[str, Any]:
+        """Block up to ``timeout`` s for the job to finish; its snapshot.
+
+        The wait is cut into server-side slices so that handles sharing
+        this connection take turns.
+        """
+        remaining = check_timeout(timeout)
+        while True:
+            slice_s = (
+                _WAIT_SLICE_S if remaining is None
+                else max(0.0, min(_WAIT_SLICE_S, remaining))
+            )
+            reply = self._rpc(
+                {"op": "wait", "spec_hash": spec_hash, "timeout": slice_s}
+            )
+            job = reply["job"]
+            if job["status"] in TERMINAL:
+                return job
+            if remaining is not None:
+                remaining -= slice_s
+                if remaining <= 0:
+                    return job
 
     def run(
         self,

@@ -20,8 +20,8 @@ fairness, never a different answer.
 Jobs are anything exposing the small protocol the runner drives:
 ``begin()``, ``advance(k) -> bool`` (True when finished), ``finish()``,
 ``fail(exc)`` — see ``repro.serve.service._Job`` for the real one.  An
-exception from ``begin``, ``advance`` or ``finish`` goes to ``fail``;
-the runner thread survives it.
+exception from ``begin``, ``advance``, either seam below or ``finish``
+goes to ``fail``; the runner thread survives it.
 
 ``slice_hook`` is the scheduler's verification seam: called after every
 successful slice with ``(job, done)``, and a raising hook fails the job
@@ -33,8 +33,9 @@ serving bad physics dies at slice granularity rather than at completion.
 the hook with ``(job, done, wall_s)`` where ``wall_s`` is the measured
 wall-clock duration of the ``advance`` call.  The serve layer points it
 at the run ledger and the labeled ``serve.slice_seconds`` histogram.  An
-observer must never influence the run, so a raising observer is a bug
-surfaced to the runner thread, not a job failure.
+observer changes nothing in the run, but one that raises (a ledger write
+on a failing disk) fails its job as a raising hook does, so no job is
+left unresolved and no runner thread dies.
 """
 
 from __future__ import annotations
@@ -191,13 +192,13 @@ class Scheduler:
                 slice_wall = time.perf_counter() - t0
                 if self.slice_hook is not None:
                     self.slice_hook(job, done)
+                if self.slice_observer is not None:
+                    self.slice_observer(job, done, slice_wall)
             except Exception as exc:
                 with self._lock:
                     self._live -= 1
                 job.fail(exc)
                 continue
-            if self.slice_observer is not None:
-                self.slice_observer(job, done, slice_wall)
             with self._lock:
                 self.slices += 1
                 if done:

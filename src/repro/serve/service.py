@@ -44,6 +44,18 @@ the arrays its final checkpoint has just written byte for byte — and
 reads nothing back; a hit, or a claim another shard completed first,
 loads the stored checkpoint.
 
+Jobs live in one :class:`~repro.serve.jobs.JobTable`: a record per spec
+hash with its status (``queued``, ``running``, ``complete``, ``failed``,
+``cancelled``) and outcome, including the final state's
+``state_sha256``, computed once where that state is in memory.
+:meth:`JobService.status` and :meth:`JobService.wait` answer from the
+record, for the live jobs and the last ``KEEP_FINISHED`` finished ones;
+an older hash raises :class:`~repro.errors.UnknownJobError`.  The
+:class:`JobHandle` a submitter holds keeps the result or the exception;
+a finished record keeps neither.  A ledger write that raises as a job
+finishes (a full or failing disk) fails the job with a
+:class:`~repro.errors.LedgerError` instead of stranding it.
+
 :func:`repro.serve.connect` is the one public way to obtain a service:
 it returns a :class:`JobService` in-process, or a
 :class:`~repro.serve.RemoteService` against a coordinator, with the same
@@ -71,7 +83,7 @@ sweep cannot starve another's interactive probe.  The queue is also
 where admission is decided: per-tenant ``max_inflight`` /
 ``max_queued`` quotas and the queue capacity shed excess load with
 :class:`~repro.errors.QuotaError` / :class:`~repro.errors.AdmissionError`,
-and the service releases a job's ``max_inflight`` slot exactly once,
+and the job table releases a job's ``max_inflight`` slot exactly once,
 when the job completes, fails or is cancelled.  Ledger rows carry the
 tenant for per-tenant accounting.  Submission tuning itself is unified
 in :class:`~repro.serve.SubmitOptions`.
@@ -79,21 +91,24 @@ in :class:`~repro.serve.SubmitOptions`.
 
 from __future__ import annotations
 
+import sqlite3
 import threading
 import time
+from contextlib import contextmanager, suppress
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from repro import obs
 from repro.check.guards import RunGuard
 from repro.check.invariants import TolerancePolicy
 from repro.config import resolve
-from repro.errors import JobCancelledError, ServeError
+from repro.errors import JobCancelledError, LedgerError, ServeError
 from repro.exec.engine import EnginePool, ExecutionEngine
 from repro.obs.ledger import RunLedger, resolve_ledger
 from repro.runtime.session import RunSession
 from repro.serve.cache import JobResult, ResultCache
+from repro.serve.jobs import JobRecord, JobTable, completed, failed
 from repro.serve.options import SubmitOptions, check_timeout
 from repro.serve.scheduler import Scheduler
 from repro.serve.schema import DESCRIBE_VERSION
@@ -109,56 +124,53 @@ LEDGER_FLUSH_S = 1.0
 
 
 class JobHandle:
-    """A submitted job's future: status, result, completion wait."""
+    """A submitted job's future: its result or its exception.
 
-    def __init__(self, spec: JobSpec, spec_hash: str) -> None:
+    Status, dedup count and tenant are read from the job's
+    :class:`~repro.serve.jobs.JobRecord`; a coalesced submission gets
+    the same handle while the job is live.
+    """
+
+    def __init__(self, spec: JobSpec, record: JobRecord) -> None:
         self.spec = spec
-        self.spec_hash = spec_hash
-        self._done = threading.Event()
+        self.record = record
         self._result: JobResult | None = None
         self._error: BaseException | None = None
-        #: "queued" | "running" | "complete" | "failed" | "cancelled"
-        self.status = "queued"
-        #: submissions coalesced onto this handle beyond the first
-        self.dedup_count = 0
         #: run ledger row backing this submission (None when unledgered)
         self.run_id: int | None = None
-        #: fair-scheduling bucket this submission landed in
-        self.tenant: str | None = None
-        #: backing _Job while in flight (cancellation seam; None for
-        #: cache-hit handles, which are born resolved, and cleared when
-        #: the job finishes so a kept handle does not pin its run)
-        self._job: "_Job | None" = None
 
-    # -- resolution (service-internal) ---------------------------------
-    def _resolve(self, result: JobResult) -> None:
-        self._result = result
-        self.status = "complete"
-        self._done.set()
+    @property
+    def spec_hash(self) -> str:
+        return self.record.spec_hash
 
-    def _reject(self, error: BaseException) -> None:
-        self._error = error
-        self.status = (
-            "cancelled" if isinstance(error, JobCancelledError) else "failed"
-        )
-        self._done.set()
+    @property
+    def status(self) -> str:
+        """``queued``, ``running``, ``complete``, ``failed`` or ``cancelled``."""
+        return self.record.status
+
+    @property
+    def dedup_count(self) -> int:
+        return self.record.dedup_count
+
+    @property
+    def tenant(self) -> str:
+        return self.record.tenant
 
     # -- waiting -------------------------------------------------------
     def done(self) -> bool:
-        return self._done.is_set()
+        return self.record.done.is_set()
 
     def wait(self, timeout: float | None = None) -> bool:
-        return self._done.wait(timeout=check_timeout(timeout))
+        return self.record.done.wait(timeout=check_timeout(timeout))
 
     def result(self, timeout: float | None = None) -> JobResult:
         """Block for the result; re-raises the job's failure if it died."""
-        if not self._done.wait(timeout=check_timeout(timeout)):
+        if not self.wait(timeout=timeout):
             raise ServeError(
                 f"job {self.spec_hash[:12]} not finished within {timeout}s"
             )
         if self._error is not None:
             raise self._error
-        assert self._result is not None
         return self._result
 
     @property
@@ -167,10 +179,10 @@ class JobHandle:
 
     @property
     def from_cache(self) -> bool:
-        return self._result is not None and self._result.from_cache
+        return self.record.from_cache
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"JobHandle({self.spec_hash[:12]}, status={self.status})"
+        return f"{type(self).__name__}({self.spec_hash[:12]}, status={self.status})"
 
 
 class _Job:
@@ -220,8 +232,8 @@ class _Job:
                 f"job {self.spec_hash12} cancelled before it started"
             )
         self._t0 = time.perf_counter()
-        self.handle.status = "running"
         service = self.service
+        service.jobs.set_status(self.handle.record, "running")
         if service.resume_orphans:
             run_dir, mode = service.cache.claim_or_resume(self.spec)
         else:
@@ -369,9 +381,10 @@ class _Job:
             (self._slice_seq, self.last_slice_steps, wall_s, time.time())
         )
         if time.perf_counter() - self._flushed_at >= LEDGER_FLUSH_S:
-            self.service.ledger.record_started(
-                self.run_id, **self._started, slices=self._slices
-            )
+            with _ledger_errors():
+                self.service.ledger.record_started(
+                    self.run_id, **self._started, slices=self._slices
+                )
             self._slices = []
             self._flushed_at = time.perf_counter()
 
@@ -386,6 +399,15 @@ class _Job:
     @property
     def spec_hash12(self) -> str:
         return self.handle.spec_hash[:12]
+
+
+@contextmanager
+def _ledger_errors() -> Iterator[None]:
+    """A run-ledger write's sqlite error surfaces as a LedgerError."""
+    try:
+        yield
+    except sqlite3.Error as exc:
+        raise LedgerError(f"run ledger write failed: {exc}") from exc
 
 
 class JobService:
@@ -466,7 +488,8 @@ class JobService:
             slice_observer=self._observe_slice,
         )
         self._lock = threading.Lock()
-        self._inflight: dict[str, JobHandle] = {}
+        #: every live job and the last KEEP_FINISHED finished ones
+        self.jobs = JobTable(self.queue)
         #: gateway/SSE seam: callables fed slice + completion events
         self._listeners: list[Any] = []
         self._closed = False
@@ -522,24 +545,25 @@ class JobService:
             obs.inc("serve.jobs_total")
             obs.inc("serve.jobs_total", labels={"plan": spec.plan})
             obs.inc("serve.jobs_total", labels={"tenant": tenant})
-            existing = self._inflight.get(spec_hash)
-            if existing is not None:
-                existing.dedup_count += 1
+            live = self.jobs.live(spec_hash)
+            job = None if live is None else live.work  # None: just finished
+            if job is not None:
+                live.dedup_count += 1
                 self.deduped += 1
                 obs.inc("serve.dedup_total")
-                if self.ledger is not None and existing.run_id is not None:
-                    self.ledger.bump_dedup(existing.run_id)
+                handle = job.handle
+                if self.ledger is not None and handle.run_id is not None:
+                    self.ledger.bump_dedup(handle.run_id)
                     self.ledger.record_event(
-                        "dedup", spec_hash[:12], run_id=existing.run_id
+                        "dedup", spec_hash[:12], run_id=handle.run_id
                     )
-                return existing
+                return handle
+            record = JobRecord(spec_hash, tenant, priority=opts.priority)
+            handle = JobHandle(spec, record)
             cached = self.cache.lookup(spec)
             if cached is not None:
                 self.cache_hits += 1
                 obs.inc("serve.cache_hits_total")
-                handle = JobHandle(spec, spec_hash)
-                handle.tenant = tenant
-                handle._resolve(cached)
                 if self.ledger is not None:
                     handle.run_id = self.ledger.record_submitted(
                         source="serve",
@@ -548,18 +572,17 @@ class JobService:
                         events=[("cache_hit", spec_hash[:12])],
                         **self._spec_fields(spec, spec_hash, tenant),
                     )
+                handle._result = cached
+                self.jobs.finish(record, **completed(cached))
                 return handle
-            handle = JobHandle(spec, spec_hash)
-            handle.tenant = tenant
-            job = _Job(self, spec, handle, options=opts)
-            handle._job = job
+            job = record.work = _Job(self, spec, handle, options=opts)
             if self.ledger is not None:
                 job.run_id = self.ledger.record_submitted(
                     source="serve", **self._spec_fields(spec, spec_hash, tenant)
                 )
                 handle.run_id = job.run_id
             try:
-                self.queue.push(job, priority=opts.priority, tenant=tenant)
+                self.jobs.admit(record, job)
             except Exception as exc:
                 obs.inc("serve.rejected_total")
                 obs.inc("serve.rejected_total", labels={"tenant": tenant})
@@ -570,7 +593,6 @@ class JobService:
                         "control",
                     )
                 raise
-            self._inflight[spec_hash] = handle
             obs.set_gauge("serve.queue_depth", len(self.queue))
             return handle
 
@@ -617,11 +639,8 @@ class JobService:
         same cancellation.  Returns ``False`` when the hash is unknown or
         the job already finished.
         """
-        with self._lock:
-            handle = self._inflight.get(spec_hash)
-        if handle is None or handle.done():
-            return False
-        job = handle._job
+        live = self.jobs.live(spec_hash)
+        job = None if live is None else live.work  # None: just finished
         if job is None:
             return False
         job.cancel_event.set()
@@ -642,6 +661,23 @@ class JobService:
         return True
 
     # ------------------------------------------------------------------
+    # job records
+    # ------------------------------------------------------------------
+    def status(self, spec_hash: str) -> dict[str, Any]:
+        """The job's record as a snapshot dict (see :mod:`repro.serve.jobs`).
+
+        Raises :class:`~repro.errors.UnknownJobError` for a hash that is
+        neither live nor among the last ``KEEP_FINISHED`` finished jobs.
+        """
+        return self.jobs.require(spec_hash).snapshot()
+
+    def wait(self, spec_hash: str, timeout: float | None = None) -> dict[str, Any]:
+        """Block up to ``timeout`` s for the job to finish; its snapshot."""
+        record = self.jobs.require(spec_hash)
+        record.done.wait(timeout=check_timeout(timeout))
+        return record.snapshot()
+
+    # ------------------------------------------------------------------
     # scheduler callbacks
     # ------------------------------------------------------------------
     def _note_dequeued(self) -> None:
@@ -650,8 +686,8 @@ class JobService:
     def _observe_slice(self, job: _Job, done: bool, wall_s: float) -> None:
         """Scheduler ``slice_observer``: labeled telemetry + ledger row.
 
-        Pure observation — never raises into the run path, never mutates
-        the job beyond its slice counter.
+        It changes nothing in the job but its slice counter; a ledger
+        write that raises fails the job, as a raising slice hook does.
         """
         plan = job.spec.plan
         obs.inc("serve.slices_total", labels={"plan": plan})
@@ -710,35 +746,44 @@ class JobService:
         result: JobResult | None = None,
         error: BaseException | None = None,
     ) -> None:
+        """Write the job's final ledger row, then finish its record.
+
+        A completion whose ledger write raises fails the job with that
+        error instead (recorded as a failure if the ledger still takes a
+        write); the record and the handle are resolved either way.
+        """
+        try:
+            with _ledger_errors():
+                self._ledger_finish(job, result=result, error=error)
+        except Exception as exc:  # noqa: BLE001 - the job must still finish
+            if error is None:
+                result, error = None, exc
+                with suppress(Exception):
+                    self._ledger_finish(job, error=error)
         tenant = job.tenant
-        with self._lock:
-            # A finish() that raises after this point (a failed ledger
-            # write) reports the job again, as failed: release its
-            # in-flight slot only the first time.
-            if self._inflight.get(job.handle.spec_hash) is job.handle:
-                del self._inflight[job.handle.spec_hash]
-                self.queue.release(tenant)
-            obs.set_gauge("serve.queue_depth", len(self.queue))
-        # A finished job is no longer cancellable; a kept handle must not
-        # pin its session, simulation and engine.
-        job.handle._job = None
-        if error is not None:
-            obs.inc("serve.jobs_failed_total")
-            obs.inc("serve.jobs_failed_total", labels={"tenant": tenant})
-            self._ledger_finish(job, error=error)
-            job.handle._reject(error)
-        else:
-            assert result is not None
-            obs.inc("serve.jobs_completed_total")
-            obs.inc("serve.jobs_completed_total", labels={"tenant": tenant})
-            self._ledger_finish(job, result=result)
-            job.handle._resolve(result)
+        counter = (
+            "serve.jobs_completed_total" if error is None
+            else "serve.jobs_failed_total"
+        )
+        obs.inc(counter)
+        obs.inc(counter, labels={"tenant": tenant})
+        handle = job.handle
+
+        def resolve() -> None:
+            handle._result, handle._error = result, error
+
+        self.jobs.finish(
+            handle.record,
+            resolve=resolve,
+            **(failed(error) if error is not None else completed(result)),
+        )
+        obs.set_gauge("serve.queue_depth", len(self.queue))
         self._emit_event(
             {
                 "type": "finished",
-                "spec_hash": job.handle.spec_hash,
+                "spec_hash": handle.spec_hash,
                 "tenant": tenant,
-                "status": job.handle.status,
+                "status": handle.status,
                 "error": None if error is None else f"{type(error).__name__}: {error}",
             }
         )
@@ -833,6 +878,7 @@ class JobService:
             },
             "default_tenant": self.default_tenant,
             "live": self.scheduler.live,
+            "jobs": self.jobs.counts(),
             "jobs_submitted": self.jobs_submitted,
             "cache_hits": self.cache_hits,
             "deduped": self.deduped,

@@ -13,7 +13,11 @@ with the smallest pass value pops next, so a weight-4 tenant gets ~4x the
 pop share of a weight-1 tenant under contention — and an idle tenant's
 first job after a quiet spell starts at the current global virtual time
 (not its stale pass), so it is scheduled promptly without earning
-catch-up credit for time it wasn't queued.
+catch-up credit for time it wasn't queued.  A tenant's bucket is dropped
+when it empties, so the queue's work grows with the tenants that have
+jobs queued, not with every tenant name a client ever sent; only the
+tenant's pass value (one float, the debt a heavy tenant still owes)
+outlives it.
 
 **Priority aging within a tenant.**  Inside a tenant, higher ``priority``
 pops first (FIFO on ties), but a queued entry gains +1 effective priority
@@ -32,7 +36,9 @@ interactive work.
 backpressure handling — CLI exit 3, gateway 429 — applies unchanged);
 global capacity raises plain ``AdmissionError``.  An admitted job holds
 its ``max_inflight`` slot until its owner calls :meth:`FairJobQueue.release`
-at the job's terminal state; popping it does not free the slot.
+at the job's terminal state; popping it does not free the slot.  In the
+serve tier that owner is the job table (:mod:`repro.serve.jobs`), which
+pushes every admitted job and releases it once.
 
 All decisions depend only on the submission/pop sequence, never the
 clock, preserving the repo-wide determinism gate.
@@ -173,7 +179,7 @@ class FairJobQueue:
 
     def depth_by_tenant(self) -> dict[str, int]:
         with self._lock:
-            return {t: len(q) for t, q in self._pending.items() if q}
+            return {t: len(q) for t, q in self._pending.items()}
 
     # ------------------------------------------------------------------
     def push(
@@ -202,10 +208,10 @@ class FairJobQueue:
             if not force:
                 self._admit_locked(tenant, len(bucket) if bucket else 0)
             if bucket is None:
+                # An idle tenant (buckets are dropped when they empty)
+                # starts at the current virtual time, so it neither
+                # banks credit nor sheds the debt its pass still holds.
                 bucket = self._pending[tenant] = []
-            if not bucket:
-                # Empty -> nonempty: start at current virtual time so an
-                # idle tenant neither banks credit nor owes debt.
                 self._pass[tenant] = max(self._pass.get(tenant, 0.0), self._vtime)
             bucket.append(
                 _Entry(priority, next(self._seq), self._tick, tenant, item)
@@ -262,17 +268,16 @@ class FairJobQueue:
         """Pick and remove the next entry (caller holds the lock, size > 0)."""
         # Stride step 1: tenant with the smallest pass value wins; ties
         # break on tenant name for determinism.
-        tenant = min(
-            (t for t, q in self._pending.items() if q),
-            key=lambda t: (self._pass.get(t, 0.0), t),
-        )
-        self._vtime = self._pass.get(tenant, 0.0)
+        tenant = min(self._pending, key=lambda t: (self._pass[t], t))
+        self._vtime = self._pass[tenant]
         policy = self.policy_for(tenant)
         self._pass[tenant] = self._vtime + STRIDE_BASE / policy.weight
         # Step 2: within the tenant, max aged priority, FIFO on ties.
         bucket = self._pending[tenant]
         best = max(bucket, key=lambda e: (self._effective_priority(e), -e.seq))
         bucket.remove(best)
+        if not bucket:
+            del self._pending[tenant]
         self._size -= 1
         self._tick += 1
         return best
@@ -309,7 +314,7 @@ class FairJobQueue:
         """
         removed: list[Any] = []
         with self._lock:
-            for tenant, bucket in self._pending.items():
+            for tenant, bucket in list(self._pending.items()):
                 keep: list[_Entry] = []
                 for entry in bucket:
                     if predicate(entry.item):
@@ -317,7 +322,10 @@ class FairJobQueue:
                         self._size -= 1
                     else:
                         keep.append(entry)
-                self._pending[tenant] = keep
+                if keep:
+                    self._pending[tenant] = keep
+                else:
+                    del self._pending[tenant]
         return removed
 
     # ------------------------------------------------------------------

@@ -3,14 +3,17 @@
 Each worker wraps today's :class:`~repro.serve.JobService` — scheduler,
 engine pool, retry machinery, result cache, ledger — and adds a
 thin pull loop: ask the coordinator for the ``next`` job whenever local
-capacity allows, submit it to the service, report ``done`` (or the
-failure) when the handle resolves.  A worker *is* the fault domain: its
+capacity allows, submit it to the service, and report ``done`` when the
+handle resolves, with the outcome of the service's own job record
+(status, error, run directory, steps, time and ``state_sha256``), which
+the coordinator copies onto its record.  A worker *is* the fault domain: its
 pool, its retries, its ledger rows (stamped with its ``shard`` name).
 
 Workers share the coordinator's cache directory over a shared
 filesystem.  That makes three things fall out for free:
 
-* results travel as run-directory paths, never as serialized arrays;
+* results travel as run-directory paths and digests, never as
+  serialized arrays;
 * a spec completed by any shard is a cache hit for every other shard;
 * a shard killed mid-run leaves an orphaned entry that the *next* shard
   assigned the job adopts via ``resume_orphans`` — continuing from the
@@ -34,10 +37,11 @@ from typing import Any
 from repro import obs
 from repro.config import resolve
 from repro.errors import ServeError
+from repro.serve.jobs import OUTCOME_FIELDS
 from repro.serve.options import SubmitOptions
 from repro.serve.service import JobHandle, JobService
 from repro.serve.spec import JobSpec
-from repro.serve.wire import encode_error, parse_addr, recv_msg, send_msg
+from repro.serve.wire import parse_addr, recv_msg, send_msg
 
 __all__ = ["Worker"]
 
@@ -100,8 +104,8 @@ class Worker:
         self._stop = threading.Event()
         self._killed = False
         self._thread: threading.Thread | None = None
-        #: spec_hash -> (handle, spec) claimed from the coordinator
-        self._outstanding: dict[str, tuple[JobHandle, JobSpec]] = {}
+        #: spec_hash -> handle of each job claimed from the coordinator
+        self._outstanding: dict[str, JobHandle] = {}
         self.jobs_done = 0
         self.jobs_failed = 0
 
@@ -247,14 +251,13 @@ class Worker:
             else SubmitOptions.from_wire(wire_options)
         )
         handle = self.service.submit(spec, options=options)
-        self._outstanding[payload["spec_hash"]] = (handle, spec)
+        self._outstanding[payload["spec_hash"]] = handle
         obs.inc("serve.worker.claims_total")
         return True
 
     def _report_finished(self) -> bool:
         reported = False
-        for spec_hash in list(self._outstanding):
-            handle, _spec = self._outstanding[spec_hash]
+        for spec_hash, handle in list(self._outstanding.items()):
             if not handle.done():
                 continue
             self._report(spec_hash, handle)
@@ -263,30 +266,24 @@ class Worker:
         return reported
 
     def _report(self, spec_hash: str, handle: JobHandle) -> None:
-        if handle.error is not None:
-            self.jobs_failed += 1
-            msg: dict[str, Any] = {
-                "op": "done",
-                "spec_hash": spec_hash,
-                "error": encode_error(handle.error),
-            }
-        else:
-            result = handle.result(timeout=0)
+        """Send the coordinator this job's outcome from its local record."""
+        record = handle.record
+        if record.status == "complete":
             self.jobs_done += 1
-            msg = {
-                "op": "done",
-                "spec_hash": spec_hash,
-                "run_dir": str(result.run_dir),
-                "from_cache": result.from_cache,
-            }
-        reply = self._rpc(msg)
+        else:
+            self.jobs_failed += 1
+        reply = self._rpc({
+            "op": "done",
+            "spec_hash": spec_hash,
+            **{name: getattr(record, name) for name in OUTCOME_FIELDS},
+        })
         if not reply.get("ok"):
             raise ServeError(f"done rejected: {reply}")
 
     def _drain_outstanding(self) -> None:
         """Finish and report every claimed job (graceful stop path)."""
         for spec_hash in list(self._outstanding):
-            handle, _spec = self._outstanding.pop(spec_hash)
+            handle = self._outstanding.pop(spec_hash)
             handle.wait(timeout=None)
             self._report(spec_hash, handle)
 

@@ -151,7 +151,7 @@ class TestDistributedBatch:
                 assert result.time == sim_time
                 assert not result.from_cache
             described = coord.describe()
-            assert described["jobs"] == {"done": len(specs)}
+            assert described["jobs"] == {"complete": len(specs)}
             assert described["workers"] == ["shard-a", "shard-b"]
 
     def test_completed_spec_is_cache_hit_for_every_shard(self, tmp_path):
@@ -224,15 +224,15 @@ class TestKillWorkerMidRun:
                 # checkpoint on disk, then crash it.
                 entry = coord.cache.entry_dir(spec)
                 assert _poll(
-                    lambda: coord._jobs[spec_hash].status == "running"
+                    lambda: coord.jobs.get(spec_hash).status == "running"
                     and any(entry.glob("ckpt_*"))
                 ), "shard-a never started checkpointing"
                 w1.kill()
                 # The socket drop requeues the claimed job.
                 assert _poll(
-                    lambda: coord._jobs[spec_hash].status == "queued"
+                    lambda: coord.jobs.get(spec_hash).status == "queued"
                 ), "job was not requeued after worker loss"
-                assert coord._jobs[spec_hash].retries == 1
+                assert coord.jobs.get(spec_hash).retries == 1
                 with Worker(
                     coord.addr, "shard-b", cache_dir=tmp_path, ledger=False
                 ):

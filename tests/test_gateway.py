@@ -8,6 +8,7 @@ full HTTP path must be bit-identical to the same spec stepped solo.
 
 import json
 import socket
+import time
 import urllib.error
 import urllib.request
 
@@ -406,3 +407,126 @@ class TestRemoteBackend:
                     assert last.startswith("event: finished"), raw[:400]
                 finally:
                     gw.stop()
+
+
+def _result_body(base, spec, headers=None):
+    status, body, _ = http(
+        base, "GET", f"/v1/jobs/{spec.spec_hash()}/result?timeout=120",
+        headers=headers,
+    )
+    assert status == 200, body
+    return body
+
+
+def _events(base, spec, headers=None):
+    request = urllib.request.Request(
+        base + f"/v1/jobs/{spec.spec_hash()}/events", headers=headers or {}
+    )
+    with urllib.request.urlopen(request, timeout=120) as response:
+        return response.read().decode()
+
+
+class TestNoJobsKept:
+    """The gateway keeps no jobs: every reply comes from the service's
+    job table, which keeps the last ``KEEP_FINISHED`` finished records."""
+
+    def test_result_reply_keeps_no_particles(self, tmp_path, monkeypatch):
+        import gc
+        import weakref
+
+        from repro.serve import service as service_module
+
+        made = []
+        real = service_module.JobResult
+
+        def capture(**fields):
+            result = real(**fields)
+            # a ParticleSet has __slots__ and no weakref slot: watch its array
+            made.append(weakref.ref(result.particles.positions))
+            return result
+
+        monkeypatch.setattr(service_module, "JobResult", capture)
+        with Gateway(backend=None, cache_dir=tmp_path, ledger=False) as gw:
+            base = f"http://{gw.addr}"
+            spec = small_spec(seed=160)
+            assert http(base, "POST", "/v1/jobs", spec_body(spec))[0] == 200
+            body = _result_body(base, spec)
+            assert body["job"]["status"] == "complete"
+            assert len(made) == 1
+            deadline = time.monotonic() + 10
+            while made[0]() is not None and time.monotonic() < deadline:
+                # the runner thread drops its last reference between slices
+                gc.collect()
+                time.sleep(0.02)
+            assert made[0]() is None, "the gateway still holds the final state"
+
+    def test_remote_gateway_reads_no_checkpoint(self, tmp_path, monkeypatch):
+        from repro.serve import Coordinator, Worker
+        from repro.serve import remote
+
+        loads = []
+        real = remote.load_result
+
+        def counting(*args, **kwargs):
+            loads.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(remote, "load_result", counting)
+        cache = tmp_path / "cache"
+        with Coordinator(cache_dir=cache, ledger=False) as coord:
+            with Worker(coord.addr, "shard-m", cache_dir=cache, ledger=False):
+                with Gateway(backend=coord.addr) as gw:
+                    base = f"http://{gw.addr}"
+                    for seed in (161, 162):
+                        spec = small_spec(seed=seed)
+                        assert http(base, "POST", "/v1/jobs", spec_body(spec))[0] == 200
+                        http(base, "GET", f"/v1/jobs/{spec.spec_hash()}")
+                        body = _result_body(base, spec)
+                        assert body["result"]["state_sha256"]
+                        assert "event: finished" in _events(base, spec)
+                        status, body, _ = http(
+                            base, "GET", f"/v1/jobs/{spec.spec_hash()}"
+                        )
+                        assert status == 200 and body["job"]["status"] == "complete"
+        assert loads == []
+
+    @pytest.mark.parametrize("remote_backend", [False, True])
+    def test_evicted_job_is_404_and_resubmit_answers_from_cache(
+        self, tmp_path, monkeypatch, remote_backend
+    ):
+        from contextlib import ExitStack
+
+        from repro.serve import Coordinator, Worker, jobs
+
+        monkeypatch.setattr(jobs, "KEEP_FINISHED", 2)
+        cache = tmp_path / "cache"
+        with ExitStack() as stack:
+            if remote_backend:
+                coord = stack.enter_context(
+                    Coordinator(cache_dir=cache, ledger=False)
+                )
+                stack.enter_context(
+                    Worker(coord.addr, "shard-v", cache_dir=cache, ledger=False)
+                )
+                gw = stack.enter_context(Gateway(backend=coord.addr))
+            else:
+                gw = stack.enter_context(
+                    Gateway(backend=None, cache_dir=cache, ledger=False)
+                )
+            base = f"http://{gw.addr}"
+            specs = [small_spec(seed=170 + i) for i in range(3)]
+            digests = []
+            for spec in specs:
+                http(base, "POST", "/v1/jobs", spec_body(spec))
+                digests.append(_result_body(base, spec)["result"]["state_sha256"])
+            evicted = specs[0].spec_hash()
+            for path in (f"/v1/jobs/{evicted}", f"/v1/jobs/{evicted}/result"):
+                status, body, _ = http(base, "GET", path)
+                assert status == 404, body
+                assert body["error_type"] == "UnknownJobError"
+                assert "resubmit" in body["error"]
+            status, body, _ = http(base, "POST", "/v1/jobs", spec_body(specs[0]))
+            assert status == 200
+            result = _result_body(base, specs[0])["result"]
+            assert result["from_cache"] is True
+            assert result["state_sha256"] == digests[0]

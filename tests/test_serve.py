@@ -19,6 +19,7 @@ Multi-tenant fairness of :class:`~repro.serve.FairJobQueue` is tested in
 """
 
 import gc
+import sqlite3
 import threading
 import weakref
 
@@ -47,6 +48,7 @@ from repro.serve import (
 )
 from repro.config import resolve
 from repro.obs.ledger import RunLedger
+from repro.serve.jobs import JobRecord
 from repro.serve.options import check_timeout
 from repro.runtime.checkpoint import plan_config_to_dict
 from repro.check import assert_bit_identical
@@ -548,6 +550,52 @@ class TestJobService:
         assert sum(s["steps"] for s in ledger.slices(bad.run_id)) == 5
         ledger.close()
 
+    @pytest.mark.parametrize("write", ["record_started", "record_finished"])
+    def test_failing_ledger_never_strands_a_job(self, tmp_path, monkeypatch, write):
+        """A job whose every ``write`` raises a sqlite error (a slice flush
+        from the observer, or the final row) ends failed with a LedgerError
+        wrapping it; both runners live on, and the tenant's slot is
+        released once."""
+        from repro.errors import LedgerError, QuotaError
+        from repro.serve import service as service_module
+
+        monkeypatch.setattr(service_module, "LEDGER_FLUSH_S", 0)
+        broken: set[int] = set()
+        real = getattr(RunLedger, write)
+
+        def raising(ledger, run_id, **fields):
+            if run_id in broken:
+                raise sqlite3.OperationalError("disk I/O error")
+            return real(ledger, run_id, **fields)
+
+        monkeypatch.setattr(RunLedger, write, raising)
+        ledger = RunLedger(tmp_path / "ledger")
+        capped = SubmitOptions(tenant="capped")
+        svc = JobService(
+            cache_dir=tmp_path / "cache", max_concurrent_jobs=2, ledger=ledger,
+            tenants={"capped": {"max_inflight": 2}},
+        )
+        try:
+            long = svc.submit(small_spec(seed=43, steps=400), options=capped)
+            broken.add(long.run_id + 1)  # the next row: the job below
+            bad = svc.submit(small_spec(seed=44, plan="i"), options=capped)
+            assert bad.run_id in broken
+            with pytest.raises(LedgerError, match="disk I/O") as info:
+                bad.result(timeout=10)
+            assert isinstance(info.value.__cause__, sqlite3.OperationalError)
+            assert bad.status == "failed"
+            assert svc.status(bad.spec_hash)["error"]["error"] == "LedgerError"
+            threads = svc.scheduler._threads
+            assert len(threads) == 2 and all(t.is_alive() for t in threads)
+            # `long` holds one slot: exactly one more capped job is admitted.
+            svc.submit(small_spec(seed=45, steps=400), options=capped)
+            with pytest.raises(QuotaError, match="max_inflight"):
+                svc.submit(small_spec(seed=46), options=capped)
+        finally:
+            svc.close(drain=False)
+        assert long.wait(timeout=10) and long.status == "failed"
+        ledger.close()
+
     def test_shared_pool_injection_left_open(self, tmp_path):
         with EnginePool(workers=2) as pool:
             svc = JobService(cache_dir=tmp_path, pool=pool)
@@ -586,7 +634,7 @@ class TestJobService:
         self, timeout
     ):
         spec = small_spec()
-        handle = JobHandle(spec, spec.spec_hash())  # never resolves
+        handle = JobHandle(spec, JobRecord(spec.spec_hash(), "t"))  # never resolves
         with pytest.raises(ServeError, match="timeout must be"):
             handle.wait(timeout=timeout)
         with pytest.raises(ServeError, match="timeout must be"):
@@ -709,7 +757,7 @@ class TestFinishedHandles:
         with JobService(cache_dir=tmp_path) as svc:
             handle = svc.submit(small_spec(seed=63))
             result = handle.result(timeout=60)
-            assert handle._job is None
+            assert handle.record.work is None
             for _ in range(100):
                 # the runner thread drops its last reference between slices
                 gc.collect()

@@ -114,6 +114,47 @@ class TestWeightedFairness:
         assert build() == build()
 
 
+class TestIdleTenants:
+    def test_pop_order_of_an_interleaved_sequence_is_fixed(self):
+        """Weights, priorities, a removal and tenants that go idle and
+        come back, in the order the queue had when it kept every bucket."""
+        q = FairJobQueue(
+            capacity=64, tenants={"a": {"weight": 3.0}, "b": {"weight": 1.0}}
+        )
+        ops = [
+            ("a1", "a", 0), ("b1", "b", 0), ("c1", "c", 2), "pop",
+            ("a2", "a", 1), "pop", "pop", "pop", ("b2", "b", 0),
+            ("c2", "c", 0), ("a3", "a", 0), ("a4", "a", 5), "pop", "remove c2",
+            "pop", ("c3", "c", 0), ("b3", "b", 1), "pop", "pop", "pop",
+            ("a5", "a", 0), ("c4", "c", 0), "pop", "pop", "pop",
+            ("b4", "b", 0), ("b5", "b", 3), ("a6", "a", 0),
+            "pop", "pop", "pop", "pop",
+        ]
+        popped = []
+        for op in ops:
+            if op == "pop":
+                popped.append(q.pop(timeout=0))
+            elif op == "remove c2":
+                q.remove(lambda item: item == "c2")
+            else:
+                q.push(op[0], tenant=op[1], priority=op[2])
+        assert popped == [
+            "a1", "b1", "c1", "a2", "a4", "a3", "b3", "c3",
+            "b2", "a5", "c4", None, "a6", "b5", "b4", None,
+        ]
+
+    def test_emptied_buckets_are_dropped(self):
+        q = FairJobQueue(capacity=8)
+        for i in range(10_000):
+            q.push(i, tenant=f"tenant-{i}")
+            if i % 2:
+                assert q.pop(timeout=0) is not None
+            else:
+                assert q.remove(lambda item, i=i: item == i) == [i]
+        assert q._pending == {} and len(q) == 0
+        assert q.depth_by_tenant() == {}
+
+
 class TestPriorityAging:
     def test_aged_bulk_job_eventually_runs(self):
         """A priority-0 job overtakes fresh priority-1 work via aging."""
